@@ -23,7 +23,7 @@ Filters are three-valued; errors never abort evaluation.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from ..domains import AnnotationValue
 from ..errors import QueryTypeError
@@ -82,13 +82,62 @@ def dominates(big: Solution, small: Solution) -> bool:
     return True
 
 
+def _signature(row: Solution) -> frozenset:
+    """What two rows must share for one to dominate the other: the key
+    set, each non-annotation value, and each annotation's domain."""
+    return frozenset(
+        (key, True, value.domain.name) if _is_annotation(value) else (key, False, value)
+        for key, value in row.items()
+    )
+
+
 def prune_maximal(solutions: list[Solution]) -> list[Solution]:
-    """Drop rows subsumed by another row (duplicates are preserved)."""
+    """Drop rows subsumed by another row (duplicates are preserved).
+
+    A row can only be dominated by a row with the same `_signature`, so
+    rows are bucketed by signature and `dominates` compares each row only
+    with the members of its own bucket (the Skyline approach).  Output
+    keeps input order.
+    """
+    signatures = [_signature(row) for row in solutions]
+    buckets: dict[frozenset, list[Solution]] = {}
+    for row, signature in zip(solutions, signatures):
+        buckets.setdefault(signature, []).append(row)
     return [
-        s
-        for s in solutions
-        if not any(dominates(other, s) for other in solutions)
+        row
+        for row, signature in zip(solutions, signatures)
+        if not any(dominates(other, row) for other in buckets[signature])
     ]
+
+
+def _term_keys(rows: list[Solution]) -> set[str]:
+    """The variables every row binds to a non-annotation value."""
+    keys: set[str] | None = None
+    for row in rows:
+        bound = {key for key, value in row.items() if not _is_annotation(value)}
+        keys = bound if keys is None else keys & bound
+        if not keys:
+            break
+    return keys or set()
+
+
+def _right_partitions(
+    left_rows: list[Solution], right_rows: list[Solution]
+) -> Callable[[Solution], list[Solution]]:
+    """For a left row, the right rows that can be meet-compatible with it.
+
+    The right rows are hashed on the variables every row on both sides
+    binds to a non-annotation value; rows that differ there never meet.
+    With no such variable every left row sees the whole right list.  Each
+    partition keeps right-row order.
+    """
+    keys = sorted(_term_keys(left_rows) & _term_keys(right_rows))
+    if not keys:
+        return lambda left: right_rows
+    partitions: dict[tuple, list[Solution]] = {}
+    for row in right_rows:
+        partitions.setdefault(tuple(row[key] for key in keys), []).append(row)
+    return lambda left: partitions.get(tuple(left[key] for key in keys), [])
 
 
 # -- filter evaluation --------------------------------------------------------
@@ -255,9 +304,10 @@ def _eval_optional(
 ) -> list[Solution]:
     left_rows = eval_pattern(graph, node.left, diagnostics)
     right_rows = eval_pattern(graph, node.right, diagnostics)
+    candidates = _right_partitions(left_rows, right_rows)
     out: list[Solution] = []
     for left in left_rows:
-        compatible = [r for r in right_rows if meet_compatible(left, r)]
+        compatible = [r for r in candidates(left) if meet_compatible(left, r)]
         merged_true = []
         all_filter_true = True
         all_filter_false = True
@@ -438,10 +488,11 @@ def eval_pattern(
     if isinstance(pattern, alg.Join):
         left = eval_pattern(graph, pattern.left, diagnostics)
         right = eval_pattern(graph, pattern.right, diagnostics)
+        candidates = _right_partitions(left, right)
         out = [
             meet_union(a, b)
             for a in left
-            for b in right
+            for b in candidates(a)
             if meet_compatible(a, b)
         ]
         return prune_maximal(out)

@@ -8,8 +8,8 @@ Subcommands:
     convert               reformat a document canonically
 
 Exit codes: 0 success, 1 failed checks, 2 parse or type errors,
-3 closure iteration cap exceeded, 4 compound domain with a non-lattice
-first component.
+3 resource cap exceeded (closure rule firings or compound saturation
+steps), 4 compound domain with a non-lattice first component.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .errors import (
     NotALatticeError,
     ParseError,
     QueryTypeError,
+    SaturationBoundError,
     UnknownDomainError,
 )
 from .reasoner import DEFAULT_MAX_FIRINGS, apply_defaults, closure
@@ -44,7 +45,7 @@ from .anql.rewrite import rewrite_defaults
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
-EXIT_ITERATION = 3
+EXIT_RESOURCE = 3
 EXIT_NOT_LATTICE = 4
 
 
@@ -139,7 +140,12 @@ def _cmd_infer(args) -> int:
 
 def _cmd_query(args) -> int:
     doc = _load(args)
-    graph, _side = apply_defaults(doc.graph, doc.plain, args.default_annotation)
+    graph, side = apply_defaults(doc.graph, doc.plain, args.default_annotation)
+    if side is not None and len(side):
+        print(
+            f"warning: {len(side)} plain triple(s) segregated; the query does not see them",
+            file=sys.stderr,
+        )
     closed = closure(graph, max_firings=args.max_iterations)
     query = parse_query(Path(args.query).read_text(), domain=doc.domain)
     query = rewrite_defaults(query, args.rewrite_defaults, doc.domain)
@@ -201,9 +207,9 @@ def main(argv: list[str] | None = None) -> int:
     except NotALatticeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_LATTICE
-    except ClosureIterationError as exc:
+    except (ClosureIterationError, SaturationBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ITERATION
+        return EXIT_RESOURCE
     except (ParseError, AnnotationSyntaxError, QueryTypeError, UnknownDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -11,7 +11,7 @@ from __future__ import annotations
 from ..errors import UnknownDomainError
 from .allen import AllenRelation, QuantifierMode, allen_holds, allen_lifted
 from .axioms import AxiomCheck, AxiomReport, axiom_suite
-from .base import AnnotationValue, Domain, join_all, meet_all
+from .base import AnnotationValue, Domain
 from .boolean import BooleanDomain
 from .compound import (
     CompoundDomain,
@@ -90,8 +90,6 @@ __all__ = [
     "evaluate",
     "generated_sublattice",
     "get_domain",
-    "join_all",
-    "meet_all",
     "normalise",
     "primitive_domain_ids",
     "quasihomomorphism_suite",

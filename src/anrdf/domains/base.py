@@ -16,7 +16,7 @@ semantic equality of annotation values is structural equality of payloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from ..errors import DomainMismatchError
 
@@ -165,18 +165,3 @@ class AnnotationValue:
     def __repr__(self) -> str:
         return f"{self.domain.name}:{self.serialize()}"
 
-
-def join_all(values: Iterable[AnnotationValue], domain: Domain) -> AnnotationValue:
-    """Fold join over `values`; the empty fold is bottom."""
-    acc = domain.bottom
-    for v in values:
-        acc = acc.join(v)
-    return acc
-
-
-def meet_all(values: Iterable[AnnotationValue], domain: Domain) -> AnnotationValue:
-    """Fold meet over `values`; the empty fold is top."""
-    acc = domain.top
-    for v in values:
-        acc = acc.meet(v)
-    return acc

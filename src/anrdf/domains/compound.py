@@ -183,7 +183,9 @@ def saturate_fast(d1: Domain, d2: Domain, pairs: Iterable[Pair]) -> set[Pair]:
             ):
                 steps += 1
                 if steps > _FAST_SATURATE_CAP:
-                    raise SaturationBoundError("saturation did not converge")
+                    raise SaturationBoundError(
+                        f"compound saturation exceeded its cap of {_FAST_SATURATE_CAP} steps"
+                    )
                 if r[0] == bot1 or r[1] == bot2 or r in front:
                     continue
                 if dominated(r, front):
@@ -262,9 +264,6 @@ class CompoundDomain(Domain):
 
     def top_payload(self):
         return ((self.d1.top_payload(), self.d2.top_payload()),)
-
-    def evaluate_payload(self, pairs, z):
-        return evaluate(self.d1, self.d2, pairs, z)
 
     def parse_payload(self, text: str):
         s = text.strip()

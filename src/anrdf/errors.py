@@ -25,7 +25,9 @@ class UnknownDomainError(AnrdfError):
 
 
 class SaturationBoundError(AnrdfError):
-    """Input too large for the doubly-exponential reference saturation."""
+    """Compound saturation ran into a resource bound: the fast
+    saturation's step cap, or the input-size bound of the doubly
+    exponential reference saturation."""
 
 
 class TemporalValueError(AnrdfError):

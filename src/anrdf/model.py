@@ -9,7 +9,7 @@ stored at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .domains import AnnotationValue, Domain
 from .errors import AnrdfError, DomainMismatchError
@@ -92,6 +92,10 @@ class AnnotatedTriple:
     annotation: AnnotationValue
 
 
+# predicate -> subject (or object) -> triples
+_Index = dict[Term, dict[Term, list[Triple]]]
+
+
 class FrozenGraphError(AnrdfError):
     pass
 
@@ -102,7 +106,10 @@ class AnnotatedGraph:
     def __init__(self, domain: Domain):
         self.domain = domain
         self._statements: dict[Triple, AnnotationValue] = {}
-        self._by_predicate: dict[Term, set[Triple]] = {}
+        # Reduced Hexastore: p -> s -> triples and p -> o -> triples.  The
+        # store never deletes, so append-only lists are enough.
+        self._by_ps: _Index = {}
+        self._by_po: _Index = {}
         self._frozen = False
         self._sorted_cache: list[tuple[Triple, AnnotationValue]] | None = None
 
@@ -125,7 +132,8 @@ class AnnotatedGraph:
         stored = self._statements.get(t)
         if stored is None:
             self._statements[t] = value
-            self._by_predicate.setdefault(t.predicate, set()).add(t)
+            self._by_ps.setdefault(t.predicate, {}).setdefault(t.subject, []).append(t)
+            self._by_po.setdefault(t.predicate, {}).setdefault(t.object, []).append(t)
             self._sorted_cache = None
             return True
         merged = stored.join(value)
@@ -146,7 +154,8 @@ class AnnotatedGraph:
     def copy(self) -> "AnnotatedGraph":
         clone = AnnotatedGraph(self.domain)
         clone._statements = dict(self._statements)
-        clone._by_predicate = {p: set(ts) for p, ts in self._by_predicate.items()}
+        clone._by_ps = _copy_index(self._by_ps)
+        clone._by_po = _copy_index(self._by_po)
         return clone
 
     # -- queries ---------------------------------------------------------
@@ -179,15 +188,25 @@ class AnnotatedGraph:
     def __iter__(self) -> Iterator[tuple[Triple, AnnotationValue]]:
         return iter(self.statements())
 
-    def with_predicate(self, p: Term) -> set[Triple]:
-        return self._by_predicate.get(p, set())
-
     def match(
         self, s: Term | None, p: Term | None, o: Term | None
     ) -> Iterator[tuple[Triple, AnnotationValue]]:
-        """All statements agreeing with the given fixed positions."""
+        """All statements agreeing with the given fixed positions, in
+        `Triple.sort_key` order.
+
+        With `p` bound the candidates come from an index: the `(p,s)`
+        index when `s` is bound too, else the `(p,o)` index when `o` is
+        bound, else every triple with predicate `p`.  With `p` unbound
+        every statement is a candidate.  Only the candidates are sorted.
+        """
         if p is not None:
-            candidates: Iterator[Triple] = iter(sorted(self.with_predicate(p), key=Triple.sort_key))
+            if s is not None:
+                found = self._by_ps.get(p, {}).get(s, ())
+            elif o is not None:
+                found = self._by_po.get(p, {}).get(o, ())
+            else:
+                found = [t for ts in self._by_ps.get(p, {}).values() for t in ts]
+            candidates: Iterable[Triple] = sorted(found, key=Triple.sort_key)
         else:
             candidates = (t for t, _ in self.statements())
         for t in candidates:
@@ -199,3 +218,7 @@ class AnnotatedGraph:
 
     def triple_set(self) -> set[Triple]:
         return set(self._statements)
+
+
+def _copy_index(index: _Index) -> _Index:
+    return {p: {k: list(ts) for k, ts in by_key.items()} for p, by_key in index.items()}

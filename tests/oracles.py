@@ -269,13 +269,42 @@ def sparql_eval(triples: set[Triple], pattern: alg.Pattern) -> list[Mapping]:
     raise TypeError(f"oracle cannot evaluate {pattern!r}")
 
 
+# -- maximal answers -----------------------------------------------------------
+
+
+def _subsumed(big: dict, small: dict) -> bool:
+    """`small` is a distinct row with `big`'s keys and term values whose
+    every annotation is below `big`'s in the same domain."""
+    if small == big or small.keys() != big.keys():
+        return False
+    for key, vs in small.items():
+        vb = big[key]
+        if isinstance(vs, AnnotationValue) and isinstance(vb, AnnotationValue):
+            if vs.domain.name != vb.domain.name or not vs.leq(vb):
+                return False
+        elif vs != vb:
+            return False
+    return True
+
+
+def prune_maximal_pairwise(rows: list[dict]) -> list[dict]:
+    """Keep the rows no other row subsumes, comparing every pair; input
+    order and duplicates are kept."""
+    return [s for s in rows if not any(_subsumed(other, s) for other in rows)]
+
+
 # -- random generators ---------------------------------------------------------
 
 
-def random_crisp_graph(rng: random.Random, max_triples: int = 30) -> set[Triple]:
-    properties = [iri(f"p{i}") for i in range(4)]
-    classes = [iri(f"c{i}") for i in range(4)]
-    individuals = [iri(f"a{i}") for i in range(6)]
+def random_crisp_graph(
+    rng: random.Random, max_triples: int = 30, vocabulary: int = 1
+) -> set[Triple]:
+    """Up to `max_triples` random rho-df and data triples.  `vocabulary`
+    multiplies the number of properties, classes and individuals, so
+    larger graphs do not saturate the closure."""
+    properties = [iri(f"p{i}") for i in range(4 * vocabulary)]
+    classes = [iri(f"c{i}") for i in range(4 * vocabulary)]
+    individuals = [iri(f"a{i}") for i in range(6 * vocabulary)]
     out = set()
     for _ in range(rng.randint(1, max_triples)):
         shape = rng.randrange(6)

@@ -15,6 +15,7 @@ from anrdf.anql.engine import (
     ERROR,
     FALSE,
     TRUE,
+    _right_partitions,
     eval_pattern,
     filter_eval,
     meet_compatible,
@@ -23,7 +24,13 @@ from anrdf.anql.engine import (
 )
 from anrdf.errors import QueryTypeError
 from anrdf.model import TYPE, AnnotatedGraph, Term, Triple
-from oracles import random_crisp_graph, random_pattern, sparql_eval, top_annotated
+from oracles import (
+    prune_maximal_pairwise,
+    random_crisp_graph,
+    random_pattern,
+    sparql_eval,
+    top_annotated,
+)
 
 TEMPORAL = get_domain("temporal")
 BOOLEAN = get_domain("boolean")
@@ -42,6 +49,32 @@ def rows_as_set(rows):
 
 def q(text: str, domain=TEMPORAL):
     return parse_query(text, domain)
+
+
+def random_rows(rng: random.Random, x_bound: float = 0.8, x_term: float = 0.6) -> list[dict]:
+    """Rows over keys x, y, l with small temporal annotations: key sets
+    vary, a share `x_bound` of the rows binds x, to a term with chance
+    `x_term` and else to an annotation, and some rows repeat earlier ones."""
+    terms = [iri("a"), iri("b")]
+
+    def annotation():
+        start = rng.randint(0, 6)
+        return tv(f"{{[{start},{start + rng.randint(0, 3)}]}}")
+
+    rows: list[dict] = []
+    for _ in range(rng.randint(0, 40)):
+        if rows and rng.random() < 0.2:
+            rows.append(dict(rng.choice(rows)))
+            continue
+        row: dict = {}
+        if rng.random() < x_bound:
+            row["x"] = rng.choice(terms) if rng.random() < x_term else annotation()
+        if rng.random() < 0.5:
+            row["y"] = rng.choice(terms)
+        if rng.random() < 0.8:
+            row["l"] = annotation()
+        rows.append(row)
+    return rows
 
 
 class TestBap:
@@ -530,6 +563,14 @@ class TestDomainMaximality:
         c = {"x": Term("iri", "a")}
         assert prune_maximal([a, b, c]) == [a, b, c]
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_bucketed_prune_equals_pairwise_oracle(self, seed):
+        rows = random_rows(random.Random(8200 + seed))
+        got = prune_maximal(rows)
+        expected = prune_maximal_pairwise(rows)
+        assert got == expected
+        assert [id(r) for r in got] == [id(r) for r in expected]
+
     def test_no_answer_binds_bottom(self, fig1_exx1_closure):
         query = q("SELECT ?p ?l WHERE { (?p type ebayEmp):?l (?p hasCar ?c):?l }")
         for row in evaluate_query(fig1_exx1_closure, query):
@@ -540,6 +581,21 @@ class TestMeetCompatibility:
     def test_terms_must_agree(self):
         assert not meet_compatible({"x": iri("a")}, {"x": iri("b")})
         assert meet_compatible({"x": iri("a")}, {"x": iri("a"), "y": iri("b")})
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_right_partitions_keep_every_compatible_row(self, seed):
+        # Most sides bind x to a term in every row, so the right rows are
+        # partitioned on x; the others mix terms, annotations and no x.
+        rng = random.Random(8300 + seed)
+        left, right = (
+            random_rows(rng, 1.0, 1.0) if rng.random() < 0.7 else random_rows(rng)
+            for _ in range(2)
+        )
+        candidates = _right_partitions(left, right)
+        for row in left:
+            assert [r for r in candidates(row) if meet_compatible(row, r)] == [
+                r for r in right if meet_compatible(row, r)
+            ]
 
     def test_annotations_must_not_meet_to_bottom(self):
         a = {"l": tv("{[1,2]}")}
@@ -604,7 +660,7 @@ class TestBapAgainstClosureAnswering:
                     break
             if ok and all(not v.is_bottom for v in annotations.values()):
                 rows.append({**binding, **annotations})
-        return prune_maximal(rows)
+        return prune_maximal_pairwise(rows)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_direct_answering(self, fig1_closure, seed):
@@ -637,3 +693,44 @@ class TestSparqlConservativity:
             frozenset((k, v) for k, v in row.items() if isinstance(v, Term))
             for row in got
         ) == Counter(frozenset(row.items()) for row in reference)
+
+
+class TestSparqlConservativityLarger:
+    """The SPARQL oracle on graphs ten times larger than above."""
+
+    # Seeds in LARGER_SEEDS whose pattern has a Join or an OPTIONAL node
+    # with rows on both sides; most random patterns match nothing here.
+    LIVE_JOIN_SEEDS = (72, 80, 84, 105, 143)
+    LIVE_OPTIONAL_SEEDS = (11, 17, 84)
+    LARGER_SEEDS = (*range(40), 72, 80, 84, 105, 143)
+
+    @staticmethod
+    def _case(seed):
+        rng = random.Random(9100 + seed)
+        triples = random_crisp_graph(rng, max_triples=300, vocabulary=2)
+        return triples, random_pattern(rng)
+
+    @pytest.mark.parametrize("seed", LARGER_SEEDS)
+    def test_sampled_equivalence(self, seed):
+        triples, pattern = self._case(seed)
+        reference = sparql_eval(triples, pattern)
+        got = eval_pattern(top_annotated(triples, BOOLEAN).freeze(), pattern)
+        assert Counter(
+            frozenset((k, v) for k, v in row.items() if isinstance(v, Term))
+            for row in got
+        ) == Counter(frozenset(row.items()) for row in reference)
+
+    @staticmethod
+    def _live_nodes(triples, pattern):
+        for field in ("left", "right", "pattern"):
+            child = getattr(pattern, field, None)
+            if child is not None:
+                yield from TestSparqlConservativityLarger._live_nodes(triples, child)
+        if isinstance(pattern, (alg.Join, alg.Optional)):
+            if sparql_eval(triples, pattern.left) and sparql_eval(triples, pattern.right):
+                yield type(pattern)
+
+    def test_live_seeds_reach_join_and_optional(self):
+        for kind, seeds in ((alg.Join, self.LIVE_JOIN_SEEDS), (alg.Optional, self.LIVE_OPTIONAL_SEEDS)):
+            for seed in seeds:
+                assert kind in set(self._live_nodes(*self._case(seed))), (kind, seed)

@@ -56,6 +56,20 @@ class TestInfer:
         assert code == 3
         assert "firings" in stderr
 
+    def test_saturation_cap_exit_3(self, capsys, tmp_path, monkeypatch):
+        import anrdf.domains.compound as compound
+
+        monkeypatch.setattr(compound, "_FAST_SATURATE_CAP", 1)
+        src = tmp_path / "compound.anrdf"
+        src.write_text(
+            "@domix compound(temporal,provenance) .\n"
+            "(a type C) : {<{[1,5]},s1>,<{[3,8]},s2>} .\n"
+        )
+        code, stdout, stderr = run(capsys, "infer", "-i", str(src))
+        assert code == 3
+        assert stdout == ""
+        assert "cap of 1 steps" in stderr
+
     def test_segregate_keeps_plain_triples(self, capsys, tmp_path):
         src = tmp_path / "mixed.anrdf"
         src.write_text(
@@ -146,6 +160,29 @@ class TestQuery:
         )
         assert code == 0
         assert stdout == "?p\n"
+
+    @pytest.mark.parametrize("mode", ["top", "segregate"])
+    def test_segregated_plain_triples_are_reported(self, capsys, tmp_path, mode):
+        src = tmp_path / "mixed.anrdf"
+        src.write_text(
+            "@domix temporal .\n"
+            "(alice worksFor globex) : {[1,9]} .\n"
+            "bob worksFor acme .\n"
+        )
+        query = tmp_path / "acme.anql"
+        query.write_text("SELECT ?p WHERE { ?p worksFor acme }")
+        code, stdout, stderr = run(
+            capsys, "query", "-i", str(src), str(query), "--default-annotation", mode
+        )
+        assert code == 0
+        if mode == "top":
+            assert stdout.splitlines() == ["?p", "bob"]
+            assert stderr == ""
+        else:
+            assert stdout.splitlines() == ["?p"]
+            assert stderr == (
+                "warning: 1 plain triple(s) segregated; the query does not see them\n"
+            )
 
     def test_query_parse_error_exit_2(self, capsys, data_dir, tmp_path):
         bad = tmp_path / "bad.anql"

@@ -20,6 +20,47 @@ def tv(text: str):
     return TEMPORAL.parse(text)
 
 
+class TestMatch:
+    @staticmethod
+    def _graph():
+        g = AnnotatedGraph(TEMPORAL)
+        terms = [iri(x) for x in "abc"] + [TYPE, SC]
+        rng = random.Random(5)
+        for _ in range(40):
+            g.insert(
+                Triple(rng.choice(terms[:3]), rng.choice(terms), rng.choice(terms[:3])),
+                tv(f"{{[{rng.randint(0, 5)},9]}}"),
+            )
+        return g, terms
+
+    def test_every_binding_pattern_matches_a_scan_in_order(self):
+        g, terms = self._graph()
+        slots = [None, *terms]
+        for s in slots:
+            for p in slots:
+                for o in slots:
+                    expected = [
+                        (t, v)
+                        for t, v in g.statements()
+                        if (s is None or t.subject == s)
+                        and (p is None or t.predicate == p)
+                        and (o is None or t.object == o)
+                    ]
+                    assert list(g.match(s, p, o)) == expected, (s, p, o)
+
+    def test_copy_does_not_share_indexes(self):
+        g, _ = self._graph()
+        before = list(g.match(iri("a"), TYPE, None))
+        clone = g.copy()
+        clone.insert(Triple(iri("a"), TYPE, iri("z")), tv("{[1,2]}"))
+        clone.insert(Triple(iri("z"), TYPE, iri("a")), tv("{[1,2]}"))
+        assert list(g.match(iri("a"), TYPE, None)) == before
+        assert Triple(iri("a"), TYPE, iri("z")) in [t for t, _ in clone.match(iri("a"), TYPE, None)]
+        assert list(g.match(None, TYPE, iri("a"))) == [
+            (t, v) for t, v in g.statements() if t.predicate == TYPE and t.object == iri("a")
+        ]
+
+
 class TestInsert:
     def test_merge_on_duplicate(self):
         g = AnnotatedGraph(TEMPORAL)
@@ -131,6 +172,15 @@ class TestClosureProperties:
     def test_crisp_conservativity_sample(self, seed):
         rng = random.Random(1000 + seed)
         triples = random_crisp_graph(rng)
+        annotated = closure(top_annotated(triples, BOOLEAN))
+        assert annotated.triple_set() == crisp_closure(triples)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_crisp_conservativity_larger(self, seed):
+        # Ten times the triples above, over a vocabulary twenty times as
+        # large so the closure derives new triples without saturating.
+        rng = random.Random(9000 + seed)
+        triples = random_crisp_graph(rng, max_triples=300, vocabulary=20)
         annotated = closure(top_annotated(triples, BOOLEAN))
         assert annotated.triple_set() == crisp_closure(triples)
 
