@@ -23,7 +23,7 @@ from .domains import (
     quasihomomorphism_suite,
 )
 from .model import AnnotatedGraph, Term, Triple, iri, literal, skolem
-from .reasoner import RHO_DF_RULES, Rule, apply_defaults, closure
+from .reasoner import apply_defaults, closure
 from .anql import QueryDocument, evaluate_query, rewrite_defaults
 from .syntax import (
     parse_graph,
@@ -42,8 +42,6 @@ __all__ = [
     "Domain",
     "QuantifierMode",
     "QueryDocument",
-    "RHO_DF_RULES",
-    "Rule",
     "Term",
     "Triple",
     "allen_lifted",

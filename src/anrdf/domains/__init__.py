@@ -19,9 +19,7 @@ from .compound import (
     generated_sublattice,
     normalise,
     quasihomomorphism_suite,
-    reduce_pairs,
     saturate_fast,
-    saturate_naive,
 )
 from .fuzzy import FuzzyDomain
 from .provenance import ProvenanceDomain
@@ -93,7 +91,5 @@ __all__ = [
     "normalise",
     "primitive_domain_ids",
     "quasihomomorphism_suite",
-    "reduce_pairs",
     "saturate_fast",
-    "saturate_naive",
 ]

@@ -10,15 +10,16 @@ Distinct pair sets can denote the same function, so values are kept in a
 canonical normal form computed by saturation (adding every pair derivable
 with the component operations) followed by reduction (dropping pairs
 dominated componentwise and pairs with a bottom component).  The textbook
-saturation enumerates subsets of the powerset of the input and is kept,
-size-capped, as the test oracle; the production path closes the set under
-the two pairwise combinators
+saturation enumerates subsets of the powerset of the input and is doubly
+exponential; a size-capped copy of it is the test oracle.  `normalise`
+instead closes the set under the two pairwise combinators
 
     <a, b>, <c, d>  ->  <a meet1 c, b join2 d>
     <a, b>, <c, d>  ->  <a join1 c, b meet2 d>
 
-while maintaining a dominance antichain, which yields the same normal
-form on every input the oracle can handle.
+while maintaining a dominance antichain free of bottom components.  That
+antichain is already reduced, and it is the same normal form as the
+textbook construction's on every input the oracle can handle.
 
 Normalisation is only sound when D1 is a lattice (meet1 must be the
 greatest lower bound), which is enforced when the domain is constructed.
@@ -51,7 +52,6 @@ from .base import Domain
 
 Pair = tuple[Any, Any]
 
-NAIVE_SATURATE_BOUND = 4
 _FAST_SATURATE_CAP = 200_000
 
 
@@ -77,74 +77,6 @@ def evaluate(d1: Domain, d2: Domain, pairs: Iterable[Pair], z: Any) -> Any:
         if d1.leq_payload(z, join1[mask]):
             result = d2.join_payload(result, meet2[mask])
     return result
-
-
-def saturate_naive(
-    d1: Domain,
-    d2: Domain,
-    pairs: Iterable[Pair],
-    bound: int = NAIVE_SATURATE_BOUND,
-) -> set[Pair]:
-    """Literal saturation: one entry per subset X of the powerset of the
-    input, for each of the two fold orientations.  Doubly exponential;
-    refuses inputs larger than `bound` pairs."""
-    items = list(pairs)
-    n = len(items)
-    if n > bound:
-        raise SaturationBoundError(
-            f"naive saturation limited to {bound} pairs, got {n}"
-        )
-    m = 1 << n  # number of subsets J
-    meet1 = [d1.top_payload()] * m
-    join1 = [d1.bottom_payload()] * m
-    join2 = [d2.bottom_payload()] * m
-    meet2 = [d2.top_payload()] * m
-    for mask in range(1, m):
-        low = (mask & -mask).bit_length() - 1
-        rest = mask & (mask - 1)
-        x, y = items[low]
-        meet1[mask] = d1.meet_payload(meet1[rest], x)
-        join1[mask] = d1.join_payload(join1[rest], x)
-        join2[mask] = d2.join_payload(join2[rest], y)
-        meet2[mask] = d2.meet_payload(meet2[rest], y)
-    # X ranges over sets of subsets; fold incrementally over X's low member.
-    out: set[Pair] = set()
-    line1 = [(d1.bottom_payload(), d2.top_payload())] * (1 << m)
-    line2 = [(d1.top_payload(), d2.bottom_payload())] * (1 << m)
-    for xmask in range(1 << m):
-        if xmask:
-            low = (xmask & -xmask).bit_length() - 1
-            rest = xmask & (xmask - 1)
-            a1, b1 = line1[rest]
-            line1[xmask] = (
-                d1.join_payload(a1, meet1[low]),
-                d2.meet_payload(b1, join2[low]),
-            )
-            a2, b2 = line2[rest]
-            line2[xmask] = (
-                d1.meet_payload(a2, join1[low]),
-                d2.join_payload(b2, meet2[low]),
-            )
-        out.add(line1[xmask])
-        out.add(line2[xmask])
-    return out
-
-
-def reduce_pairs(d1: Domain, d2: Domain, pairs: Iterable[Pair]) -> set[Pair]:
-    """Drop pairs with a bottom component and pairs dominated by a
-    distinct pair in both components."""
-    bot1, bot2 = d1.bottom_payload(), d2.bottom_payload()
-    live = {p for p in pairs if p[0] != bot1 and p[1] != bot2}
-    return {
-        p
-        for p in live
-        if not any(
-            q != p
-            and d1.leq_payload(p[0], q[0])
-            and d2.leq_payload(p[1], q[1])
-            for q in live
-        )
-    }
 
 
 def saturate_fast(d1: Domain, d2: Domain, pairs: Iterable[Pair]) -> set[Pair]:
@@ -199,7 +131,7 @@ def normalise(d1: Domain, d2: Domain, pairs: Iterable[Pair]) -> frozenset[Pair]:
     """Canonical representative of the pair set, preserving its function."""
     if not d1.is_lattice:
         raise NotALatticeError(f"{d1.name} is not a lattice")
-    return frozenset(reduce_pairs(d1, d2, saturate_fast(d1, d2, pairs)))
+    return frozenset(saturate_fast(d1, d2, pairs))
 
 
 def generated_sublattice(d1: Domain, xs: Iterable[Any]) -> set[Any]:

@@ -1,6 +1,6 @@
 """Forward-chaining closure over the annotated rho-df rules.
 
-The rule schemata are domain independent: every rule meets the premise
+The rules are domain independent: every rule meets the premise
 annotations and merges the conclusion into the store, where duplicate
 triples join.  Rules never fire into bottom, and a firing whose
 conclusion is already subsumed changes nothing, which (together with the
@@ -8,123 +8,90 @@ finiteness of derivable values in the shipped domains) makes the
 fixpoint terminate.  A rule-firing cap guards against pathological
 domains.
 
-Rules are plain data (premise patterns over meta-variables plus a
-conclusion pattern), so the set can be extended to richer vocabularies;
-only the rho-df set ships.
+The rho-df rules, with conclusions right of the arrow:
+
+    sp-transitivity         (A sp B), (B sp C)             -> (A sp C)
+    sp-application          (D sp E), (X D Y)              -> (X E Y)
+    sc-transitivity         (A sc B), (B sc C)             -> (A sc C)
+    type-propagation        (A sc B), (X type A)           -> (X type B)
+    domain-typing           (D dom B), (X D Y)             -> (X type B)
+    range-typing            (D range B), (X D Y)           -> (Y type B)
+    implicit-domain-typing  (A dom B), (D sp A), (X D Y)   -> (X type B)
+    implicit-range-typing   (A range B), (D sp A), (X D Y) -> (Y type B)
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 from .domains import AnnotationValue, get_domain
 from .errors import ClosureIterationError
 from .model import DOM, LITERAL, RANGE, SC, SP, TYPE, AnnotatedGraph, Term, Triple
 
-Slot = Term | str  # fixed term or meta-variable name
-PatternTriple = tuple[Slot, Slot, Slot]
-
-
-@dataclass(frozen=True)
-class Rule:
-    name: str
-    premises: tuple[PatternTriple, ...]
-    conclusion: PatternTriple
-
-
-RHO_DF_RULES: tuple[Rule, ...] = (
-    Rule("sp-transitivity", (("A", SP, "B"), ("B", SP, "C")), ("A", SP, "C")),
-    Rule("sp-application", (("D", SP, "E"), ("X", "D", "Y")), ("X", "E", "Y")),
-    Rule("sc-transitivity", (("A", SC, "B"), ("B", SC, "C")), ("A", SC, "C")),
-    Rule("type-propagation", (("A", SC, "B"), ("X", TYPE, "A")), ("X", TYPE, "B")),
-    Rule("domain-typing", (("D", DOM, "B"), ("X", "D", "Y")), ("X", TYPE, "B")),
-    Rule("range-typing", (("D", RANGE, "B"), ("X", "D", "Y")), ("Y", TYPE, "B")),
-    Rule(
-        "implicit-domain-typing",
-        (("A", DOM, "B"), ("D", SP, "A"), ("X", "D", "Y")),
-        ("X", TYPE, "B"),
-    ),
-    Rule(
-        "implicit-range-typing",
-        (("A", RANGE, "B"), ("D", SP, "A"), ("X", "D", "Y")),
-        ("Y", TYPE, "B"),
-    ),
-)
-
 DEFAULT_MAX_FIRINGS = 1_000_000
 
-Binding = dict[str, Term]
+Conclusion = tuple[Triple, AnnotationValue]
 
 
-def _unify(pattern: PatternTriple, t: Triple, binding: Binding) -> Binding | None:
-    out = dict(binding)
-    for slot, term in zip(pattern, (t.subject, t.predicate, t.object)):
-        if isinstance(slot, Term):
-            if slot != term:
-                return None
-        else:
-            seen = out.get(slot)
-            if seen is None:
-                out[slot] = term
-            elif seen != term:
-                return None
-    return out
+def _typing(
+    graph: AnnotatedGraph, d: Term, x: Term, y: Term, value: AnnotationValue
+) -> Iterator[Conclusion]:
+    """Domain and range typing of the data triple (x d y), or of one
+    whose predicate is a subproperty of d, carrying `value`."""
+    for u, vu in graph.match(d, DOM, None):
+        yield Triple(x, TYPE, u.object), value.meet(vu)
+    for u, vu in graph.match(d, RANGE, None):
+        yield Triple(y, TYPE, u.object), value.meet(vu)
 
 
-def _instances(
-    graph: AnnotatedGraph, pattern: PatternTriple, binding: Binding
-) -> Iterable[tuple[Binding, AnnotationValue]]:
-    def resolve(slot: Slot) -> Term | None:
-        if isinstance(slot, Term):
-            return slot
-        return binding.get(slot)
-
-    s, p, o = (resolve(slot) for slot in pattern)
-    if p is not None and p.kind == LITERAL:
-        return
-    for t, value in graph.match(s, p, o):
-        extended = _unify(pattern, t, binding)
-        if extended is not None:
-            yield extended, value
-
-
-def _fire(
-    graph: AnnotatedGraph,
-    rule: Rule,
-    seed_index: int,
-    binding: Binding,
-    seed_value: AnnotationValue,
-) -> Iterable[tuple[Triple, AnnotationValue]]:
-    """Join the remaining premises against the graph and emit conclusions."""
-    rest = [p for i, p in enumerate(rule.premises) if i != seed_index]
-
-    def expand(
-        index: int, bound: Binding, value: AnnotationValue
-    ) -> Iterable[tuple[Binding, AnnotationValue]]:
-        if index == len(rest):
-            yield bound, value
-            return
-        for extended, premise_value in _instances(graph, rest[index], bound):
-            yield from expand(index + 1, extended, value.meet(premise_value))
-
-    cs, cp, co = rule.conclusion
-    for bound, value in expand(0, binding, seed_value):
-        subject = cs if isinstance(cs, Term) else bound[cs]
-        predicate = cp if isinstance(cp, Term) else bound[cp]
-        obj = co if isinstance(co, Term) else bound[co]
-        if predicate.kind == LITERAL:
-            continue
-        yield Triple(subject, predicate, obj), value
+def _consequences(
+    graph: AnnotatedGraph, t: Triple, v: AnnotationValue
+) -> Iterator[Conclusion]:
+    """Every rule conclusion with `t`, annotated `v`, as one premise and
+    the other premises from `graph`."""
+    s, p, o = t.subject, t.predicate, t.object
+    # t as the data premise (X D Y).
+    yield from _typing(graph, p, s, o, v)
+    for u, vu in graph.match(p, SP, None):
+        e, vd = u.object, v.meet(vu)
+        if e.kind != LITERAL:
+            yield Triple(s, e, o), vd
+        yield from _typing(graph, e, s, o, vd)
+    if p == SP or p == SC:
+        # Transitivity, t as the first and as the second premise.
+        for u, vu in graph.match(o, p, None):
+            yield Triple(s, p, u.object), v.meet(vu)
+        for u, vu in graph.match(None, p, s):
+            yield Triple(u.subject, p, o), v.meet(vu)
+    if p == SP:
+        # t as (D sp E): sp-application and implicit typing.
+        for u, vu in graph.match(None, s, None):
+            vd = v.meet(vu)
+            if o.kind != LITERAL:
+                yield Triple(u.subject, o, u.object), vd
+            yield from _typing(graph, o, u.subject, u.object, vd)
+    elif p == SC:
+        for u, vu in graph.match(None, TYPE, s):
+            yield Triple(u.subject, TYPE, o), v.meet(vu)
+    elif p == TYPE:
+        for u, vu in graph.match(o, SC, None):
+            yield Triple(s, TYPE, u.object), v.meet(vu)
+    elif p == DOM or p == RANGE:
+        # t as (A dom B) or (A range B), over data triples of A itself
+        # (plain typing) and of its subproperties (implicit typing).
+        properties = [(s, v)]
+        properties += [(u.subject, v.meet(vu)) for u, vu in graph.match(None, SP, s)]
+        for d, vd in properties:
+            for u, vu in graph.match(None, d, None):
+                typed = u.subject if p == DOM else u.object
+                yield Triple(typed, TYPE, o), vd.meet(vu)
 
 
 def closure(
-    graph: AnnotatedGraph,
-    rules: Sequence[Rule] = RHO_DF_RULES,
-    max_firings: int = DEFAULT_MAX_FIRINGS,
+    graph: AnnotatedGraph, max_firings: int = DEFAULT_MAX_FIRINGS
 ) -> AnnotatedGraph:
-    """Least fixpoint of the rule set over `graph`, as a frozen new graph.
+    """Least fixpoint of the rho-df rules over `graph`, as a frozen new graph.
 
     Semi-naive: only triples whose stored annotation changed are re-used
     as rule seeds, and firings whose conclusion is subsumed are dropped.
@@ -134,26 +101,16 @@ def closure(
     firings = 0
     while agenda:
         seed = agenda.popleft()
-        seed_value = out.get(seed)
-        if seed_value is None:
-            continue
-        for rule in rules:
-            for index, premise in enumerate(rule.premises):
-                binding = _unify(premise, seed, {})
-                if binding is None:
-                    continue
-                for conclusion, value in list(
-                    _fire(out, rule, index, binding, seed_value)
-                ):
-                    firings += 1
-                    if firings > max_firings:
-                        raise ClosureIterationError(
-                            f"closure exceeded {max_firings} rule firings"
-                        )
-                    if value.is_bottom:
-                        continue
-                    if out.insert(conclusion, value):
-                        agenda.append(conclusion)
+        for conclusion, value in list(_consequences(out, seed, out.get(seed))):
+            firings += 1
+            if firings > max_firings:
+                raise ClosureIterationError(
+                    f"closure exceeded {max_firings} rule firings"
+                )
+            if value.is_bottom:
+                continue
+            if out.insert(conclusion, value):
+                agenda.append(conclusion)
     return out.freeze()
 
 

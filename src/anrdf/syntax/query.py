@@ -407,7 +407,11 @@ def _parse_triple_pattern(sc: _Scanner) -> alg.TriplePattern:
         p = sc.term()
         o = sc.term()
         sc.expect(")")
-        sc.expect(":")
+        if not sc.take(":"):
+            raise sc.error(
+                "expected ':' after (s p o); a triple pattern is "
+                "(s p o):label or a bare s p o"
+            )
         label = sc.annotation_label()
         return alg.TriplePattern(s, p, o, label)
     s = sc.term()

@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import Iterable
+
 from anrdf.anql import algebra as alg
 from anrdf.domains import AnnotationValue, Domain
+from anrdf.domains.compound import Pair
+from anrdf.errors import SaturationBoundError
 from anrdf.model import DOM, RANGE, SC, SP, TYPE, AnnotatedGraph, Term, Triple, iri
 
 # -- crisp rho-df closure ------------------------------------------------------
@@ -77,7 +81,7 @@ def brute_force_closure(graph: AnnotatedGraph) -> dict[Triple, AnnotationValue]:
     store: dict[Triple, AnnotationValue] = {t: v for t, v in graph.statements()}
 
     def merge(t: Triple, v: AnnotationValue) -> bool:
-        if v.is_bottom or t.predicate.kind == "literal":
+        if v.is_bottom:
             return False
         old = store.get(t)
         new = v if old is None else old.join(v)
@@ -95,7 +99,11 @@ def brute_force_closure(graph: AnnotatedGraph) -> dict[Triple, AnnotationValue]:
                 v12 = v1.meet(v2)
                 if t1.predicate == SP and t2.predicate == SP and t1.object == t2.subject:
                     changed |= merge(Triple(t1.subject, SP, t2.object), v12)
-                if t1.predicate == SP and t2.predicate == t1.subject:
+                if (
+                    t1.predicate == SP
+                    and t2.predicate == t1.subject
+                    and t1.object.kind != "literal"
+                ):
                     changed |= merge(Triple(t2.subject, t1.object, t2.object), v12)
                 if t1.predicate == SC and t2.predicate == SC and t1.object == t2.subject:
                     changed |= merge(Triple(t1.subject, SC, t2.object), v12)
@@ -122,6 +130,79 @@ def brute_force_closure(graph: AnnotatedGraph) -> dict[Triple, AnnotationValue]:
                     ):
                         changed |= merge(Triple(t3.object, TYPE, t1.object), v123)
     return store
+
+
+# -- compound saturation -------------------------------------------------------
+
+NAIVE_SATURATE_BOUND = 4
+
+
+def saturate_naive(
+    d1: Domain,
+    d2: Domain,
+    pairs: Iterable[Pair],
+    bound: int = NAIVE_SATURATE_BOUND,
+) -> set[Pair]:
+    """Literal saturation: one entry per subset X of the powerset of the
+    input, for each of the two fold orientations.  Doubly exponential;
+    refuses inputs larger than `bound` pairs."""
+    items = list(pairs)
+    n = len(items)
+    if n > bound:
+        raise SaturationBoundError(
+            f"naive saturation limited to {bound} pairs, got {n}"
+        )
+    m = 1 << n  # number of subsets J
+    meet1 = [d1.top_payload()] * m
+    join1 = [d1.bottom_payload()] * m
+    join2 = [d2.bottom_payload()] * m
+    meet2 = [d2.top_payload()] * m
+    for mask in range(1, m):
+        low = (mask & -mask).bit_length() - 1
+        rest = mask & (mask - 1)
+        x, y = items[low]
+        meet1[mask] = d1.meet_payload(meet1[rest], x)
+        join1[mask] = d1.join_payload(join1[rest], x)
+        join2[mask] = d2.join_payload(join2[rest], y)
+        meet2[mask] = d2.meet_payload(meet2[rest], y)
+    # X ranges over sets of subsets; fold incrementally over X's low member.
+    out: set[Pair] = set()
+    line1 = [(d1.bottom_payload(), d2.top_payload())] * (1 << m)
+    line2 = [(d1.top_payload(), d2.bottom_payload())] * (1 << m)
+    for xmask in range(1 << m):
+        if xmask:
+            low = (xmask & -xmask).bit_length() - 1
+            rest = xmask & (xmask - 1)
+            a1, b1 = line1[rest]
+            line1[xmask] = (
+                d1.join_payload(a1, meet1[low]),
+                d2.meet_payload(b1, join2[low]),
+            )
+            a2, b2 = line2[rest]
+            line2[xmask] = (
+                d1.meet_payload(a2, join1[low]),
+                d2.join_payload(b2, meet2[low]),
+            )
+        out.add(line1[xmask])
+        out.add(line2[xmask])
+    return out
+
+
+def reduce_pairs(d1: Domain, d2: Domain, pairs: Iterable[Pair]) -> set[Pair]:
+    """Drop pairs with a bottom component and pairs dominated by a
+    distinct pair in both components."""
+    bot1, bot2 = d1.bottom_payload(), d2.bottom_payload()
+    live = {p for p in pairs if p[0] != bot1 and p[1] != bot2}
+    return {
+        p
+        for p in live
+        if not any(
+            q != p
+            and d1.leq_payload(p[0], q[0])
+            and d2.leq_payload(p[1], q[1])
+            for q in live
+        )
+    }
 
 
 # -- provenance truth tables ---------------------------------------------------

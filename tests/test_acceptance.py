@@ -43,8 +43,6 @@ from anrdf.domains import (
     evaluate,
     generated_sublattice,
     normalise,
-    reduce_pairs,
-    saturate_naive,
 )
 from anrdf.domains.temporal import parse_interval_set, temporal_join, temporal_meet
 from anrdf.model import TYPE, Term, Triple
@@ -53,6 +51,8 @@ from oracles import (
     crisp_closure,
     random_crisp_graph,
     random_pattern,
+    reduce_pairs,
+    saturate_naive,
     sparql_eval,
     top_annotated,
 )

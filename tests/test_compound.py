@@ -13,10 +13,10 @@ from anrdf.domains import (
     get_domain,
     normalise,
     quasihomomorphism_suite,
-    reduce_pairs,
-    saturate_naive,
+    saturate_fast,
 )
 from anrdf.errors import NotALatticeError, SaturationBoundError
+from oracles import reduce_pairs, saturate_naive
 
 T = get_domain("temporal")
 FP = get_domain("fuzzy:product")
@@ -101,6 +101,8 @@ class TestSaturateReduce:
             left = normalise(T, d2, pairs)
             right = frozenset(reduce_pairs(T, d2, saturate_naive(T, d2, pairs)))
             assert left == right, pairs
+            fast = saturate_fast(T, d2, pairs)
+            assert reduce_pairs(T, d2, fast) == fast, pairs
 
 
 class TestNormalFormProperties:

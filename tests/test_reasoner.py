@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
 
-from anrdf import apply_defaults, closure, get_domain, iri, parse_graph
+from anrdf import apply_defaults, closure, get_domain, iri, literal, parse_graph
 from anrdf.errors import ClosureIterationError, DomainMismatchError
-from anrdf.model import SC, SP, TYPE, AnnotatedGraph, Triple
-from anrdf.reasoner import RHO_DF_RULES
+from anrdf.model import DOM, RANGE, SC, SP, TYPE, AnnotatedGraph, Triple
+from anrdf.reasoner import _consequences
 from oracles import brute_force_closure, crisp_closure, random_crisp_graph, top_annotated
 
 TEMPORAL = get_domain("temporal")
@@ -128,20 +129,91 @@ class TestPaperClosures:
         assert closed.get(t) == fp.parse("0.15")
 
     def test_implicit_typing_rules(self):
-        # dom on a superproperty types subjects of the subproperty even
-        # when the superproperty triple itself is never materialised as
-        # a non-IRI node would forbid.
-        g = AnnotatedGraph(TEMPORAL)
-        sk = parse_graph(
+        # dom on a superproperty types subjects of the subproperty.  The
+        # superproperty is a literal, so (chad "A" youtube) is never
+        # materialised and only the implicit rule reaches the answer.
+        doc = parse_graph(
             "@domix temporal .\n"
-            "(_:anon dom Person) : {[1,9]} .\n"
-            "(worksFor sp _:anon) : {[2,8]} .\n"
+            '("A" dom Person) : {[1,9]} .\n'
+            '(worksFor sp "A") : {[2,8]} .\n'
             "(chad worksFor youtube) : {[3,7]} .\n"
         )
-        closed = closure(sk.graph)
-        typed = Triple(iri("chad"), TYPE, iri("Person"))
-        assert closed.get(typed) == tv("{[3,7]}")
-        del g
+        closed = closure(doc.graph)
+        assert closed.get(Triple(iri("chad"), TYPE, iri("Person"))) == tv("{[3,7]}")
+
+    # Implicit typing with each of its three premises derived, for dom
+    # and range, under the literal superproperty "A".
+    @pytest.mark.parametrize(
+        "statements, typed",
+        [
+            (  # (worksFor sp "A") derived by sp-application over (q sp sp)
+                ['("A" dom C) : {[1,9]}', "(q sp sp) : {[2,8]}",
+                 '(worksFor q "A") : {[3,9]}', "(chad worksFor yt) : {[0,7]}"],
+                "chad type C",
+            ),
+            (
+                ['("A" range C) : {[1,9]}', "(q sp sp) : {[2,8]}",
+                 '(worksFor q "A") : {[3,9]}', "(chad worksFor yt) : {[0,7]}"],
+                "yt type C",
+            ),
+            (  # ("A" dom C) derived by sp-application over (r sp dom)
+                ['("A" r C) : {[1,7]}', "(r sp dom) : {[2,9]}",
+                 '(worksFor sp "A") : {[3,9]}', "(chad worksFor yt) : {[0,8]}"],
+                "chad type C",
+            ),
+            (
+                ['("A" r C) : {[1,7]}', "(r sp range) : {[2,9]}",
+                 '(worksFor sp "A") : {[3,9]}', "(chad worksFor yt) : {[0,8]}"],
+                "yt type C",
+            ),
+            (  # the data triple (x type D) derived by domain typing
+                ['("A" dom C) : {[1,9]}', '(type sp "A") : {[2,8]}',
+                 "(worksFor dom D) : {[3,9]}", "(x worksFor y) : {[0,7]}"],
+                "x type C",
+            ),
+            (
+                ['("A" range C) : {[1,9]}', '(type sp "A") : {[2,8]}',
+                 "(worksFor dom D) : {[3,9]}", "(x worksFor y) : {[0,7]}"],
+                "D type C",
+            ),
+        ],
+        ids=["sp-dom", "sp-range", "dom-dom", "dom-range", "data-dom", "data-range"],
+    )
+    def test_implicit_typing_with_a_derived_premise(self, statements, typed):
+        doc = parse_graph("@domix temporal .\n" + "".join(f"{s} .\n" for s in statements))
+        closed = closure(doc.graph)
+        (t,) = parse_graph(f"{typed} .\n", domain="temporal").plain
+        assert closed.get(t) == tv("{[3,7]}")
+        assert dict(closed.statements()) == brute_force_closure(doc.graph)
+
+
+# Pools of (nodes, vocabulary, most triples) for random graphs.  Nodes
+# fill the subject and object positions; nodes that are not literals and
+# the vocabulary fill the predicate position.  The wide pool adds dom,
+# range, the vocabulary as nodes, and a literal node, which can be a
+# superproperty but never a predicate.
+NARROW_POOL = ([iri(x) for x in "abcd"], [SP, SC, TYPE], 8)
+WIDE_VOCABULARY = [SP, SC, TYPE, DOM, RANGE]
+WIDE_POOL = (
+    [iri(x) for x in "abcd"] + WIDE_VOCABULARY + [literal("l")],
+    WIDE_VOCABULARY,
+    12,
+)
+
+
+# Each rho-df rule as (premises, conclusion).  "A" is a literal, so it is
+# never a predicate and sp-application cannot stand in for the implicit
+# rules.
+RULES = {
+    "sp-transitivity": (["a sp b", "b sp c"], "a sp c"),
+    "sp-application": (["d sp e", "x d y"], "x e y"),
+    "sc-transitivity": (["a sc b", "b sc c"], "a sc c"),
+    "type-propagation": (["a sc b", "x type a"], "x type b"),
+    "domain-typing": (["d dom b", "x d y"], "x type b"),
+    "range-typing": (["d range b", "x d y"], "y type b"),
+    "implicit-domain-typing": (['"A" dom b', 'd sp "A"', "x d y"], "x type b"),
+    "implicit-range-typing": (['"A" range b', 'd sp "A"', "x d y"], "y type b"),
+}
 
 
 class TestClosureProperties:
@@ -152,21 +224,49 @@ class TestClosureProperties:
         again = closure(fig1_closure.copy())
         assert dict(again.statements()) == dict(fig1_closure.statements())
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_matches_brute_force_on_small_graphs(self, seed):
+    @pytest.mark.parametrize(
+        "pool, seed",
+        [pytest.param(NARROW_POOL, seed, id=str(seed)) for seed in range(12)]
+        + [pytest.param(WIDE_POOL, seed, id=f"wide-{seed}") for seed in range(300)],
+    )
+    def test_matches_brute_force_on_small_graphs(self, pool, seed):
+        nodes, vocabulary, max_triples = pool
+        properties = [n for n in nodes if n.kind != "literal"] + vocabulary
         rng = random.Random(seed)
         base = AnnotatedGraph(TEMPORAL)
-        pool = [iri(x) for x in "abcd"] + [SP, SC, TYPE]
-        for _ in range(rng.randint(1, 8)):
-            s = rng.choice(pool[:4])
-            p = rng.choice(pool)
-            o = rng.choice(pool[:4])
+        for _ in range(rng.randint(1, max_triples)):
+            s = rng.choice(nodes)
+            p = rng.choice(properties)
+            o = rng.choice(nodes)
             value = TEMPORAL.random_payload(rng)
             if value:
                 base.insert(Triple(s, p, o), TEMPORAL.value(value))
         fast = dict(closure(base).statements())
         slow = brute_force_closure(base)
         assert fast == slow
+
+    # A premise can reach its final value after every other premise of
+    # the rule was last used as a seed, so the rule must fire from each.
+    @pytest.mark.parametrize(
+        "rule, seed",
+        [
+            pytest.param(rule, i, id=f"{rule}-{i + 1}")
+            for rule, (premises, _) in RULES.items()
+            for i in range(len(premises))
+        ],
+    )
+    def test_every_premise_seeds_its_rule(self, rule, seed):
+        premises, conclusion = RULES[rule]
+        text = "".join(f"{t} .\n" for t in [*premises, conclusion])
+        *triples, derived = parse_graph(text, domain="temporal").plain
+        values = [tv(f"{{[{i},{20 - i}]}}") for i in range(len(triples))]
+        graph = AnnotatedGraph(TEMPORAL)
+        for t, value in zip(triples, values):
+            graph.insert(t, value)
+        expected = functools.reduce(lambda a, b: a.meet(b), values)
+        assert (derived, expected) in list(
+            _consequences(graph, triples[seed], values[seed])
+        )
 
     @pytest.mark.parametrize("seed", range(25))
     def test_crisp_conservativity_sample(self, seed):
@@ -205,11 +305,6 @@ class TestClosureProperties:
 
         with pytest.raises(FrozenGraphError):
             fig1_closure.insert(Triple(iri("a"), iri("p"), iri("b")), tv("{[1,2]}"))
-
-    def test_rule_table_is_the_rho_df_set(self):
-        assert len(RHO_DF_RULES) == 8
-        names = {r.name for r in RHO_DF_RULES}
-        assert "sp-transitivity" in names and "implicit-range-typing" in names
 
 
 class TestDefaults:

@@ -259,6 +259,15 @@ class TestQueryParsing:
         with pytest.raises(ParseError):
             parse_query(bad, TEMPORAL)
 
+    def test_parenthesised_pattern_without_label_names_both_forms(self):
+        with pytest.raises(ParseError) as info:
+            parse_query("SELECT ?p WHERE { (?p worksFor g) }", TEMPORAL)
+        message = str(info.value)
+        assert message.startswith("1:35: expected ':'")
+        assert "(s p o):label" in message and "bare s p o" in message
+        bare = parse_query("SELECT ?p WHERE { ?p worksFor g }", TEMPORAL)
+        assert bare.pattern.patterns[0].annotation is None
+
     def test_prefix_prologue(self):
         query = parse_query(
             "@prefix ex: <http://ex.org/> .\nSELECT ?x WHERE { (?x ex:p ex:o):?l }",
