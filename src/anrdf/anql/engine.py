@@ -351,6 +351,7 @@ def _apply_assign(
         updated = dict(row)
         updated[node.target.name] = value
         out.append(updated)
+    # Overwriting a bound target can leave one row dominated by another.
     return prune_maximal(out)
 
 
@@ -504,10 +505,9 @@ def eval_pattern(
     if isinstance(pattern, alg.Optional):
         return _eval_optional(graph, pattern, diagnostics)
     if isinstance(pattern, alg.Filter):
+        # The input rows are maximal already, and so is any subset of them.
         rows = eval_pattern(graph, pattern.pattern, diagnostics)
-        return prune_maximal(
-            [r for r in rows if filter_eval(pattern.expr, r) == TRUE]
-        )
+        return [r for r in rows if filter_eval(pattern.expr, r) == TRUE]
     if isinstance(pattern, alg.Assign):
         return _apply_assign(graph, pattern, diagnostics)
     if isinstance(pattern, alg.GroupBy):

@@ -144,10 +144,6 @@ class AnnotationValue:
     def is_bottom(self) -> bool:
         return self.payload == self.domain.bottom_payload()
 
-    @property
-    def is_top(self) -> bool:
-        return self.payload == self.domain.top_payload()
-
     def serialize(self) -> str:
         return self.domain.format_payload(self.payload)
 
@@ -165,3 +161,22 @@ class AnnotationValue:
     def __repr__(self) -> str:
         return f"{self.domain.name}:{self.serialize()}"
 
+
+def split_top_level(body: str) -> list[str]:
+    """Split a literal body at the commas outside every bracket pair
+    `<>`, `{}`, `[]`, `()`; the parts are not stripped."""
+    if not body:
+        return []
+    parts = []
+    depth = 0
+    start = 0
+    for i, ch in enumerate(body):
+        if ch in "<{[(":
+            depth += 1
+        elif ch in ">}])":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            parts.append(body[start:i])
+            start = i + 1
+    parts.append(body[start:])
+    return parts

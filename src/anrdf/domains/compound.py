@@ -48,7 +48,7 @@ from typing import Any, Iterable
 
 from ..errors import AnnotationSyntaxError, NotALatticeError, SaturationBoundError
 from .axioms import AxiomCheck, AxiomReport
-from .base import Domain
+from .base import Domain, split_top_level
 
 Pair = tuple[Any, Any]
 
@@ -203,14 +203,15 @@ class CompoundDomain(Domain):
             raise AnnotationSyntaxError(f"compound literal must be {{...}}: {text!r}")
         body = s[1:-1].strip()
         pairs = []
-        for chunk in _split_pairs(body):
+        for chunk in split_top_level(body):
             inner = chunk.strip()
             if not (inner.startswith("<") and inner.endswith(">")):
                 raise AnnotationSyntaxError(f"compound pair must be <...>: {chunk!r}")
-            left, right = _split_components(inner[1:-1])
-            pairs.append(
-                (self.d1.parse_payload(left), self.d2.parse_payload(right))
-            )
+            components = split_top_level(inner[1:-1])
+            if len(components) < 2:
+                raise AnnotationSyntaxError(f"compound pair needs two components: {inner}")
+            left, right = components[0].strip(), ",".join(components[1:]).strip()
+            pairs.append((self.d1.parse_payload(left), self.d2.parse_payload(right)))
         return self._canonical(pairs)
 
     def format_payload(self, payload) -> str:
@@ -236,36 +237,6 @@ class CompoundDomain(Domain):
 
     def sort_key(self, payload) -> tuple:
         return (len(payload), self.format_payload(payload))
-
-
-def _split_pairs(body: str) -> list[str]:
-    if not body:
-        return []
-    parts = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(body):
-        if ch in "<{[(":
-            depth += 1
-        elif ch in ">}])":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(body[start:i])
-            start = i + 1
-    parts.append(body[start:])
-    return parts
-
-
-def _split_components(body: str) -> tuple[str, str]:
-    depth = 0
-    for i, ch in enumerate(body):
-        if ch in "<{[(":
-            depth += 1
-        elif ch in ">}])":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            return body[:i].strip(), body[i + 1 :].strip()
-    raise AnnotationSyntaxError(f"compound pair needs two components: <{body}>")
 
 
 def quasihomomorphism_suite(

@@ -27,7 +27,7 @@ from ..rational import (
     is_finite,
     parse_scalar,
 )
-from .base import Domain
+from .base import Domain, split_top_level
 
 Interval = tuple[Scalar, Scalar]
 IntervalSet = tuple[Interval, ...]
@@ -111,11 +111,8 @@ def parse_interval_set(text: str) -> IntervalSet:
     if s.startswith("{"):
         if not s.endswith("}"):
             raise AnnotationSyntaxError(f"unterminated interval set: {text!r}")
-        body = s[1:-1].strip()
-        if not body:
-            return ()
-        parts = _split_intervals(body)
-        return canonical_intervals(_parse_interval(p) for p in parts)
+        parts = split_top_level(s[1:-1].strip())
+        return canonical_intervals(_parse_interval(p.strip()) for p in parts)
     if s.startswith("["):
         return canonical_intervals([_parse_interval(s)])
     try:
@@ -123,22 +120,6 @@ def parse_interval_set(text: str) -> IntervalSet:
     except ValueError:
         raise AnnotationSyntaxError(f"malformed temporal literal: {text!r}") from None
     return canonical_intervals([(point, point)])
-
-
-def _split_intervals(body: str) -> list[str]:
-    parts = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(body):
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(body[start:i])
-            start = i + 1
-    parts.append(body[start:])
-    return [p.strip() for p in parts]
 
 
 def _parse_interval(text: str) -> Interval:

@@ -147,10 +147,6 @@ class AnnotatedGraph:
         self._frozen = True
         return self
 
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
     def copy(self) -> "AnnotatedGraph":
         clone = AnnotatedGraph(self.domain)
         clone._statements = dict(self._statements)

@@ -6,7 +6,6 @@ from .data import (
     format_statement,
     format_term,
     parse_graph,
-    serialize_document,
     serialize_graph,
 )
 from .query import parse_query

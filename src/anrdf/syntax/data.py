@@ -5,11 +5,12 @@
     ex:a ex:b ex:c .
     (ex:s ex:p ex:o) : {[2005,2010]} .
 
-Terms are `<iri>`, `prefixed:name`, bare names (taken as IRIs verbatim),
-`"literal"`, or `_:label` blank nodes, which are skolemised on load.
-The bare names `type`, `sp`, `sc`, `dom`, `range` denote the rho-df
-vocabulary IRIs.  Plain statements carry no annotation and are returned
-separately for defaults handling.  `#` starts a comment.
+Lines end at `\\n` only; a trailing `\\r` is whitespace.  Terms are read
+by the scanner shared with AnQL (`anrdf.syntax.lexer`), plus `_:label`
+blank nodes, which are skolemised on load.  The annotation literal is
+the text between `:` and the line's final `.`, minus any `#` comment.
+Plain statements carry no annotation and are returned separately for
+defaults handling.
 
 Serialisation is canonical: statements sorted by subject, predicate,
 object; annotations in canonical literal form; no prefixes (IRIs print
@@ -23,26 +24,12 @@ import re
 from dataclasses import dataclass, field
 
 from ..domains import AnnotationValue, Domain, get_domain
-from ..errors import AnnotationSyntaxError, ParseError
-from ..model import (
-    DOM,
-    RANGE,
-    SC,
-    SP,
-    TYPE,
-    AnnotatedGraph,
-    Term,
-    Triple,
-    iri,
-    literal,
-    skolem,
-)
+from ..errors import AnnotationSyntaxError, AnrdfError, ParseError
+from ..model import AnnotatedGraph, Term, Triple, skolem
+from .lexer import KEYWORDS, NAME_RE, Scanner
 
-KEYWORDS = {"type": TYPE, "sp": SP, "sc": SC, "dom": DOM, "range": RANGE}
 KEYWORD_FOR_TERM = {term: word for word, term in KEYWORDS.items()}
 
-_BARE_RE = re.compile(r"[A-Za-z][A-Za-z0-9_.\-]*")
-_PNAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9_.\-]*)?:([A-Za-z_][A-Za-z0-9_.\-]*)")
 _LABEL_RE = re.compile(r"[A-Za-z0-9_.\-]+")
 
 
@@ -54,99 +41,42 @@ class Document:
     domain: Domain
     graph: AnnotatedGraph
     plain: list[Triple] = field(default_factory=list)
-    prefixes: dict[str, str] = field(default_factory=dict)
 
 
-class _Cursor:
-    def __init__(self, text: str, line_no: int):
-        self.text = text
-        self.pos = 0
-        self.line_no = line_no
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line_no, self.pos + 1)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def expect(self, char: str) -> None:
-        self.skip_ws()
-        if self.peek() != char:
-            raise self.error(f"expected {char!r}")
-        self.pos += 1
-
-
-def _strip_comment(line: str) -> str:
-    quoted = False
-    bracketed = False
-    for i, ch in enumerate(line):
-        if ch == '"' and not bracketed:
-            quoted = not quoted
-        elif ch == "<" and not quoted:
-            bracketed = True
-        elif ch == ">" and not quoted:
-            bracketed = False
-        elif ch == "#" and not quoted and not bracketed:
-            return line[:i]
-    return line
-
-
-def _parse_term(cur: _Cursor, prefixes: dict[str, str], graph_id: str) -> Term:
+def _term(cur: Scanner, graph_id: str) -> Term:
     cur.skip_ws()
-    ch = cur.peek()
-    if not ch:
-        raise cur.error("expected a term")
-    if ch == "<":
-        end = cur.text.find(">", cur.pos + 1)
-        if end < 0:
-            raise cur.error("unterminated <iri>")
-        value = cur.text[cur.pos + 1 : end]
-        cur.pos = end + 1
-        return iri(value)
-    if ch == '"':
-        out = []
-        i = cur.pos + 1
-        while i < len(cur.text):
-            c = cur.text[i]
-            if c == "\\" and i + 1 < len(cur.text):
-                escape = cur.text[i + 1]
-                out.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(escape, escape))
-                i += 2
-                continue
-            if c == '"':
-                cur.pos = i + 1
-                return literal("".join(out))
-            out.append(c)
-            i += 1
-        raise cur.error("unterminated string literal")
     if cur.text.startswith("_:", cur.pos):
         m = _LABEL_RE.match(cur.text, cur.pos + 2)
         if not m:
             raise cur.error("blank node needs a label")
         cur.pos = m.end()
         return skolem(m.group(0), graph_id)
-    m = _PNAME_RE.match(cur.text, cur.pos)
-    if m and ":" in cur.text[cur.pos : m.end()]:
-        prefix = m.group(1) or ""
-        local = m.group(2)
-        if prefix not in prefixes:
-            raise cur.error(f"undeclared prefix {prefix!r}")
-        cur.pos = m.end()
-        return iri(prefixes[prefix] + local)
-    m = _BARE_RE.match(cur.text, cur.pos)
-    if m:
-        word = m.group(0)
-        cur.pos = m.end()
-        return KEYWORDS.get(word, iri(word))
-    raise cur.error(f"cannot read a term at {cur.text[cur.pos:cur.pos+10]!r}")
+    term = cur.ground_term()
+    if term is not None:
+        return term
+    if cur.at_end():
+        raise cur.error("expected a term")
+    raise cur.error(f"cannot read a term at {_rest_of_line(cur).rstrip()[:10]!r}")
+
+
+def _rest_of_line(cur: Scanner) -> str:
+    return cur.text[cur.pos :].partition("#")[0]
+
+
+def _up_to_final_dot(cur: Scanner, message: str) -> str:
+    """The rest of the line, minus any comment, up to its final '.';
+    leaves `cur` at the first character of that text."""
+    rest = _rest_of_line(cur)
+    cur.pos += len(rest) - len(rest.lstrip())
+    rest = rest.strip()
+    if not rest.endswith("."):
+        raise cur.error(message)
+    return rest[:-1].strip()
+
+
+def _expect_final_dot(cur: Scanner, message: str) -> None:
+    if not (cur.take(".") and cur.at_end()):
+        raise cur.error(message)
 
 
 def parse_graph(
@@ -160,63 +90,43 @@ def parse_graph(
     if isinstance(domain, str):
         domain = get_domain(domain)
     prefixes: dict[str, str] = {}
-    annotated: list[tuple[int, Triple, str]] = []
+    annotated: list[tuple[int, int, Triple, str]] = []
     plain: list[Triple] = []
     declared: Domain | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        cur = Scanner(line, line_no, prefixes)
+        if cur.at_end():
             continue
-        cur = _Cursor(line, line_no)
-        if line.startswith("@domix"):
-            cur.pos = len("@domix")
-            cur.skip_ws()
-            rest = line[cur.pos :].strip()
-            if not rest.endswith("."):
-                raise cur.error("@domix line must end with '.'")
-            name = rest[:-1].strip()
+        start = cur.pos
+        if line.startswith("@domix", start):
+            cur.pos += len("@domix")
+            name = _up_to_final_dot(cur, "@domix line must end with '.'")
             try:
                 declared = get_domain(name)
             except Exception as exc:
                 raise cur.error(str(exc)) from None
             continue
-        if line.startswith("@prefix"):
-            cur.pos = len("@prefix")
-            cur.skip_ws()
-            m = re.match(r"([A-Za-z][A-Za-z0-9_.\-]*)?:", line[cur.pos :])
-            if not m:
-                raise cur.error("@prefix needs 'name:'")
-            prefix = m.group(1) or ""
-            cur.pos += m.end()
-            cur.expect("<")
-            end = line.find(">", cur.pos)
-            if end < 0:
-                raise cur.error("unterminated prefix IRI")
-            prefixes[prefix] = line[cur.pos : end]
-            cur.pos = end + 1
-            cur.skip_ws()
-            if not line[cur.pos :].strip() == ".":
-                raise cur.error("@prefix line must end with '.'")
+        if line.startswith("@prefix", start):
+            cur.prefix_directive()
+            _expect_final_dot(cur, "@prefix line must end with '.'")
             continue
-        if line.startswith("("):
-            cur.expect("(")
-            s = _parse_term(cur, prefixes, graph_id)
-            p = _parse_term(cur, prefixes, graph_id)
-            o = _parse_term(cur, prefixes, graph_id)
+        bracketed = cur.take("(")
+        s, p, o = _term(cur, graph_id), _term(cur, graph_id), _term(cur, graph_id)
+        annotation = None
+        if bracketed:
             cur.expect(")")
             cur.expect(":")
-            rest = line[cur.pos :].strip()
-            if not rest.endswith("."):
-                raise cur.error("statement must end with '.'")
-            annotated.append((line_no, _make_triple(cur, s, p, o), rest[:-1].strip()))
-            continue
-        s = _parse_term(cur, prefixes, graph_id)
-        p = _parse_term(cur, prefixes, graph_id)
-        o = _parse_term(cur, prefixes, graph_id)
-        cur.skip_ws()
-        if line[cur.pos :].strip() != ".":
-            raise cur.error("statement must end with '.'")
-        plain.append(_make_triple(cur, s, p, o))
+            annotation = _up_to_final_dot(cur, "statement must end with '.'")
+        else:
+            _expect_final_dot(cur, "statement must end with '.'")
+        try:
+            triple = Triple(s, p, o)
+        except AnrdfError as exc:
+            raise ParseError(str(exc), line_no, start + 1) from None
+        if annotation is None:
+            plain.append(triple)
+        else:
+            annotated.append((line_no, cur.pos + 1, triple, annotation))
 
     effective = domain or declared
     if effective is None:
@@ -225,20 +135,13 @@ def parse_graph(
             raise ParseError("no annotation domain declared", line_no, 1)
         effective = get_domain("boolean")
     graph = AnnotatedGraph(effective)
-    for line_no, triple, literal_text in annotated:
+    for line_no, column, triple, literal_text in annotated:
         try:
             value = effective.parse(literal_text)
         except AnnotationSyntaxError as exc:
-            raise ParseError(str(exc), line_no, 1) from None
+            raise ParseError(str(exc), line_no, column) from None
         graph.insert(triple, value)
-    return Document(domain=effective, graph=graph, plain=plain, prefixes=prefixes)
-
-
-def _make_triple(cur: _Cursor, s: Term, p: Term, o: Term) -> Triple:
-    try:
-        return Triple(s, p, o)
-    except Exception as exc:
-        raise cur.error(str(exc)) from None
+    return Document(domain=effective, graph=graph, plain=plain)
 
 
 # -- serialisation ------------------------------------------------------------
@@ -253,7 +156,7 @@ def format_term(term: Term) -> str:
     short = KEYWORD_FOR_TERM.get(term)
     if short:
         return short
-    if _BARE_RE.fullmatch(term.lexical) and term.lexical not in KEYWORDS:
+    if NAME_RE.fullmatch(term.lexical) and term.lexical not in KEYWORDS:
         return term.lexical
     return f"<{term.lexical}>"
 
@@ -282,6 +185,3 @@ def serialize_graph(
     lines.extend(text for _, text in sorted(entries))
     return "\n".join(lines) + "\n"
 
-
-def serialize_document(doc: Document) -> str:
-    return serialize_graph(doc.graph, doc.plain)

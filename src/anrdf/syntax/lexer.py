@@ -1,0 +1,126 @@
+"""The scanner shared by the AnRDF data format and AnQL queries.
+
+Both formats read the same ground terms: `<iri>`, `"literal"` (escapes
+`\\n`, `\\t`, `\\"`, `\\\\`; any other escaped character stands for
+itself), `prefix:name` after an `@prefix name: <iri> .` directive, and
+bare names, taken as IRIs verbatim except for the rho-df keywords
+`type`, `sp`, `sc`, `dom`, `range`.  Whitespace and `#` comments (to the
+end of the line) are skipped between tokens, never inside one.  Blank
+nodes `_:label` exist only in data and `?var` only in queries; each
+parser checks its own before asking for a ground term.
+"""
+
+from __future__ import annotations
+
+import re
+
+from ..errors import ParseError
+from ..model import DOM, RANGE, SC, SP, TYPE, Term, iri, literal
+
+KEYWORDS = {"type": TYPE, "sp": SP, "sc": SC, "dom": DOM, "range": RANGE}
+
+NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_.\-]*")
+PNAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9_.\-]*)?:([A-Za-z_][A-Za-z0-9_.\-]*)")
+_PREFIX_NAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9_.\-]*)?:")
+_ESCAPES = {"n": "\n", "t": "\t"}
+
+
+class Scanner:
+    """A position in `text`, whose first line is line `line_no`."""
+
+    def __init__(
+        self, text: str, line_no: int = 1, prefixes: dict[str, str] | None = None
+    ):
+        self.text = text
+        self.pos = 0
+        self.line_no = line_no
+        self.prefixes = {} if prefixes is None else prefixes
+
+    def error(self, message: str) -> ParseError:
+        line = self.line_no + self.text.count("\n", 0, self.pos)
+        column = self.pos - (self.text.rfind("\n", 0, self.pos) + 1) + 1
+        return ParseError(message, line, column)
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text):
+            ch = self.text[self.pos]
+            if ch == "#":
+                nl = self.text.find("\n", self.pos)
+                self.pos = len(self.text) if nl < 0 else nl
+            elif ch.isspace():
+                self.pos += 1
+            else:
+                return
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def at_end(self) -> bool:
+        self.skip_ws()
+        return self.pos >= len(self.text)
+
+    def take(self, char: str) -> bool:
+        if self.peek() == char:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, char: str) -> None:
+        if not self.take(char):
+            raise self.error(f"expected {char!r}")
+
+    def ground_term(self) -> Term | None:
+        """Read an IRI or literal term; None when none starts here, so
+        the caller can name what it expected."""
+        ch = self.peek()
+        if ch == "<":
+            end = self.text.find(">", self.pos + 1)
+            if end < 0:
+                raise self.error("unterminated <iri>")
+            value = self.text[self.pos + 1 : end]
+            self.pos = end + 1
+            return iri(value)
+        if ch == '"':
+            out = []
+            i = self.pos + 1
+            while i < len(self.text):
+                c = self.text[i]
+                if c == "\\" and i + 1 < len(self.text):
+                    out.append(_ESCAPES.get(self.text[i + 1], self.text[i + 1]))
+                    i += 2
+                    continue
+                if c == '"':
+                    self.pos = i + 1
+                    return literal("".join(out))
+                out.append(c)
+                i += 1
+            raise self.error("unterminated string literal")
+        m = PNAME_RE.match(self.text, self.pos)
+        if m:
+            prefix = m.group(1) or ""
+            if prefix not in self.prefixes:
+                raise self.error(f"undeclared prefix {prefix!r}")
+            self.pos = m.end()
+            return iri(self.prefixes[prefix] + m.group(2))
+        m = NAME_RE.match(self.text, self.pos)
+        if m:
+            self.pos = m.end()
+            return KEYWORDS.get(m.group(0), iri(m.group(0)))
+        return None
+
+    def prefix_directive(self) -> None:
+        """Read `@prefix name: <iri>` and declare the prefix; the caller
+        checks the closing '.'."""
+        self.pos += len("@prefix")
+        self.skip_ws()
+        m = _PREFIX_NAME_RE.match(self.text, self.pos)
+        if not m:
+            raise self.error("@prefix needs 'name:'")
+        self.pos = m.end()
+        self.expect("<")
+        end = self.text.find(">", self.pos)
+        if end < 0:
+            raise self.error("unterminated prefix IRI")
+        self.prefixes[m.group(1) or ""] = self.text[self.pos : end]
+        self.pos = end + 1

@@ -12,6 +12,8 @@ far, and FILTER/ASSIGN/GROUPBY/ORDERBY/LIMIT/sub-SELECT wrap it.  A
 FILTER written last inside an OPTIONAL group becomes the optional's
 guard expression, which may mention variables of the outer pattern.
 
+Terms are read by the scanner shared with the data format
+(`anrdf.syntax.lexer`), plus `?var`; blank nodes are data-only.
 Keywords are case-insensitive; structural dots between statements are
 optional.  Annotation labels are `?var` or a literal of the query's
 domain (temporal shorthands `[a,b]`, `[a]`, and bare points accepted).
@@ -28,7 +30,7 @@ from ..domains import Domain, get_domain
 from ..errors import AnnotationSyntaxError, ParseError
 from ..anql import algebra as alg
 from ..anql.builtins import is_known
-from .data import KEYWORDS, _BARE_RE, _PNAME_RE
+from .lexer import NAME_RE, Scanner
 
 _STRUCTURAL = {
     "select",
@@ -43,67 +45,31 @@ _STRUCTURAL = {
     "limit",
 }
 _AGGREGATES = {"sum", "avg", "max", "min", "count", "join", "meet"}
+# Operators that wrap everything parsed so far in their group.
+_WRAPPERS = ("optional", "filter", "assign", "groupby", "orderby", "limit")
 
 _VAR_RE = re.compile(r"\?([A-Za-z_][A-Za-z0-9_]*)")
-_WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_.\-]*")
 _INT_RE = re.compile(r"\d+")
 _NUMBER_RE = re.compile(r"[+-]?\d+(\.\d+)?(/\d+)?")
+_CLOSING = {"{": "}", "[": "]", "(": ")"}
 
 
-class _Scanner:
+class _Scanner(Scanner):
     def __init__(self, text: str, domain: Domain):
-        self.text = text
-        self.pos = 0
+        super().__init__(text)
         self.domain = domain
-        self.prefixes: dict[str, str] = {}
-
-    # -- low level ---------------------------------------------------------
-
-    def error(self, message: str) -> ParseError:
-        line = self.text.count("\n", 0, self.pos) + 1
-        column = self.pos - (self.text.rfind("\n", 0, self.pos) + 1) + 1
-        return ParseError(message, line, column)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "#":
-                nl = self.text.find("\n", self.pos)
-                self.pos = len(self.text) if nl < 0 else nl
-            elif ch.isspace():
-                self.pos += 1
-            else:
-                return
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def take(self, char: str) -> bool:
-        if self.peek() == char:
-            self.pos += 1
-            return True
-        return False
-
-    def expect(self, char: str) -> None:
-        if not self.take(char):
-            raise self.error(f"expected {char!r}")
 
     def keyword(self) -> str | None:
         """Peek the next bare word, lowercased, without consuming."""
         self.skip_ws()
-        m = _WORD_RE.match(self.text, self.pos)
+        m = NAME_RE.match(self.text, self.pos)
         if m and not self.text.startswith(":", m.end()):
             return m.group(0).lower()
         return None
 
     def take_keyword(self, word: str) -> bool:
         if self.keyword() == word:
-            m = _WORD_RE.match(self.text, self.pos)
+            m = NAME_RE.match(self.text, self.pos)
             self.pos = m.end()
             return True
         return False
@@ -119,47 +85,12 @@ class _Scanner:
     # -- terms and annotation labels ----------------------------------------
 
     def term(self) -> alg.TermSlot:
-        from ..model import iri, literal
-
-        self.skip_ws()
-        ch = self.peek()
-        if ch == "?":
+        if self.peek() == "?":
             return self.var()
-        if ch == "<":
-            end = self.text.find(">", self.pos + 1)
-            if end < 0:
-                raise self.error("unterminated <iri>")
-            value = self.text[self.pos + 1 : end]
-            self.pos = end + 1
-            return iri(value)
-        if ch == '"':
-            out = []
-            i = self.pos + 1
-            while i < len(self.text):
-                c = self.text[i]
-                if c == "\\" and i + 1 < len(self.text):
-                    out.append({"n": "\n", "t": "\t"}.get(self.text[i + 1], self.text[i + 1]))
-                    i += 2
-                    continue
-                if c == '"':
-                    self.pos = i + 1
-                    return literal("".join(out))
-                out.append(c)
-                i += 1
-            raise self.error("unterminated string literal")
-        m = _PNAME_RE.match(self.text, self.pos)
-        if m and ":" in self.text[self.pos : m.end()]:
-            prefix = m.group(1) or ""
-            if prefix not in self.prefixes:
-                raise self.error(f"undeclared prefix {prefix!r}")
-            self.pos = m.end()
-            return iri(self.prefixes[prefix] + m.group(2))
-        m = _BARE_RE.match(self.text, self.pos)
-        if m:
-            word = m.group(0)
-            self.pos = m.end()
-            return KEYWORDS.get(word, iri(word))
-        raise self.error("expected a term")
+        term = self.ground_term()
+        if term is None:
+            raise self.error("expected a term")
+        return term
 
     def balanced(self, open_char: str, close_char: str) -> str:
         self.skip_ws()
@@ -178,33 +109,24 @@ class _Scanner:
         raise self.error(f"unbalanced {open_char}")
 
     def annotation_label(self) -> alg.AnnotationLabel:
-        self.skip_ws()
         ch = self.peek()
         if ch == "?":
             return self.var()
-        if ch == "{":
-            text = self.balanced("{", "}")
-        elif ch == "[":
-            text = self.balanced("[", "]")
-        elif ch == "(":
-            text = self.balanced("(", ")")
+        if ch in _CLOSING:
+            text = self.balanced(ch, _CLOSING[ch])
         else:
-            m = _NUMBER_RE.match(self.text, self.pos) or _WORD_RE.match(
+            m = _NUMBER_RE.match(self.text, self.pos) or NAME_RE.match(
                 self.text, self.pos
             )
             if not m:
                 raise self.error("expected an annotation label")
             text = m.group(0)
             self.pos = m.end()
-        try:
-            return self.domain.parse(text)
-        except AnnotationSyntaxError as exc:
-            raise self.error(str(exc)) from None
+        return self._annotation(text)
 
     # -- operands in filters / assignments ------------------------------------
 
     def operand(self) -> alg.Operand:
-        self.skip_ws()
         ch = self.peek()
         if ch == "?":
             return self.var()
@@ -230,7 +152,7 @@ class _Scanner:
                 value = self.domain.parse(word)
             except AnnotationSyntaxError:
                 return self.term()
-            m = _WORD_RE.match(self.text, self.pos)
+            m = NAME_RE.match(self.text, self.pos)
             self.pos = m.end()
             return value
         return self.term()
@@ -246,8 +168,11 @@ def parse_query(text: str, domain: Domain | str) -> alg.QueryDocument:
     if isinstance(domain, str):
         domain = get_domain(domain)
     sc = _Scanner(text, domain)
-    while sc.keyword() is None and sc.peek() == "@":
-        _parse_prologue_line(sc)
+    while sc.peek() == "@":
+        if not sc.text.startswith("@prefix", sc.pos):
+            raise sc.error("unknown prologue directive")
+        sc.prefix_directive()
+        sc.expect(".")
     if not sc.take_keyword("select"):
         raise sc.error("query must start with SELECT")
     select = []
@@ -269,26 +194,6 @@ def parse_query(text: str, domain: Domain | str) -> alg.QueryDocument:
     return alg.QueryDocument(
         select=tuple(select), pattern=pattern, order_by=order_by, limit=limit
     )
-
-
-def _parse_prologue_line(sc: _Scanner) -> None:
-    if sc.text.startswith("@prefix", sc.pos):
-        sc.pos += len("@prefix")
-        sc.skip_ws()
-        m = re.match(r"([A-Za-z][A-Za-z0-9_.\-]*)?:", sc.text[sc.pos :])
-        if not m:
-            raise sc.error("@prefix needs 'name:'")
-        prefix = m.group(1) or ""
-        sc.pos += m.end()
-        sc.expect("<")
-        end = sc.text.find(">", sc.pos)
-        if end < 0:
-            raise sc.error("unterminated prefix IRI")
-        sc.prefixes[prefix] = sc.text[sc.pos : end]
-        sc.pos = end + 1
-        sc.expect(".")
-        return
-    raise sc.error("unknown prologue directive")
 
 
 def _parse_int(sc: _Scanner) -> int:
@@ -325,62 +230,10 @@ def _parse_group(sc: _Scanner) -> alg.Pattern:
             while sc.take_keyword("union"):
                 sub = alg.Union(sub, _parse_group(sc))
             acc = sub if acc is None else alg.Join(acc, sub)
-        elif word == "optional":
+        elif word in _WRAPPERS:
             flush()
-            sc.take_keyword("optional")
-            inner = _parse_group(sc)
-            guard = None
-            if isinstance(inner, alg.Filter):
-                inner, guard = inner.pattern, inner.expr
-            if acc is None:
-                acc = alg.Bap(())
-            acc = alg.Optional(acc, inner, guard)
-        elif word == "filter":
-            flush()
-            sc.take_keyword("filter")
-            sc.expect("(")
-            expr = _parse_filter_expr(sc)
-            sc.expect(")")
-            if acc is None:
-                acc = alg.Bap(())
-            acc = alg.Filter(acc, expr)
-        elif word == "assign":
-            flush()
-            sc.take_keyword("assign")
-            fn, args = _parse_call_or_operand(sc)
-            if not sc.take_keyword("as"):
-                raise sc.error("ASSIGN needs 'AS ?var'")
-            target = sc.var()
-            if acc is None:
-                acc = alg.Bap(())
-            acc = alg.Assign(acc, fn, args, target)
-        elif word == "groupby":
-            flush()
-            sc.take_keyword("groupby")
-            sc.expect("(")
-            keys = []
-            while sc.peek() == "?":
-                keys.append(sc.var())
-                sc.take(",")
-            sc.expect(")")
-            aggregates = []
-            while sc.keyword() in _AGGREGATES:
-                aggregates.append(_parse_aggregate(sc))
-            if acc is None:
-                acc = alg.Bap(())
-            acc = alg.GroupBy(acc, tuple(keys), tuple(aggregates))
-        elif word == "orderby":
-            flush()
-            sc.take_keyword("orderby")
-            if acc is None:
-                acc = alg.Bap(())
-            acc = alg.OrderBy(acc, sc.var())
-        elif word == "limit":
-            flush()
-            sc.take_keyword("limit")
-            if acc is None:
-                acc = alg.Bap(())
-            acc = alg.Limit(acc, _parse_int(sc))
+            sc.take_keyword(word)
+            acc = _parse_wrapper(sc, word, alg.Bap(()) if acc is None else acc)
         elif word == "select":
             flush()
             sc.take_keyword("select")
@@ -400,57 +253,95 @@ def _parse_group(sc: _Scanner) -> alg.Pattern:
     return acc
 
 
-def _parse_triple_pattern(sc: _Scanner) -> alg.TriplePattern:
-    if sc.peek() == "(":
+def _parse_wrapper(sc: _Scanner, word: str, acc: alg.Pattern) -> alg.Pattern:
+    """The operator `word`, already read, applied to the pattern `acc`."""
+    if word == "optional":
+        inner = _parse_group(sc)
+        if isinstance(inner, alg.Filter):
+            return alg.Optional(acc, inner.pattern, inner.expr)
+        return alg.Optional(acc, inner, None)
+    if word == "filter":
         sc.expect("(")
-        s = sc.term()
-        p = sc.term()
-        o = sc.term()
+        expr = _parse_filter_expr(sc)
         sc.expect(")")
-        if not sc.take(":"):
-            raise sc.error(
-                "expected ':' after (s p o); a triple pattern is "
-                "(s p o):label or a bare s p o"
-            )
-        label = sc.annotation_label()
-        return alg.TriplePattern(s, p, o, label)
-    s = sc.term()
-    p = sc.term()
-    o = sc.term()
-    return alg.TriplePattern(s, p, o, None)
+        return alg.Filter(acc, expr)
+    if word == "assign":
+        fn, args = _parse_call_or_operand(sc)
+        if not sc.take_keyword("as"):
+            raise sc.error("ASSIGN needs 'AS ?var'")
+        return alg.Assign(acc, fn, args, sc.var())
+    if word == "groupby":
+        sc.expect("(")
+        keys = []
+        while sc.peek() == "?":
+            keys.append(sc.var())
+            sc.take(",")
+        sc.expect(")")
+        aggregates = []
+        while sc.keyword() in _AGGREGATES:
+            aggregates.append(_parse_aggregate(sc))
+        return alg.GroupBy(acc, tuple(keys), tuple(aggregates))
+    if word == "orderby":
+        return alg.OrderBy(acc, sc.var())
+    return alg.Limit(acc, _parse_int(sc))
+
+
+def _parse_triple_pattern(sc: _Scanner) -> alg.TriplePattern:
+    bracketed = sc.take("(")
+    s, p, o = sc.term(), sc.term(), sc.term()
+    if not bracketed:
+        return alg.TriplePattern(s, p, o, None)
+    sc.expect(")")
+    if not sc.take(":"):
+        raise sc.error(
+            "expected ':' after (s p o); a triple pattern is "
+            "(s p o):label or a bare s p o"
+        )
+    return alg.TriplePattern(s, p, o, sc.annotation_label())
 
 
 def _parse_aggregate(sc: _Scanner) -> alg.Aggregate:
-    op = sc.keyword().upper()
-    m = _WORD_RE.match(sc.text, sc.pos)
-    sc.pos = m.end()
+    op = sc.keyword()
+    sc.take_keyword(op)
     sc.expect("(")
     fn, args = _parse_call_or_operand(sc)
     sc.expect(")")
     if not sc.take_keyword("as"):
         raise sc.error("aggregates need 'AS ?var'")
-    return alg.Aggregate(op=op, fn=fn, args=args, target=sc.var())
+    return alg.Aggregate(op=op.upper(), fn=fn, args=args, target=sc.var())
+
+
+def _call_name(sc: _Scanner) -> str | None:
+    """The name of a call `name(...)` starting here, if one does."""
+    sc.skip_ws()
+    m = NAME_RE.match(sc.text, sc.pos)
+    if m and sc.text.startswith("(", m.end()):
+        return m.group(0)
+    return None
+
+
+def _parse_call_args(sc: _Scanner, name: str) -> tuple[alg.Operand, ...]:
+    """Read the call whose name `_call_name` just returned."""
+    sc.pos += len(name)
+    sc.expect("(")
+    args = []
+    if sc.peek() != ")":
+        args.append(sc.operand())
+        while sc.take(","):
+            args.append(sc.operand())
+    sc.expect(")")
+    return tuple(args)
 
 
 def _parse_call_or_operand(sc: _Scanner) -> tuple[str, tuple[alg.Operand, ...]]:
     """Either `name(arg, ...)` for a registered built-in, or a single
     operand (identity function)."""
-    sc.skip_ws()
-    m = _WORD_RE.match(sc.text, sc.pos)
-    if m and sc.text.startswith("(", m.end()):
-        name = m.group(0)
-        if not is_known(name):
-            raise sc.error(f"unknown built-in {name!r}")
-        sc.pos = m.end()
-        sc.expect("(")
-        args = []
-        if sc.peek() != ")":
-            args.append(sc.operand())
-            while sc.take(","):
-                args.append(sc.operand())
-        sc.expect(")")
-        return name, tuple(args)
-    return "", (sc.operand(),)
+    name = _call_name(sc)
+    if name is None:
+        return "", (sc.operand(),)
+    if not is_known(name):
+        raise sc.error(f"unknown built-in {name!r}")
+    return name, _parse_call_args(sc, name)
 
 
 def _parse_filter_expr(sc: _Scanner) -> alg.FilterExpr:
@@ -499,21 +390,12 @@ def _parse_filter_primary(sc: _Scanner) -> alg.FilterExpr:
             sc.expect("(")
             operand = sc.operand()
             sc.expect(")")
-            return _maybe_comparison(sc, node(operand), operand=None)
-    m = _WORD_RE.match(sc.text, sc.pos)
-    if m and sc.text.startswith("(", m.end()):
-        name = m.group(0)
+            return node(operand)
+    name = _call_name(sc)
+    if name is not None:
         if is_known(name):
-            sc.pos = m.end()
-            sc.expect("(")
-            args = []
-            if sc.peek() != ")":
-                args.append(sc.operand())
-                while sc.take(","):
-                    args.append(sc.operand())
-            sc.expect(")")
-            return alg.BuiltinCall(name, tuple(args))
-        if name.lower() not in _STRUCTURAL and not _NUMBER_RE.fullmatch(name):
+            return alg.BuiltinCall(name, _parse_call_args(sc, name))
+        if name.lower() not in _STRUCTURAL:
             raise sc.error(f"unknown built-in {name!r}")
     if sc.peek() == "(":
         # Try a parenthesised boolean expression; fall back to an
@@ -527,14 +409,6 @@ def _parse_filter_primary(sc: _Scanner) -> alg.FilterExpr:
         except ParseError:
             sc.pos = saved
     operand = sc.operand()
-    return _maybe_comparison(sc, None, operand)
-
-
-def _maybe_comparison(
-    sc: _Scanner, ready: alg.FilterExpr | None, operand: alg.Operand | None
-) -> alg.FilterExpr:
-    if ready is not None:
-        return ready
     sc.skip_ws()
     if sc.text.startswith("<=", sc.pos):
         sc.pos += 2

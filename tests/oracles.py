@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from anrdf.anql import algebra as alg
 from anrdf.domains import AnnotationValue, Domain
@@ -421,12 +421,23 @@ def top_annotated(triples: set[Triple], domain: Domain) -> AnnotatedGraph:
 _VARS = [alg.Var(name) for name in "xyzuv"]
 
 
-def random_triple_pattern(rng: random.Random) -> alg.TriplePattern:
+def random_triple_pattern(
+    rng: random.Random, anchors: Sequence[Triple] = ()
+) -> alg.TriplePattern:
+    """A pattern over the fixed constants `a0`-`a5`, `p0`-`p3`; with
+    `anchors`, a pattern made from one of these triples instead, so that
+    patterns of several triples can match together.  Either way each
+    position becomes a variable with probability 0.6."""
     terms = [iri(f"a{i}") for i in range(6)] + [iri(f"p{i}") for i in range(4)]
 
     def slot(pool):
         return rng.choice(_VARS) if rng.random() < 0.6 else rng.choice(pool)
 
+    if anchors:
+        t = rng.choice(anchors)
+        return alg.TriplePattern(
+            slot([t.subject]), slot([t.predicate]), slot([t.object]), None
+        )
     return alg.TriplePattern(
         slot(terms), slot([iri(f"p{i}") for i in range(4)]), slot(terms), None
     )
@@ -451,19 +462,27 @@ def random_filter_expr(rng: random.Random, depth: int = 2) -> alg.FilterExpr:
     return alg.Eq(var, iri(f"a{rng.randrange(6)}"))
 
 
-def random_pattern(rng: random.Random, depth: int = 3) -> alg.Pattern:
+def random_pattern(
+    rng: random.Random, depth: int = 3, anchors: Sequence[Triple] = ()
+) -> alg.Pattern:
+    """A random pattern tree; `anchors` is passed to every
+    `random_triple_pattern`."""
     if depth == 0 or rng.random() < 0.4:
         return alg.Bap(
-            tuple(random_triple_pattern(rng) for _ in range(rng.randint(1, 3)))
+            tuple(
+                random_triple_pattern(rng, anchors) for _ in range(rng.randint(1, 3))
+            )
         )
+
+    def sub() -> alg.Pattern:
+        return random_pattern(rng, depth - 1, anchors)
+
     shape = rng.randrange(4)
     if shape == 0:
-        return alg.Join(random_pattern(rng, depth - 1), random_pattern(rng, depth - 1))
+        return alg.Join(sub(), sub())
     if shape == 1:
-        return alg.Union(random_pattern(rng, depth - 1), random_pattern(rng, depth - 1))
+        return alg.Union(sub(), sub())
     if shape == 2:
         guard = random_filter_expr(rng) if rng.random() < 0.5 else None
-        return alg.Optional(
-            random_pattern(rng, depth - 1), random_pattern(rng, depth - 1), guard
-        )
-    return alg.Filter(random_pattern(rng, depth - 1), random_filter_expr(rng))
+        return alg.Optional(sub(), sub(), guard)
+    return alg.Filter(sub(), random_filter_expr(rng))

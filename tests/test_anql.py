@@ -11,6 +11,7 @@ import pytest
 
 from anrdf import closure, evaluate_query, get_domain, iri, parse_graph, parse_query
 from anrdf.anql import algebra as alg
+from anrdf.anql.rewrite import rewrite_defaults
 from anrdf.anql.engine import (
     ERROR,
     FALSE,
@@ -571,6 +572,44 @@ class TestDomainMaximality:
         assert got == expected
         assert [id(r) for r in got] == [id(r) for r in expected]
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_every_operator_returns_maximal_rows(self, seed):
+        # Why FILTER, ORDERBY and LIMIT need no prune of their own: every
+        # result is maximal already, and so is every subset of it.
+        rng = random.Random(9400 + seed)
+        graph = AnnotatedGraph(TEMPORAL)
+        for t in sorted(random_crisp_graph(rng, max_triples=40), key=Triple.sort_key):
+            graph.insert(t, TEMPORAL.random_value(rng))
+        graph.freeze()
+        query = alg.QueryDocument(select=(), pattern=random_pattern(rng))
+        stack = [rewrite_defaults(query, "fresh-vars", TEMPORAL).pattern]
+        while stack:
+            node = stack.pop()
+            rows = eval_pattern(graph, node)
+            assert prune_maximal(rows) == rows
+            children = (getattr(node, f, None) for f in ("left", "right", "pattern"))
+            stack.extend(child for child in children if child is not None)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_filter_of_a_pruned_union_stays_maximal(self, seed):
+        # The random patterns above never put two rows in one bucket, so
+        # here a UNION does: (x p0 y) and (x p1 y) both bind ?x ?y ?l.
+        rng = random.Random(9500 + seed)
+        graph = AnnotatedGraph(TEMPORAL)
+        names = [iri(f"a{i}") for i in range(4)]
+        for s, p, o in itertools.product(names, (iri("p0"), iri("p1")), names):
+            if rng.random() < 0.7:
+                graph.insert(Triple(s, p, o), TEMPORAL.random_value(rng))
+        graph.freeze()
+        x, y, label = alg.Var("x"), alg.Var("y"), alg.Var("l")
+        union = alg.Union(
+            *(alg.Bap((alg.TriplePattern(x, iri(p), y, label),)) for p in ("p0", "p1"))
+        )
+        rows = eval_pattern(graph, union)
+        assert len({(r["x"], r["y"]) for r in rows}) < len(rows)
+        kept = alg.Filter(union, alg.Not(alg.Eq(x, rng.choice(names))))
+        assert prune_maximal(eval_pattern(graph, kept)) == eval_pattern(graph, kept)
+
     def test_no_answer_binds_bottom(self, fig1_exx1_closure):
         query = q("SELECT ?p ?l WHERE { (?p type ebayEmp):?l (?p hasCar ?c):?l }")
         for row in evaluate_query(fig1_exx1_closure, query):
@@ -703,16 +742,34 @@ class TestSparqlConservativityLarger:
     LIVE_JOIN_SEEDS = (72, 80, 84, 105, 143)
     LIVE_OPTIONAL_SEEDS = (11, 17, 84)
     LARGER_SEEDS = (*range(40), 72, 80, 84, 105, 143)
+    # The same, with every triple pattern drawn from a stored triple.
+    ANCHORED_LIVE_JOIN_SEEDS = (
+        31, 35, 37, 38, 46, 72, 81, 84, 99, 101, 119, 142, 143, 165, 166, 173
+    )
+    ANCHORED_LIVE_OPTIONAL_SEEDS = (
+        16, 29, 32, 35, 59, 97, 99, 102, 114, 121, 122, 157
+    )
+    ANCHORED_SEEDS = tuple(
+        sorted({*range(20), *ANCHORED_LIVE_JOIN_SEEDS, *ANCHORED_LIVE_OPTIONAL_SEEDS})
+    )
 
     @staticmethod
-    def _case(seed):
+    def _case(seed, anchored=False):
         rng = random.Random(9100 + seed)
         triples = random_crisp_graph(rng, max_triples=300, vocabulary=2)
-        return triples, random_pattern(rng)
+        anchors = sorted(triples, key=Triple.sort_key) if anchored else ()
+        return triples, random_pattern(rng, anchors=anchors)
 
     @pytest.mark.parametrize("seed", LARGER_SEEDS)
     def test_sampled_equivalence(self, seed):
-        triples, pattern = self._case(seed)
+        self._assert_equivalent(*self._case(seed))
+
+    @pytest.mark.parametrize("seed", ANCHORED_SEEDS)
+    def test_anchored_equivalence(self, seed):
+        self._assert_equivalent(*self._case(seed, anchored=True))
+
+    @staticmethod
+    def _assert_equivalent(triples, pattern):
         reference = sparql_eval(triples, pattern)
         got = eval_pattern(top_annotated(triples, BOOLEAN).freeze(), pattern)
         assert Counter(
@@ -731,6 +788,12 @@ class TestSparqlConservativityLarger:
                 yield type(pattern)
 
     def test_live_seeds_reach_join_and_optional(self):
-        for kind, seeds in ((alg.Join, self.LIVE_JOIN_SEEDS), (alg.Optional, self.LIVE_OPTIONAL_SEEDS)):
+        for anchored, kind, seeds in (
+            (False, alg.Join, self.LIVE_JOIN_SEEDS),
+            (False, alg.Optional, self.LIVE_OPTIONAL_SEEDS),
+            (True, alg.Join, self.ANCHORED_LIVE_JOIN_SEEDS),
+            (True, alg.Optional, self.ANCHORED_LIVE_OPTIONAL_SEEDS),
+        ):
             for seed in seeds:
-                assert kind in set(self._live_nodes(*self._case(seed))), (kind, seed)
+                case = self._case(seed, anchored)
+                assert kind in set(self._live_nodes(*case)), (anchored, kind, seed)

@@ -69,6 +69,29 @@ class TestDataRoundTrip:
             assert dict(doc.graph.statements()) == dict(graph.statements())
             assert serialize_graph(doc.graph) == text  # byte-identical
 
+    def test_literals_with_quotes_comments_and_line_breaks(self):
+        # The characters an escape, a comment or a line split could get
+        # wrong, with the line breaks that str.splitlines() knows besides
+        # "\n": `"say \"#1\""` once lost its tail to a comment.
+        alphabet = [*"abXY", '"', "\\", "#", "<", ">", "\t", "\n", "\r", "\x0c", "\u2028"]
+        rng = random.Random(7300)
+
+        def text() -> Term:
+            return literal("".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8))))
+
+        for _ in range(200):
+            graph = AnnotatedGraph(TEMPORAL)
+            for _ in range(rng.randint(1, 4)):
+                graph.insert(Triple(text(), iri("p"), text()), TEMPORAL.parse("[1,2]"))
+            plain = [Triple(iri("a"), iri("q"), text())]
+            doc = parse_graph(serialize_graph(graph, plain))
+            assert dict(doc.graph.statements()) == dict(graph.statements())
+            assert doc.plain == plain
+
+    def test_crlf_lines(self):
+        doc = parse_graph("@domix temporal .\r\n(a p b) : [1,2] . # c\r\na q b .\r\n")
+        assert len(doc.graph) == 1 and doc.plain == [Triple(iri("a"), iri("q"), iri("b"))]
+
     def test_fig1_round_trip_is_byte_identical(self, data_dir):
         doc = parse_graph((data_dir / "fig1.anrdf").read_text())
         once = serialize_graph(doc.graph, doc.plain)
@@ -117,20 +140,25 @@ class TestDataRoundTrip:
         with pytest.raises(ParseError):
             parse_graph('@domix boolean .\n(a "p" b) : true .\n')
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "(a p b) : {[1,2]}",  # missing dot
-            "(a p) : {[1,2]} .",  # two terms
-            "a p .",
-            "(a p b) : nonsense .",
-            "(a p b) : 1.5 .",
-        ],
-    )
+    # Columns count the raw line; annotation literal errors point at the
+    # literal, triple errors at the statement.
+    ERROR_COLUMNS = {
+        "(a p b) : {[1,2]}": 11,  # missing dot
+        "(a p) : {[1,2]} .": 5,  # two terms
+        "a p .": 5,
+        "(a p b) : nonsense .": 11,
+        "(a p b) : 1.5 .": 11,
+        '(a "p" b) : true .': 1,
+        '      (a "p" b) : 0.5 .': 7,
+        "  (a p b) :   1.5 . # comment": 15,
+        "(?x p b) : 0.5 .": 2,  # variables are query-only
+    }
+
+    @pytest.mark.parametrize("bad", ERROR_COLUMNS)
     def test_errors_carry_positions(self, bad):
         with pytest.raises(ParseError) as info:
             parse_graph(f"@domix fuzzy:product .\n{bad}\n")
-        assert info.value.line == 2
+        assert (info.value.line, info.value.column) == (2, self.ERROR_COLUMNS[bad])
 
     def test_fuzzy_range_check(self):
         with pytest.raises(ParseError):
@@ -253,6 +281,7 @@ class TestQueryParsing:
             "SELECT ?x WHERE { (?x p ?y):?l",
             "SELECT ?x WHERE { (?x p):?l }",
             "SELECT ?x WHERE { (?x p ?y):{[5,1]} }",
+            "SELECT ?x WHERE { ?x p _:b }",  # blank nodes are data-only
         ],
     )
     def test_syntax_errors(self, bad):
