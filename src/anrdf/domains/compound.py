@@ -21,6 +21,17 @@ while maintaining a dominance antichain free of bottom components.  That
 antichain is already reduced, and it is the same normal form as the
 textbook construction's on every input the oracle can handle.
 
+A join does not start from scratch.  Both operands are normal forms, so
+each is closed: any combination of two of its members is dominated by a
+member of it.  The join therefore seeds the antichain with the larger
+operand as already closed and queues only the smaller operand's pairs,
+so no combination inside the larger operand is formed again.  This is
+sound for the same reason the pruning is: when a member of the closed
+operand is later dropped, the pair that dominates it also dominates
+every combination it dominated, because dominance is transitive, and
+that pair is queued.  Meets, parsing and validation cross or read raw
+pairs and go through `normalise`.
+
 Normalisation is only sound when D1 is a lattice (meet1 must be the
 greatest lower bound), which is enforced when the domain is constructed.
 
@@ -79,13 +90,17 @@ def evaluate(d1: Domain, d2: Domain, pairs: Iterable[Pair], z: Any) -> Any:
     return result
 
 
-def saturate_fast(d1: Domain, d2: Domain, pairs: Iterable[Pair]) -> set[Pair]:
+def saturate_fast(
+    d1: Domain, d2: Domain, pairs: Iterable[Pair], closed: Iterable[Pair] = ()
+) -> set[Pair]:
     """Fixpoint closure under the two pairwise combinators, pruned to a
     dominance antichain at every step.
 
     Dominated pairs can only generate dominated pairs (both combinators
     are monotone in each argument), so pruning preserves the maximal
-    elements of the full closure.
+    elements of the full closure.  `closed` must be a bottom-free
+    antichain closed under the combinators (a normal form): it seeds the
+    antichain, and only `pairs` are queued (see the module docstring).
     """
     bot1, bot2 = d1.bottom_payload(), d2.bottom_payload()
 
@@ -97,12 +112,13 @@ def saturate_fast(d1: Domain, d2: Domain, pairs: Iterable[Pair]) -> set[Pair]:
             for q in others
         )
 
-    front: set[Pair] = set()
+    front: set[Pair] = set(closed)
+    queue: list[Pair] = []
     for p in pairs:
-        if p[0] == bot1 or p[1] == bot2 or dominated(p, front):
+        if p[0] == bot1 or p[1] == bot2 or p in front or dominated(p, front):
             continue
         front = {q for q in front if not dominated(q, {p})} | {p}
-    queue = list(front)
+        queue.append(p)
     steps = 0
     while queue:
         p = queue.pop()
@@ -168,8 +184,7 @@ class CompoundDomain(Domain):
         self.name = f"compound({d1.name},{d2.name})"
         self.is_lattice = False
 
-    def _canonical(self, pairs: Iterable[Pair]) -> tuple[Pair, ...]:
-        normal = normalise(self.d1, self.d2, pairs)
+    def _sorted(self, normal: Iterable[Pair]) -> tuple[Pair, ...]:
         return tuple(
             sorted(
                 normal,
@@ -180,8 +195,12 @@ class CompoundDomain(Domain):
             )
         )
 
+    def _canonical(self, pairs: Iterable[Pair]) -> tuple[Pair, ...]:
+        return self._sorted(normalise(self.d1, self.d2, pairs))
+
     def join_payload(self, a, b):
-        return self._canonical(tuple(a) + tuple(b))
+        small, large = (a, b) if len(a) <= len(b) else (b, a)
+        return self._sorted(saturate_fast(self.d1, self.d2, small, closed=large))
 
     def meet_payload(self, a, b):
         crossed = [

@@ -3,8 +3,9 @@
 Time points range over the rationals extended with two infinities.  A
 value is kept in canonical form: intervals non-empty, strictly sorted by
 lower endpoint, pairwise disjoint and non-touching (closed intervals that
-merely share an endpoint, like [1,2] and [2,3], are merged).  Bottom is
-the empty set; top is {[-inf,+inf]}.
+merely share an endpoint, like [1,2] and [2,3], are merged), and every
+endpoint the canonical scalar of `anrdf.rational.check_scalar` (a whole
+number is an `int`).  Bottom is the empty set; top is {[-inf,+inf]}.
 
 Join is the merged union of the interval sets, meet the set of pairwise
 intersections, and the induced order is the Hoare lifting of interval
@@ -173,11 +174,11 @@ class TemporalDomain(Domain):
             if rng.random() < 0.05:
                 lo: Scalar = NEG_INF
             else:
-                lo = Fraction(rng.randint(-4, 16))
+                lo = rng.randint(-4, 16)
             if rng.random() < 0.05:
                 hi: Scalar = POS_INF
             else:
-                base = lo if is_finite(lo) else Fraction(rng.randint(-4, 16))
+                base = lo if is_finite(lo) else rng.randint(-4, 16)
                 hi = base + rng.randint(0, 5)
             intervals.append((lo, hi))
         return canonical_intervals(intervals)
@@ -191,5 +192,6 @@ class TemporalDomain(Domain):
 
     def lift_operand(self, value):
         if isinstance(value, Fraction):
-            return ((value, value),)
+            point = check_scalar(value)
+            return ((point, point),)
         return None

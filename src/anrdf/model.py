@@ -86,12 +86,6 @@ class Triple:
         return f"({self.subject!r} {self.predicate!r} {self.object!r})"
 
 
-@dataclass(frozen=True)
-class AnnotatedTriple:
-    triple: Triple
-    annotation: AnnotationValue
-
-
 # predicate -> subject (or object) -> triples
 _Index = dict[Term, dict[Term, list[Triple]]]
 

@@ -1,9 +1,17 @@
 """Exact rational scalars with +/- infinity endpoints.
 
-All numeric payloads in the package are `fractions.Fraction`; the two
-infinities (used only as temporal interval endpoints) are the float
-infinities, which compare correctly against Fraction in both directions.
-No other floats are ever allowed in.
+Numbers are exact: a scalar is an `int`, a `fractions.Fraction` or one of
+the two float infinities (used only as temporal interval endpoints),
+which compare correctly against both in either direction.  No other
+floats are ever allowed in.
+
+`check_scalar` and `parse_scalar` give the canonical scalar: a whole
+number as `int`, any other rational as `Fraction`.  Temporal endpoints
+are kept this way, because `int` arithmetic and comparison are much
+cheaper than `Fraction`'s.  An `int` and the `Fraction` of the same value
+compare and hash alike, so structural equality of payloads stays
+semantic equality.  Every other number in the package (query constants,
+`length`, aggregates, fuzzy degrees) stays a `Fraction`.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ import re
 from fractions import Fraction
 from typing import Union
 
-Scalar = Union[Fraction, float]  # float restricted to +/- inf
+Scalar = Union[int, Fraction, float]  # float restricted to +/- inf
 
 NEG_INF: float = float("-inf")
 POS_INF: float = float("inf")
@@ -27,17 +35,19 @@ def is_finite(x: Scalar) -> bool:
 
 
 def check_scalar(x: Scalar) -> Scalar:
-    if isinstance(x, Fraction):
+    """The canonical scalar for `x`: a whole number as `int`."""
+    if isinstance(x, int):
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, float) and math.isinf(x):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise TypeError(f"not a rational or infinity: {x!r}")
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Parse `-inf`, `+inf`, an integer, a decimal, or `p/q`."""
+    """Parse `-inf`, `+inf`, an integer, a decimal, or `p/q`, into the
+    canonical scalar of `check_scalar`."""
     text = text.strip()
     if text in ("-inf", "-INF"):
         return NEG_INF
@@ -45,10 +55,10 @@ def parse_scalar(text: str) -> Scalar:
         return POS_INF
     m = _RATIO_RE.fullmatch(text)
     if m:
-        return Fraction(int(m.group(1)), int(m.group(2)))
+        return check_scalar(Fraction(int(m.group(1)), int(m.group(2))))
     m = _DECIMAL_RE.fullmatch(text)
     if m:
-        return Fraction(text)
+        return check_scalar(Fraction(text))
     raise ValueError(f"not a number: {text!r}")
 
 

@@ -98,18 +98,19 @@ def parse_graph(
         if cur.at_end():
             continue
         start = cur.pos
-        if line.startswith("@domix", start):
-            cur.pos += len("@domix")
+        if cur.directive("domix"):
             name = _up_to_final_dot(cur, "@domix line must end with '.'")
             try:
                 declared = get_domain(name)
             except Exception as exc:
                 raise cur.error(str(exc)) from None
             continue
-        if line.startswith("@prefix", start):
+        if cur.directive("prefix"):
             cur.prefix_directive()
             _expect_final_dot(cur, "@prefix line must end with '.'")
             continue
+        if cur.peek() == "@":
+            raise cur.error("unknown directive; expected @domix or @prefix")
         bracketed = cur.take("(")
         s, p, o = _term(cur, graph_id), _term(cur, graph_id), _term(cur, graph_id)
         annotation = None

@@ -22,6 +22,7 @@ KEYWORDS = {"type": TYPE, "sp": SP, "sc": SC, "dom": DOM, "range": RANGE}
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_.\-]*")
 PNAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9_.\-]*)?:([A-Za-z_][A-Za-z0-9_.\-]*)")
 _PREFIX_NAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9_.\-]*)?:")
+_DIRECTIVE_RE = re.compile(r"@([A-Za-z][A-Za-z0-9_.\-]*)")
 _ESCAPES = {"n": "\n", "t": "\t"}
 
 
@@ -109,10 +110,19 @@ class Scanner:
             return KEYWORDS.get(m.group(0), iri(m.group(0)))
         return None
 
+    def directive(self, name: str) -> bool:
+        """Take `@name` when it starts here as a whole word: a name
+        character right after it (`@prefixex:`) makes it another word."""
+        self.skip_ws()
+        m = _DIRECTIVE_RE.match(self.text, self.pos)
+        if m is None or m.group(1) != name:
+            return False
+        self.pos = m.end()
+        return True
+
     def prefix_directive(self) -> None:
-        """Read `@prefix name: <iri>` and declare the prefix; the caller
-        checks the closing '.'."""
-        self.pos += len("@prefix")
+        """Read the `name: <iri>` after `@prefix` and declare the prefix;
+        the caller checks the closing '.'."""
         self.skip_ws()
         m = _PREFIX_NAME_RE.match(self.text, self.pos)
         if not m:

@@ -128,6 +128,8 @@ class _Scanner(Scanner):
 
     def operand(self) -> alg.Operand:
         ch = self.peek()
+        if not ch:
+            raise self.error("expected an operand")
         if ch == "?":
             return self.var()
         if ch in "{[":
@@ -169,7 +171,7 @@ def parse_query(text: str, domain: Domain | str) -> alg.QueryDocument:
         domain = get_domain(domain)
     sc = _Scanner(text, domain)
     while sc.peek() == "@":
-        if not sc.text.startswith("@prefix", sc.pos):
+        if not sc.directive("prefix"):
             raise sc.error("unknown prologue directive")
         sc.prefix_directive()
         sc.expect(".")

@@ -437,6 +437,102 @@ class TestModifiers:
         assert rows_as_set(rows) == {(("p", Term("iri", "toivo")),)}
 
 
+class TestIntegerEndpoints:
+    """Temporal endpoints are `int` when whole, but every number a query
+    computes or compares stays a `Fraction`, so the numeric checks of
+    FILTER, the aggregates, ORDERBY and the answer formats keep working."""
+
+    @pytest.fixture()
+    def graph(self):
+        doc = parse_graph(
+            "@domix temporal .\n"
+            "(x worksFor y1) : {[1999,2001]} .\n"
+            "(x worksFor y2) : {[2003,2008]} .\n"
+            "(z worksFor y1) : {[2001.5,2004]} .\n"
+            "(w worksFor y3) : 2001 .\n"
+        )
+        return closure(doc.graph)
+
+    def names(self, rows):
+        return sorted(r["x"].lexical for r in rows)
+
+    def test_filter_against_a_whole_year(self, graph):
+        base = "SELECT ?x WHERE { (?x worksFor ?y):?l FILTER(%s) }"
+        assert self.names(evaluate_query(graph, q(base % "?l <= 2001"))) == ["w"]
+        assert self.names(evaluate_query(graph, q(base % "?l <= 2001.0"))) == ["w"]
+        assert self.names(evaluate_query(graph, q(base % "2001 <= ?l"))) == ["w", "x"]
+
+    def test_lifted_year_is_canonical(self, graph):
+        rows = evaluate_query(graph, q("SELECT ?l WHERE { (w worksFor y3):?l }"))
+        stored = rows[0]["l"]
+        lifted = TEMPORAL.lift_operand(Fraction(2001))
+        assert stored.payload == lifted
+        assert all(type(x) is int for interval in lifted for x in interval)
+
+    def test_length_is_a_fraction(self, graph):
+        query = q("SELECT ?x ?y ?z WHERE { (?x worksFor ?y):?l ASSIGN length(?l) AS ?z }")
+        lengths = {(r["x"].lexical, r["y"].lexical): r["z"] for r in evaluate_query(graph, query)}
+        assert lengths == {
+            ("x", "y1"): 2, ("x", "y2"): 5, ("z", "y1"): Fraction(5, 2), ("w", "y3"): 0,
+        }
+        assert all(type(v) is Fraction for v in lengths.values())
+
+    @pytest.mark.parametrize(
+        "op, expected",
+        [
+            ("SUM", {"x": 7, "z": Fraction(5, 2), "w": 0}),
+            ("AVG", {"x": Fraction(7, 2), "z": Fraction(5, 2), "w": 0}),
+            ("MAX", {"x": 5, "z": Fraction(5, 2), "w": 0}),
+        ],
+    )
+    def test_aggregates_over_length(self, graph, op, expected):
+        query = q(
+            f"SELECT ?x ?s WHERE {{ (?x worksFor ?y):?l GROUPBY(?x) {op}(length(?l)) AS ?s }}"
+        )
+        diagnostics: list[str] = []
+        rows = eval_pattern(graph, query.pattern, diagnostics)
+        assert diagnostics == []
+        assert {r["x"].lexical: r["s"] for r in rows} == expected
+        assert all(type(r["s"]) is Fraction for r in rows)
+
+    def test_orderby_length(self, graph):
+        query = q(
+            "SELECT ?x ?y ?z WHERE { (?x worksFor ?y):?l ASSIGN length(?l) AS ?z ORDERBY ?z }"
+        )
+        rows = evaluate_query(graph, query)
+        assert [r["z"] for r in rows] == [0, 2, Fraction(5, 2), 5]
+
+    def test_fuzzy_literal_one(self):
+        fuzzy = get_domain("fuzzy:product")
+        doc = parse_graph("@domix fuzzy:product .\n(a p b) : 1 .\n(a p c) : 0.5 .\n")
+        stored = dict(doc.graph.statements())
+        assert [type(v.payload) for v in stored.values()] == [Fraction, Fraction]
+        assert fuzzy.parse("1") == fuzzy.top and type(fuzzy.parse("1").payload) is Fraction
+        query = q("SELECT ?o WHERE { (a p ?o):?d FILTER(1 <= ?d) }", fuzzy)
+        assert [r["o"].lexical for r in evaluate_query(doc.graph, query)] == ["b"]
+
+    def test_answer_cells(self, graph):
+        import json
+
+        from anrdf.syntax import serialize_answers_json, serialize_answers_tsv
+
+        query = q(
+            "SELECT ?y ?l ?z WHERE { (x worksFor ?y):?l ASSIGN length(?l) AS ?z ORDERBY ?z }"
+        )
+        rows = evaluate_query(graph, query)
+        variables = query.select
+        assert serialize_answers_tsv(variables, rows).splitlines() == [
+            "?y\t?l\t?z",
+            "y1\t{[1999,2001]}\t2",
+            "y2\t{[2003,2008]}\t5",
+        ]
+        doc = json.loads(serialize_answers_json(variables, rows))
+        assert doc["bindings"][0]["l"] == {
+            "type": "annotation:temporal", "value": "{[1999,2001]}",
+        }
+        assert doc["bindings"][1]["z"] == {"type": "literal", "value": "5"}
+
+
 class TestFilterSemantics:
     theta = {"x": Term("iri", "a"), "l": None}  # l filled in setup
 

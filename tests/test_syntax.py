@@ -122,6 +122,9 @@ class TestDataRoundTrip:
             iri("http://ex.org/chadHurley"), TYPE, iri("http://ex.org/youtubeEmp")
         )
         assert doc.graph.get(t) is not None
+        # ':' cannot continue a name, so it ends the directive word.
+        doc = parse_graph("@domix\ttemporal .\n@prefix: <http://ex.org/> .\n(:a :p :b) : 1 .\n")
+        assert doc.graph.get(Triple(*(iri(f"http://ex.org/{n}") for n in "apb"))) is not None
 
     def test_skolemisation_is_deterministic(self):
         text = "@domix boolean .\n(_:b1 p _:b2) : true .\n"
@@ -152,6 +155,8 @@ class TestDataRoundTrip:
         '      (a "p" b) : 0.5 .': 7,
         "  (a p b) :   1.5 . # comment": 15,
         "(?x p b) : 0.5 .": 2,  # variables are query-only
+        "@prefixex: <http://e/> .": 1,  # a directive is a whole word
+        "@domixfuzzy:min .": 1,
     }
 
     @pytest.mark.parametrize("bad", ERROR_COLUMNS)
@@ -282,6 +287,7 @@ class TestQueryParsing:
             "SELECT ?x WHERE { (?x p):?l }",
             "SELECT ?x WHERE { (?x p ?y):{[5,1]} }",
             "SELECT ?x WHERE { ?x p _:b }",  # blank nodes are data-only
+            "@prefixex: <http://e/> . SELECT ?x WHERE { ?x ex:p ?y }",
         ],
     )
     def test_syntax_errors(self, bad):
@@ -296,6 +302,11 @@ class TestQueryParsing:
         assert "(s p o):label" in message and "bare s p o" in message
         bare = parse_query("SELECT ?p WHERE { ?p worksFor g }", TEMPORAL)
         assert bare.pattern.patterns[0].annotation is None
+
+    def test_missing_operand_at_end_of_input(self):
+        with pytest.raises(ParseError) as info:
+            parse_query("SELECT ?x WHERE { ?x p ?y FILTER(?x = ", TEMPORAL)
+        assert str(info.value) == "1:39: expected an operand"
 
     def test_prefix_prologue(self):
         query = parse_query(

@@ -19,7 +19,7 @@ from anrdf.domains.temporal import (
     temporal_meet,
 )
 from anrdf.errors import AnnotationSyntaxError, TemporalValueError
-from anrdf.rational import NEG_INF, POS_INF
+from anrdf.rational import NEG_INF, POS_INF, check_scalar, format_scalar, parse_scalar
 
 TEMPORAL = get_domain("temporal")
 
@@ -135,6 +135,55 @@ class TestParsing:
     def test_rejects_malformed(self, bad):
         with pytest.raises(AnnotationSyntaxError):
             ts(bad)
+
+
+class TestIntegerEndpoints:
+    def test_scalars(self):
+        for text, value in [("2001", 2001), ("2001.0", 2001), ("-4/2", -2), ("+3", 3)]:
+            assert type(parse_scalar(text)) is int and parse_scalar(text) == value
+        assert parse_scalar("1/2") == Fraction(1, 2)
+        assert parse_scalar("2.5") == Fraction(5, 2)
+        assert type(check_scalar(Fraction(6, 3))) is int
+        assert check_scalar(Fraction(7, 3)) == Fraction(7, 3)
+        assert check_scalar(NEG_INF) == NEG_INF
+        with pytest.raises(TypeError):
+            check_scalar(2.0)
+        assert format_scalar(2001) == format_scalar(Fraction(2001)) == "2001"
+
+    def test_int_and_fraction_payloads_are_one_value(self):
+        whole = ((Fraction(1), Fraction(2)),)
+        assert TEMPORAL.value(whole) == TEMPORAL.parse("{[1,2]}")
+        assert hash(TEMPORAL.value(whole)) == hash(TEMPORAL.parse("{[1,2]}"))
+        assert TEMPORAL.value(whole).payload == ((1, 2),)
+
+    def test_no_endpoint_is_a_whole_fraction(self):
+        rng = random.Random(6100)
+
+        def endpoint_text() -> str:
+            n = rng.randint(-6, 30)
+            return rng.choice(
+                [str(n), f"{n}.0", f"{2 * n}/2", f"{n}/3", f"{n}.5", "-inf", "+inf"]
+            )
+
+        checked = 0
+        for _ in range(400):
+            a, b = TEMPORAL.random_payload(rng), TEMPORAL.random_payload(rng)
+            texts = []
+            for _ in range(rng.randint(1, 3)):
+                lo, hi = sorted([endpoint_text(), endpoint_text()], key=parse_scalar)
+                texts.append(f"[{lo},{hi}]")
+            parsed = TEMPORAL.parse_payload("{" + ",".join(texts) + "}")
+            point = TEMPORAL.parse_payload(f"{rng.randint(-6, 30)}.0")
+            lifted = TEMPORAL.lift_operand(Fraction(rng.randint(-6, 30) * 3, 3))
+            values = [a, b, parsed, point, lifted,
+                      temporal_join(a, parsed), temporal_meet(b, parsed)]
+            if parsed and all(x not in (NEG_INF, POS_INF) for iv in parsed for x in iv):
+                values.append(TEMPORAL.value((maxlength(parsed),)).payload)
+            for value in values:
+                for x in (x for interval in value for x in interval):
+                    assert not (isinstance(x, Fraction) and x.denominator == 1), value
+            checked += len(values)
+        assert checked > 2500
 
 
 class TestAllen:
