@@ -25,7 +25,8 @@ Dnf = tuple[Clause, ...]
 FALSE: Dnf = ()
 TRUE: Dnf = ((),)
 
-_ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.:-]*")
+# Like a name of the text formats, an atom never ends in `.`.
+_ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_:-]*(?:\.[A-Za-z0-9_:-]+)*")
 _RESERVED = {"v", "true", "false"}
 
 

@@ -122,12 +122,11 @@ def apply_defaults(
     """Fold non-annotated triples into `graph` according to `mode`.
 
     top:       annotate each plain triple with the domain's top.
-    bottom:    drop plain triples (a bottom annotation is never stored).
     segregate: keep plain triples apart, in a boolean side graph.
 
     Returns (graph, side graph or None); `graph` is not mutated.
     """
-    if mode not in ("top", "bottom", "segregate"):
+    if mode not in ("top", "segregate"):
         raise ValueError(f"unknown default-annotation mode {mode!r}")
     if mode == "segregate":
         side = AnnotatedGraph(get_domain("boolean"))
@@ -136,8 +135,7 @@ def apply_defaults(
             side.insert(t, top)
         return graph, side
     merged = graph.copy()
-    if mode == "top":
-        top = graph.domain.top
-        for t in plain_triples:
-            merged.insert(t, top)
+    top = graph.domain.top
+    for t in plain_triples:
+        merged.insert(t, top)
     return merged, None

@@ -7,10 +7,10 @@
 
 Lines end at `\\n` only; a trailing `\\r` is whitespace.  Terms are read
 by the scanner shared with AnQL (`anrdf.syntax.lexer`), plus `_:label`
-blank nodes, which are skolemised on load.  The annotation literal is
-the text between `:` and the line's final `.`, minus any `#` comment.
-Plain statements carry no annotation and are returned separately for
-defaults handling.
+blank nodes, which are skolemised on load.  The annotation literal
+after `:` is the scanner's `annotation_literal`, the same token as an
+AnQL label, and the final `.` follows it.  Plain statements carry no
+annotation and are returned separately for defaults handling.
 
 Serialisation is canonical: statements sorted by subject, predicate,
 object; annotations in canonical literal form; no prefixes (IRIs print
@@ -117,9 +117,10 @@ def parse_graph(
         if bracketed:
             cur.expect(")")
             cur.expect(":")
-            annotation = _up_to_final_dot(cur, "statement must end with '.'")
-        else:
-            _expect_final_dot(cur, "statement must end with '.'")
+            cur.skip_ws()
+            column = cur.pos + 1
+            annotation = cur.annotation_literal()
+        _expect_final_dot(cur, "statement must end with '.'")
         try:
             triple = Triple(s, p, o)
         except AnrdfError as exc:
@@ -127,7 +128,7 @@ def parse_graph(
         if annotation is None:
             plain.append(triple)
         else:
-            annotated.append((line_no, cur.pos + 1, triple, annotation))
+            annotated.append((line_no, column, triple, annotation))
 
     effective = domain or declared
     if effective is None:

@@ -4,10 +4,13 @@ Both formats read the same ground terms: `<iri>`, `"literal"` (escapes
 `\\n`, `\\t`, `\\"`, `\\\\`; any other escaped character stands for
 itself), `prefix:name` after an `@prefix name: <iri> .` directive, and
 bare names, taken as IRIs verbatim except for the rho-df keywords
-`type`, `sp`, `sc`, `dom`, `range`.  Whitespace and `#` comments (to the
-end of the line) are skipped between tokens, never inside one.  Blank
-nodes `_:label` exist only in data and `?var` only in queries; each
-parser checks its own before asking for a ground term.
+`type`, `sp`, `sc`, `dom`, `range`.  A name never ends in `.`, so
+`a b c.` ends after `c`; nor does an annotation literal, which both
+formats read as one token (`annotation_literal`) that only the domain's
+`parse` validates.  Whitespace and `#` comments (to the end of the
+line) are skipped between tokens, never inside one.  Blank nodes
+`_:label` exist only in data and `?var` only in queries; each parser
+checks its own before asking for a ground term.
 """
 
 from __future__ import annotations
@@ -19,11 +22,15 @@ from ..model import DOM, RANGE, SC, SP, TYPE, Term, iri, literal
 
 KEYWORDS = {"type": TYPE, "sp": SP, "sc": SC, "dom": DOM, "range": RANGE}
 
-NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_.\-]*")
-PNAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9_.\-]*)?:([A-Za-z_][A-Za-z0-9_.\-]*)")
+NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_\-]*(?:\.[A-Za-z0-9_\-]+)*")
+PNAME_RE = re.compile(
+    r"([A-Za-z][A-Za-z0-9_.\-]*)?:([A-Za-z_][A-Za-z0-9_\-]*(?:\.[A-Za-z0-9_\-]+)*)"
+)
 _PREFIX_NAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9_.\-]*)?:")
 _DIRECTIVE_RE = re.compile(r"@([A-Za-z][A-Za-z0-9_.\-]*)")
 _ESCAPES = {"n": "\n", "t": "\t"}
+_BRACKET_RE = re.compile(r"[<{\[(>}\])]")
+_WORD_RE = re.compile(r"[A-Za-z0-9_:+\-/]+(?:\.[A-Za-z0-9_:+\-/]+)*")
 
 
 class Scanner:
@@ -109,6 +116,27 @@ class Scanner:
             self.pos = m.end()
             return KEYWORDS.get(m.group(0), iri(m.group(0)))
         return None
+
+    def annotation_literal(self) -> str:
+        """Read an annotation literal: one bracket group, ending where the
+        depth over `<{[(` and `>}])` returns to 0 as in `split_top_level`,
+        or one word of letters, digits and `_:+-/.` in which a `.` stands
+        only between two other word characters.  Errors point at its start."""
+        self.skip_ws()
+        start = self.pos
+        if self.text.startswith(("<", "{", "[", "("), start):
+            depth = 0
+            for m in _BRACKET_RE.finditer(self.text, start):
+                depth += 1 if m.group() in "<{[(" else -1
+                if depth == 0:
+                    self.pos = m.end()
+                    return self.text[start : self.pos]
+            raise self.error(f"unbalanced {self.text[start]}")
+        m = _WORD_RE.match(self.text, start)
+        if m is None:
+            raise self.error("expected an annotation literal")
+        self.pos = m.end()
+        return m.group(0)
 
     def directive(self, name: str) -> bool:
         """Take `@name` when it starts here as a whole word: a name

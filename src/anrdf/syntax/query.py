@@ -15,8 +15,9 @@ guard expression, which may mention variables of the outer pattern.
 Terms are read by the scanner shared with the data format
 (`anrdf.syntax.lexer`), plus `?var`; blank nodes are data-only.
 Keywords are case-insensitive; structural dots between statements are
-optional.  Annotation labels are `?var` or a literal of the query's
-domain (temporal shorthands `[a,b]`, `[a]`, and bare points accepted).
+optional.  An annotation label is `?var` or a literal of the query's
+domain, read as the data format reads one (`annotation_literal`, also
+for a bracketed filter operand), so a query can name every stored one.
 Filter expressions support BOUND/isIRI/isBLANK/isLITERAL, `=`, `!=`,
 the domain order `<=`, `!`, `&&`, `||`, and registered built-ins.
 """
@@ -51,7 +52,6 @@ _WRAPPERS = ("optional", "filter", "assign", "groupby", "orderby", "limit")
 _VAR_RE = re.compile(r"\?([A-Za-z_][A-Za-z0-9_]*)")
 _INT_RE = re.compile(r"\d+")
 _NUMBER_RE = re.compile(r"[+-]?\d+(\.\d+)?(/\d+)?")
-_CLOSING = {"{": "}", "[": "]", "(": ")"}
 
 
 class _Scanner(Scanner):
@@ -92,37 +92,17 @@ class _Scanner(Scanner):
             raise self.error("expected a term")
         return term
 
-    def balanced(self, open_char: str, close_char: str) -> str:
+    def annotation(self):
+        """Read an annotation literal and parse it in the query's domain;
+        a literal the domain rejects is reported at its first character."""
         self.skip_ws()
         start = self.pos
-        depth = 0
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == open_char:
-                depth += 1
-            elif ch == close_char:
-                depth -= 1
-                if depth == 0:
-                    self.pos += 1
-                    return self.text[start : self.pos]
-            self.pos += 1
-        raise self.error(f"unbalanced {open_char}")
-
-    def annotation_label(self) -> alg.AnnotationLabel:
-        ch = self.peek()
-        if ch == "?":
-            return self.var()
-        if ch in _CLOSING:
-            text = self.balanced(ch, _CLOSING[ch])
-        else:
-            m = _NUMBER_RE.match(self.text, self.pos) or NAME_RE.match(
-                self.text, self.pos
-            )
-            if not m:
-                raise self.error("expected an annotation label")
-            text = m.group(0)
-            self.pos = m.end()
-        return self._annotation(text)
+        text = self.annotation_literal()
+        try:
+            return self.domain.parse(text)
+        except AnnotationSyntaxError as exc:
+            self.pos = start
+            raise self.error(str(exc)) from None
 
     # -- operands in filters / assignments ------------------------------------
 
@@ -132,12 +112,8 @@ class _Scanner(Scanner):
             raise self.error("expected an operand")
         if ch == "?":
             return self.var()
-        if ch in "{[":
-            close = "}" if ch == "{" else "]"
-            text = self.balanced(ch, close)
-            return self._annotation(text)
-        if ch == "(":
-            return self._annotation(self.balanced("(", ")"))
+        if ch in "{[(":
+            return self.annotation()
         m = _NUMBER_RE.match(self.text, self.pos)
         if m and m.group(0) not in ("-", "+"):
             token = m.group(0)
@@ -158,12 +134,6 @@ class _Scanner(Scanner):
             self.pos = m.end()
             return value
         return self.term()
-
-    def _annotation(self, text: str):
-        try:
-            return self.domain.parse(text)
-        except AnnotationSyntaxError as exc:
-            raise self.error(str(exc)) from None
 
 
 def parse_query(text: str, domain: Domain | str) -> alg.QueryDocument:
@@ -299,7 +269,8 @@ def _parse_triple_pattern(sc: _Scanner) -> alg.TriplePattern:
             "expected ':' after (s p o); a triple pattern is "
             "(s p o):label or a bare s p o"
         )
-    return alg.TriplePattern(s, p, o, sc.annotation_label())
+    label = sc.var() if sc.peek() == "?" else sc.annotation()
+    return alg.TriplePattern(s, p, o, label)
 
 
 def _parse_aggregate(sc: _Scanner) -> alg.Aggregate:

@@ -316,12 +316,10 @@ class TestDefaults:
         assert merged.get(plain[0]) == TEMPORAL.top
         assert doc.graph.get(plain[0]) is None  # input untouched
 
-    def test_bottom_mode_drops(self, data_dir):
+    def test_unknown_mode_rejected(self, data_dir):
         doc = parse_graph((data_dir / "fig1.anrdf").read_text())
-        plain = [Triple(iri("skype"), TYPE, iri("Company"))]
-        merged, side = apply_defaults(doc.graph, plain, "bottom")
-        assert side is None
-        assert plain[0] not in merged
+        with pytest.raises(ValueError, match="'bottom'"):
+            apply_defaults(doc.graph, [], "bottom")
 
     def test_segregate_mode(self, data_dir):
         doc = parse_graph((data_dir / "fig1.anrdf").read_text())

@@ -146,7 +146,8 @@ class TestDataRoundTrip:
     # Columns count the raw line; annotation literal errors point at the
     # literal, triple errors at the statement.
     ERROR_COLUMNS = {
-        "(a p b) : {[1,2]}": 11,  # missing dot
+        "(a p b) : {[1,2]}": 18,  # missing dot
+        "(a p b) : 0.5. .": 16,  # a word never ends in '.'
         "(a p) : {[1,2]} .": 5,  # two terms
         "a p .": 5,
         "(a p b) : nonsense .": 11,
@@ -176,6 +177,16 @@ class TestDataRoundTrip:
     def test_comments_ignored(self):
         doc = parse_graph("# header\n@domix boolean .\n(a p b) : true . # tail\n")
         assert len(doc.graph) == 1
+
+    def test_name_never_ends_in_a_dot(self):
+        doc = parse_graph("a b c.\n(a b d.e) : 0.5.\n", domain="fuzzy:min")
+        assert doc.plain == [Triple(iri("a"), iri("b"), iri("c"))]
+        assert doc.graph.get(Triple(iri("a"), iri("b"), iri("d.e"))) is not None
+        graph = AnnotatedGraph(TEMPORAL)
+        graph.insert(Triple(iri("c."), iri("p"), iri("a..b")), TEMPORAL.parse("1"))
+        text = serialize_graph(graph)
+        assert "(<c.> p <a..b>)" in text
+        assert dict(parse_graph(text).graph.statements()) == dict(graph.statements())
 
     def test_term_formatting(self):
         assert format_term(TYPE) == "type"
@@ -308,6 +319,33 @@ class TestQueryParsing:
             parse_query("SELECT ?x WHERE { ?x p ?y FILTER(?x = ", TEMPORAL)
         assert str(info.value) == "1:39: expected an operand"
 
+    # Annotation-literal errors point at the literal's first character,
+    # as in the data format, also for filter and assignment operands.
+    ERROR_COLUMNS = {
+        "SELECT ?x WHERE { (?x p ?y):{[2,1]} }": 29,
+        "SELECT ?x WHERE { (?x p ?y):nonsense }": 29,
+        "SELECT ?x WHERE { (?x p ?y):{[1,2] ": 29,  # unbalanced
+        "SELECT ?x WHERE { (?x p ?y): }": 30,
+        "SELECT ?x WHERE { (?x p ?y):?l FILTER(?l <= {[2,1]}) }": 45,
+        "SELECT ?x WHERE { (?x p ?y):?l FILTER(before(?l, [5,1])) }": 50,
+        "SELECT ?x WHERE { (?x p ?y):?l ASSIGN length([3,2]) AS ?n }": 46,
+    }
+
+    @pytest.mark.parametrize("bad", ERROR_COLUMNS)
+    def test_errors_carry_positions(self, bad):
+        with pytest.raises(ParseError) as info:
+            parse_query(bad, TEMPORAL)
+        assert (info.value.line, info.value.column) == (1, self.ERROR_COLUMNS[bad])
+
+    def test_name_never_ends_in_a_dot(self):
+        query = parse_query("SELECT ?x WHERE { ?x p c. ?x q ?z }", TEMPORAL)
+        assert query.pattern.patterns[0].object == iri("c")
+        prov = get_domain("provenance")
+        query = parse_query("SELECT ?x WHERE { (?x p ?y):src. ?x q ?z }", prov)
+        assert query.pattern.patterns[0].annotation == prov.parse("src")
+        doc = parse_graph("(a p b) : src.\n", prov)
+        assert doc.graph.get(Triple(iri("a"), iri("p"), iri("b"))) == prov.parse("src")
+
     def test_prefix_prologue(self):
         query = parse_query(
             "@prefix ex: <http://ex.org/> .\nSELECT ?x WHERE { (?x ex:p ex:o):?l }",
@@ -315,6 +353,51 @@ class TestQueryParsing:
         )
         tp = query.pattern.patterns[0]
         assert tp.predicate == iri("http://ex.org/p")
+
+
+def bare_literal(rng: random.Random, domain) -> str | None:
+    """An unbracketed literal the data format has always accepted, for
+    the domains that have one besides their canonical form."""
+    if domain.name == "temporal":
+        return rng.choice(
+            [
+                "-inf",
+                "+inf",
+                f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}",
+                f"{rng.randint(-3000, 3000)}",
+                f"+{rng.randint(0, 99)}.{rng.randint(0, 99)}",
+            ]
+        )
+    if domain.name == "provenance":
+        parts = [rng.choice(["_", "src", "a", "X1"])]
+        parts += ["".join(rng.choice("ab_:-1") for _ in range(rng.randint(1, 3)))
+                  for _ in range(rng.randint(0, 2))]
+        return ".".join(parts)
+    if domain.name.startswith("fuzzy"):
+        den = rng.randint(1, 9)
+        return f"{rng.randint(0, den)}/{den}"
+    return None
+
+
+class TestAnnotationLiteralToken:
+    """A document and a query read the same annotation literal alike."""
+
+    TRIPLE = Triple(iri("a"), iri("p"), iri("b"))
+
+    @pytest.mark.parametrize("domain_id", ALL_DOMAIN_IDS)
+    def test_data_and_query_read_the_same_value(self, domain_id):
+        domain = get_domain(domain_id)
+        rng = random.Random(7700)
+        for _ in range(300):
+            texts = [domain.value(domain.random_payload(rng)).serialize()]
+            bare = bare_literal(rng, domain)
+            if bare is not None:
+                texts.append(bare)
+            for text in texts:
+                stored = parse_graph(f"(a p b) : {text} .", domain).graph.get(self.TRIPLE)
+                query = parse_query(f"SELECT ?x WHERE {{ (?x p ?y):{text} }}", domain)
+                label = query.pattern.patterns[0].annotation
+                assert label == (domain.bottom if stored is None else stored), text
 
 
 class TestAnswerSerialisation:
