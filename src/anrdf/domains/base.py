@@ -33,6 +33,9 @@ class Domain:
     #: True iff meet is the greatest lower bound of the induced order,
     #: i.e. leq(z,x) and leq(z,y) iff leq(z, meet(x,y)).
     is_lattice: bool = False
+    #: True iff meet distributes over join as an equality,
+    #: a meet (b join c) == (a meet b) join (a meet c).
+    meet_distributes: bool = True
 
     # -- semiring operations on payloads ------------------------------------
 

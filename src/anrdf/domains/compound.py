@@ -183,6 +183,9 @@ class CompoundDomain(Domain):
         self.d2 = d2
         self.name = f"compound({d1.name},{d2.name})"
         self.is_lattice = False
+        # Distributivity holds exactly when meet2 is idempotent, which
+        # under the semiring laws is when it is the greatest lower bound.
+        self.meet_distributes = d2.is_lattice
 
     def _sorted(self, normal: Iterable[Pair]) -> tuple[Pair, ...]:
         return tuple(

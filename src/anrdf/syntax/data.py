@@ -30,7 +30,9 @@ from .lexer import KEYWORDS, NAME_RE, Scanner
 
 KEYWORD_FOR_TERM = {term: word for word, term in KEYWORDS.items()}
 
-_LABEL_RE = re.compile(r"[A-Za-z0-9_.\-]+")
+# A blank-node label holds '.' only between two label characters, as
+# NAME_RE does, so a label glued to the final '.' ends before it.
+_LABEL_RE = re.compile(r"[A-Za-z0-9_\-]+(?:\.[A-Za-z0-9_\-]+)*")
 
 
 @dataclass

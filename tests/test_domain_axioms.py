@@ -33,6 +33,7 @@ def test_axiom_suite_passes(domain_id):
     samples = 60 if domain_id.startswith("compound") else 300
     report = axiom_suite(domain, samples=samples, seed=7)
     assert report.all_passed, report.format()
+    assert domain.meet_distributes
 
 
 @pytest.mark.parametrize("tnorm", ["product", "lukasiewicz"])
@@ -45,6 +46,7 @@ def test_compound_distributivity_boundary(tnorm):
     report = axiom_suite(domain, samples=120, seed=7)
     failed = {c.name for c in report.checks if not c.passed}
     assert failed == {"meet distributes over join"}, report.format()
+    assert not domain.meet_distributes
 
     # Minimal witness: one annotation spanning two islands, split and
     # re-joined against each island separately.

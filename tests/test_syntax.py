@@ -158,6 +158,9 @@ class TestDataRoundTrip:
         "(?x p b) : 0.5 .": 2,  # variables are query-only
         "@prefixex: <http://e/> .": 1,  # a directive is a whole word
         "@domixfuzzy:min .": 1,
+        "(_:b. p c) : 0.5 .": 5,  # a blank-node label never ends in '.'
+        "a p _:b..c .": 9,
+        "a p _:.b .": 5,
     }
 
     @pytest.mark.parametrize("bad", ERROR_COLUMNS)
@@ -187,6 +190,19 @@ class TestDataRoundTrip:
         text = serialize_graph(graph)
         assert "(<c.> p <a..b>)" in text
         assert dict(parse_graph(text).graph.statements()) == dict(graph.statements())
+
+    def test_blank_node_label_never_ends_in_a_dot(self):
+        doc = parse_graph(
+            "a p _:b.\n_:b.c p _:d.e .\n(_:x q _:y.z) : 0.5.\n", domain="fuzzy:min"
+        )
+        assert doc.plain == [
+            Triple(iri("a"), iri("p"), skolem("b")),
+            Triple(skolem("b.c"), iri("p"), skolem("d.e")),
+        ]
+        assert doc.graph.get(Triple(skolem("x"), iri("q"), skolem("y.z"))) is not None
+        again = parse_graph(serialize_graph(doc.graph, doc.plain))
+        assert again.plain == doc.plain
+        assert dict(again.graph.statements()) == dict(doc.graph.statements())
 
     def test_term_formatting(self):
         assert format_term(TYPE) == "type"
