@@ -11,6 +11,13 @@ rule premises.
 
 Every concrete domain supplies a canonical payload representation so that
 semantic equality of annotation values is structural equality of payloads.
+
+`AnnotationValue.meet` and `AnnotationValue.join` settle the cases the
+semiring laws decide without calling the domain's payload kernel: top is
+neutral for meet, bottom is neutral for join, and join is idempotent.
+Every domain must satisfy these laws (`anrdf.domains.axioms` checks them
+on the payload operations themselves), and because payloads are canonical
+the operand returned is structurally the value the kernel would give.
 """
 
 from __future__ import annotations
@@ -128,16 +135,30 @@ class AnnotationValue:
             )
 
     def join(self, other: "AnnotationValue") -> "AnnotationValue":
+        """The join, without the kernel when bottom is neutral for join
+        (one operand is bottom) or join is idempotent (equal operands)."""
         self._check(other)
-        return AnnotationValue(
-            self.domain, self.domain.join_payload(self.payload, other.payload)
-        )
+        a, b = self.payload, other.payload
+        if a == b:
+            return self
+        bottom = self.domain.bottom_payload()
+        if a == bottom:
+            return other
+        if b == bottom:
+            return self
+        return AnnotationValue(self.domain, self.domain.join_payload(a, b))
 
     def meet(self, other: "AnnotationValue") -> "AnnotationValue":
+        """The meet, without the kernel when top is neutral for meet
+        (one operand is top)."""
         self._check(other)
-        return AnnotationValue(
-            self.domain, self.domain.meet_payload(self.payload, other.payload)
-        )
+        a, b = self.payload, other.payload
+        top = self.domain.top_payload()
+        if a == top:
+            return other
+        if b == top:
+            return self
+        return AnnotationValue(self.domain, self.domain.meet_payload(a, b))
 
     def leq(self, other: "AnnotationValue") -> bool:
         self._check(other)

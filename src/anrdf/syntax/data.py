@@ -139,11 +139,16 @@ def parse_graph(
             raise ParseError("no annotation domain declared", line_no, 1)
         effective = get_domain("boolean")
     graph = AnnotatedGraph(effective)
+    # Annotated data repeats its literals, so each distinct text is parsed
+    # once; lines are visited in order, so a bad literal fails at its first.
+    values: dict[str, AnnotationValue] = {}
     for line_no, column, triple, literal_text in annotated:
-        try:
-            value = effective.parse(literal_text)
-        except AnnotationSyntaxError as exc:
-            raise ParseError(str(exc), line_no, column) from None
+        value = values.get(literal_text)
+        if value is None:
+            try:
+                value = values[literal_text] = effective.parse(literal_text)
+            except AnnotationSyntaxError as exc:
+                raise ParseError(str(exc), line_no, column) from None
         graph.insert(triple, value)
     return Document(domain=effective, graph=graph, plain=plain)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from anrdf.domains import (
     get_domain,
     primitive_domain_ids,
 )
+from anrdf.domains.fuzzy import FuzzyDomain
 from anrdf.errors import DomainMismatchError, NotALatticeError, UnknownDomainError
 
 ALL_DOMAIN_IDS = primitive_domain_ids() + [
@@ -103,6 +106,58 @@ def test_broken_domain_reports_counterexample():
     assert commutative.counterexample is not None
 
 
+class _TopBlindDomain(FuzzyDomain):
+    """Negative control: a meet kernel that drops a top operand's
+    partner, hidden at the value level by the top short-circuit."""
+
+    def __init__(self):
+        super().__init__("min")
+        self.name = "top-blind"
+
+    def meet_payload(self, a, b):
+        return self.top_payload() if self.top_payload() in (a, b) else super().meet_payload(a, b)
+
+
+def test_short_circuited_laws_are_checked_on_the_kernels():
+    domain = _TopBlindDomain()
+    value = domain.value(Fraction(1, 2))
+    assert domain.top.meet(value) == value  # the kernel is never asked
+    report = axiom_suite(domain, samples=100, seed=7)
+    failed = {c.name for c in report.checks if not c.passed}
+    assert "top neutral for meet" in failed
+
+
+@pytest.mark.parametrize("domain_id", ALL_DOMAIN_IDS)  # criterion 09's eight
+def test_value_operations_agree_with_the_payload_kernels(domain_id):
+    """`AnnotationValue.meet`/`.join` skip the kernel on a top, bottom or
+    equal operand; on every drawn pair they still give its result."""
+    domain = get_domain(domain_id)
+    rng = random.Random(9090)
+    shapes = Counter()
+
+    def draw(other):
+        roll = rng.random()
+        if roll < 0.2:
+            return domain.top
+        if roll < 0.4:
+            return domain.bottom
+        if roll < 0.6 and other is not None:
+            return domain.value(other.payload)  # equal, not the same object
+        return domain.random_value(rng)
+
+    for _ in range(300):
+        a = draw(None)
+        b = draw(a)
+        if rng.random() < 0.5:
+            a, b = b, a
+        shapes["top"] += domain.top in (a, b)
+        shapes["bottom"] += domain.bottom in (a, b)
+        shapes["equal"] += a == b
+        assert a.meet(b) == domain.value(domain.meet_payload(a.payload, b.payload)), (a, b)
+        assert a.join(b) == domain.value(domain.join_payload(a.payload, b.payload)), (a, b)
+    assert min(shapes.values()) >= 50, shapes
+
+
 def test_join_meet_examples_from_each_domain():
     temporal = get_domain("temporal")
     a = temporal.parse("{[2000,2006]}")
@@ -115,7 +170,7 @@ def test_join_meet_examples_from_each_domain():
 
     for domain_id in ALL_DOMAIN_IDS:
         domain = get_domain(domain_id)
-        value = domain.random_value(__import__("random").Random(3))
+        value = domain.random_value(random.Random(3))
         assert value.join(domain.bottom) == value
         assert value.meet(domain.top) == value
         assert value.meet(domain.bottom) == domain.bottom

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from anrdf import apply_defaults, closure, get_domain, iri, literal, parse_graph
+from anrdf.domains.compound import CompoundDomain
 from anrdf.errors import ClosureIterationError, DomainMismatchError
 from anrdf.model import DOM, RANGE, SC, SP, TYPE, AnnotatedGraph, Triple
 from anrdf.reasoner import _consequences
@@ -331,6 +332,34 @@ class TestClosureProperties:
         monkeypatch.setattr(AnnotatedGraph, "insert", counted)
         closure(graph)
         assert calls.count(False) < 0.2 * len(calls)
+
+    def test_plain_schema_meets_skip_the_compound_kernel(self, monkeypatch):
+        # A plain schema gets top from `apply_defaults`, so every rule
+        # meets a data annotation with top, or top with top: the value
+        # level decides each meet without the pair-set kernel.
+        lines = ["C1 sc C0 .", "C2 sc C0 .", "C3 sc C1 .", "p dom C0 .", "q sp p ."]
+        rng = random.Random(5)
+        for i in range(3):
+            a, b = sorted(rng.sample(range(20), 2))
+            lines.append(f"(x{i} type C{rng.randrange(1, 4)}) : {{<{{[{a},{b}]}},s{i}>}} .")
+            lines.append(f"(x{i} q x{(i + 1) % 3}) : {{<{{[{b},{b + 5}]}},s{i % 2}>}} .")
+        doc = parse_graph(
+            "@domix compound(temporal,provenance) .\n" + "\n".join(lines) + "\n"
+        )
+        graph, _ = apply_defaults(doc.graph, doc.plain)
+        meets = []
+        kernel = CompoundDomain.meet_payload
+
+        def counted(self, a, b):
+            meets.append((a, b))
+            return kernel(self, a, b)
+
+        monkeypatch.setattr(CompoundDomain, "meet_payload", counted)
+        closed = closure(graph)
+        monkeypatch.undo()
+        assert meets == []
+        assert len(closed) > len(graph)
+        assert dict(closed.statements()) == brute_force_closure(graph)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_crisp_conservativity_sample(self, seed):

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
 from anrdf import get_domain, parse_graph, parse_query
 from anrdf.anql import algebra as alg
-from anrdf.errors import ParseError
+from anrdf.domains import Domain
+from anrdf.errors import AnrdfError, ParseError
 from anrdf.model import SC, TYPE, AnnotatedGraph, Term, Triple, iri, literal, skolem
 from anrdf.syntax import (
     serialize_answers_json,
@@ -18,6 +20,7 @@ from anrdf.syntax import (
 from anrdf.syntax.data import format_term
 
 TEMPORAL = get_domain("temporal")
+DATA_FILES = sorted((Path(__file__).resolve().parent.parent / "data").glob("*.anrdf"))
 
 ALL_DOMAIN_IDS = [
     "boolean",
@@ -98,6 +101,13 @@ class TestDataRoundTrip:
         again = serialize_graph(parse_graph(once).graph, parse_graph(once).plain)
         assert once == again
 
+    @pytest.mark.parametrize("name", [p.name for p in DATA_FILES])
+    def test_data_files_round_trip_byte_identically(self, data_dir, name):
+        doc = parse_graph((data_dir / name).read_text())
+        once = serialize_graph(doc.graph, doc.plain)
+        again = parse_graph(once)
+        assert serialize_graph(again.graph, again.plain) == once
+
     def test_plain_triples_are_side_listed(self):
         doc = parse_graph("a p b .\n(c q d) : {[1,2]} .\n", domain="temporal")
         assert doc.plain == [Triple(iri("a"), iri("p"), iri("b"))]
@@ -134,6 +144,15 @@ class TestDataRoundTrip:
         assert t.subject == skolem("b1")
         scoped = parse_graph(text, graph_id="g1")
         assert next(iter(scoped.graph.triple_set())).subject == skolem("b1", "g1")
+        # The namespaced lexical is itself a blank-node label, so a scoped
+        # graph parses back from its serialisation unchanged.
+        out = serialize_graph(scoped.graph)
+        assert "(_:g1.b1 p _:g1.b2)" in out
+        again = parse_graph(out)
+        assert dict(again.graph.statements()) == dict(scoped.graph.statements())
+        assert serialize_graph(again.graph) == out
+        with pytest.raises(AnrdfError):
+            skolem("b1", "g.1")
 
     def test_literal_subject_allowed(self):
         doc = parse_graph('@domix boolean .\n("42" p b) : true .\n')
@@ -210,6 +229,37 @@ class TestDataRoundTrip:
         assert format_term(iri("has space")) == "<has space>"
         assert format_term(iri("type")) == "<type>"  # avoids the keyword
         assert format_term(literal('say "hi"')) == '"say \\"hi\\""'
+
+
+class TestLiteralParseCache:
+    def test_repeated_literal_is_parsed_once(self, monkeypatch):
+        parsed = []
+        parse = Domain.parse
+
+        def counted(self, text):
+            parsed.append(text)
+            return parse(self, text)
+
+        monkeypatch.setattr(Domain, "parse", counted)
+        lines = [f"(x{i} p y) : {{[1,5]}} ." for i in range(50)] + ["(z p y) : 7 ."]
+        doc = parse_graph("@domix temporal .\n" + "\n".join(lines) + "\n")
+        assert sorted(parsed) == ["7", "{[1,5]}"]
+        assert len(doc.graph) == 51
+        assert doc.graph.get(Triple(iri("x49"), iri("p"), iri("y"))) == TEMPORAL.value(
+            ((1, 5),)
+        )
+
+    def test_repeated_bad_literal_reports_its_first_line(self):
+        text = (
+            "@domix temporal .\n"
+            "(a p b) : 1 .\n"
+            "(a p c) :   [5,1] .\n"
+            "(a p d) : 2 .\n"
+            "  (a p e) : [5,1] .\n"
+        )
+        with pytest.raises(ParseError) as info:
+            parse_graph(text)
+        assert (info.value.line, info.value.column) == (3, 13)
 
 
 class TestQueryParsing:
