@@ -383,10 +383,12 @@ def _apply_groupby(
     rows = eval_pattern(graph, node.pattern, diagnostics)
     groups: dict[tuple, list[Solution]] = {}
     for row in rows:
-        key = tuple(_group_key(row.get(k.name)) for k in node.keys)
+        key = tuple(row.get(k.name) for k in node.keys)
         groups.setdefault(key, []).append(row)
+    # Grouped output is a set with no dedup: two groups differ in a key
+    # some row binds, each projected row keeps its bound keys, and a
+    # target is never a variable the pattern can bind.
     out: list[Solution] = []
-    seen: set[tuple] = set()
     for members in groups.values():
         projected: Solution = {}
         for k in node.keys:
@@ -401,22 +403,8 @@ def _apply_groupby(
             projected[aggregate.target.name] = value
         if not ok:
             continue
-        snapshot = tuple(sorted((k, _group_key(v)) for k, v in projected.items()))
-        if snapshot in seen:
-            continue  # grouped output is a set
-        seen.add(snapshot)
         out.append(projected)
     return prune_maximal(out)
-
-
-def _group_key(value: Value):
-    if value is None:
-        return ("unbound",)
-    if isinstance(value, Term):
-        return ("term", value.kind, value.lexical)
-    if _is_annotation(value):
-        return ("annotation", value.domain.name, value.serialize())
-    return ("number", value)
 
 
 def _aggregate(
@@ -441,10 +429,10 @@ def _aggregate(
         return total if op == "SUM" else total / len(values)
     if op in ("MAX", "MIN"):
         pick = max if op == "MAX" else min
-        if all(isinstance(v, Fraction) for v in values):
+        if all(isinstance(v, Fraction) for v in values) or all(
+            isinstance(v, Term) and v.kind == LITERAL for v in values
+        ):
             return pick(values)
-        if all(isinstance(v, Term) and v.kind == LITERAL for v in values):
-            return pick(values, key=lambda t: t.lexical)
         diagnostics.append(f"{op}: values are not totally ordered; group dropped")
         return None
     if op in ("JOIN", "MEET"):
@@ -465,10 +453,8 @@ def _aggregate(
 def _apply_orderby(rows: list[Solution], var: alg.Var) -> list[Solution]:
     values = [row.get(var.name) for row in rows]
     bound = [v for v in values if v is not None]
-    if all(isinstance(v, Fraction) for v in bound):
+    if all(isinstance(v, Fraction) for v in bound) or all(isinstance(v, Term) for v in bound):
         key = lambda v: v
-    elif all(isinstance(v, Term) for v in bound):
-        key = lambda v: v.sort_key()
     elif all(_is_annotation(v) for v in bound) and len({v.domain.name for v in bound}) <= 1:
         key = lambda v: v.sort_key()
     else:

@@ -10,6 +10,7 @@ OPTIONAL/join behaviour by making annotations visible to the algebra.
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
 from itertools import count
 
 from ..domains import Domain
@@ -53,25 +54,16 @@ def rewrite_defaults(
                     for tp in p.patterns
                 )
             )
-        if isinstance(p, alg.Join):
-            return alg.Join(walk(p.left), walk(p.right))
-        if isinstance(p, alg.Union):
-            return alg.Union(walk(p.left), walk(p.right))
-        if isinstance(p, alg.Optional):
-            return alg.Optional(walk(p.left), walk(p.right), p.filter)
-        if isinstance(p, alg.Filter):
-            return alg.Filter(walk(p.pattern), p.expr)
-        if isinstance(p, alg.Assign):
-            return alg.Assign(walk(p.pattern), p.fn, p.args, p.target)
-        if isinstance(p, alg.GroupBy):
-            return alg.GroupBy(walk(p.pattern), p.keys, p.aggregates)
-        if isinstance(p, alg.OrderBy):
-            return alg.OrderBy(walk(p.pattern), p.var)
-        if isinstance(p, alg.Limit):
-            return alg.Limit(walk(p.pattern), p.count)
-        if isinstance(p, alg.SubSelect):
-            return alg.SubSelect(p.variables, walk(p.pattern))
-        raise TypeError(f"not a pattern: {p!r}")
+        # Every other node keeps its own fields and recurses into its
+        # sub-patterns; `fields` raises TypeError on a non-dataclass.
+        return replace(
+            p,
+            **{
+                f.name: walk(getattr(p, f.name))
+                for f in fields(p)
+                if isinstance(getattr(p, f.name), alg.Pattern)
+            },
+        )
 
     return alg.QueryDocument(
         select=query.select,

@@ -18,7 +18,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .anql.rewrite import MODES as REWRITE_MODES
+from .anql.rewrite import MODES as REWRITE_MODES, rewrite_defaults
 from .anql.engine import evaluate_query
 from .domains import axiom_suite, get_domain, quasihomomorphism_suite
 from .domains.compound import CompoundDomain
@@ -40,7 +40,6 @@ from .syntax import (
     serialize_answers_tsv,
     serialize_graph,
 )
-from .anql.rewrite import rewrite_defaults
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1

@@ -9,8 +9,7 @@ stored at all.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .domains import AnnotationValue, Domain
 from .errors import AnrdfError, DomainMismatchError
@@ -20,13 +19,11 @@ LITERAL = "literal"
 SKOLEM = "skolem"
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
+    """A term; as a tuple it orders, hashes and compares by (kind, lexical)."""
+
     kind: str  # iri | literal | skolem
     lexical: str
-
-    def sort_key(self) -> tuple[str, str]:
-        return (self.kind, self.lexical)
 
     def __repr__(self) -> str:
         if self.kind == LITERAL:
@@ -79,22 +76,24 @@ RANGE = iri(RDFS_NS + "range")
 RHO_DF = {SP, SC, TYPE, DOM, RANGE}
 
 
-@dataclass(frozen=True)
-class Triple:
+class _Spo(NamedTuple):
     subject: Term
     predicate: Term
     object: Term
 
-    def __post_init__(self):
-        if self.predicate.kind == LITERAL:
-            raise AnrdfError(f"predicate must not be a literal: {self.predicate!r}")
 
-    def sort_key(self):
-        return (
-            self.subject.sort_key(),
-            self.predicate.sort_key(),
-            self.object.sort_key(),
-        )
+class Triple(_Spo):
+    """An (s, p, o) tuple of terms, ordered position by position.
+
+    A subclass, because a `NamedTuple` body may not define `__new__`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, subject: Term, predicate: Term, object: Term) -> "Triple":
+        if predicate.kind == LITERAL:
+            raise AnrdfError(f"predicate must not be a literal: {predicate!r}")
+        return super().__new__(cls, subject, predicate, object)
 
     def __repr__(self) -> str:
         return f"({self.subject!r} {self.predicate!r} {self.object!r})"
@@ -183,7 +182,8 @@ class AnnotatedGraph:
     def statements(self) -> list[tuple[Triple, AnnotationValue]]:
         """Statements in (s, p, o) order; cached once frozen."""
         if self._sorted_cache is None:
-            ordered = sorted(self._statements.items(), key=lambda kv: kv[0].sort_key())
+            # Triples are distinct, so the values are never compared.
+            ordered = sorted(self._statements.items())
             if not self._frozen:
                 return ordered
             self._sorted_cache = ordered
@@ -196,7 +196,7 @@ class AnnotatedGraph:
         self, s: Term | None, p: Term | None, o: Term | None
     ) -> Iterator[tuple[Triple, AnnotationValue]]:
         """All statements agreeing with the given fixed positions, in
-        `Triple.sort_key` order.
+        (s, p, o) order.
 
         With `p` bound the candidates come from an index: the `(p,s)`
         index when `s` is bound too, else the `(p,o)` index when `o` is
@@ -210,7 +210,7 @@ class AnnotatedGraph:
                 found = self._by_po.get(p, {}).get(o, ())
             else:
                 found = [t for ts in self._by_ps.get(p, {}).values() for t in ts]
-            candidates: Iterable[Triple] = sorted(found, key=Triple.sort_key)
+            candidates: Iterable[Triple] = sorted(found)
         else:
             candidates = (t for t, _ in self.statements())
         for t in candidates:

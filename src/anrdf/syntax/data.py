@@ -186,11 +186,11 @@ def serialize_graph(
     lines = []
     if include_domain_header:
         lines.append(f"@domix {graph.domain.name} .")
-    entries: list[tuple[tuple, str]] = [
-        (t.sort_key(), format_statement(t, v)) for t, v in graph.statements()
+    entries: list[tuple[Triple, str]] = [
+        (t, format_statement(t, v)) for t, v in graph.statements()
     ]
     for t in plain or []:
-        entries.append((t.sort_key(), format_statement(t, None)))
+        entries.append((t, format_statement(t, None)))
     lines.extend(text for _, text in sorted(entries))
     return "\n".join(lines) + "\n"
 

@@ -238,7 +238,7 @@ def _bgp_eval(triples: set[Triple], patterns) -> list[Mapping]:
     for tp in patterns:
         next_rows = []
         for row in rows:
-            for t in sorted(triples, key=Triple.sort_key):
+            for t in sorted(triples):
                 binding = dict(row)
                 ok = True
                 for slot, term in (

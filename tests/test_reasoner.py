@@ -9,8 +9,8 @@ import pytest
 
 from anrdf import apply_defaults, closure, get_domain, iri, literal, parse_graph
 from anrdf.domains.compound import CompoundDomain
-from anrdf.errors import ClosureIterationError, DomainMismatchError
-from anrdf.model import DOM, RANGE, SC, SP, TYPE, AnnotatedGraph, Triple
+from anrdf.errors import AnrdfError, ClosureIterationError, DomainMismatchError
+from anrdf.model import DOM, RANGE, SC, SP, TYPE, AnnotatedGraph, Triple, skolem
 from anrdf.reasoner import _consequences
 from oracles import brute_force_closure, crisp_closure, random_crisp_graph, top_annotated
 
@@ -61,6 +61,36 @@ class TestMatch:
         assert list(g.match(None, TYPE, iri("a"))) == [
             (t, v) for t, v in g.statements() if t.predicate == TYPE and t.object == iri("a")
         ]
+
+
+class TestTerms:
+    def test_literal_predicate_is_rejected(self):
+        with pytest.raises(AnrdfError, match=r'^predicate must not be a literal: "p"$'):
+            Triple(iri("a"), literal("p"), iri("b"))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_tuple_order_is_the_per_position_kind_lexical_order(self, seed):
+        # `serialize_graph`, `statements()` and `match` sort triples by
+        # their own tuple order; this pins it to (kind, lexical) per
+        # position, the order every digest was recorded in.
+        rng = random.Random(9500 + seed)
+        makers = (iri, literal, skolem)
+        lexicals = ["", "a", "a.b", "ab", "b", "A", "_:a", "http://e/a", "1", "10", "é"]
+
+        def term():
+            return rng.choice(makers)(rng.choice(lexicals))
+
+        triples = []
+        for _ in range(rng.randint(0, 60)):
+            triples.append(Triple(term(), rng.choice((iri, skolem))(rng.choice(lexicals)), term()))
+        triples += rng.sample(triples, len(triples) // 4)  # some repeat
+
+        def old_key(t):
+            return tuple((x.kind, x.lexical) for x in (t.subject, t.predicate, t.object))
+
+        assert sorted(triples) == sorted(triples, key=old_key)
+        terms = [x for t in triples for x in t]
+        assert sorted(terms) == sorted(terms, key=lambda x: (x.kind, x.lexical))
 
 
 class TestInsert:
