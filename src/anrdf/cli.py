@@ -23,14 +23,10 @@ from .anql.engine import evaluate_query
 from .domains import axiom_suite, get_domain, quasihomomorphism_suite
 from .domains.compound import CompoundDomain
 from .errors import (
-    AnnotationSyntaxError,
     AnrdfError,
     ClosureIterationError,
     NotALatticeError,
-    ParseError,
-    QueryTypeError,
     SaturationBoundError,
-    UnknownDomainError,
 )
 from .reasoner import DEFAULT_MAX_FIRINGS, apply_defaults, closure
 from .syntax import (
@@ -209,9 +205,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ClosureIterationError, SaturationBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ParseError, AnnotationSyntaxError, QueryTypeError, UnknownDomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except (AnrdfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

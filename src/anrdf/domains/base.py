@@ -11,6 +11,11 @@ rule premises.
 
 Every concrete domain supplies a canonical payload representation so that
 semantic equality of annotation values is structural equality of payloads.
+The payload kernels (`join_payload`, `meet_payload`, `leq_payload`) take
+canonical payloads and return canonical payloads; only `parse_payload`,
+`validate_payload` and `random_payload` canonicalise values from
+outside.  A payload that is a set has no order of its own:
+`format_payload` decides the order in which it prints.
 
 `AnnotationValue.meet` and `AnnotationValue.join` settle the cases the
 semiring laws decide without calling the domain's payload kernel: top is

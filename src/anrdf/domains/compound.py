@@ -19,7 +19,10 @@ instead closes the set under the two pairwise combinators
 
 while maintaining a dominance antichain free of bottom components.  That
 antichain is already reduced, and it is the same normal form as the
-textbook construction's on every input the oracle can handle.
+textbook construction's on every input the oracle can handle.  A value
+is that antichain as a frozenset of pairs, with no order of its own;
+`format_payload` prints the pairs ordered by their D1 literal, then
+their D2 literal.
 
 A join does not start from scratch.  Both operands are normal forms, so
 each is closed: any combination of two of its members is dominated by a
@@ -187,23 +190,9 @@ class CompoundDomain(Domain):
         # under the semiring laws is when it is the greatest lower bound.
         self.meet_distributes = d2.is_lattice
 
-    def _sorted(self, normal: Iterable[Pair]) -> tuple[Pair, ...]:
-        return tuple(
-            sorted(
-                normal,
-                key=lambda p: (
-                    self.d1.format_payload(p[0]),
-                    self.d2.format_payload(p[1]),
-                ),
-            )
-        )
-
-    def _canonical(self, pairs: Iterable[Pair]) -> tuple[Pair, ...]:
-        return self._sorted(normalise(self.d1, self.d2, pairs))
-
     def join_payload(self, a, b):
         small, large = (a, b) if len(a) <= len(b) else (b, a)
-        return self._sorted(saturate_fast(self.d1, self.d2, small, closed=large))
+        return frozenset(saturate_fast(self.d1, self.d2, small, closed=large))
 
     def meet_payload(self, a, b):
         crossed = [
@@ -211,13 +200,13 @@ class CompoundDomain(Domain):
             for (x1, y1) in a
             for (x2, y2) in b
         ]
-        return self._canonical(crossed)
+        return normalise(self.d1, self.d2, crossed)
 
     def bottom_payload(self):
-        return ()
+        return frozenset()
 
     def top_payload(self):
-        return ((self.d1.top_payload(), self.d2.top_payload()),)
+        return frozenset({(self.d1.top_payload(), self.d2.top_payload())})
 
     def parse_payload(self, text: str):
         s = text.strip()
@@ -234,28 +223,27 @@ class CompoundDomain(Domain):
                 raise AnnotationSyntaxError(f"compound pair needs two components: {inner}")
             left, right = components[0].strip(), ",".join(components[1:]).strip()
             pairs.append((self.d1.parse_payload(left), self.d2.parse_payload(right)))
-        return self._canonical(pairs)
+        return normalise(self.d1, self.d2, pairs)
 
     def format_payload(self, payload) -> str:
-        inner = ",".join(
-            f"<{self.d1.format_payload(x)},{self.d2.format_payload(y)}>"
-            for x, y in payload
+        rendered = sorted(
+            (self.d1.format_payload(x), self.d2.format_payload(y)) for x, y in payload
         )
-        return "{" + inner + "}"
+        return "{" + ",".join(f"<{x},{y}>" for x, y in rendered) + "}"
 
     def validate_payload(self, payload):
         pairs = [
             (self.d1.validate_payload(x), self.d2.validate_payload(y))
             for x, y in payload
         ]
-        return self._canonical(pairs)
+        return normalise(self.d1, self.d2, pairs)
 
     def random_payload(self, rng):
         pairs = [
             (self.d1.random_payload(rng), self.d2.random_payload(rng))
             for _ in range(rng.randint(0, 2))
         ]
-        return self._canonical(pairs)
+        return normalise(self.d1, self.d2, pairs)
 
     def sort_key(self, payload) -> tuple:
         return (len(payload), self.format_payload(payload))

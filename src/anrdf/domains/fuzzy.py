@@ -42,7 +42,6 @@ class FuzzyDomain(Domain):
         if tnorm not in _TNORMS:
             raise AnnotationSyntaxError(f"unknown t-norm {tnorm!r}")
         self._tnorm, self.is_lattice = _TNORMS[tnorm]
-        self.tnorm_name = tnorm
         self.name = f"fuzzy:{tnorm}"
 
     def join_payload(self, a: Fraction, b: Fraction) -> Fraction:

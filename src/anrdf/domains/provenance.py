@@ -1,12 +1,14 @@
 """The provenance domain: monotone propositional formulas over atom
 identifiers, up to logical equivalence.
 
-A value is stored as an irredundant monotone DNF: an antichain (under
-set inclusion) of clauses, each clause a sorted tuple of atoms, with the
-clause list sorted by size then lexicographically.  Equivalence classes
-of monotone formulas correspond one-to-one to such antichains, so the
-structural form decides logical equivalence.  The empty DNF is `false`
-(bottom) and the DNF whose single clause is empty is `true` (top).
+A value is an irredundant monotone DNF: a frozenset of clauses, each
+clause a frozenset of atoms, and no clause a proper subset of another
+(an antichain under inclusion).  Equivalence classes of monotone
+formulas correspond one-to-one to such antichains, so set equality
+decides logical equivalence.  The empty DNF is `false` (bottom) and the
+DNF whose single clause is empty is `true` (top).  A value has no order;
+`format_payload` prints clauses by size, then by their sorted atoms, and
+each clause's atoms sorted.
 
 Meet and join are conjunction and disjunction; the induced order is
 entailment, which for monotone DNFs reduces to clause containment.
@@ -15,43 +17,39 @@ entailment, which for monotone DNFs reduces to clause containment.
 from __future__ import annotations
 
 import re
+from typing import Iterable
 
 from ..errors import AnnotationSyntaxError
 from .base import Domain
 
-Clause = tuple[str, ...]
-Dnf = tuple[Clause, ...]
+Clause = frozenset[str]
+Dnf = frozenset[Clause]
 
-FALSE: Dnf = ()
-TRUE: Dnf = ((),)
+FALSE: Dnf = frozenset()
+TRUE: Dnf = frozenset({frozenset()})
 
 # Like a name of the text formats, an atom never ends in `.`.
 _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_:-]*(?:\.[A-Za-z0-9_:-]+)*")
 _RESERVED = {"v", "true", "false"}
 
 
-def minimize_clauses(clauses) -> Dnf:
-    """Deduplicate, drop superset clauses, and sort canonically."""
-    unique = {tuple(sorted(set(c))) for c in clauses}
-    kept = [
-        c
-        for c in unique
-        if not any(other != c and set(other) <= set(c) for other in unique)
-    ]
-    return tuple(sorted(kept, key=lambda c: (len(c), c)))
+def minimize_clauses(clauses: Iterable[Iterable[str]]) -> Dnf:
+    """Deduplicate and drop every clause that contains another."""
+    unique = set(map(frozenset, clauses))
+    return frozenset(c for c in unique if not any(other < c for other in unique))
 
 
 def prov_join(a: Dnf, b: Dnf) -> Dnf:
-    return minimize_clauses(a + b)
+    return minimize_clauses(a | b)
 
 
 def prov_meet(a: Dnf, b: Dnf) -> Dnf:
-    return minimize_clauses(tuple(sorted(set(c1) | set(c2))) for c1 in a for c2 in b)
+    return minimize_clauses(c1 | c2 for c1 in a for c2 in b)
 
 
 def prov_leq(a: Dnf, b: Dnf) -> bool:
     """Entailment a |= b: each clause of a is a superset of some clause of b."""
-    return all(any(set(cb) <= set(ca) for cb in b) for ca in a)
+    return all(any(cb <= ca for cb in b) for ca in a)
 
 
 class ProvenanceDomain(Domain):
@@ -81,14 +79,15 @@ class ProvenanceDomain(Domain):
             return "false"
         if payload == TRUE:
             return "true"
-        rendered = [_format_clause(c) for c in payload]
+        clauses = sorted((sorted(c) for c in payload), key=lambda c: (len(c), c))
+        rendered = [_format_clause(c) for c in clauses]
         if len(rendered) == 1:
             return rendered[0]
         return "(" + " v ".join(rendered) + ")"
 
     def validate_payload(self, payload) -> Dnf:
         try:
-            clauses = [tuple(str(a) for a in clause) for clause in payload]
+            clauses = [frozenset(str(a) for a in clause) for clause in payload]
         except TypeError:
             raise AnnotationSyntaxError(f"bad provenance payload {payload!r}") from None
         return minimize_clauses(clauses)
@@ -103,7 +102,7 @@ class ProvenanceDomain(Domain):
         clauses = []
         for _ in range(rng.randint(1, 3)):
             size = rng.randint(1, 3)
-            clauses.append(tuple(rng.sample(atoms, size)))
+            clauses.append(frozenset(rng.sample(atoms, size)))
         return minimize_clauses(clauses)
 
     def sort_key(self, payload: Dnf) -> tuple:
@@ -111,11 +110,11 @@ class ProvenanceDomain(Domain):
 
     def lift_operand(self, value):
         if isinstance(value, str) and _ATOM_RE.fullmatch(value) and value not in _RESERVED:
-            return ((value,),)
+            return frozenset({frozenset({value})})
         return None
 
 
-def _format_clause(clause: Clause) -> str:
+def _format_clause(clause: list[str]) -> str:
     if len(clause) == 1:
         return clause[0]
     return "(" + " ^ ".join(clause) + ")"
@@ -185,7 +184,7 @@ class _Parser:
             return FALSE
         if word == "v":
             raise AnnotationSyntaxError("'v' is the disjunction operator, not an atom")
-        return ((word,),)
+        return frozenset({frozenset({word})})
 
     def _operator(self) -> str:
         self._skip_ws()

@@ -40,6 +40,12 @@ def canonical_intervals(intervals) -> IntervalSet:
     for lo, hi in items:
         if lo > hi:
             raise AnnotationSyntaxError(f"empty interval [{lo},{hi}]")
+    return _merge_sorted(items)
+
+
+def _merge_sorted(items) -> IntervalSet:
+    """Merge every overlapping or touching pair of sorted, non-empty
+    intervals with canonical endpoints."""
     merged: list[list[Scalar]] = []
     for lo, hi in items:
         if merged and lo <= merged[-1][1]:
@@ -55,17 +61,21 @@ def interval_contains(outer: Interval, inner: Interval) -> bool:
 
 
 def temporal_join(t1: IntervalSet, t2: IntervalSet) -> IntervalSet:
-    return canonical_intervals(t1 + t2)
+    # Both operands are sorted runs, which `sorted` merges in one pass.
+    return _merge_sorted(sorted(t1 + t2))
 
 
 def temporal_meet(t1: IntervalSet, t2: IntervalSet) -> IntervalSet:
+    """Pairwise intersections, already canonical: those inside an
+    interval of t1 lie in the order of t2's intervals, and the
+    intervals of either operand are sorted, disjoint and non-touching."""
     out = []
     for lo1, hi1 in t1:
         for lo2, hi2 in t2:
             lo, hi = max(lo1, lo2), min(hi1, hi2)
             if lo <= hi:
                 out.append((lo, hi))
-    return canonical_intervals(out)
+    return tuple(out)
 
 
 def temporal_leq(t1: IntervalSet, t2: IntervalSet) -> bool:

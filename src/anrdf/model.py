@@ -95,6 +95,11 @@ class Triple(_Spo):
             raise AnrdfError(f"predicate must not be a literal: {predicate!r}")
         return super().__new__(cls, subject, predicate, object)
 
+    @classmethod
+    def _make(cls, iterable) -> "Triple":
+        # `NamedTuple._make` would skip `__new__`; `_replace` calls this.
+        return cls(*iterable)
+
     def __repr__(self) -> str:
         return f"({self.subject!r} {self.predicate!r} {self.object!r})"
 

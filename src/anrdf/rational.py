@@ -55,6 +55,8 @@ def parse_scalar(text: str) -> Scalar:
         return POS_INF
     m = _RATIO_RE.fullmatch(text)
     if m:
+        if int(m.group(2)) == 0:
+            raise ValueError(f"zero denominator: {text!r}")
         return check_scalar(Fraction(int(m.group(1)), int(m.group(2))))
     m = _DECIMAL_RE.fullmatch(text)
     if m:

@@ -177,15 +177,9 @@ def format_statement(t: Triple, value: AnnotationValue | None) -> str:
     return f"({spo}) : {value.serialize()} ."
 
 
-def serialize_graph(
-    graph: AnnotatedGraph,
-    plain: list[Triple] | None = None,
-    include_domain_header: bool = True,
-) -> str:
+def serialize_graph(graph: AnnotatedGraph, plain: list[Triple] | None = None) -> str:
     """Canonical text for a graph (optionally with plain triples)."""
-    lines = []
-    if include_domain_header:
-        lines.append(f"@domix {graph.domain.name} .")
+    lines = [f"@domix {graph.domain.name} ."]
     entries: list[tuple[Triple, str]] = [
         (t, format_statement(t, v)) for t, v in graph.statements()
     ]

@@ -29,6 +29,7 @@ from fractions import Fraction
 
 from ..domains import Domain, get_domain
 from ..errors import AnnotationSyntaxError, ParseError
+from ..rational import parse_scalar
 from ..anql import algebra as alg
 from ..anql.builtins import is_known
 from .lexer import NAME_RE, Scanner
@@ -115,13 +116,13 @@ class _Scanner(Scanner):
         if ch in "{[(":
             return self.annotation()
         m = _NUMBER_RE.match(self.text, self.pos)
-        if m and m.group(0) not in ("-", "+"):
-            token = m.group(0)
+        if m:
+            try:
+                number = parse_scalar(m.group(0))
+            except ValueError as exc:
+                raise self.error(str(exc)) from None
             self.pos = m.end()
-            if "/" in token:
-                num, den = token.split("/")
-                return Fraction(int(num), int(den))
-            return Fraction(token)
+            return Fraction(number)
         word = self.keyword()
         if word in ("true", "false"):
             # A boolean annotation literal where the domain has one,

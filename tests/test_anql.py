@@ -746,6 +746,30 @@ class TestDomainMaximality:
         kept = alg.Filter(union, alg.Not(alg.Eq(x, rng.choice(names))))
         assert prune_maximal(eval_pattern(graph, kept)) == eval_pattern(graph, kept)
 
+    def test_join_prunes_rows_from_optional(self):
+        # OPTIONAL returns two rows for ?x=a, one with ?y and one
+        # without; each joins (b p c) into the binding x=a, y=b, and
+        # the Join's prune drops the one with the smaller annotation.
+        graph = parse_graph(
+            "@domix temporal .\n(a type A) : [0,10] .\n"
+            "(a hasY b) : [0,5] .\n(b p c) : [0,8] .\n"
+        ).graph
+        query = q(
+            "SELECT ?x ?y ?l WHERE { { (?x type A):?l OPTIONAL { (?x hasY ?y):?l } }"
+            " { (?y p c):?l } }"
+        )
+        assert len(eval_pattern(graph, query.pattern.left)) == 2
+        assert evaluate_query(graph, query) == [
+            {"x": iri("a"), "y": iri("b"), "l": tv("{[0,8]}")}
+        ]
+
+    def test_groupby_prunes_dominated_groups(self):
+        # Grouping on the annotation gives one row per value with equal
+        # counts, so the group of {[0,5]} is dominated by that of {[0,10]}.
+        graph = parse_graph("@domix temporal .\n(a q b) : [0,10] .\n(c q d) : [0,5] .\n").graph
+        query = q("SELECT ?l ?n WHERE { (?x q ?y):?l GROUPBY(?l) COUNT(?x) AS ?n }")
+        assert evaluate_query(graph, query) == [{"l": tv("{[0,10]}"), "n": Fraction(1)}]
+
     def test_no_answer_binds_bottom(self, fig1_exx1_closure):
         query = q("SELECT ?p ?l WHERE { (?p type ebayEmp):?l (?p hasCar ?c):?l }")
         for row in evaluate_query(fig1_exx1_closure, query):

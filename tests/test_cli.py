@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import anrdf
 from anrdf.cli import main
 
 
@@ -194,6 +199,42 @@ class TestQuery:
         assert "error" in stderr
 
 
+class TestBadNumbers:
+    """A malformed number is a parse error at its position, not a crash."""
+
+    @pytest.mark.parametrize(
+        "domain, statement, message",
+        [
+            ("fuzzy:min", "(a p b) : 1/0 .", "zero denominator: '1/0'"),
+            ("temporal", "(a p b) : [1/0,2] .", "malformed interval: '[1/0,2]'"),
+        ],
+    )
+    def test_data_literal_exit_2(self, capsys, tmp_path, domain, statement, message):
+        src = tmp_path / "bad.anrdf"
+        src.write_text(f"@domix {domain} .\n{statement}\n")
+        code, stdout, stderr = run(capsys, "infer", "-i", str(src))
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: 2:11: {message}\n"
+
+    @pytest.mark.parametrize(
+        "operand, message",
+        [("1.5/2", "not a number: '1.5/2'"), ("1/0", "zero denominator: '1/0'")],
+    )
+    def test_filter_operand_exit_2(self, capsys, data_dir, tmp_path, operand, message):
+        query = tmp_path / "bad.anql"
+        query.write_text(f"SELECT ?x WHERE {{ (?x type ?c):?l FILTER(?l <= {operand}) }}")
+        code, stdout, stderr = run(capsys, "query", "-i", str(data_dir / "fig1.anrdf"), str(query))
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: 1:48: {message}\n"
+
+    def test_normalize_annotation_exit_2(self, capsys):
+        # The literal is an argument, not a line of a document, so the
+        # message carries no position.
+        code, stdout, stderr = run(capsys, "normalize-annotation", "--domain", "fuzzy:min", "1/0")
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: zero denominator: '1/0'\n"
+
+
 class TestCheckDomain:
     def test_fuzzy_product_passes(self, capsys):
         code, stdout, _ = run(
@@ -286,3 +327,39 @@ class TestConvert:
         )
         assert code == 0
         assert "(a p b) : {[-inf,+inf]} ." in stdout
+
+
+class TestHashSeedIndependence:
+    """Provenance and compound values are sets, which iterate in hash
+    order; no command may let that order reach its output."""
+
+    COMPOUND = (
+        "@domix compound(temporal,provenance) .\n"
+        "(worker sc person) : {<{[1,9]},hr>,<{[3,12]},(hr ^ audit)>} .\n"
+        "(person sc agent) : {<{[0,20]},(org v wiki)>} .\n"
+        "(alice type worker) : {<{[2,6]},wiki>,<{[5,11]},(crm ^ hr)>} .\n"
+        "(bob type worker) : {<{[4,8]},(ax v bx)>,<{[0,3]},(cx ^ dx)>} .\n"
+    )
+
+    def outputs(self, argv: list[str], seed: str) -> str:
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(anrdf.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "anrdf.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return proc.stdout
+
+    def test_output_is_the_same_under_two_hash_seeds(self, data_dir, tmp_path):
+        compound = tmp_path / "compound.anrdf"
+        compound.write_text(self.COMPOUND)
+        commands = [
+            ["infer", "-i", str(data_dir / "provenance_chad.anrdf")],
+            ["infer", "-i", str(compound)],
+            ["check-domain", "--domain", "compound(temporal,provenance)", "--samples", "50"],
+        ]
+        for argv in commands:
+            assert self.outputs(argv, "0") == self.outputs(argv, "1"), argv

@@ -35,14 +35,14 @@ EXEE_NORMAL = {
 }
 
 TIME_PROV = [
-    (iv(1998, 2006), (("wikipedia",),)),
-    (iv(2001, 2011), (("wrong",),)),
+    (iv(1998, 2006), PV.parse_payload("wikipedia")),
+    (iv(2001, 2011), PV.parse_payload("wrong")),
 ]
 TIME_PROV_NORMAL = {
-    (iv(1998, 2011), (("wikipedia", "wrong"),)),
-    (iv(1998, 2006), (("wikipedia",),)),
-    (iv(2001, 2011), (("wrong",),)),
-    (iv(2001, 2006), (("wikipedia",), ("wrong",))),
+    (iv(1998, 2011), PV.parse_payload("(wikipedia ^ wrong)")),
+    (iv(1998, 2006), PV.parse_payload("wikipedia")),
+    (iv(2001, 2011), PV.parse_payload("wrong")),
+    (iv(2001, 2006), PV.parse_payload("(wikipedia v wrong)")),
 }
 
 
@@ -163,7 +163,9 @@ class TestClosedOperandJoin:
             if a and rng.random() < 0.5:
                 # One pair above a member of `a`: as the smaller operand
                 # it prunes members of the closed one.
-                x, y = rng.choice(a)
+                x, y = rng.choice(
+                    sorted(a, key=lambda p: (d1.format_payload(p[0]), d2.format_payload(p[1])))
+                )
                 (rx, ry), = raw_pairs(1)
                 b = domain.validate_payload(
                     [(d1.join_payload(x, rx), d2.join_payload(y, ry))]
@@ -172,7 +174,7 @@ class TestClosedOperandJoin:
                 b = domain.validate_payload(raw_pairs(rng.randint(0, 3)))
             ab, ba = domain.join_payload(a, b), domain.join_payload(b, a)
             assert ab == ba, (a, b)
-            assert ab == domain.validate_payload(a + b), (a, b)
+            assert ab == domain.validate_payload(a | b), (a, b)
             small, large = sorted((a, b), key=len)
             if len(small) < len(large) and any(
                 dominates(d1, d2, p, q) for p in small for q in large
@@ -180,7 +182,7 @@ class TestClosedOperandJoin:
                 dominating += 1
             # The oracle takes up to its bound of 4 pairs, but 4 are slow.
             if len(a) + len(b) <= NAIVE_SATURATE_BOUND - 1:
-                assert set(ab) == reduce_pairs(d1, d2, saturate_naive(d1, d2, a + b))
+                assert set(ab) == reduce_pairs(d1, d2, saturate_naive(d1, d2, [*a, *b]))
                 naive += 1
         assert naive > 100 and dominating > 30, (naive, dominating)
 

@@ -68,6 +68,12 @@ class TestTerms:
         with pytest.raises(AnrdfError, match=r'^predicate must not be a literal: "p"$'):
             Triple(iri("a"), literal("p"), iri("b"))
 
+    def test_make_and_replace_check_the_predicate(self):
+        with pytest.raises(AnrdfError, match="predicate must not be a literal"):
+            Triple._make((iri("a"), literal("p"), iri("b")))
+        with pytest.raises(AnrdfError, match="predicate must not be a literal"):
+            Triple(iri("a"), iri("p"), iri("b"))._replace(predicate=literal("p"))
+
     @pytest.mark.parametrize("seed", range(20))
     def test_tuple_order_is_the_per_position_kind_lexical_order(self, seed):
         # `serialize_graph`, `statements()` and `match` sort triples by
