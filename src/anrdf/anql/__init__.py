@@ -1,44 +1,5 @@
 """AnQL: the annotation-aware query algebra and its evaluator."""
 
-from .algebra import (
-    Aggregate,
-    AnnLeq,
-    Assign,
-    Bap,
-    Bound,
-    BuiltinCall,
-    Eq,
-    Filter,
-    FilterExpr,
-    GroupBy,
-    IsBlank,
-    IsIri,
-    IsLiteral,
-    Join,
-    Limit,
-    Not,
-    Optional,
-    Or,
-    OrderBy,
-    Pattern,
-    QueryDocument,
-    SubSelect,
-    TriplePattern,
-    Union,
-    Var,
-    pattern_vars,
-)
-from .builtins import REGISTRY, BuiltinError, is_known, lookup
-from .engine import (
-    ERROR,
-    FALSE,
-    TRUE,
-    eval_bap,
-    eval_pattern,
-    evaluate_query,
-    filter_eval,
-    meet_compatible,
-    meet_union,
-    prune_maximal,
-)
+from .algebra import QueryDocument
+from .engine import evaluate_query
 from .rewrite import rewrite_defaults

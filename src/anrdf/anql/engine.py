@@ -4,10 +4,37 @@ Solutions are partial maps from variable names to terms, annotation
 values, or rationals (the latter produced by ASSIGN/aggregates).  Two
 solutions are meet-compatible when they agree on every shared term
 binding and no shared annotation binding meets to bottom; merging takes
-the meet of shared annotation bindings.  After every operator the result
-is pruned to domain-maximal answers: a row loses when another row has
-the same domain, identical term bindings, and pointwise larger
-annotations.
+the meet of shared annotation bindings.
+
+Answers are the domain-maximal rows: a row loses when another row has
+the same key set, identical term bindings, and pointwise larger
+annotations of the same domains.  `eval_pattern` decides this in one
+place.  It prunes the output of every node except four kinds, whose
+output is maximal by construction:
+
+- Bap: the store keeps one annotation per triple, so the term bindings
+  of a row fix the triples it matched and hence the whole row.  Two rows
+  with the same `_signature` are then equal, and no row dominates an
+  equal one.
+- Filter, OrderBy and Limit return a subset, a permutation and a prefix
+  of their input, which is maximal already.
+
+Every other node can create a dominated row:
+
+- UNION puts rows from two inputs side by side;
+- OPTIONAL keeps a bare left row next to its extensions, and an
+  extension that binds no new variable and shrinks an annotation is
+  dominated by it;
+- Join, and the merge of OPTIONAL, once an input is not fixed by its
+  term bindings: an OPTIONAL output can hold a row with the optional
+  variables and one without them, and both can join a row that binds
+  the missing variables into one term binding
+  (`test_join_prunes_rows_from_optional`);
+- ASSIGN that overwrites a bound target can make two rows agree on
+  their terms;
+- GROUPBY keyed on an annotation variable gives groups that differ
+  only in that key (`test_groupby_prunes_dominated_groups`);
+- a projection (SubSelect) drops the variables two rows differed in.
 
 OPTIONAL follows the three-case semantics: (1) merged rows whose filter
 holds; the bare left row passes through when either (2) every compatible
@@ -238,7 +265,7 @@ def eval_bap(graph: AnnotatedGraph, bap: alg.Bap) -> list[Solution]:
             for solution in solutions
             for extended in _match_triple(graph, tp, solution)
         ]
-    return prune_maximal(solutions)
+    return solutions
 
 
 def _match_triple(
@@ -330,11 +357,9 @@ def _eval_optional(
             ):
                 all_shrink = False
         out.extend(merged_true)
-        if not compatible:
+        if (all_filter_true and all_shrink) or all_filter_false:
             out.append(left)
-        elif (all_filter_true and all_shrink) or all_filter_false:
-            out.append(left)
-    return prune_maximal(out)
+    return out
 
 
 def _apply_assign(
@@ -351,8 +376,7 @@ def _apply_assign(
         updated = dict(row)
         updated[node.target.name] = value
         out.append(updated)
-    # Overwriting a bound target can leave one row dominated by another.
-    return prune_maximal(out)
+    return out
 
 
 def _call(fn: str, args: tuple[alg.Operand, ...], row: Solution):
@@ -404,7 +428,7 @@ def _apply_groupby(
         if not ok:
             continue
         out.append(projected)
-    return prune_maximal(out)
+    return out
 
 
 def _aggregate(
@@ -468,50 +492,48 @@ def _apply_orderby(rows: list[Solution], var: alg.Var) -> list[Solution]:
 def eval_pattern(
     graph: AnnotatedGraph, pattern: alg.Pattern, diagnostics: list[str] | None = None
 ) -> list[Solution]:
+    """The maximal rows of `pattern` (see the module docstring for which
+    nodes need a prune)."""
     if diagnostics is None:
         diagnostics = []
     if isinstance(pattern, alg.Bap):
         return eval_bap(graph, pattern)
-    if isinstance(pattern, alg.Join):
-        left = eval_pattern(graph, pattern.left, diagnostics)
-        right = eval_pattern(graph, pattern.right, diagnostics)
-        candidates = _right_partitions(left, right)
-        out = [
-            meet_union(a, b)
-            for a in left
-            for b in candidates(a)
-            if meet_compatible(a, b)
-        ]
-        return prune_maximal(out)
-    if isinstance(pattern, alg.Union):
-        out = eval_pattern(graph, pattern.left, diagnostics) + eval_pattern(
-            graph, pattern.right, diagnostics
-        )
-        return prune_maximal(out)
-    if isinstance(pattern, alg.Optional):
-        return _eval_optional(graph, pattern, diagnostics)
     if isinstance(pattern, alg.Filter):
-        # The input rows are maximal already, and so is any subset of them.
         rows = eval_pattern(graph, pattern.pattern, diagnostics)
         return [r for r in rows if filter_eval(pattern.expr, r) == TRUE]
-    if isinstance(pattern, alg.Assign):
-        return _apply_assign(graph, pattern, diagnostics)
-    if isinstance(pattern, alg.GroupBy):
-        return _apply_groupby(graph, pattern, diagnostics)
     if isinstance(pattern, alg.OrderBy):
         rows = eval_pattern(graph, pattern.pattern, diagnostics)
         return _apply_orderby(rows, pattern.var)
     if isinstance(pattern, alg.Limit):
         rows = eval_pattern(graph, pattern.pattern, diagnostics)
         return rows[: pattern.count]
-    if isinstance(pattern, alg.SubSelect):
+    if isinstance(pattern, alg.Join):
+        left = eval_pattern(graph, pattern.left, diagnostics)
+        right = eval_pattern(graph, pattern.right, diagnostics)
+        candidates = _right_partitions(left, right)
+        rows = [
+            meet_union(a, b)
+            for a in left
+            for b in candidates(a)
+            if meet_compatible(a, b)
+        ]
+    elif isinstance(pattern, alg.Union):
+        rows = eval_pattern(graph, pattern.left, diagnostics) + eval_pattern(
+            graph, pattern.right, diagnostics
+        )
+    elif isinstance(pattern, alg.Optional):
+        rows = _eval_optional(graph, pattern, diagnostics)
+    elif isinstance(pattern, alg.Assign):
+        rows = _apply_assign(graph, pattern, diagnostics)
+    elif isinstance(pattern, alg.GroupBy):
+        rows = _apply_groupby(graph, pattern, diagnostics)
+    elif isinstance(pattern, alg.SubSelect):
         rows = eval_pattern(graph, pattern.pattern, diagnostics)
         names = [v.name for v in pattern.variables]
-        projected = [
-            {name: row[name] for name in names if name in row} for row in rows
-        ]
-        return prune_maximal(projected)
-    raise TypeError(f"not a pattern: {pattern!r}")
+        rows = [{name: row[name] for name in names if name in row} for row in rows]
+    else:
+        raise TypeError(f"not a pattern: {pattern!r}")
+    return prune_maximal(rows)
 
 
 def evaluate_query(

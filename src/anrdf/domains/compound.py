@@ -107,21 +107,23 @@ def saturate_fast(
     """
     bot1, bot2 = d1.bottom_payload(), d2.bottom_payload()
 
-    def dominated(p: Pair, others) -> bool:
-        return any(
-            q != p
-            and d1.leq_payload(p[0], q[0])
-            and d2.leq_payload(p[1], q[1])
-            for q in others
-        )
+    def leq(p: Pair, q: Pair) -> bool:
+        return d1.leq_payload(p[0], q[0]) and d2.leq_payload(p[1], q[1])
 
     front: set[Pair] = set(closed)
     queue: list[Pair] = []
+
+    def offer(r: Pair) -> None:
+        # Keep `r` unless it has a bottom component or a member of the
+        # front equals or dominates it; then drop the members it dominates.
+        if r[0] == bot1 or r[1] == bot2 or r in front or any(leq(r, q) for q in front):
+            return
+        front.difference_update([q for q in front if leq(q, r)])
+        front.add(r)
+        queue.append(r)
+
     for p in pairs:
-        if p[0] == bot1 or p[1] == bot2 or p in front or dominated(p, front):
-            continue
-        front = {q for q in front if not dominated(q, {p})} | {p}
-        queue.append(p)
+        offer(p)
     steps = 0
     while queue:
         p = queue.pop()
@@ -137,12 +139,7 @@ def saturate_fast(
                     raise SaturationBoundError(
                         f"compound saturation exceeded its cap of {_FAST_SATURATE_CAP} steps"
                     )
-                if r[0] == bot1 or r[1] == bot2 or r in front:
-                    continue
-                if dominated(r, front):
-                    continue
-                front = {s for s in front if not dominated(s, {r})} | {r}
-                queue.append(r)
+                offer(r)
     return front
 
 

@@ -91,22 +91,20 @@ def _consequences(
     graph: AnnotatedGraph,
     t: Triple,
     v: AnnotationValue,
-    done: Container[Triple] | None = None,
-    full: bool = True,
+    done: Container[Triple],
+    full: bool,
 ) -> Iterator[Conclusion]:
     """Every rule conclusion with `t`, annotated `v`, as one premise and
-    the other premises from `graph`, or only from its triples in `done`.
+    the other premises from the triples of `graph` in `done`.
 
     Each conclusion comes with a flag that is False when it may skip a
     role (a type-propagation conclusion, or an sp-application conclusion
     outside the rho-df vocabulary).  With `full` False, `t` skips its
     role: it is neither a data premise nor propagated through `sc`.
     """
-    match = graph.match
-    if done is not None:
 
-        def match(s, p, o):
-            return [(u, vu) for u, vu in graph.match(s, p, o) if u in done]
+    def match(s, p, o):
+        return [(u, vu) for u, vu in graph.match(s, p, o) if u in done]
 
     s, p, o = t.subject, t.predicate, t.object
     if full or p in RHO_DF:

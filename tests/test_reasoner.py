@@ -302,7 +302,10 @@ class TestClosureProperties:
             graph.insert(t, value)
         expected = functools.reduce(lambda a, b: a.meet(b), values)
         assert (derived, expected) in [
-            (t, v) for t, v, _ in _consequences(graph, triples[seed], values[seed])
+            (t, v)
+            for t, v, _ in _consequences(
+                graph, triples[seed], values[seed], graph.triple_set(), True
+            )
         ]
 
     def test_raises_before_a_seed_leaves_or_their_flags(self):
