@@ -53,7 +53,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable
 
 from ..domains import AnnotationValue
-from ..errors import QueryTypeError
+from ..errors import DomainMismatchError, QueryTypeError
 from ..model import IRI, LITERAL, SKOLEM, AnnotatedGraph, Term
 from . import algebra as alg
 from .builtins import UNBOUND, BuiltinError, lookup
@@ -176,21 +176,6 @@ def _resolve(operand: alg.Operand, solution: Solution):
     return operand
 
 
-def _coerce_pair(left, right):
-    """Lift a bare scalar/IRI operand into the domain of the other side
-    of an order comparison (e.g. `?l <= 0.5`, `?l <= chad`)."""
-    if _is_annotation(left) == _is_annotation(right):
-        return left, right
-    anchor, other = (left, right) if _is_annotation(left) else (right, left)
-    raw = other
-    if isinstance(other, Term) and other.kind == IRI:
-        raw = other.lexical
-    lifted = anchor.domain.lift_operand(raw)
-    if lifted is not None:
-        other = AnnotationValue(anchor.domain, lifted)
-    return (anchor, other) if _is_annotation(left) else (other, anchor)
-
-
 def filter_eval(expr: alg.FilterExpr, solution: Solution) -> str:
     if isinstance(expr, alg.Bound):
         return TRUE if expr.var.name in solution else FALSE
@@ -234,7 +219,6 @@ def filter_eval(expr: alg.FilterExpr, solution: Solution) -> str:
     if isinstance(expr, alg.AnnLeq):
         left = _resolve(expr.left, solution)
         right = _resolve(expr.right, solution)
-        left, right = _coerce_pair(left, right)
         if (
             _is_annotation(left)
             and _is_annotation(right)
@@ -467,8 +451,12 @@ def _aggregate(
         try:
             for value in values[1:]:
                 acc = acc.join(value) if op == "JOIN" else acc.meet(value)
-        except Exception:
+        except DomainMismatchError:
             diagnostics.append(f"{op}: mixed domains in group; group dropped")
+            return None
+        if acc.is_bottom:
+            # As in ASSIGN, annotation variables never hold bottom.
+            diagnostics.append(f"{op}: bottom in group; group dropped")
             return None
         return acc
     raise QueryTypeError(f"unknown aggregate {op!r}")

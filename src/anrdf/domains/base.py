@@ -92,12 +92,6 @@ class Domain:
         """Linearization key used by ORDERBY on annotation values."""
         return (self.format_payload(payload),)
 
-    def lift_operand(self, value: Any) -> Any | None:
-        """Best-effort payload for a bare query operand (a number, an
-        IRI lexical) compared against this domain's values; None when
-        the operand has no reading here."""
-        return None
-
     # -- value-level convenience ----------------------------------------------
 
     def value(self, payload: Any) -> "AnnotationValue":

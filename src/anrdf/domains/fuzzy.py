@@ -85,8 +85,3 @@ class FuzzyDomain(Domain):
 
     def sort_key(self, payload: Fraction) -> tuple:
         return (payload,)
-
-    def lift_operand(self, value):
-        if isinstance(value, Fraction) and ZERO <= value <= ONE:
-            return value
-        return None

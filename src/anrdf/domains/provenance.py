@@ -30,7 +30,6 @@ TRUE: Dnf = frozenset({frozenset()})
 
 # Like a name of the text formats, an atom never ends in `.`.
 _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_:-]*(?:\.[A-Za-z0-9_:-]+)*")
-_RESERVED = {"v", "true", "false"}
 
 
 def minimize_clauses(clauses: Iterable[Iterable[str]]) -> Dnf:
@@ -107,11 +106,6 @@ class ProvenanceDomain(Domain):
 
     def sort_key(self, payload: Dnf) -> tuple:
         return (len(payload), self.format_payload(payload))
-
-    def lift_operand(self, value):
-        if isinstance(value, str) and _ATOM_RE.fullmatch(value) and value not in _RESERVED:
-            return frozenset({frozenset({value})})
-        return None
 
 
 def _format_clause(clause: list[str]) -> str:

@@ -199,9 +199,3 @@ class TemporalDomain(Domain):
         lo = payload[0][0]
         total = sum(hi - lo for lo, hi in payload)
         return (1, lo, total, format_interval_set(payload))
-
-    def lift_operand(self, value):
-        if isinstance(value, Fraction):
-            point = check_scalar(value)
-            return ((point, point),)
-        return None

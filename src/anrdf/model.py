@@ -8,7 +8,6 @@ stored at all.
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Iterator, NamedTuple
 
 from .domains import AnnotationValue, Domain
@@ -41,26 +40,9 @@ def literal(lexical: str) -> Term:
     return Term(LITERAL, lexical)
 
 
-_GRAPH_ID_RE = re.compile(r"[A-Za-z0-9_\-]+")
-
-
-def skolem(label: str, graph_id: str = "") -> Term:
-    """Deterministic replacement for a blank-node label.
-
-    `graph_id` namespaces labels when graphs from several documents must
-    coexist: the lexical is `graph_id.label`, itself a blank-node label,
-    so a namespaced graph serialises and parses back unchanged.  A
-    `graph_id` is a label without `.`, so the first `.` ends it: two
-    `(graph_id, label)` pairs with non-empty `graph_id` stay distinct
-    unless equal, and so do an unscoped label without `.` and any scoped
-    pair.  An unscoped label with `.` can coincide with a scoped pair:
-    `skolem("g1.b1") == skolem("b1", "g1")`.
-    """
-    if not graph_id:
-        return Term(SKOLEM, label)
-    if not _GRAPH_ID_RE.fullmatch(graph_id):
-        raise AnrdfError(f"graph id must be letters, digits, '_' or '-': {graph_id!r}")
-    return Term(SKOLEM, f"{graph_id}.{label}")
+def skolem(label: str) -> Term:
+    """Deterministic replacement for a blank-node label."""
+    return Term(SKOLEM, label)
 
 
 # The rho-df vocabulary, identified by the full RDF(S) IRIs.

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 
 from ..domains import AnnotationValue, Domain, get_domain
-from ..errors import AnnotationSyntaxError, AnrdfError, ParseError
+from ..errors import AnnotationSyntaxError, AnrdfError, ParseError, UnknownDomainError
 from ..model import AnnotatedGraph, Term, Triple, skolem
 from .lexer import KEYWORDS, NAME_RE, Scanner
 
@@ -45,14 +45,14 @@ class Document:
     plain: list[Triple] = field(default_factory=list)
 
 
-def _term(cur: Scanner, graph_id: str) -> Term:
+def _term(cur: Scanner) -> Term:
     cur.skip_ws()
     if cur.text.startswith("_:", cur.pos):
         m = _LABEL_RE.match(cur.text, cur.pos + 2)
         if not m:
             raise cur.error("blank node needs a label")
         cur.pos = m.end()
-        return skolem(m.group(0), graph_id)
+        return skolem(m.group(0))
     term = cur.ground_term()
     if term is not None:
         return term
@@ -81,9 +81,7 @@ def _expect_final_dot(cur: Scanner, message: str) -> None:
         raise cur.error(message)
 
 
-def parse_graph(
-    text: str, domain: Domain | str | None = None, graph_id: str = ""
-) -> Document:
+def parse_graph(text: str, domain: Domain | str | None = None) -> Document:
     """Parse an AnRDF document.
 
     `domain` overrides any `@domix` header; one of the two must name the
@@ -104,7 +102,7 @@ def parse_graph(
             name = _up_to_final_dot(cur, "@domix line must end with '.'")
             try:
                 declared = get_domain(name)
-            except Exception as exc:
+            except UnknownDomainError as exc:
                 raise cur.error(str(exc)) from None
             continue
         if cur.directive("prefix"):
@@ -114,7 +112,7 @@ def parse_graph(
         if cur.peek() == "@":
             raise cur.error("unknown directive; expected @domix or @prefix")
         bracketed = cur.take("(")
-        s, p, o = _term(cur, graph_id), _term(cur, graph_id), _term(cur, graph_id)
+        s, p, o = _term(cur), _term(cur), _term(cur)
         annotation = None
         if bracketed:
             cur.expect(")")

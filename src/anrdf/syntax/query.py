@@ -15,11 +15,20 @@ guard expression, which may mention variables of the outer pattern.
 Terms are read by the scanner shared with the data format
 (`anrdf.syntax.lexer`), plus `?var`; blank nodes are data-only.
 Keywords are case-insensitive; structural dots between statements are
-optional.  An annotation label is `?var` or a literal of the query's
-domain, read as the data format reads one (`annotation_literal`, also
-for a bracketed filter operand), so a query can name every stored one.
-Filter expressions support BOUND/isIRI/isBLANK/isLITERAL, `=`, `!=`,
-the domain order `<=`, `!`, `&&`, `||`, and registered built-ins.
+optional.  Filter expressions support BOUND/isIRI/isBLANK/isLITERAL,
+`=`, `!=`, the domain order `<=`, `!`, `&&`, `||`, and registered
+built-ins.
+
+Every annotation constant is read one way.  A label is `?var` or a
+literal of the query's domain, read as the data format reads one
+(`annotation_literal`) and parsed by the domain, so a query can name
+every stored value.  Labels stand after `(s p o):`, on both sides of
+`<=`, and as every argument of a registered built-in (`length`,
+`maxlength`, `join`, `meet`, the type probes and the Allen relations),
+because all of these take annotation values.  The operands of `=`,
+`!=`, isIRI, isBLANK and isLITERAL, and the single operand of an
+identity ASSIGN or aggregate, are read as a `?var`, a number, a
+bracketed annotation literal, `true`/`false` or a term.
 """
 
 from __future__ import annotations
@@ -104,6 +113,10 @@ class _Scanner(Scanner):
         except AnnotationSyntaxError as exc:
             self.pos = start
             raise self.error(str(exc)) from None
+
+    def label(self) -> alg.AnnotationLabel:
+        """A `?var` or an annotation literal of the query's domain."""
+        return self.var() if self.peek() == "?" else self.annotation()
 
     # -- operands in filters / assignments ------------------------------------
 
@@ -270,8 +283,7 @@ def _parse_triple_pattern(sc: _Scanner) -> alg.TriplePattern:
             "expected ':' after (s p o); a triple pattern is "
             "(s p o):label or a bare s p o"
         )
-    label = sc.var() if sc.peek() == "?" else sc.annotation()
-    return alg.TriplePattern(s, p, o, label)
+    return alg.TriplePattern(s, p, o, sc.label())
 
 
 def _parse_aggregate(sc: _Scanner) -> alg.Aggregate:
@@ -300,9 +312,9 @@ def _parse_call_args(sc: _Scanner, name: str) -> tuple[alg.Operand, ...]:
     sc.expect("(")
     args = []
     if sc.peek() != ")":
-        args.append(sc.operand())
+        args.append(sc.label())
         while sc.take(","):
-            args.append(sc.operand())
+            args.append(sc.label())
     sc.expect(")")
     return tuple(args)
 
@@ -382,11 +394,17 @@ def _parse_filter_primary(sc: _Scanner) -> alg.FilterExpr:
             return inner
         except ParseError:
             sc.pos = saved
+    if _label_before_leq(sc):
+        left = sc.label()
+        sc.skip_ws()
+        sc.pos += 2
+        return alg.AnnLeq(left, sc.label())
+    start = sc.pos
     operand = sc.operand()
     sc.skip_ws()
     if sc.text.startswith("<=", sc.pos):
-        sc.pos += 2
-        return alg.AnnLeq(operand, sc.operand())
+        sc.pos = start
+        raise sc.error("expected an annotation literal")
     if sc.text.startswith("!=", sc.pos):
         sc.pos += 2
         return alg.Not(alg.Eq(operand, sc.operand()))
@@ -394,3 +412,20 @@ def _parse_filter_primary(sc: _Scanner) -> alg.FilterExpr:
         sc.pos += 1
         return alg.Eq(operand, sc.operand())
     raise sc.error("expected a comparison operator")
+
+
+def _label_before_leq(sc: _Scanner) -> bool:
+    """Whether a label followed by `<=` starts here; reads the label's
+    extent without parsing it in the domain and without moving `sc`."""
+    start = sc.pos
+    try:
+        if sc.peek() == "?":
+            sc.var()
+        else:
+            sc.annotation_literal()
+        sc.skip_ws()
+        return sc.text.startswith("<=", sc.pos)
+    except ParseError:
+        return False
+    finally:
+        sc.pos = start

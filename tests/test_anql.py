@@ -24,7 +24,8 @@ from anrdf.anql.engine import (
     meet_union,
     prune_maximal,
 )
-from anrdf.errors import QueryTypeError
+from anrdf.domains import compound
+from anrdf.errors import QueryTypeError, SaturationBoundError
 from anrdf.model import TYPE, AnnotatedGraph, Term, Triple
 from oracles import (
     prune_maximal_pairwise,
@@ -405,6 +406,25 @@ class TestGroupBy:
         else:
             assert [repr(r["m"]) for r in rows] == [expected]
 
+    def test_meet_to_bottom_drops_group(self):
+        # As in ASSIGN, an aggregate never binds bottom.
+        doc = parse_graph("@domix temporal .\n(a p b) : {[1,2]} .\n(a p c) : {[3,4]} .\n")
+        query = q("SELECT ?s ?z WHERE { (?s p ?o):?l GROUPBY(?s) MEET(?l) AS ?z }")
+        diagnostics: list[str] = []
+        assert evaluate_query(closure(doc.graph), query, diagnostics) == []
+        assert diagnostics == ["MEET: bottom in group; group dropped"]
+
+    def test_saturation_cap_is_not_a_domain_mismatch(self, monkeypatch):
+        doc = parse_graph(
+            "@domix compound(temporal,provenance) .\n"
+            "(s p a) : {<[1,2],x>} .\n(s p b) : {<[3,4],y>} .\n"
+        )
+        closed = closure(doc.graph)
+        monkeypatch.setattr(compound, "_FAST_SATURATE_CAP", 1)
+        query = q("SELECT ?s ?j WHERE { (?s p ?o):?l GROUPBY(?s) JOIN(?l) AS ?j }", doc.domain)
+        with pytest.raises(SaturationBoundError):
+            evaluate_query(closed, query)
+
     def test_target_collision_rejected(self, lengths_graph):
         query = q(
             "SELECT ?x WHERE { (?x worksFor ?y):?l GROUPBY(?x) COUNT(?y) AS ?l }"
@@ -486,7 +506,8 @@ class TestIntegerEndpoints:
     def test_lifted_year_is_canonical(self, graph):
         rows = evaluate_query(graph, q("SELECT ?l WHERE { (w worksFor y3):?l }"))
         stored = rows[0]["l"]
-        lifted = TEMPORAL.lift_operand(Fraction(2001))
+        query = q("SELECT ?l WHERE { (w worksFor y3):?l FILTER(?l <= 2001) }")
+        lifted = query.pattern.expr.right.payload
         assert stored.payload == lifted
         assert all(type(x) is int for interval in lifted for x in interval)
 
@@ -596,10 +617,12 @@ class TestFilterSemantics:
         assert filter_eval(alg.AnnLeq(alg.Var("x"), alg.Var("l")), self.theta) == FALSE
 
     def test_scalar_coercion_in_order_test(self):
+        # A bare number beside `<=` is a literal of the query's domain.
         fuzzy = get_domain("fuzzy:product")
         theta = {"f": fuzzy.parse("0.4")}
-        assert filter_eval(alg.AnnLeq(alg.Var("f"), Fraction(1, 2)), theta) == TRUE
-        assert filter_eval(alg.AnnLeq(Fraction(1, 2), alg.Var("f")), theta) == FALSE
+        for text, verdict in (("?f <= 0.5", TRUE), ("0.5 <= ?f", FALSE)):
+            query = q(f"SELECT ?f WHERE {{ (a p b):?f FILTER({text}) }}", fuzzy)
+            assert filter_eval(query.pattern.expr, theta) == verdict
 
     def test_builtin_calls(self):
         expr = alg.BuiltinCall("beforeAll", (tv("{[0,2],[3,4]}"), tv("{[5,7],[8,9]}")))
@@ -611,6 +634,32 @@ class TestFilterSemantics:
         # errors inside built-ins surface as false
         expr = alg.BuiltinCall("length", (alg.Var("x"),))
         assert filter_eval(expr, self.theta) == FALSE
+
+    def test_order_operand_reads_a_prefixed_atom(self):
+        prov = get_domain("provenance")
+        doc = parse_graph(
+            "@domix provenance .\n(a p b) : src:wiki .\n(c p d) : (src:wiki ^ x) .\n"
+            "(e p f) : (src:wiki v x) .\n(g p h) : x .\n"
+        )
+        query = q(
+            "@prefix src: <http://s/> .\n"
+            "SELECT ?s WHERE { (?s p ?o):?l FILTER(?l <= src:wiki) }",
+            prov,
+        )
+        rows = evaluate_query(closure(doc.graph), query)
+        assert sorted(r["s"].lexical for r in rows) == ["a", "c"]
+
+    def test_builtin_arguments_are_domain_literals(self, fig1_closure):
+        expr = q("SELECT ?p WHERE { (?p type ?c):?l FILTER(before(?l, -inf)) }").pattern.expr
+        assert expr.args == (alg.Var("l"), tv("-inf"))
+        # Every bounded interval is after the point -inf.
+        query = q("SELECT ?p WHERE { (?p type youtubeEmp):?l FILTER(after(?l, -inf)) }")
+        assert {r["p"].lexical for r in evaluate_query(fig1_closure, query)} == {
+            "chadHurley", "jawedKarim", "steveChen"
+        }
+        fuzzy = get_domain("fuzzy:product")
+        expr = q("SELECT ?f WHERE { (a p b):?f FILTER(isFUZZY(0.5)) }", fuzzy).pattern.expr
+        assert filter_eval(expr, {}) == TRUE
 
     def test_filter_keeps_only_true_rows(self, fig1_closure):
         query = q(
@@ -685,6 +734,28 @@ class TestDefaultRewrites:
         assert rewritten.pattern == tree(lambda i: bap(i, alg.Var(f"_a{i}")))
         with pytest.raises(TypeError):
             rewrite_defaults(alg.QueryDocument((), alg.Pattern()), "top", TEMPORAL)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SELECT ?x WHERE { SELECT ?x WHERE { (?x p ?y):?_a0 . ?x q ?z } }",
+            "SELECT ?x ?n WHERE { (?x p ?y):?_a0 . ?x q ?z GROUPBY(?x) COUNT(?z) AS ?n }",
+        ],
+    )
+    def test_fresh_labels_avoid_every_query_variable(self, text):
+        # ?_a0 is neither selected nor bindable outside its node, yet the
+        # fresh label of `?x q ?z` must not reuse it.
+        doc = parse_graph(
+            "@domix temporal .\n(a p b) : {[1,5]} .\n(a q c) : {[3,9]} .\n(a p d) : {[10,12]} .\n"
+        )
+        graph = closure(doc.graph)
+
+        def answers(query_text):
+            query = rewrite_defaults(q(query_text), "fresh-vars", TEMPORAL)
+            rows = evaluate_query(graph, query)
+            return sorted(tuple(sorted((k, repr(v)) for k, v in r.items())) for r in rows)
+
+        assert answers(text) == answers(text.replace("?_a0", "?u")) != []
 
 
 class TestDomainMaximality:

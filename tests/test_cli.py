@@ -101,6 +101,26 @@ class TestInfer:
         assert "(alice type worker) : {[-inf,+inf]} ." in stdout
 
 
+class TestDomainHeader:
+    """`@domix` and `--domain` give the same exit code for the same id."""
+
+    @pytest.mark.parametrize(
+        "domain, code, message",
+        [
+            ("no-such", 2, "error: 1:8: unknown domain 'no-such'"),
+            ("compound(fuzzy:product,temporal)", 4, "error: compound domains need a lattice"),
+        ],
+    )
+    def test_bad_domain(self, capsys, tmp_path, domain, code, message):
+        src = tmp_path / "doc.anrdf"
+        src.write_text(f"@domix {domain} .\n(a p b) : top .\n")
+        header_code, stdout, stderr = run(capsys, "infer", "-i", str(src))
+        assert (header_code, stdout) == (code, "")
+        assert stderr.startswith(message)
+        src.write_text("(a p b) : top .\n")
+        assert run(capsys, "infer", "--domain", domain, "-i", str(src))[0] == code
+
+
 class TestQuery:
     def test_exx1_tsv(self, capsys, data_dir):
         code, stdout, _ = run(
@@ -216,16 +236,15 @@ class TestBadNumbers:
         assert (code, stdout) == (2, "")
         assert stderr == f"error: 2:11: {message}\n"
 
-    @pytest.mark.parametrize(
-        "operand, message",
-        [("1.5/2", "not a number: '1.5/2'"), ("1/0", "zero denominator: '1/0'")],
-    )
-    def test_filter_operand_exit_2(self, capsys, data_dir, tmp_path, operand, message):
+    @pytest.mark.parametrize("operand", ["1.5/2", "1/0"])
+    def test_filter_operand_exit_2(self, capsys, data_dir, tmp_path, operand):
+        # A `<=` operand is an annotation literal, so the domain reports
+        # it as it reports the same literal in a data document.
         query = tmp_path / "bad.anql"
         query.write_text(f"SELECT ?x WHERE {{ (?x type ?c):?l FILTER(?l <= {operand}) }}")
         code, stdout, stderr = run(capsys, "query", "-i", str(data_dir / "fig1.anrdf"), str(query))
         assert (code, stdout) == (2, "")
-        assert stderr == f"error: 1:48: {message}\n"
+        assert stderr == f"error: 1:48: malformed temporal literal: {operand!r}\n"
 
     def test_normalize_annotation_exit_2(self, capsys):
         # The literal is an argument, not a line of a document, so the

@@ -174,7 +174,7 @@ class TestIntegerEndpoints:
                 texts.append(f"[{lo},{hi}]")
             parsed = TEMPORAL.parse_payload("{" + ",".join(texts) + "}")
             point = TEMPORAL.parse_payload(f"{rng.randint(-6, 30)}.0")
-            lifted = TEMPORAL.lift_operand(Fraction(rng.randint(-6, 30) * 3, 3))
+            lifted = TEMPORAL.parse_payload(f"{rng.randint(-6, 30) * 3}/3")
             values = [a, b, parsed, point, lifted,
                       temporal_join(a, parsed), temporal_meet(b, parsed)]
             if parsed and all(x not in (NEG_INF, POS_INF) for iv in parsed for x in iv):
