@@ -8,9 +8,9 @@ binds terms), so solutions distinguish the two by the bound value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 from ..domains import AnnotationValue
 from ..model import Term
@@ -209,3 +209,17 @@ def pattern_vars(p: Pattern) -> frozenset[Var]:
     if isinstance(p, SubSelect):
         return frozenset(p.variables) & pattern_vars(p.pattern)
     raise TypeError(f"not a pattern: {p!r}")
+
+
+def occurrences(node, kind: type) -> Iterator:
+    """Every instance of `kind` in `node`, an algebra node or a tuple of
+    them, whether or not a pattern can bind it.  Annotation values are
+    leaves, and a term (a tuple of strings) holds no node."""
+    if isinstance(node, kind):
+        yield node
+    elif isinstance(node, tuple):
+        for item in node:
+            yield from occurrences(item, kind)
+    elif is_dataclass(node) and not isinstance(node, AnnotationValue):
+        for f in fields(node):
+            yield from occurrences(getattr(node, f.name), kind)

@@ -1,16 +1,25 @@
 """Evaluation of AnQL patterns over a closed annotated graph.
 
 Solutions are partial maps from variable names to terms, annotation
-values, or rationals (the latter produced by ASSIGN/aggregates).  Two
-solutions are meet-compatible when they agree on every shared term
-binding and no shared annotation binding meets to bottom; merging takes
-the meet of shared annotation bindings.
+values, or rationals (the latter produced by ASSIGN/aggregates).
+
+The domain rule: a query is evaluated in the graph's domain.
+`evaluate_query` checks once, before evaluation, that every annotation
+constant in the query has that domain, and raises `DomainMismatchError`
+if one does not.  The operators below then never compare domains; a
+caller that hands `eval_pattern` a foreign constant meets the
+`AnnotationValue` guard instead.
+
+The merge rule: `meet_compatible` decides and builds a merged row in
+one pass.  The rows must agree on every shared non-annotation binding;
+each shared annotation binding is met once, and the rows are
+incompatible when that meet is bottom.
 
 Answers are the domain-maximal rows: a row loses when another row has
 the same key set, identical term bindings, and pointwise larger
-annotations of the same domains.  `eval_pattern` decides this in one
-place.  It prunes the output of every node except four kinds, whose
-output is maximal by construction:
+annotations.  `eval_pattern` decides this in one place.  It prunes the
+output of every node except four kinds, whose output is maximal by
+construction:
 
 - Bap: the store keeps one annotation per triple, so the term bindings
   of a row fix the triples it matched and hence the whole row.  Two rows
@@ -73,48 +82,35 @@ def _is_annotation(v: Value) -> bool:
     return isinstance(v, AnnotationValue)
 
 
-def meet_compatible(a: Solution, b: Solution) -> bool:
+def meet_compatible(a: Solution, b: Solution) -> Solution | None:
+    """The merge of `a` and `b`, or None when they are not compatible
+    (see the merge rule in the module docstring).  `{}` is a merged row."""
+    merged = {**a, **b}
     for key in a.keys() & b.keys():
         va, vb = a[key], b[key]
         if _is_annotation(va) and _is_annotation(vb):
-            if va.domain.name != vb.domain.name or va.meet(vb).is_bottom:
-                return False
+            met = va.meet(vb)
+            if met.is_bottom:
+                return None
+            merged[key] = met
         elif va != vb:
-            return False
-    return True
-
-
-def meet_union(a: Solution, b: Solution) -> Solution:
-    merged = dict(a)
-    for key, vb in b.items():
-        va = merged.get(key)
-        if va is not None and _is_annotation(va) and _is_annotation(vb):
-            merged[key] = va.meet(vb)
-        else:
-            merged[key] = vb
+            return None
     return merged
 
 
 def dominates(big: Solution, small: Solution) -> bool:
-    """True iff `small` is a strictly subsumed variant of `big`."""
-    if small == big or small.keys() != big.keys():
-        return False
-    for key, vs in small.items():
-        vb = big[key]
-        if _is_annotation(vs) and _is_annotation(vb):
-            if vs.domain.name != vb.domain.name or not vs.leq(vb):
-                return False
-        elif vs != vb:
-            return False
-    return True
+    """True iff `small` is a strictly subsumed variant of `big`, for two
+    rows with the same `_signature`: only their annotations can differ."""
+    return small != big and all(
+        value.leq(big[key]) for key, value in small.items() if _is_annotation(value)
+    )
 
 
 def _signature(row: Solution) -> frozenset:
     """What two rows must share for one to dominate the other: the key
-    set, each non-annotation value, and each annotation's domain."""
+    set and each non-annotation value."""
     return frozenset(
-        (key, True, value.domain.name) if _is_annotation(value) else (key, False, value)
-        for key, value in row.items()
+        (key,) if _is_annotation(value) else (key, value) for key, value in row.items()
     )
 
 
@@ -219,20 +215,11 @@ def filter_eval(expr: alg.FilterExpr, solution: Solution) -> str:
     if isinstance(expr, alg.AnnLeq):
         left = _resolve(expr.left, solution)
         right = _resolve(expr.right, solution)
-        if (
-            _is_annotation(left)
-            and _is_annotation(right)
-            and left.domain.name == right.domain.name
-        ):
+        if _is_annotation(left) and _is_annotation(right):
             return TRUE if left.leq(right) else FALSE
         return FALSE
     if isinstance(expr, alg.BuiltinCall):
-        args = tuple(_resolve(a, solution) for a in expr.args)
-        try:
-            result = lookup(expr.name)(*args)
-        except BuiltinError:
-            return FALSE
-        return TRUE if result is True else FALSE
+        return TRUE if _call(expr.name, expr.args, solution) is True else FALSE
     raise TypeError(f"not a filter expression: {expr!r}")
 
 
@@ -283,9 +270,8 @@ def _match_triple(
                 extended[label.name] = combined
             else:
                 continue
-        else:
-            if label.domain.name != graph.domain.name or not label.leq(stored):
-                continue
+        elif not label.leq(stored):
+            continue
         yield extended
 
 
@@ -302,14 +288,6 @@ def _bind_terms(solution: Solution, slots, terms) -> bool:
     return True
 
 
-def _shared_annotation_vars(a: Solution, b: Solution) -> list[str]:
-    return [
-        key
-        for key in a.keys() & b.keys()
-        if _is_annotation(a[key]) and _is_annotation(b[key])
-    ]
-
-
 def _eval_optional(
     graph: AnnotatedGraph, node: alg.Optional, diagnostics: list[str]
 ) -> list[Solution]:
@@ -318,13 +296,14 @@ def _eval_optional(
     candidates = _right_partitions(left_rows, right_rows)
     out: list[Solution] = []
     for left in left_rows:
-        compatible = [r for r in candidates(left) if meet_compatible(left, r)]
         merged_true = []
         all_filter_true = True
         all_filter_false = True
         all_shrink = True
-        for right in compatible:
-            merged = meet_union(left, right)
+        for right in candidates(left):
+            merged = meet_compatible(left, right)
+            if merged is None:
+                continue
             verdict = TRUE if node.filter is None else filter_eval(node.filter, merged)
             if verdict == TRUE:
                 merged_true.append(merged)
@@ -334,7 +313,9 @@ def _eval_optional(
             else:  # an error verdict satisfies neither pass-through case
                 all_filter_true = False
                 all_filter_false = False
-            shared = _shared_annotation_vars(left, right)
+            # A compatible pair binds a shared key to two annotations or
+            # to two equal non-annotation values.
+            shared = [key for key in left.keys() & right.keys() if _is_annotation(left[key])]
             if not shared or not all(
                 merged[key] != left[key] and merged[key].leq(left[key])
                 for key in shared
@@ -447,13 +428,7 @@ def _aggregate(
         if not all(_is_annotation(v) for v in values):
             diagnostics.append(f"{op}: non-annotation value in group; group dropped")
             return None
-        acc = values[0]
-        try:
-            for value in values[1:]:
-                acc = acc.join(value) if op == "JOIN" else acc.meet(value)
-        except DomainMismatchError:
-            diagnostics.append(f"{op}: mixed domains in group; group dropped")
-            return None
+        acc = lookup(op.lower())(*values)
         if acc.is_bottom:
             # As in ASSIGN, annotation variables never hold bottom.
             diagnostics.append(f"{op}: bottom in group; group dropped")
@@ -467,7 +442,7 @@ def _apply_orderby(rows: list[Solution], var: alg.Var) -> list[Solution]:
     bound = [v for v in values if v is not None]
     if all(isinstance(v, Fraction) for v in bound) or all(isinstance(v, Term) for v in bound):
         key = lambda v: v
-    elif all(_is_annotation(v) for v in bound) and len({v.domain.name for v in bound}) <= 1:
+    elif all(_is_annotation(v) for v in bound):
         key = lambda v: v.sort_key()
     else:
         raise QueryTypeError(
@@ -500,10 +475,10 @@ def eval_pattern(
         right = eval_pattern(graph, pattern.right, diagnostics)
         candidates = _right_partitions(left, right)
         rows = [
-            meet_union(a, b)
+            merged
             for a in left
             for b in candidates(a)
-            if meet_compatible(a, b)
+            if (merged := meet_compatible(a, b)) is not None
         ]
     elif isinstance(pattern, alg.Union):
         rows = eval_pattern(graph, pattern.left, diagnostics) + eval_pattern(
@@ -529,7 +504,16 @@ def evaluate_query(
     query: alg.QueryDocument,
     diagnostics: list[str] | None = None,
 ) -> list[Solution]:
-    """Evaluate a SELECT query; rows keep only the selected variables."""
+    """Evaluate a SELECT query; rows keep only the selected variables.
+
+    Raises `DomainMismatchError` if an annotation constant of the query
+    is not in the graph's domain (the domain rule)."""
+    for value in alg.occurrences(query, AnnotationValue):
+        if value.domain.name != graph.domain.name:
+            raise DomainMismatchError(
+                f"query constant {value.serialize()} is in domain {value.domain.name},"
+                f" not in the graph's domain {graph.domain.name}"
+            )
     pattern: alg.Pattern = query.pattern
     if query.order_by is not None:
         pattern = alg.OrderBy(pattern, query.order_by)

@@ -10,11 +10,10 @@ OPTIONAL/join behaviour by making annotations visible to the algebra.
 
 from __future__ import annotations
 
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, replace
 from itertools import count
-from typing import Iterator
 
-from ..domains import AnnotationValue, Domain
+from ..domains import Domain
 from . import algebra as alg
 
 MODES = ("shared-var", "fresh-vars", "top")
@@ -25,7 +24,7 @@ def rewrite_defaults(
 ) -> alg.QueryDocument:
     if mode not in MODES:
         raise ValueError(f"unknown rewrite mode {mode!r}")
-    used = set(_var_names(query))
+    used = {var.name for var in alg.occurrences(query, alg.Var)}
     counter = count()
 
     def fresh() -> alg.Var:
@@ -71,16 +70,3 @@ def rewrite_defaults(
         order_by=query.order_by,
         limit=query.limit,
     )
-
-
-def _var_names(node) -> Iterator[str]:
-    """The name of every variable that occurs in `node`, an algebra node
-    or a tuple of them, whether or not the node can bind it."""
-    if isinstance(node, alg.Var):
-        yield node.name
-    elif isinstance(node, tuple):
-        for item in node:
-            yield from _var_names(item)
-    elif is_dataclass(node) and not isinstance(node, AnnotationValue):
-        for f in fields(node):
-            yield from _var_names(getattr(node, f.name))

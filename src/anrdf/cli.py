@@ -65,6 +65,17 @@ def _add_graph_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _sample_count(text: str) -> int:
+    """A law checked on no sample passes vacuously, so at least one."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="anrdf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -87,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check-domain", help="run the axiom suites")
     p_check.add_argument("--domain", required=True)
-    p_check.add_argument("--samples", type=int, default=1000)
+    p_check.add_argument("--samples", type=_sample_count, default=1000)
     p_check.add_argument("--seed", type=int, default=0)
 
     p_norm = sub.add_parser(

@@ -85,7 +85,8 @@ def parse_graph(text: str, domain: Domain | str | None = None) -> Document:
     """Parse an AnRDF document.
 
     `domain` overrides any `@domix` header; one of the two must name the
-    annotation domain before the first annotated statement.
+    annotation domain.  A document has at most one `@domix` line, before
+    its first annotated statement, whether or not `domain` is given.
     """
     if isinstance(domain, str):
         domain = get_domain(domain)
@@ -99,6 +100,14 @@ def parse_graph(text: str, domain: Domain | str | None = None) -> Document:
             continue
         start = cur.pos
         if cur.directive("domix"):
+            # The domain fixes how every annotation literal reads, so it
+            # is named once, ahead of them all.
+            if declared is not None:
+                raise ParseError("a document has at most one @domix line", line_no, start + 1)
+            if annotated:
+                raise ParseError(
+                    "@domix must come before the first annotated statement", line_no, start + 1
+                )
             name = _up_to_final_dot(cur, "@domix line must end with '.'")
             try:
                 declared = get_domain(name)

@@ -168,17 +168,21 @@ def parse_query(text: str, domain: Domain | str) -> alg.QueryDocument:
         raise sc.error("SELECT needs at least one variable")
     sc.take_keyword("where")
     pattern = _parse_group(sc)
-    order_by = None
-    limit = None
+    # Each modifier at most once, in either order.
+    modifiers: dict[str, alg.Var | int] = {}
     while not sc.at_end():
-        if sc.take_keyword("orderby"):
-            order_by = sc.var()
-        elif sc.take_keyword("limit"):
-            limit = _parse_int(sc)
-        else:
+        word = sc.keyword()
+        if word not in ("orderby", "limit"):
             raise sc.error("expected ORDERBY, LIMIT, or end of query")
+        if word in modifiers:
+            raise sc.error(f"a query has at most one {word.upper()}")
+        sc.take_keyword(word)
+        modifiers[word] = sc.var() if word == "orderby" else _parse_int(sc)
     return alg.QueryDocument(
-        select=tuple(select), pattern=pattern, order_by=order_by, limit=limit
+        select=tuple(select),
+        pattern=pattern,
+        order_by=modifiers.get("orderby"),
+        limit=modifiers.get("limit"),
     )
 
 

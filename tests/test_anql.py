@@ -21,11 +21,10 @@ from anrdf.anql.engine import (
     eval_pattern,
     filter_eval,
     meet_compatible,
-    meet_union,
     prune_maximal,
 )
-from anrdf.domains import compound
-from anrdf.errors import QueryTypeError, SaturationBoundError
+from anrdf.domains import AnnotationValue, compound
+from anrdf.errors import DomainMismatchError, QueryTypeError, SaturationBoundError
 from anrdf.model import TYPE, AnnotatedGraph, Term, Triple
 from oracles import (
     prune_maximal_pairwise,
@@ -413,6 +412,28 @@ class TestGroupBy:
         diagnostics: list[str] = []
         assert evaluate_query(closure(doc.graph), query, diagnostics) == []
         assert diagnostics == ["MEET: bottom in group; group dropped"]
+
+    @pytest.mark.parametrize(
+        "aggregate, expected, diagnostics",
+        [
+            ("MAX(?zz)", [], ["MAX: no defined values in group"]),
+            ("SUM(?o)", [], ["SUM: non-numeric value in group; group dropped"]),
+            ("AVG(?l)", [], ["AVG: non-numeric value in group; group dropped"]),
+            ("JOIN(?o)", [], ["JOIN: non-annotation value in group; group dropped"]),
+            (
+                "MEET(length(?l))",
+                [],
+                ["MEET: non-annotation value in group; group dropped"],
+            ),
+            ("COUNT(?zz)", [{"s": iri("a"), "z": Fraction(0)}], []),
+        ],
+    )
+    def test_aggregate_diagnostics(self, aggregate, expected, diagnostics):
+        doc = parse_graph("@domix temporal .\n(a p b) : {[1,2]} .\n(a p c) : {[3,4]} .\n")
+        query = q(f"SELECT ?s ?z WHERE {{ (?s p ?o):?l GROUPBY(?s) {aggregate} AS ?z }}")
+        seen: list[str] = []
+        assert evaluate_query(closure(doc.graph), query, seen) == expected
+        assert seen == diagnostics
 
     def test_saturation_cap_is_not_a_domain_mismatch(self, monkeypatch):
         doc = parse_graph(
@@ -888,8 +909,15 @@ class TestDomainMaximality:
 
 class TestMeetCompatibility:
     def test_terms_must_agree(self):
-        assert not meet_compatible({"x": iri("a")}, {"x": iri("b")})
-        assert meet_compatible({"x": iri("a")}, {"x": iri("a"), "y": iri("b")})
+        assert meet_compatible({"x": iri("a")}, {"x": iri("b")}) is None
+        assert meet_compatible({"x": iri("a")}, {"x": iri("a"), "y": iri("b")}) == {
+            "x": iri("a"),
+            "y": iri("b"),
+        }
+
+    def test_empty_rows_merge_to_the_empty_row(self):
+        # `{}` is a merged row, so callers must test `is not None`.
+        assert meet_compatible({}, {}) == {}
 
     @pytest.mark.parametrize("seed", range(30))
     def test_right_partitions_keep_every_compatible_row(self, seed):
@@ -902,17 +930,91 @@ class TestMeetCompatibility:
         )
         candidates = _right_partitions(left, right)
         for row in left:
-            assert [r for r in candidates(row) if meet_compatible(row, r)] == [
-                r for r in right if meet_compatible(row, r)
-            ]
+            assert [
+                r for r in candidates(row) if meet_compatible(row, r) is not None
+            ] == [r for r in right if meet_compatible(row, r) is not None]
 
     def test_annotations_must_not_meet_to_bottom(self):
         a = {"l": tv("{[1,2]}")}
         b = {"l": tv("{[5,6]}")}
-        assert not meet_compatible(a, b)
+        assert meet_compatible(a, b) is None
         c = {"l": tv("{[2,3]}")}
-        assert meet_compatible(a, c)
-        assert meet_union(a, c)["l"] == tv("{[2,2]}")
+        assert meet_compatible(a, c) == {"l": tv("{[2,2]}")}
+
+
+class TestDomainRule:
+    """A query is evaluated in the graph's domain: `evaluate_query`
+    rejects a constant of another domain in every position."""
+
+    GRAPH = "@domix temporal .\n(a p b) : {[0,10]} .\n(a p c) : {[20,30]} .\n"
+
+    # (query with a constant {c}, the constant in fuzzy:min, the constant
+    # in temporal, the temporal answer)
+    CASES = [
+        ("SELECT ?o WHERE {{ (a p ?o):{c} }}", "0.5", "{[0,5]}", [{"o": iri("b")}]),
+        (
+            "SELECT ?o WHERE {{ (a p ?o):?l FILTER(?l <= {c}) }}",
+            "0.5",
+            "{[0,10]}",
+            [{"o": iri("b")}],
+        ),
+        (
+            "SELECT ?o WHERE {{ (a p ?o):?l FILTER(before(?l, {c})) }}",
+            "0.5",
+            "{[15,16]}",
+            [{"o": iri("b")}],
+        ),
+        (
+            "SELECT ?o ?j WHERE {{ (a p ?o):?l ASSIGN meet(?l, {c}) AS ?j }}",
+            "1",
+            "{[5,25]}",
+            [{"o": iri("b"), "j": tv("{[5,10]}")}, {"o": iri("c"), "j": tv("{[20,25]}")}],
+        ),
+    ]
+
+    @pytest.fixture()
+    def graph(self):
+        return closure(parse_graph(self.GRAPH).graph)
+
+    @pytest.mark.parametrize("template, foreign, native, expected", CASES)
+    def test_foreign_constant_raises(self, graph, template, foreign, native, expected):
+        query = q(template.format(c=foreign), get_domain("fuzzy:min"))
+        with pytest.raises(DomainMismatchError, match="fuzzy:min"):
+            evaluate_query(graph, query)
+
+    @pytest.mark.parametrize("template, foreign, native, expected", CASES)
+    def test_native_constant_answers(self, graph, template, foreign, native, expected):
+        query = q(template.format(c=native))
+        assert rows_as_set(evaluate_query(graph, query)) == rows_as_set(expected)
+
+    def test_eval_pattern_guards_a_foreign_label(self, graph):
+        # Below the entry point the annotation values themselves refuse
+        # to compare across domains: no row is dropped in silence.
+        query = q("SELECT ?o WHERE { (a p ?o):0.5 }", get_domain("fuzzy:min"))
+        with pytest.raises(DomainMismatchError):
+            eval_pattern(graph, query.pattern)
+
+    def test_join_meets_each_shared_binding_once(self, monkeypatch):
+        graph = parse_graph(
+            "@domix temporal .\n(a p b) : {[0,10]} .\n(a p c) : {[5,30]} .\n"
+            "(d q e) : {[8,20]} .\n"
+        ).graph
+        calls = []
+        meet = AnnotationValue.meet
+
+        def counted(self, other):
+            calls.append((self, other))
+            return meet(self, other)
+
+        monkeypatch.setattr(AnnotationValue, "meet", counted)
+        # Two rows on the left, one on the right, both pairs compatible.
+        left = alg.Bap((alg.TriplePattern(iri("a"), iri("p"), alg.Var("o"), alg.Var("l")),))
+        right = alg.Bap((alg.TriplePattern(iri("d"), iri("q"), iri("e"), alg.Var("l")),))
+        rows = eval_pattern(graph, alg.Join(left, right))
+        assert rows_as_set(rows) == rows_as_set(
+            [{"o": iri("b"), "l": tv("{[8,10]}")}, {"o": iri("c"), "l": tv("{[8,20]}")}]
+        )
+        assert len(calls) == 2
 
 
 class TestBapAgainstClosureAnswering:

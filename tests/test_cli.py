@@ -54,6 +54,14 @@ class TestInfer:
         assert code == 2
         assert "error" in stderr
 
+    @pytest.mark.parametrize("override", [[], ["--domain", "temporal"]])
+    def test_late_domix_exit_2(self, capsys, tmp_path, override):
+        src = tmp_path / "late.anrdf"
+        src.write_text("@domix fuzzy:min .\n(a p b) : 1 .\n@domix temporal .\n(a p c) : 1 .\n")
+        code, stdout, stderr = run(capsys, "infer", "-i", str(src), *override)
+        assert (code, stdout) == (2, "")
+        assert "3:1: a document has at most one @domix line" in stderr
+
     def test_iteration_cap_exit_3(self, capsys, data_dir):
         code, _, stderr = run(
             capsys, "infer", "-i", str(data_dir / "fig1.anrdf"), "--max-iterations", "2"
@@ -291,6 +299,15 @@ class TestCheckDomain:
     def test_unknown_domain_exit_2(self, capsys):
         code, _, _ = run(capsys, "check-domain", "--domain", "no-such")
         assert code == 2
+
+    @pytest.mark.parametrize("samples", ["0", "-3", "many"])
+    def test_samples_below_one_exit_2(self, capsys, samples):
+        # With no samples every law would pass vacuously.
+        with pytest.raises(SystemExit) as info:
+            main(["check-domain", "--domain", "compound(temporal,fuzzy:product)",
+                  "--samples", samples])
+        assert info.value.code == 2
+        assert "--samples" in capsys.readouterr().err
 
 
 class TestNormalizeAnnotation:

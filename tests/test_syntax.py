@@ -185,6 +185,28 @@ class TestDataRoundTrip:
         with pytest.raises(ParseError):
             parse_graph("(a p b) : {[1,2]} .\n")
 
+    LATE_DOMIX = {
+        # A second @domix would re-read the statements before it.
+        "@domix fuzzy:min .\n(a p b) : 1 .\n@domix temporal .\n(a p c) : 1 .\n": (
+            3,
+            "at most one @domix",
+        ),
+        "@domix temporal .\n@domix temporal .\n": (2, "at most one @domix"),
+        "(a p b) : 1 .\n@domix temporal .\n": (2, "before the first annotated"),
+    }
+
+    @pytest.mark.parametrize("domain", [None, "temporal"])
+    @pytest.mark.parametrize("text", LATE_DOMIX)
+    def test_late_or_repeated_domix_rejected(self, text, domain):
+        line, message = self.LATE_DOMIX[text]
+        with pytest.raises(ParseError, match=message) as info:
+            parse_graph(text, domain=domain)
+        assert (info.value.line, info.value.column) == (line, 1)
+
+    def test_domix_after_plain_statements(self):
+        doc = parse_graph("a p b .\n@domix temporal .\n(a p c) : 1 .\n")
+        assert doc.domain.name == "temporal" and len(doc.graph) == 1
+
     def test_comments_ignored(self):
         doc = parse_graph("# header\n@domix boolean .\n(a p b) : true . # tail\n")
         assert len(doc.graph) == 1
@@ -252,6 +274,25 @@ class TestLiteralParseCache:
 
 
 class TestQueryParsing:
+    @pytest.mark.parametrize(
+        "modifiers, column",
+        [
+            ("LIMIT 1 LIMIT 5", 9),
+            ("ORDERBY ?o ORDERBY ?o", 12),
+            ("LIMIT 1 ORDERBY ?o LIMIT 5", 20),
+        ],
+    )
+    def test_repeated_modifier_rejected(self, modifiers, column):
+        prefix = "SELECT ?o WHERE { (a p ?o):?l } "
+        with pytest.raises(ParseError, match="at most one") as info:
+            parse_query(prefix + modifiers, TEMPORAL)
+        assert info.value.column == len(prefix) + column
+
+    @pytest.mark.parametrize("modifiers", ["ORDERBY ?o LIMIT 1", "LIMIT 1 ORDERBY ?o"])
+    def test_modifiers_in_either_order(self, modifiers):
+        query = parse_query("SELECT ?o WHERE { (a p ?o):?l } " + modifiers, TEMPORAL)
+        assert (query.order_by, query.limit) == (alg.Var("o"), 1)
+
     def test_exx1_shape(self, data_dir):
         query = parse_query((data_dir / "queries" / "exx1.anql").read_text(), TEMPORAL)
         assert query.select == (alg.Var("p"), alg.Var("l"), alg.Var("c"))
