@@ -336,6 +336,10 @@ def _apply_assign(
         value = _call(node.fn, node.args, row)
         if value is None:
             continue
+        if isinstance(value, bool):
+            raise QueryTypeError(
+                f"{node.fn} is a test, not a function: ASSIGN cannot bind it to ?{node.target.name}"
+            )
         if _is_annotation(value) and value.is_bottom:
             continue  # annotation variables never hold bottom
         updated = dict(row)

@@ -146,6 +146,8 @@ def _cmd_infer(args) -> int:
 
 def _cmd_query(args) -> int:
     doc = _load(args)
+    query = parse_query(Path(args.query).read_text(), domain=doc.domain)
+    query = rewrite_defaults(query, args.rewrite_defaults, doc.domain)
     graph, side = apply_defaults(doc.graph, doc.plain, args.default_annotation)
     if side is not None and len(side):
         print(
@@ -153,8 +155,6 @@ def _cmd_query(args) -> int:
             file=sys.stderr,
         )
     closed = closure(graph, max_firings=args.max_iterations)
-    query = parse_query(Path(args.query).read_text(), domain=doc.domain)
-    query = rewrite_defaults(query, args.rewrite_defaults, doc.domain)
     diagnostics: list[str] = []
     rows = evaluate_query(closed, query, diagnostics)
     for message in diagnostics:

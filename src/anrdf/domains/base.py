@@ -17,6 +17,12 @@ canonical payloads and return canonical payloads; only `parse_payload`,
 outside.  A payload that is a set has no order of its own:
 `format_payload` decides the order in which it prints.
 
+A domain's constants are attributes, fixed once per domain: the payloads
+`bottom_payload` and `top_payload`, and `finite_payloads`, every payload
+of a finite domain (`None` otherwise).  Its operations are methods: the
+payload kernels and the codec hooks.  `Domain.bottom` and `Domain.top`
+are built once per domain.
+
 `AnnotationValue.meet` and `AnnotationValue.join` settle the cases the
 semiring laws decide without calling the domain's payload kernel: top is
 neutral for meet, bottom is neutral for join, and join is idempotent.
@@ -28,6 +34,7 @@ the operand returned is structurally the value the kernel would give.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Sequence
 
 from ..errors import DomainMismatchError
@@ -48,6 +55,11 @@ class Domain:
     #: True iff meet distributes over join as an equality,
     #: a meet (b join c) == (a meet b) join (a meet c).
     meet_distributes: bool = True
+    #: The payloads of bottom and top; every concrete domain sets both.
+    bottom_payload: Any
+    top_payload: Any
+    #: Every payload of a finite domain (enables exhaustive checking).
+    finite_payloads: Sequence[Any] | None = None
 
     # -- semiring operations on payloads ------------------------------------
 
@@ -60,12 +72,6 @@ class Domain:
     def leq_payload(self, a: Any, b: Any) -> bool:
         # Induced order; domains may override with a direct test.
         return self.join_payload(a, b) == b
-
-    def bottom_payload(self) -> Any:
-        raise NotImplementedError
-
-    def top_payload(self) -> Any:
-        raise NotImplementedError
 
     # -- codec hooks ---------------------------------------------------------
 
@@ -84,10 +90,6 @@ class Domain:
     def random_payload(self, rng) -> Any:
         raise NotImplementedError
 
-    def enumerate_payloads(self) -> Sequence[Any] | None:
-        """All payloads for finite domains (enables exhaustive checking)."""
-        return None
-
     def sort_key(self, payload: Any) -> tuple:
         """Linearization key used by ORDERBY on annotation values."""
         return (self.format_payload(payload),)
@@ -100,13 +102,13 @@ class Domain:
     def parse(self, text: str) -> "AnnotationValue":
         return AnnotationValue(self, self.parse_payload(text))
 
-    @property
+    @cached_property
     def bottom(self) -> "AnnotationValue":
-        return AnnotationValue(self, self.bottom_payload())
+        return AnnotationValue(self, self.bottom_payload)
 
-    @property
+    @cached_property
     def top(self) -> "AnnotationValue":
-        return AnnotationValue(self, self.top_payload())
+        return AnnotationValue(self, self.top_payload)
 
     def random_value(self, rng) -> "AnnotationValue":
         return AnnotationValue(self, self.random_payload(rng))
@@ -140,7 +142,7 @@ class AnnotationValue:
         a, b = self.payload, other.payload
         if a == b:
             return self
-        bottom = self.domain.bottom_payload()
+        bottom = self.domain.bottom_payload
         if a == bottom:
             return other
         if b == bottom:
@@ -152,7 +154,7 @@ class AnnotationValue:
         (one operand is top)."""
         self._check(other)
         a, b = self.payload, other.payload
-        top = self.domain.top_payload()
+        top = self.domain.top_payload
         if a == top:
             return other
         if b == top:
@@ -165,7 +167,7 @@ class AnnotationValue:
 
     @property
     def is_bottom(self) -> bool:
-        return self.payload == self.domain.bottom_payload()
+        return self.payload == self.domain.bottom_payload
 
     def serialize(self) -> str:
         return self.domain.format_payload(self.payload)

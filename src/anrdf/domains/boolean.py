@@ -13,6 +13,9 @@ from .base import Domain
 class BooleanDomain(Domain):
     name = "boolean"
     is_lattice = True
+    bottom_payload = False
+    top_payload = True
+    finite_payloads = (False, True)
 
     def join_payload(self, a: bool, b: bool) -> bool:
         return a or b
@@ -22,12 +25,6 @@ class BooleanDomain(Domain):
 
     def leq_payload(self, a: bool, b: bool) -> bool:
         return (not a) or b
-
-    def bottom_payload(self) -> bool:
-        return False
-
-    def top_payload(self) -> bool:
-        return True
 
     def parse_payload(self, text: str) -> bool:
         text = text.strip()
@@ -47,9 +44,3 @@ class BooleanDomain(Domain):
 
     def random_payload(self, rng) -> bool:
         return rng.random() < 0.5
-
-    def enumerate_payloads(self):
-        return (False, True)
-
-    def sort_key(self, payload: bool) -> tuple:
-        return (int(payload),)

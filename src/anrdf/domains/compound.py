@@ -79,14 +79,14 @@ def evaluate(d1: Domain, d2: Domain, pairs: Iterable[Pair], z: Any) -> Any:
     items = list(pairs)
     n = len(items)
     # Incremental subset folds over bitmasks: joins of x's, meets of y's.
-    join1 = [d1.bottom_payload()] * (1 << n)
-    meet2 = [d2.top_payload()] * (1 << n)
+    join1 = [d1.bottom_payload] * (1 << n)
+    meet2 = [d2.top_payload] * (1 << n)
     for mask in range(1, 1 << n):
         low = (mask & -mask).bit_length() - 1
         rest = mask & (mask - 1)
         join1[mask] = d1.join_payload(join1[rest], items[low][0])
         meet2[mask] = d2.meet_payload(meet2[rest], items[low][1])
-    result = d2.bottom_payload()
+    result = d2.bottom_payload
     for mask in range(1 << n):
         if d1.leq_payload(z, join1[mask]):
             result = d2.join_payload(result, meet2[mask])
@@ -105,7 +105,7 @@ def saturate_fast(
     antichain closed under the combinators (a normal form): it seeds the
     antichain, and only `pairs` are queued (see the module docstring).
     """
-    bot1, bot2 = d1.bottom_payload(), d2.bottom_payload()
+    bot1, bot2 = d1.bottom_payload, d2.bottom_payload
 
     def leq(p: Pair, q: Pair) -> bool:
         return d1.leq_payload(p[0], q[0]) and d2.leq_payload(p[1], q[1])
@@ -156,7 +156,7 @@ def generated_sublattice(d1: Domain, xs: Iterable[Any]) -> set[Any]:
     The function denoted by a pair set is determined by its restriction
     to this finite set, which justifies the finite canonicity checks.
     """
-    values = set(xs) | {d1.bottom_payload(), d1.top_payload()}
+    values = set(xs) | {d1.bottom_payload, d1.top_payload}
     while True:
         fresh = set()
         for a in values:
@@ -172,6 +172,8 @@ def generated_sublattice(d1: Domain, xs: Iterable[Any]) -> set[Any]:
 class CompoundDomain(Domain):
     """Annotation domain of normalised pair sets over (D1, D2)."""
 
+    bottom_payload = frozenset()
+
     def __init__(self, d1: Domain, d2: Domain):
         if not d1.is_lattice:
             raise NotALatticeError(
@@ -186,6 +188,7 @@ class CompoundDomain(Domain):
         # Distributivity holds exactly when meet2 is idempotent, which
         # under the semiring laws is when it is the greatest lower bound.
         self.meet_distributes = d2.is_lattice
+        self.top_payload = frozenset({(d1.top_payload, d2.top_payload)})
 
     def join_payload(self, a, b):
         small, large = (a, b) if len(a) <= len(b) else (b, a)
@@ -198,12 +201,6 @@ class CompoundDomain(Domain):
             for (x2, y2) in b
         ]
         return normalise(self.d1, self.d2, crossed)
-
-    def bottom_payload(self):
-        return frozenset()
-
-    def top_payload(self):
-        return frozenset({(self.d1.top_payload(), self.d2.top_payload())})
 
     def parse_payload(self, text: str):
         s = text.strip()

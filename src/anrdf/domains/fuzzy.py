@@ -38,6 +38,9 @@ _TNORMS = {
 
 
 class FuzzyDomain(Domain):
+    bottom_payload = ZERO
+    top_payload = ONE
+
     def __init__(self, tnorm: str = "product"):
         if tnorm not in _TNORMS:
             raise AnnotationSyntaxError(f"unknown t-norm {tnorm!r}")
@@ -52,12 +55,6 @@ class FuzzyDomain(Domain):
 
     def leq_payload(self, a: Fraction, b: Fraction) -> bool:
         return a <= b
-
-    def bottom_payload(self) -> Fraction:
-        return ZERO
-
-    def top_payload(self) -> Fraction:
-        return ONE
 
     def parse_payload(self, text: str) -> Fraction:
         try:

@@ -54,6 +54,8 @@ def prov_leq(a: Dnf, b: Dnf) -> bool:
 class ProvenanceDomain(Domain):
     name = "provenance"
     is_lattice = True
+    bottom_payload = FALSE
+    top_payload = TRUE
 
     def join_payload(self, a: Dnf, b: Dnf) -> Dnf:
         return prov_join(a, b)
@@ -63,12 +65,6 @@ class ProvenanceDomain(Domain):
 
     def leq_payload(self, a: Dnf, b: Dnf) -> bool:
         return prov_leq(a, b)
-
-    def bottom_payload(self) -> Dnf:
-        return FALSE
-
-    def top_payload(self) -> Dnf:
-        return TRUE
 
     def parse_payload(self, text: str) -> Dnf:
         return _Parser(text).parse()

@@ -153,6 +153,8 @@ def _parse_interval(text: str) -> Interval:
 class TemporalDomain(Domain):
     name = "temporal"
     is_lattice = True
+    bottom_payload = ()
+    top_payload = ((NEG_INF, POS_INF),)
 
     def join_payload(self, a: IntervalSet, b: IntervalSet) -> IntervalSet:
         return temporal_join(a, b)
@@ -162,12 +164,6 @@ class TemporalDomain(Domain):
 
     def leq_payload(self, a: IntervalSet, b: IntervalSet) -> bool:
         return temporal_leq(a, b)
-
-    def bottom_payload(self) -> IntervalSet:
-        return ()
-
-    def top_payload(self) -> IntervalSet:
-        return ((NEG_INF, POS_INF),)
 
     def parse_payload(self, text: str) -> IntervalSet:
         return parse_interval_set(text)

@@ -153,10 +153,10 @@ def saturate_naive(
             f"naive saturation limited to {bound} pairs, got {n}"
         )
     m = 1 << n  # number of subsets J
-    meet1 = [d1.top_payload()] * m
-    join1 = [d1.bottom_payload()] * m
-    join2 = [d2.bottom_payload()] * m
-    meet2 = [d2.top_payload()] * m
+    meet1 = [d1.top_payload] * m
+    join1 = [d1.bottom_payload] * m
+    join2 = [d2.bottom_payload] * m
+    meet2 = [d2.top_payload] * m
     for mask in range(1, m):
         low = (mask & -mask).bit_length() - 1
         rest = mask & (mask - 1)
@@ -167,8 +167,8 @@ def saturate_naive(
         meet2[mask] = d2.meet_payload(meet2[rest], y)
     # X ranges over sets of subsets; fold incrementally over X's low member.
     out: set[Pair] = set()
-    line1 = [(d1.bottom_payload(), d2.top_payload())] * (1 << m)
-    line2 = [(d1.top_payload(), d2.bottom_payload())] * (1 << m)
+    line1 = [(d1.bottom_payload, d2.top_payload)] * (1 << m)
+    line2 = [(d1.top_payload, d2.bottom_payload)] * (1 << m)
     for xmask in range(1 << m):
         if xmask:
             low = (xmask & -xmask).bit_length() - 1
@@ -191,7 +191,7 @@ def saturate_naive(
 def reduce_pairs(d1: Domain, d2: Domain, pairs: Iterable[Pair]) -> set[Pair]:
     """Drop pairs with a bottom component and pairs dominated by a
     distinct pair in both components."""
-    bot1, bot2 = d1.bottom_payload(), d2.bottom_payload()
+    bot1, bot2 = d1.bottom_payload, d2.bottom_payload
     live = {p for p in pairs if p[0] != bot1 and p[1] != bot2}
     return {
         p

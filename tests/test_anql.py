@@ -336,6 +336,14 @@ class TestAssign:
         rows = evaluate_query(closed, query)
         assert [r["z"] for r in rows] == [tv("{[1999,2004]}")]
 
+    @pytest.mark.parametrize("call", ["isTEMPORAL(?l)", "before(?l, [2005])"])
+    def test_a_test_cannot_be_assigned(self, fig1_exx1_closure, call):
+        # A predicate yields a truth value, which no answer cell can hold.
+        name = call.split("(")[0]
+        query = q(f"SELECT ?x ?t WHERE {{ (?x type ?c):?l ASSIGN {call} AS ?t }}")
+        with pytest.raises(QueryTypeError, match=rf"^{name} is a test.* \?t$"):
+            evaluate_query(fig1_exx1_closure, query)
+
 
 class TestGroupBy:
     @pytest.fixture()
@@ -476,6 +484,32 @@ class TestModifiers:
         keys = [r["l"].sort_key() for r in rows]
         assert keys == sorted(keys)
 
+    def test_orderby_fuzzy_labels_by_degree(self):
+        doc = parse_graph(
+            "@domix fuzzy:min .\n(a p x) : 0.5 .\n(b p x) : 1 .\n(c p x) : 0.25 .\n(d p x) : 0.75 .\n"
+        )
+        query = q("SELECT ?s ?l WHERE { (?s p x):?l } ORDERBY ?l", doc.domain)
+        rows = evaluate_query(closure(doc.graph), query)
+        assert [(r["s"].lexical, r["l"].serialize()) for r in rows] == [
+            ("c", "0.25"), ("a", "0.5"), ("d", "0.75"), ("b", "1"),
+        ]
+
+    def test_orderby_boolean_labels(self):
+        # No answer binds bottom, so `false` is only seen by the key itself.
+        assert sorted([BOOLEAN.top, BOOLEAN.bottom], key=AnnotationValue.sort_key) == [
+            BOOLEAN.bottom, BOOLEAN.top,
+        ]
+        doc = parse_graph(
+            "@domix boolean .\n(a p x) : true .\n(b p x) : true .\n(b q y) : true .\n"
+        )
+        query = q(
+            "SELECT ?s ?l WHERE { (?s p x):?k OPTIONAL {(?s q y):?l} } ORDERBY ?l", BOOLEAN
+        )
+        rows = evaluate_query(closure(doc.graph), query)
+        assert [(r["s"].lexical, r.get("l")) for r in rows] == [
+            ("a", None), ("b", BOOLEAN.top),
+        ]
+
     def test_orderby_mixed_types_error(self, fig1_exx1_closure):
         query = q(
             "SELECT ?p ?z WHERE { { (?p type ebayEmp):?l ASSIGN length(?l) AS ?z } "
@@ -490,6 +524,12 @@ class TestModifiers:
         limited = evaluate_query(fig1_exx1_closure, q(base + " LIMIT 2"))
         assert limited == full[:2]
         assert evaluate_query(fig1_exx1_closure, q(base + " LIMIT 0")) == []
+
+    def test_limit_inside_a_group(self, fig1_exx1_closure):
+        query = q("SELECT ?p WHERE { (?p type ebayEmp):?l ORDERBY ?p LIMIT 2 }")
+        assert isinstance(query.pattern, alg.Limit) and query.limit is None
+        rows = evaluate_query(fig1_exx1_closure, query)
+        assert [r["p"].lexical for r in rows] == ["chadHurley", "jawedKarim"]
 
     def test_subselect_projects(self, fig1_exx1_closure):
         query = q(

@@ -226,6 +226,47 @@ class TestQuery:
         assert code == 2
         assert "error" in stderr
 
+    def test_query_is_parsed_before_the_closure(self, capsys, data_dir, tmp_path):
+        # With a firing cap the closure cannot reach, the syntax error
+        # is still what is reported.
+        bad = tmp_path / "bad.anql"
+        bad.write_text("SELECT ?x WHERE { (?x p\n")
+        code, stdout, stderr = run(
+            capsys, "query", "-i", str(data_dir / "fig1_exx1.anrdf"), str(bad),
+            "--max-iterations", "2",
+        )
+        assert (code, stdout, stderr) == (2, "", "error: 2:1: expected a term\n")
+
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    def test_assigning_a_test_exit_2(self, capsys, data_dir, tmp_path, fmt):
+        query = tmp_path / "assign.anql"
+        query.write_text("SELECT ?x ?t WHERE { (?x type ?c):?l ASSIGN isTEMPORAL(?l) AS ?t }")
+        code, stdout, stderr = run(
+            capsys, "query", "-i", str(data_dir / "fig1_exx1.anrdf"), str(query),
+            "--format", fmt,
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: isTEMPORAL is a test, not a function: ASSIGN cannot bind it to ?t\n"
+
+    def test_ordered_filter_tsv(self, capsys, data_dir):
+        code, stdout, _ = run(
+            capsys, "query", "-i", str(data_dir / "fig1_exx1.anrdf"),
+            str(data_dir / "queries" / "ordered_filter.anql"),
+        )
+        assert code == 0
+        assert stdout.splitlines() == ["?p\t?c", "chadHurley\t", "jawedKarim\t", "toivo\tpeugeot"]
+
+    def test_ordered_filter_json(self, capsys, data_dir):
+        code, stdout, _ = run(
+            capsys, "query", "-i", str(data_dir / "fig1_exx1.anrdf"),
+            str(data_dir / "queries" / "ordered_filter.anql"), "--format", "json",
+        )
+        assert code == 0
+        bindings = json.loads(stdout)["bindings"]
+        assert [{k: v["value"] for k, v in b.items()} for b in bindings] == [
+            {"p": "chadHurley"}, {"p": "jawedKarim"}, {"p": "toivo", "c": "peugeot"},
+        ]
+
 
 class TestBadNumbers:
     """A malformed number is a parse error at its position, not a crash."""

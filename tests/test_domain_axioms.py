@@ -74,18 +74,14 @@ class _BrokenDomain(Domain):
 
     name = "broken"
     is_lattice = False
+    bottom_payload = 0
+    top_payload = 9
 
     def join_payload(self, a, b):
         return max(a, b)
 
     def meet_payload(self, a, b):
         return a  # deliberately wrong
-
-    def bottom_payload(self):
-        return 0
-
-    def top_payload(self):
-        return 9
 
     def format_payload(self, payload):
         return str(payload)
@@ -115,7 +111,7 @@ class _TopBlindDomain(FuzzyDomain):
         self.name = "top-blind"
 
     def meet_payload(self, a, b):
-        return self.top_payload() if self.top_payload() in (a, b) else super().meet_payload(a, b)
+        return self.top_payload if self.top_payload in (a, b) else super().meet_payload(a, b)
 
 
 def test_short_circuited_laws_are_checked_on_the_kernels():
@@ -125,6 +121,23 @@ def test_short_circuited_laws_are_checked_on_the_kernels():
     report = axiom_suite(domain, samples=100, seed=7)
     failed = {c.name for c in report.checks if not c.passed}
     assert "top neutral for meet" in failed
+
+
+class _ReversedOrderDomain(FuzzyDomain):
+    """Negative control: `leq` is the reverse of the order join induces."""
+
+    def __init__(self):
+        super().__init__("min")
+        self.name = "reversed-order"
+
+    def leq_payload(self, a, b):
+        return a >= b
+
+
+def test_order_must_be_the_one_join_induces():
+    report = axiom_suite(_ReversedOrderDomain(), samples=100, seed=7)
+    failed = {c.name for c in report.checks if not c.passed}
+    assert "order induced by join" in failed
 
 
 @pytest.mark.parametrize("domain_id", ALL_DOMAIN_IDS)  # criterion 09's eight

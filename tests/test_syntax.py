@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from anrdf import get_domain, parse_graph, parse_query
+from anrdf import evaluate_query, get_domain, parse_graph, parse_query
 from anrdf.anql import algebra as alg
 from anrdf.domains import Domain
 from anrdf.errors import ParseError
@@ -453,6 +454,63 @@ class TestQueryParsing:
         )
         tp = query.pattern.patterns[0]
         assert tp.predicate == iri("http://ex.org/p")
+
+
+class TestFilterGrammar:
+    """The FILTER expression grammar, checked on the algebra it builds."""
+
+    @staticmethod
+    def expr(text: str, domain=TEMPORAL) -> alg.FilterExpr:
+        query = parse_query(f"SELECT ?x WHERE {{ (?x p ?y):?l FILTER({text}) }}", domain)
+        return query.pattern.expr
+
+    x, y, l = alg.Var("x"), alg.Var("y"), alg.Var("l")
+    TREES = {
+        "!BOUND(?y)": alg.Not(alg.Bound(y)),
+        "BOUND(?x) && BOUND(?y)": alg.And(alg.Bound(x), alg.Bound(y)),
+        # && binds tighter than ||, and both associate to the left.
+        "BOUND(?x) || BOUND(?y) && BOUND(?l)": alg.Or(
+            alg.Bound(x), alg.And(alg.Bound(y), alg.Bound(l))
+        ),
+        "BOUND(?x) || BOUND(?y) || BOUND(?l)": alg.Or(
+            alg.Or(alg.Bound(x), alg.Bound(y)), alg.Bound(l)
+        ),
+        "(BOUND(?x) || BOUND(?y)) && BOUND(?l)": alg.And(
+            alg.Or(alg.Bound(x), alg.Bound(y)), alg.Bound(l)
+        ),
+        "!(isIRI(?y))": alg.Not(alg.IsIri(y)),
+        "isIRI(?y)": alg.IsIri(y),
+        "isBLANK(?y)": alg.IsBlank(y),
+        "isLITERAL(?y)": alg.IsLiteral(y),
+        "?x != ?y": alg.Not(alg.Eq(x, y)),
+        "?y = 3": alg.Eq(y, Fraction(3)),
+        "?y = -3/2": alg.Eq(y, Fraction(-3, 2)),
+        # `true` is not a temporal literal, so it is a name here.
+        "?y = true": alg.Eq(y, iri("true")),
+    }
+
+    @pytest.mark.parametrize("text", TREES)
+    def test_tree(self, text):
+        assert self.expr(text) == self.TREES[text]
+
+    def test_true_is_a_literal_where_the_domain_has_one(self):
+        boolean = get_domain("boolean")
+        assert self.expr("?l = true", boolean) == alg.Eq(self.l, boolean.top)
+        assert self.expr("?l = false", boolean) == alg.Eq(self.l, boolean.bottom)
+
+    def test_bang_equals_needs_a_left_operand(self):
+        with pytest.raises(ParseError, match="unexpected '!='"):
+            self.expr("!= ?y")
+
+    def test_combined_filter_evaluates(self, fig1_exx1_closure):
+        query = parse_query(
+            "SELECT ?p ?c WHERE { (?p hasCar ?c):?l FILTER("
+            "isIRI(?c) && !isBLANK(?c) && !isLITERAL(?c) && ?c != renault"
+            " || BOUND(?nowhere)) }",
+            TEMPORAL,
+        )
+        rows = evaluate_query(fig1_exx1_closure, query)
+        assert rows == [{"p": iri("toivo"), "c": iri("peugeot")}]
 
 
 def bare_literal(rng: random.Random, domain) -> str | None:
