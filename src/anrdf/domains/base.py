@@ -33,6 +33,7 @@ the operand returned is structurally the value the kernel would give.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Sequence
@@ -187,6 +188,10 @@ class AnnotationValue:
         return f"{self.domain.name}:{self.serialize()}"
 
 
+# The characters `split_top_level` acts on; it skips every other one.
+_SPLIT_RE = re.compile(r"[<{\[(>}\]),]")
+
+
 def split_top_level(body: str) -> list[str]:
     """Split a literal body at the commas outside every bracket pair
     `<>`, `{}`, `[]`, `()`; the parts are not stripped."""
@@ -195,13 +200,14 @@ def split_top_level(body: str) -> list[str]:
     parts = []
     depth = 0
     start = 0
-    for i, ch in enumerate(body):
+    for m in _SPLIT_RE.finditer(body):
+        ch = m.group()
         if ch in "<{[(":
             depth += 1
-        elif ch in ">}])":
+        elif ch != ",":
             depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(body[start:i])
-            start = i + 1
+        elif depth == 0:
+            parts.append(body[start : m.start()])
+            start = m.end()
     parts.append(body[start:])
     return parts

@@ -35,6 +35,37 @@ every combination it dominated, because dominance is transitive, and
 that pair is queued.  Meets, parsing and validation cross or read raw
 pairs and go through `normalise`.
 
+The saturation loop is semi-naive.  It keeps a set `done`, which starts
+as the closed operand and gains each pair as the pair leaves the queue.
+A popped pair is combined only with the members of `done` that are
+still in the antichain, never with itself (both combinators applied to
+<x, y> and <x, y> give pairs under <x, y>) nor with a member that is
+still queued: that member meets the popped pair when its own turn comes.
+So each unordered pair of surviving members is combined exactly once.
+The pruning argument carries over: a dropped member's dominator is
+either already in `done` or still queued, and in both cases it meets
+every member the dropped one would have met.
+
+The order needs no join.  For normal forms a and b, a <= b (that is,
+a join b == b) iff every pair of a lies componentwise under some pair of
+b, which `CompoundDomain.leq_payload` tests directly.
+
+  (<=) Both combinators are monotone in each argument, so every
+  combination that uses a pair of a is dominated by the same
+  combination with that pair's dominator in b.  By induction every pair
+  derivable from a and b together lies under one derivable from b
+  alone, so the maximal pairs of the closure of a and b are those of b,
+  which are b itself because b is a normal form.
+  (=>) `saturate_fast` drops an offered pair with no bottom component
+  (a normal form has none) only when a member of the antichain equals
+  or dominates it, and a member leaves the antichain only when a pair
+  that dominates it enters.  Dominance is transitive, so every pair of
+  a ends under a member of the result, and the result is b.
+
+The argument uses only monotone combinators and the component orders
+induced by their joins (criterion 09 checks both); it does not use
+distributivity, so it covers `fuzzy:product` as well.
+
 Normalisation is only sound when D1 is a lattice (meet1 must be the
 greatest lower bound), which is enforced when the domain is constructed.
 
@@ -104,6 +135,9 @@ def saturate_fast(
     elements of the full closure.  `closed` must be a bottom-free
     antichain closed under the combinators (a normal form): it seeds the
     antichain, and only `pairs` are queued (see the module docstring).
+    The loop is semi-naive: a popped pair meets only the members of
+    `done` still in the front, so each unordered pair of surviving
+    members is combined once and no pair with itself.
     """
     bot1, bot2 = d1.bottom_payload, d2.bottom_payload
 
@@ -111,6 +145,7 @@ def saturate_fast(
         return d1.leq_payload(p[0], q[0]) and d2.leq_payload(p[1], q[1])
 
     front: set[Pair] = set(closed)
+    done: set[Pair] = set(front)
     queue: list[Pair] = []
 
     def offer(r: Pair) -> None:
@@ -129,7 +164,7 @@ def saturate_fast(
         p = queue.pop()
         if p not in front:
             continue  # pruned while waiting
-        for q in list(front):
+        for q in [q for q in done if q in front]:
             for r in (
                 (d1.meet_payload(p[0], q[0]), d2.join_payload(p[1], q[1])),
                 (d1.join_payload(p[0], q[0]), d2.meet_payload(p[1], q[1])),
@@ -140,6 +175,7 @@ def saturate_fast(
                         f"compound saturation exceeded its cap of {_FAST_SATURATE_CAP} steps"
                     )
                 offer(r)
+        done.add(p)
     return front
 
 
@@ -193,6 +229,12 @@ class CompoundDomain(Domain):
     def join_payload(self, a, b):
         small, large = (a, b) if len(a) <= len(b) else (b, a)
         return frozenset(saturate_fast(self.d1, self.d2, small, closed=large))
+
+    def leq_payload(self, a, b):
+        # Componentwise cover; the module docstring proves it is the
+        # join-induced order.
+        leq1, leq2 = self.d1.leq_payload, self.d2.leq_payload
+        return all(any(leq1(x, u) and leq2(y, v) for u, v in b) for x, y in a)
 
     def meet_payload(self, a, b):
         crossed = [

@@ -60,7 +60,7 @@ def parse_scalar(text: str) -> Scalar:
         return check_scalar(Fraction(int(m.group(1)), int(m.group(2))))
     m = _DECIMAL_RE.fullmatch(text)
     if m:
-        return check_scalar(Fraction(text))
+        return check_scalar(Fraction(text)) if m.group(2) else int(text)
     raise ValueError(f"not a number: {text!r}")
 
 

@@ -99,7 +99,8 @@ def parse_graph(text: str, domain: Domain | str | None = None) -> Document:
         if cur.at_end():
             continue
         start = cur.pos
-        if cur.directive("domix"):
+        directive = line[start] == "@"
+        if directive and cur.directive("domix"):
             # The domain fixes how every annotation literal reads, so it
             # is named once, ahead of them all.
             if declared is not None:
@@ -114,12 +115,12 @@ def parse_graph(text: str, domain: Domain | str | None = None) -> Document:
             except UnknownDomainError as exc:
                 raise cur.error(str(exc)) from None
             continue
-        if cur.directive("prefix"):
+        if directive:
+            if not cur.directive("prefix"):
+                raise cur.error("unknown directive; expected @domix or @prefix")
             cur.prefix_directive()
             _expect_final_dot(cur, "@prefix line must end with '.'")
             continue
-        if cur.peek() == "@":
-            raise cur.error("unknown directive; expected @domix or @prefix")
         bracketed = cur.take("(")
         s, p, o = _term(cur), _term(cur), _term(cur)
         annotation = None
@@ -177,21 +178,42 @@ def format_term(term: Term) -> str:
     return f"<{term.lexical}>"
 
 
+def _statement_line(spo: str, literal: str | None) -> str:
+    return f"{spo} ." if literal is None else f"({spo}) : {literal} ."
+
+
 def format_statement(t: Triple, value: AnnotationValue | None) -> str:
     spo = f"{format_term(t.subject)} {format_term(t.predicate)} {format_term(t.object)}"
-    if value is None:
-        return f"{spo} ."
-    return f"({spo}) : {value.serialize()} ."
+    return _statement_line(spo, None if value is None else value.serialize())
+
+
+class _Formatted(dict):
+    """Text of each key, formatted by `fmt` on first lookup only."""
+
+    def __init__(self, fmt):
+        super().__init__()
+        self.fmt = fmt
+
+    def __missing__(self, key):
+        text = self[key] = self.fmt(key)
+        return text
 
 
 def serialize_graph(graph: AnnotatedGraph, plain: list[Triple] | None = None) -> str:
-    """Canonical text for a graph (optionally with plain triples)."""
-    lines = [f"@domix {graph.domain.name} ."]
+    """Canonical text for a graph (optionally with plain triples).
+
+    Each line reads as `format_statement` writes it.  A graph repeats its
+    terms and annotation values, so each distinct term and payload is
+    formatted once per call; payloads are canonical, so equal payloads
+    print alike."""
+    terms = _Formatted(format_term)
+    literals = _Formatted(graph.domain.format_payload)
     entries: list[tuple[Triple, str]] = [
-        (t, format_statement(t, v)) for t, v in graph.statements()
+        (t, _statement_line(" ".join([terms[x] for x in t]), literals[v.payload]))
+        for t, v in graph.statements()
     ]
     for t in plain or []:
-        entries.append((t, format_statement(t, None)))
+        entries.append((t, _statement_line(" ".join([terms[x] for x in t]), None)))
+    lines = [f"@domix {graph.domain.name} ."]
     lines.extend(text for _, text in sorted(entries))
     return "\n".join(lines) + "\n"
-

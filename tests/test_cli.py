@@ -35,6 +35,13 @@ class TestInfer:
         assert code == 0
         assert "(chadHurley type Agent) : (chad ^ foaf) ." in stdout
 
+    def test_compound_sample_closes_to_the_checked_in_closure(self, capsys, data_dir):
+        # Two non-top compound values meet in the closure: the 2-pair
+        # worksFor annotation and the annotated dom and sc triples.
+        code, stdout, _ = run(capsys, "infer", "-i", str(data_dir / "compound_sample.anrdf"))
+        assert code == 0
+        assert stdout == (data_dir / "compound_sample.closed.anrdf").read_text()
+
     def test_empty_input(self, capsys, tmp_path):
         src = tmp_path / "empty.anrdf"
         src.write_text("@domix temporal .\n")

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from anrdf.domains import (
+    Domain,
     evaluate,
     generated_sublattice,
     get_domain,
@@ -185,6 +186,97 @@ class TestClosedOperandJoin:
                 assert set(ab) == reduce_pairs(d1, d2, saturate_naive(d1, d2, [*a, *b]))
                 naive += 1
         assert naive > 100 and dominating > 30, (naive, dominating)
+
+
+class _Recording(Domain):
+    """A component domain that logs the operands of one payload kernel."""
+
+    def __init__(self, inner: Domain, kernel: str):
+        self.inner, self.kernel, self.calls = inner, kernel, []
+        self.name, self.is_lattice = inner.name, inner.is_lattice
+        self.bottom_payload, self.top_payload = inner.bottom_payload, inner.top_payload
+
+    def _call(self, kernel, a, b):
+        if kernel == self.kernel:
+            self.calls.append((a, b))
+        return getattr(self.inner, kernel)(a, b)
+
+    def join_payload(self, a, b):
+        return self._call("join_payload", a, b)
+
+    def meet_payload(self, a, b):
+        return self._call("meet_payload", a, b)
+
+    def leq_payload(self, a, b):
+        return self.inner.leq_payload(a, b)
+
+
+class TestSemiNaiveSaturation:
+    """`saturate_fast` combines each unordered pair of members once.
+
+    Each combination calls D1's meet on the two first components and then
+    D2's join on the two second components, so the two logs, zipped,
+    give the two pairs of every combination."""
+
+    @pytest.mark.parametrize("d2", [FP, PV], ids=["fuzzy", "provenance"])
+    def test_each_pair_meets_once_and_the_result_is_the_oracle(self, d2):
+        rng = random.Random(1600)
+        checked = closed_checked = 0
+
+        def raw(n):
+            return [(T.random_payload(rng), d2.random_payload(rng)) for _ in range(n)]
+
+        for _ in range(150):
+            pairs, closed = raw(rng.randint(0, 4)), normalise(T, d2, raw(rng.randint(0, 2)))
+            rec1, rec2 = _Recording(T, "meet_payload"), _Recording(d2, "join_payload")
+            out = saturate_fast(rec1, rec2, pairs, closed=closed)
+            assert len(rec1.calls) == len(rec2.calls)
+            seen = set()
+            for (x, u), (y, v) in zip(rec1.calls, rec2.calls):
+                p, q = (x, y), (u, v)
+                assert p != q, f"{p} combined with itself"
+                key = frozenset((p, q))
+                assert key not in seen, f"{p} and {q} combined twice"
+                seen.add(key)
+            if len(pairs) + len(closed) <= NAIVE_SATURATE_BOUND - 1:
+                oracle = reduce_pairs(T, d2, saturate_naive(T, d2, [*pairs, *closed]))
+                assert out == oracle, (pairs, closed)
+                checked += 1
+                closed_checked += bool(closed)
+        assert checked > 60 and closed_checked > 30, (checked, closed_checked)
+
+
+class TestOrderKernel:
+    """`CompoundDomain.leq_payload` tests componentwise cover; it must be
+    the order the join induces (the module docstring proves it)."""
+
+    @pytest.mark.parametrize(
+        "name", ["compound(temporal,fuzzy:product)", "compound(temporal,provenance)"]
+    )
+    def test_cover_is_the_join_induced_order(self, name):
+        domain = get_domain(name)
+        rng = random.Random(7700)
+        below = 0
+        for i in range(300):
+            a, other = domain.random_payload(rng), domain.random_payload(rng)
+            if i % 3 == 1:
+                b = domain.join_payload(a, other)  # a <= b
+            elif i % 3 == 2:
+                a, b = domain.meet_payload(a, other), a  # a <= b
+            else:
+                b = other
+            induced = Domain.leq_payload(domain, a, b)
+            assert domain.leq_payload(a, b) == induced, (a, b)
+            below += induced
+        assert below >= 200
+
+    def test_the_second_component_counts(self):
+        domain = get_domain("compound(temporal,fuzzy:product)")
+        low = domain.parse_payload("{<{[1,5]},0.5>}")
+        high = domain.parse_payload("{<{[1,5]},0.7>}")
+        assert domain.leq_payload(low, high) and not domain.leq_payload(high, low)
+        assert domain.leq_payload(domain.bottom_payload, low)
+        assert not domain.leq_payload(low, domain.bottom_payload)
 
 
 class TestCompoundDomain:

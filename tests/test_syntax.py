@@ -18,7 +18,8 @@ from anrdf.syntax import (
     serialize_answers_tsv,
     serialize_graph,
 )
-from anrdf.syntax.data import format_term
+from anrdf.domains.base import split_top_level
+from anrdf.syntax.data import format_statement, format_term
 
 TEMPORAL = get_domain("temporal")
 DATA_FILES = sorted((Path(__file__).resolve().parent.parent / "data").glob("*.anrdf"))
@@ -60,6 +61,45 @@ def random_document(rng: random.Random, domain) -> AnnotatedGraph:
     return graph
 
 
+def split_by_characters(body: str) -> list[str]:
+    """`split_top_level` by its definition, one character at a time."""
+    if not body:
+        return []
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(body):
+        if ch in "<{[(":
+            depth += 1
+        elif ch in ">}])":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            parts.append(body[start:i])
+            start = i + 1
+    parts.append(body[start:])
+    return parts
+
+
+class TestSplitTopLevel:
+    def test_nested_literals(self):
+        body = "<{[1,2],[3,4]},(a ^ b)>, <{[5,6]},c>,<{},x>"
+        assert split_top_level(body) == ["<{[1,2],[3,4]},(a ^ b)>", " <{[5,6]},c>", "<{},x>"]
+        assert split_top_level("") == [] and split_top_level(",") == ["", ""]
+
+    def test_agrees_with_the_character_definition(self):
+        # Random bodies over the bracket characters, commas and filler,
+        # balanced or not, plus literals that every domain writes.
+        rng = random.Random(5150)
+        alphabet = [*"<>{}[](),", "a", "1", " ", "^", "-"]
+        bodies = [
+            "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
+            for _ in range(3000)
+        ]
+        for domain_id in ALL_DOMAIN_IDS:
+            domain = get_domain(domain_id)
+            bodies += [domain.random_value(rng).serialize()[1:-1] for _ in range(50)]
+        for body in bodies:
+            assert split_top_level(body) == split_by_characters(body), body
+
+
 class TestDataRoundTrip:
     @pytest.mark.parametrize("domain_id", ALL_DOMAIN_IDS)
     def test_generated_documents(self, domain_id):
@@ -72,6 +112,29 @@ class TestDataRoundTrip:
             assert doc.domain.name == domain.name
             assert dict(doc.graph.statements()) == dict(graph.statements())
             assert serialize_graph(doc.graph) == text  # byte-identical
+
+    @pytest.mark.parametrize("domain_id", ALL_DOMAIN_IDS)
+    def test_each_line_is_format_statement(self, domain_id):
+        # `serialize_graph` formats each distinct term and payload once;
+        # every line must still read as `format_statement` writes it.
+        # Values come from a small pool, so payloads and terms repeat.
+        domain = get_domain(domain_id)
+        rng = random.Random(f"lines:{domain_id}")
+        for _ in range(40):
+            pool = [domain.random_value(rng) for _ in range(3)]
+            graph = AnnotatedGraph(domain)
+            for _ in range(rng.randint(0, 12)):
+                value = rng.choice(pool)
+                if not value.is_bottom:
+                    graph.insert(Triple(random_term(rng), iri("p"), random_term(rng)), value)
+            plain = [
+                Triple(random_term(rng), TYPE, random_term(rng))
+                for _ in range(rng.randint(0, 3))
+            ]
+            entries = [(t, format_statement(t, v)) for t, v in graph.statements()]
+            entries += [(t, format_statement(t, None)) for t in plain]
+            lines = [f"@domix {domain.name} .", *(text for _, text in sorted(entries))]
+            assert serialize_graph(graph, plain) == "\n".join(lines) + "\n"
 
     def test_literals_with_quotes_comments_and_line_breaks(self):
         # The characters an escape, a comment or a line split could get

@@ -150,6 +150,15 @@ class TestIntegerEndpoints:
             check_scalar(2.0)
         assert format_scalar(2001) == format_scalar(Fraction(2001)) == "2001"
 
+    @pytest.mark.parametrize(
+        "text", ["0", "-0", "+7", "007", "1.0", "2.50", "6/3", "3/4", "-12", "-inf"]
+    )
+    def test_parse_scalar_is_the_canonical_scalar(self, text):
+        exact = float(text) if text.endswith("inf") else Fraction(text)
+        expected = check_scalar(exact)
+        assert parse_scalar(text) == expected
+        assert type(parse_scalar(text)) is type(expected)
+
     def test_int_and_fraction_payloads_are_one_value(self):
         whole = ((Fraction(1), Fraction(2)),)
         assert TEMPORAL.value(whole) == TEMPORAL.parse("{[1,2]}")
