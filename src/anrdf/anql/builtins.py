@@ -96,30 +96,36 @@ def _allen(rel: AllenRelation, mode: QuantifierMode) -> Callable[..., bool]:
     return predicate
 
 
-REGISTRY: dict[str, Callable[..., Any]] = {
+FUNCTIONS: dict[str, Callable[..., Any]] = {
     "length": _length,
     "maxlength": _maxlength,
     "join": _fold("join"),
     "meet": _fold("meet"),
-    "isTEMPORAL": _type_probe("temporal"),
-    "isPROVENANCE": _type_probe("provenance"),
 }
 
-# All fuzzy variants share one probe regardless of the configured t-norm.
-REGISTRY["isFUZZY"] = lambda *args: (
-    len(args) == 1
-    and isinstance(args[0], AnnotationValue)
-    and args[0].domain.name.startswith("fuzzy:")
-)
+# A test yields a truth value: FILTER reads it, but no answer cell can
+# hold it, so ASSIGN cannot bind it.
+TESTS: dict[str, Callable[..., bool]] = {
+    "isTEMPORAL": _type_probe("temporal"),
+    "isPROVENANCE": _type_probe("provenance"),
+    # All fuzzy variants share one probe regardless of the configured t-norm.
+    "isFUZZY": lambda *args: (
+        len(args) == 1
+        and isinstance(args[0], AnnotationValue)
+        and args[0].domain.name.startswith("fuzzy:")
+    ),
+}
 
 for _rel in AllenRelation:
     for _mode in QuantifierMode:
-        REGISTRY[f"{_rel.value}{_mode.surface}"] = _allen(_rel, _mode)
+        TESTS[f"{_rel.value}{_mode.surface}"] = _allen(_rel, _mode)
 
 # `beforeBefore` style aliases are not provided; the plain Allen name
 # defaults to the exists/exists reading used by most related systems.
 for _rel in AllenRelation:
-    REGISTRY.setdefault(_rel.value, _allen(_rel, QuantifierMode.ANY))
+    TESTS.setdefault(_rel.value, _allen(_rel, QuantifierMode.ANY))
+
+REGISTRY: dict[str, Callable[..., Any]] = {**FUNCTIONS, **TESTS}
 
 
 def lookup(name: str) -> Callable[..., Any]:

@@ -13,7 +13,8 @@ caller that hands `eval_pattern` a foreign constant meets the
 The merge rule: `meet_compatible` decides and builds a merged row in
 one pass.  The rows must agree on every shared non-annotation binding;
 each shared annotation binding is met once, and the rows are
-incompatible when that meet is bottom.
+incompatible when that meet is bottom.  Bap, Join and OPTIONAL all merge
+rows through it.
 
 Answers are the domain-maximal rows: a row loses when another row has
 the same key set, identical term bindings, and pointwise larger
@@ -65,7 +66,7 @@ from ..domains import AnnotationValue
 from ..errors import DomainMismatchError, QueryTypeError
 from ..model import IRI, LITERAL, SKOLEM, AnnotatedGraph, Term
 from . import algebra as alg
-from .builtins import UNBOUND, BuiltinError, lookup
+from .builtins import TESTS, UNBOUND, BuiltinError, lookup
 
 Value = Any  # Term | AnnotationValue | Fraction
 Solution = dict[str, Value]
@@ -78,17 +79,13 @@ ERROR = "error"
 # -- solution combinators -----------------------------------------------------
 
 
-def _is_annotation(v: Value) -> bool:
-    return isinstance(v, AnnotationValue)
-
-
 def meet_compatible(a: Solution, b: Solution) -> Solution | None:
     """The merge of `a` and `b`, or None when they are not compatible
     (see the merge rule in the module docstring).  `{}` is a merged row."""
     merged = {**a, **b}
     for key in a.keys() & b.keys():
         va, vb = a[key], b[key]
-        if _is_annotation(va) and _is_annotation(vb):
+        if isinstance(va, AnnotationValue) and isinstance(vb, AnnotationValue):
             met = va.meet(vb)
             if met.is_bottom:
                 return None
@@ -102,7 +99,7 @@ def dominates(big: Solution, small: Solution) -> bool:
     """True iff `small` is a strictly subsumed variant of `big`, for two
     rows with the same `_signature`: only their annotations can differ."""
     return small != big and all(
-        value.leq(big[key]) for key, value in small.items() if _is_annotation(value)
+        value.leq(big[key]) for key, value in small.items() if isinstance(value, AnnotationValue)
     )
 
 
@@ -110,7 +107,8 @@ def _signature(row: Solution) -> frozenset:
     """What two rows must share for one to dominate the other: the key
     set and each non-annotation value."""
     return frozenset(
-        (key,) if _is_annotation(value) else (key, value) for key, value in row.items()
+        (key,) if isinstance(value, AnnotationValue) else (key, value)
+        for key, value in row.items()
     )
 
 
@@ -137,7 +135,7 @@ def _term_keys(rows: list[Solution]) -> set[str]:
     """The variables every row binds to a non-annotation value."""
     keys: set[str] | None = None
     for row in rows:
-        bound = {key for key, value in row.items() if not _is_annotation(value)}
+        bound = {key for key, value in row.items() if not isinstance(value, AnnotationValue)}
         keys = bound if keys is None else keys & bound
         if not keys:
             break
@@ -215,7 +213,7 @@ def filter_eval(expr: alg.FilterExpr, solution: Solution) -> str:
     if isinstance(expr, alg.AnnLeq):
         left = _resolve(expr.left, solution)
         right = _resolve(expr.right, solution)
-        if _is_annotation(left) and _is_annotation(right):
+        if isinstance(left, AnnotationValue) and isinstance(right, AnnotationValue):
             return TRUE if left.leq(right) else FALSE
         return FALSE
     if isinstance(expr, alg.BuiltinCall):
@@ -242,50 +240,37 @@ def eval_bap(graph: AnnotatedGraph, bap: alg.Bap) -> list[Solution]:
 def _match_triple(
     graph: AnnotatedGraph, tp: alg.TriplePattern, solution: Solution
 ) -> Iterable[Solution]:
-    def fixed(slot: alg.TermSlot) -> Term | None:
+    """`solution` extended by each stored triple `tp` matches: the row of
+    the term variables the lookup leaves open and of the annotation
+    variable, bound to the stored value, merges with `solution` by
+    `meet_compatible`.  A constant label must lie under the stored value."""
+    label = graph.domain.top if tp.annotation is None else tp.annotation
+    label_var = label.name if isinstance(label, alg.Var) else None
+    fixed: list[Term | None] = []
+    free: list[tuple[int, str]] = []  # the variables the lookup leaves open
+    for i, slot in enumerate((tp.subject, tp.predicate, tp.object)):
         if isinstance(slot, alg.Var):
+            if slot.name == label_var:
+                return  # one variable cannot hold both a term and an annotation
             value = solution.get(slot.name)
-            return value if isinstance(value, Term) else None
-        return slot
-
-    for t, stored in graph.match(fixed(tp.subject), fixed(tp.predicate), fixed(tp.object)):
-        extended = dict(solution)
-        if not _bind_terms(
-            extended,
-            (tp.subject, tp.predicate, tp.object),
-            (t.subject, t.predicate, t.object),
-        ):
-            continue
-        label = tp.annotation
-        if label is None:
-            label = graph.domain.top
-        if isinstance(label, alg.Var):
-            current = extended.get(label.name)
-            if current is None:
-                extended[label.name] = stored
-            elif _is_annotation(current):
-                combined = current.meet(stored)
-                if combined.is_bottom:
-                    continue
-                extended[label.name] = combined
-            else:
+            if not isinstance(value, Term):
+                free.append((i, slot.name))
+                value = None
+            slot = value
+        fixed.append(slot)
+    for t, stored in graph.match(*fixed):
+        row: Solution = {}
+        for i, name in free:
+            if row.setdefault(name, t[i]) != t[i]:
+                break  # a repeated variable meets two different terms
+        else:
+            if label_var is not None:
+                row[label_var] = stored
+            elif not label.leq(stored):
                 continue
-        elif not label.leq(stored):
-            continue
-        yield extended
-
-
-def _bind_terms(solution: Solution, slots, terms) -> bool:
-    for slot, term in zip(slots, terms):
-        if isinstance(slot, alg.Var):
-            existing = solution.get(slot.name)
-            if existing is None:
-                solution[slot.name] = term
-            elif existing != term:
-                return False
-        elif slot != term:
-            return False
-    return True
+            merged = meet_compatible(solution, row)
+            if merged is not None:
+                yield merged
 
 
 def _eval_optional(
@@ -315,7 +300,7 @@ def _eval_optional(
                 all_filter_false = False
             # A compatible pair binds a shared key to two annotations or
             # to two equal non-annotation values.
-            shared = [key for key in left.keys() & right.keys() if _is_annotation(left[key])]
+            shared = [k for k in left.keys() & right if isinstance(left[k], AnnotationValue)]
             if not shared or not all(
                 merged[key] != left[key] and merged[key].leq(left[key])
                 for key in shared
@@ -330,17 +315,17 @@ def _eval_optional(
 def _apply_assign(
     graph: AnnotatedGraph, node: alg.Assign, diagnostics: list[str]
 ) -> list[Solution]:
+    if node.fn in TESTS:
+        raise QueryTypeError(
+            f"{node.fn} is a test, not a function: ASSIGN cannot bind it to ?{node.target.name}"
+        )
     rows = eval_pattern(graph, node.pattern, diagnostics)
     out = []
     for row in rows:
         value = _call(node.fn, node.args, row)
         if value is None:
             continue
-        if isinstance(value, bool):
-            raise QueryTypeError(
-                f"{node.fn} is a test, not a function: ASSIGN cannot bind it to ?{node.target.name}"
-            )
-        if _is_annotation(value) and value.is_bottom:
+        if isinstance(value, AnnotationValue) and value.is_bottom:
             continue  # annotation variables never hold bottom
         updated = dict(row)
         updated[node.target.name] = value
@@ -429,7 +414,7 @@ def _aggregate(
         diagnostics.append(f"{op}: values are not totally ordered; group dropped")
         return None
     if op in ("JOIN", "MEET"):
-        if not all(_is_annotation(v) for v in values):
+        if not all(isinstance(v, AnnotationValue) for v in values):
             diagnostics.append(f"{op}: non-annotation value in group; group dropped")
             return None
         acc = lookup(op.lower())(*values)
@@ -446,7 +431,7 @@ def _apply_orderby(rows: list[Solution], var: alg.Var) -> list[Solution]:
     bound = [v for v in values if v is not None]
     if all(isinstance(v, Fraction) for v in bound) or all(isinstance(v, Term) for v in bound):
         key = lambda v: v
-    elif all(_is_annotation(v) for v in bound):
+    elif all(isinstance(v, AnnotationValue) for v in bound):
         key = lambda v: v.sort_key()
     else:
         raise QueryTypeError(

@@ -30,6 +30,7 @@ from .errors import (
 )
 from .reasoner import DEFAULT_MAX_FIRINGS, apply_defaults, closure
 from .syntax import (
+    Document,
     parse_graph,
     parse_query,
     serialize_answers_json,
@@ -119,6 +120,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# `parse_args` returns a fresh namespace on each call, so one parser
+# serves every call of `main`.
+_PARSER = build_parser()
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
         Path(output).write_text(text)
@@ -126,10 +132,8 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load(args) -> tuple:
-    text = Path(args.input).read_text()
-    doc = parse_graph(text, domain=args.domain)
-    return doc
+def _load(args) -> Document:
+    return parse_graph(Path(args.input).read_text(), domain=args.domain)
 
 
 def _cmd_infer(args) -> int:
@@ -207,7 +211,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except NotALatticeError as exc:

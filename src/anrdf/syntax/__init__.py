@@ -3,7 +3,6 @@ answer sets."""
 
 from .data import (
     Document,
-    format_statement,
     format_term,
     parse_graph,
     serialize_graph,

@@ -182,11 +182,6 @@ def _statement_line(spo: str, literal: str | None) -> str:
     return f"{spo} ." if literal is None else f"({spo}) : {literal} ."
 
 
-def format_statement(t: Triple, value: AnnotationValue | None) -> str:
-    spo = f"{format_term(t.subject)} {format_term(t.predicate)} {format_term(t.object)}"
-    return _statement_line(spo, None if value is None else value.serialize())
-
-
 class _Formatted(dict):
     """Text of each key, formatted by `fmt` on first lookup only."""
 
@@ -202,10 +197,11 @@ class _Formatted(dict):
 def serialize_graph(graph: AnnotatedGraph, plain: list[Triple] | None = None) -> str:
     """Canonical text for a graph (optionally with plain triples).
 
-    Each line reads as `format_statement` writes it.  A graph repeats its
-    terms and annotation values, so each distinct term and payload is
-    formatted once per call; payloads are canonical, so equal payloads
-    print alike."""
+    Each line is a plain `s p o .` or an annotated `(s p o) : literal .`,
+    with terms written by `format_term`.  A graph repeats its terms and
+    annotation values, so each distinct term and payload is formatted
+    once per call; payloads are canonical, so equal payloads print
+    alike."""
     terms = _Formatted(format_term)
     literals = _Formatted(graph.domain.format_payload)
     entries: list[tuple[Triple, str]] = [

@@ -17,6 +17,7 @@ from anrdf.domains import AnnotationValue, Domain
 from anrdf.domains.compound import Pair
 from anrdf.errors import SaturationBoundError
 from anrdf.model import DOM, RANGE, SC, SP, TYPE, AnnotatedGraph, Term, Triple, iri
+from anrdf.syntax import format_term
 
 # -- crisp rho-df closure ------------------------------------------------------
 
@@ -69,6 +70,24 @@ def crisp_closure(triples: set[Triple]) -> set[Triple]:
         if not fresh <= out:
             out |= fresh
             changed = True
+    return out
+
+
+def minimal_witnesses(triples: Sequence[Triple]) -> dict[Triple, set[frozenset[int]]]:
+    """For each triple of the crisp closure of `triples`, the minimal sets
+    of input positions whose crisp closure contains it, by brute force
+    over every subset.  The closure is monotone, so a subset is minimal
+    iff dropping any one of its members loses the triple."""
+    closures = {
+        frozenset(subset): crisp_closure({triples[i] for i in subset})
+        for size in range(len(triples) + 1)
+        for subset in itertools.combinations(range(len(triples)), size)
+    }
+    out: dict[Triple, set[frozenset[int]]] = {}
+    for subset, closed in closures.items():
+        for t in closed:
+            if all(t not in closures[subset - {i}] for i in subset):
+                out.setdefault(t, set()).add(subset)
     return out
 
 
@@ -372,6 +391,16 @@ def prune_maximal_pairwise(rows: list[dict]) -> list[dict]:
     """Keep the rows no other row subsumes, comparing every pair; input
     order and duplicates are kept."""
     return [s for s in rows if not any(_subsumed(other, s) for other in rows)]
+
+
+# -- statement lines -----------------------------------------------------------
+
+
+def format_statement(t: Triple, value: AnnotationValue | None) -> str:
+    """The line `serialize_graph` writes for one statement, with each term
+    and the value formatted afresh."""
+    spo = " ".join(format_term(x) for x in t)
+    return f"{spo} ." if value is None else f"({spo}) : {value.serialize()} ."
 
 
 # -- random generators ---------------------------------------------------------

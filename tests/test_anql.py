@@ -141,6 +141,38 @@ class TestBap:
         rows = evaluate_query(closed, q("SELECT ?x WHERE { (?x loves ?x):?l }"))
         assert [r["x"] for r in rows] == [iri("a")]
 
+    @pytest.fixture()
+    def chain(self):
+        doc = parse_graph(
+            "@domix temporal .\n"
+            "(a p b) : {[1,5]} .\n(b p c) : {[3,8]} .\n(c p d) : {[7,9]} .\n"
+        )
+        return closure(doc.graph)
+
+    def test_variable_as_term_and_label_of_one_pattern(self, chain):
+        assert evaluate_query(chain, q("SELECT ?y WHERE { (?w p ?y):?w }")) == []
+        assert len(evaluate_query(chain, q("SELECT ?y WHERE { (?w p ?y):?l }"))) == 3
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("(a p ?y):?l", "(?l p ?z):?m"),  # an annotation, then a term slot
+            ("(a p ?y):?l", "(b p ?z):?y"),  # a term, then an annotation slot
+        ],
+    )
+    def test_variable_as_annotation_and_term_of_two_patterns(self, chain, first, second):
+        # Each pattern matches on its own; together they bind one
+        # variable to a term and to an annotation, so no row merges.
+        assert evaluate_query(chain, q(f"SELECT ?y WHERE {{ {first} }}")) != []
+        assert evaluate_query(chain, q(f"SELECT ?z WHERE {{ {second} }}")) != []
+        assert evaluate_query(chain, q(f"SELECT ?y ?z WHERE {{ {first} {second} }}")) == []
+
+    def test_shared_annotation_variable_with_a_bottom_meet_drops_the_row(self, chain):
+        met = q("SELECT ?z ?l WHERE { (a p ?y):?l (b p ?z):?l }")
+        assert evaluate_query(chain, met) == [{"z": iri("c"), "l": tv("{[3,5]}")}]
+        disjoint = q("SELECT ?z ?l WHERE { (a p ?y):?l (c p ?z):?l }")
+        assert evaluate_query(chain, disjoint) == []
+
 
 class TestOptionalExamples:
     EXX1_EXPECTED = {
@@ -342,6 +374,14 @@ class TestAssign:
         name = call.split("(")[0]
         query = q(f"SELECT ?x ?t WHERE {{ (?x type ?c):?l ASSIGN {call} AS ?t }}")
         with pytest.raises(QueryTypeError, match=rf"^{name} is a test.* \?t$"):
+            evaluate_query(fig1_exx1_closure, query)
+
+    def test_a_test_cannot_be_assigned_over_no_rows(self, fig1_exx1_closure):
+        # Rejected before evaluation, so whatever the data.
+        pattern = "(?x noSuchProperty ?c):?l"
+        assert evaluate_query(fig1_exx1_closure, q(f"SELECT ?x WHERE {{ {pattern} }}")) == []
+        query = q(f"SELECT ?x ?t WHERE {{ {pattern} ASSIGN isTEMPORAL(?l) AS ?t }}")
+        with pytest.raises(QueryTypeError, match=r"^isTEMPORAL is a test.* \?t$"):
             evaluate_query(fig1_exx1_closure, query)
 
 

@@ -12,7 +12,13 @@ from anrdf.domains.compound import CompoundDomain
 from anrdf.errors import AnrdfError, ClosureIterationError, DomainMismatchError
 from anrdf.model import DOM, RANGE, SC, SP, TYPE, AnnotatedGraph, Triple, skolem
 from anrdf.reasoner import _consequences
-from oracles import brute_force_closure, crisp_closure, random_crisp_graph, top_annotated
+from oracles import (
+    brute_force_closure,
+    crisp_closure,
+    minimal_witnesses,
+    random_crisp_graph,
+    top_annotated,
+)
 
 TEMPORAL = get_domain("temporal")
 BOOLEAN = get_domain("boolean")
@@ -415,6 +421,30 @@ class TestClosureProperties:
         triples = random_crisp_graph(rng, max_triples=300, vocabulary=20)
         annotated = closure(top_annotated(triples, BOOLEAN))
         assert annotated.triple_set() == crisp_closure(triples)
+
+    def test_provenance_closure_carries_minimal_witnesses(self):
+        # Label input triple i with the atom t<i> and close in provenance:
+        # each closure triple must carry exactly the minimal sets of input
+        # triples whose crisp closure holds it (its why-provenance).  The
+        # oracle shares no rule code with `closure`.  The agenda starts in
+        # sorted order, where the individuals a<i> precede every property;
+        # renamed z<i> on odd seeds, their data triples leave it after the
+        # sp edges, so they seed sp-application and implicit typing too.
+        prov = get_domain("provenance")
+        for seed in range(300):
+            triples = sorted(random_crisp_graph(random.Random(2000 + seed), max_triples=10))
+            if seed % 2:
+                rename = {iri(f"a{i}"): iri(f"z{i}") for i in range(6)}
+                triples = sorted(Triple(*(rename.get(x, x) for x in t)) for t in triples)
+            graph = AnnotatedGraph(prov)
+            for i, t in enumerate(triples):
+                graph.insert(t, prov.value(frozenset({frozenset({f"t{i}"})})))
+            expected = {
+                t: frozenset(frozenset(f"t{i}" for i in witness) for witness in witnesses)
+                for t, witnesses in minimal_witnesses(triples).items()
+            }
+            got = {t: value.payload for t, value in closure(graph).statements()}
+            assert got == expected, seed
 
     def test_fuzzy_cycles_terminate(self):
         fp = get_domain("fuzzy:product")

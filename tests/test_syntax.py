@@ -19,7 +19,8 @@ from anrdf.syntax import (
     serialize_graph,
 )
 from anrdf.domains.base import split_top_level
-from anrdf.syntax.data import format_statement, format_term
+from anrdf.syntax.data import format_term
+from oracles import format_statement
 
 TEMPORAL = get_domain("temporal")
 DATA_FILES = sorted((Path(__file__).resolve().parent.parent / "data").glob("*.anrdf"))
