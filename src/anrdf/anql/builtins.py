@@ -1,7 +1,10 @@
 """Built-in predicates and functions available in FILTER/ASSIGN/aggregates.
 
 The table maps a name to a callable over resolved values (terms,
-annotation values, rationals).  Unbound variables arrive as the UNBOUND
+annotation values, rationals).  Each callable names its parameters, and
+`ARITY` holds the argument counts they accept, derived once at import;
+the query parser checks every call against it, so a built-in never sees
+a wrong number of arguments.  Unbound variables arrive as the UNBOUND
 sentinel: the domain fold built-ins `join` and `meet` skip them (so the
 union-of-annotations idiom works across UNION branches whose rows bind
 only one operand); every other built-in rejects them.
@@ -15,6 +18,8 @@ previous two).
 
 from __future__ import annotations
 
+import inspect
+import math
 from fractions import Fraction
 from typing import Any, Callable
 
@@ -38,28 +43,24 @@ def _temporal_payload(value: Any, name: str):
     return value.payload
 
 
-def _length(*args: Any) -> Fraction:
-    if len(args) != 1:
-        raise BuiltinError("length takes one argument")
+def _length(value: Any) -> Fraction:
     try:
-        return length(_temporal_payload(args[0], "length"))
+        return length(_temporal_payload(value, "length"))
     except TemporalValueError as exc:
         raise BuiltinError(str(exc)) from None
 
 
-def _maxlength(*args: Any) -> AnnotationValue:
-    if len(args) != 1:
-        raise BuiltinError("maxlength takes one argument")
+def _maxlength(value: Any) -> AnnotationValue:
     try:
-        interval = maxlength(_temporal_payload(args[0], "maxlength"))
+        interval = maxlength(_temporal_payload(value, "maxlength"))
     except TemporalValueError as exc:
         raise BuiltinError(str(exc)) from None
-    return args[0].domain.value((interval,))
+    return value.domain.value((interval,))
 
 
 def _fold(op: str) -> Callable[..., AnnotationValue]:
-    def fold(*args: Any) -> AnnotationValue:
-        values = [a for a in args if a is not UNBOUND]
+    def fold(first: Any, *rest: Any) -> AnnotationValue:
+        values = [a for a in (first, *rest) if a is not UNBOUND]
         if not values:
             raise BuiltinError(f"{op} needs at least one bound argument")
         if not all(isinstance(v, AnnotationValue) for v in values):
@@ -72,22 +73,20 @@ def _fold(op: str) -> Callable[..., AnnotationValue]:
     return fold
 
 
-def _type_probe(domain_name: str) -> Callable[..., bool]:
-    def probe(*args: Any) -> bool:
-        if len(args) != 1:
-            raise BuiltinError("type probes take one argument")
-        value = args[0]
-        return isinstance(value, AnnotationValue) and value.domain.name == domain_name
+def _type_probe(kind: str) -> Callable[[Any], bool]:
+    """Whether a value lies in a domain whose name, up to any `:`, is
+    `kind`; so all fuzzy t-norms share one probe."""
+
+    def probe(value: Any) -> bool:
+        return isinstance(value, AnnotationValue) and value.domain.name.partition(":")[0] == kind
 
     return probe
 
 
-def _allen(rel: AllenRelation, mode: QuantifierMode) -> Callable[..., bool]:
-    def predicate(*args: Any) -> bool:
-        if len(args) != 2:
-            raise BuiltinError("temporal relations take two arguments")
-        t1 = _temporal_payload(args[0], rel.value)
-        t2 = _temporal_payload(args[1], rel.value)
+def _allen(rel: AllenRelation, mode: QuantifierMode) -> Callable[[Any, Any], bool]:
+    def predicate(first: Any, second: Any) -> bool:
+        t1 = _temporal_payload(first, rel.value)
+        t2 = _temporal_payload(second, rel.value)
         try:
             return allen_lifted(rel, mode, t1, t2)
         except TemporalValueError as exc:
@@ -108,17 +107,12 @@ FUNCTIONS: dict[str, Callable[..., Any]] = {
 TESTS: dict[str, Callable[..., bool]] = {
     "isTEMPORAL": _type_probe("temporal"),
     "isPROVENANCE": _type_probe("provenance"),
-    # All fuzzy variants share one probe regardless of the configured t-norm.
-    "isFUZZY": lambda *args: (
-        len(args) == 1
-        and isinstance(args[0], AnnotationValue)
-        and args[0].domain.name.startswith("fuzzy:")
-    ),
+    "isFUZZY": _type_probe("fuzzy"),
 }
 
 for _rel in AllenRelation:
     for _mode in QuantifierMode:
-        TESTS[f"{_rel.value}{_mode.surface}"] = _allen(_rel, _mode)
+        TESTS[f"{_rel.value}{_mode.value}"] = _allen(_rel, _mode)
 
 # `beforeBefore` style aliases are not provided; the plain Allen name
 # defaults to the exists/exists reading used by most related systems.
@@ -128,12 +122,12 @@ for _rel in AllenRelation:
 REGISTRY: dict[str, Callable[..., Any]] = {**FUNCTIONS, **TESTS}
 
 
-def lookup(name: str) -> Callable[..., Any]:
-    try:
-        return REGISTRY[name]
-    except KeyError:
-        raise BuiltinError(f"unknown built-in {name!r}") from None
+def _arity(fn: Callable[..., Any]) -> tuple[int, float]:
+    """The fewest and the most positional arguments `fn` accepts."""
+    params = inspect.signature(fn).parameters.values()
+    named = sum(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    variadic = any(p.kind is p.VAR_POSITIONAL for p in params)
+    return named, math.inf if variadic else named
 
 
-def is_known(name: str) -> bool:
-    return name in REGISTRY
+ARITY: dict[str, tuple[int, float]] = {name: _arity(fn) for name, fn in REGISTRY.items()}

@@ -66,7 +66,7 @@ from ..domains import AnnotationValue
 from ..errors import DomainMismatchError, QueryTypeError
 from ..model import IRI, LITERAL, SKOLEM, AnnotatedGraph, Term
 from . import algebra as alg
-from .builtins import TESTS, UNBOUND, BuiltinError, lookup
+from .builtins import FUNCTIONS, REGISTRY, TESTS, UNBOUND, BuiltinError
 
 Value = Any  # Term | AnnotationValue | Fraction
 Solution = dict[str, Value]
@@ -339,7 +339,7 @@ def _call(fn: str, args: tuple[alg.Operand, ...], row: Solution):
         value = resolved[0]
         return None if value is UNBOUND else value
     try:
-        return lookup(fn)(*resolved)
+        return REGISTRY[fn](*resolved)
     except BuiltinError:
         return None
 
@@ -417,7 +417,7 @@ def _aggregate(
         if not all(isinstance(v, AnnotationValue) for v in values):
             diagnostics.append(f"{op}: non-annotation value in group; group dropped")
             return None
-        acc = lookup(op.lower())(*values)
+        acc = FUNCTIONS[op.lower()](*values)
         if acc.is_bottom:
             # As in ASSIGN, annotation variables never hold bottom.
             diagnostics.append(f"{op}: bottom in group; group dropped")

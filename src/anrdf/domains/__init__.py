@@ -16,7 +16,6 @@ from .boolean import BooleanDomain
 from .compound import (
     CompoundDomain,
     evaluate,
-    generated_sublattice,
     normalise,
     quasihomomorphism_suite,
     saturate_fast,
@@ -86,7 +85,6 @@ __all__ = [
     "allen_lifted",
     "axiom_suite",
     "evaluate",
-    "generated_sublattice",
     "get_domain",
     "normalise",
     "primitive_domain_ids",

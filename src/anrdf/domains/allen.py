@@ -34,7 +34,7 @@ class AllenRelation(Enum):
 class QuantifierMode(Enum):
     """Quantifier scheme for lifting a relation to interval sets.
 
-    The `surface` suffix is the name used in query built-ins, e.g.
+    The value is the suffix used in query built-ins, e.g.
     `beforeAny` (exists-exists) or `beforeAll` (all-all).  BOTH is the
     conjunction of ANY_ALL and ALL_ANY.
     """
@@ -44,10 +44,6 @@ class QuantifierMode(Enum):
     ALL_ANY = "AllAny"  # for all t1, exists t2
     BOTH = "Both"  # ANY_ALL and ALL_ANY
     ALL = "All"  # for all t1, for all t2
-
-    @property
-    def surface(self) -> str:
-        return self.value
 
 
 def allen_holds(rel: AllenRelation, i1: Interval, i2: Interval) -> bool:

@@ -176,9 +176,6 @@ class AnnotatedGraph:
             self._sorted_cache = ordered
         return self._sorted_cache
 
-    def __iter__(self) -> Iterator[tuple[Triple, AnnotationValue]]:
-        return iter(self.statements())
-
     def match(
         self, s: Term | None, p: Term | None, o: Term | None
     ) -> Iterator[tuple[Triple, AnnotationValue]]:

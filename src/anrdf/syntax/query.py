@@ -40,21 +40,9 @@ from ..domains import Domain, get_domain
 from ..errors import AnnotationSyntaxError, ParseError
 from ..rational import parse_scalar
 from ..anql import algebra as alg
-from ..anql.builtins import is_known
+from ..anql.builtins import ARITY
 from .lexer import NAME_RE, Scanner
 
-_STRUCTURAL = {
-    "select",
-    "where",
-    "optional",
-    "union",
-    "filter",
-    "assign",
-    "as",
-    "groupby",
-    "orderby",
-    "limit",
-}
 _AGGREGATES = {"sum", "avg", "max", "min", "count", "join", "meet"}
 # Operators that wrap everything parsed so far in their group.
 _WRAPPERS = ("optional", "filter", "assign", "groupby", "orderby", "limit")
@@ -161,13 +149,7 @@ def parse_query(text: str, domain: Domain | str) -> alg.QueryDocument:
         sc.expect(".")
     if not sc.take_keyword("select"):
         raise sc.error("query must start with SELECT")
-    select = []
-    while sc.peek() == "?":
-        select.append(sc.var())
-    if not select:
-        raise sc.error("SELECT needs at least one variable")
-    sc.take_keyword("where")
-    pattern = _parse_group(sc)
+    select, pattern = _parse_select(sc)
     # Each modifier at most once, in either order.
     modifiers: dict[str, alg.Var | int] = {}
     while not sc.at_end():
@@ -179,11 +161,23 @@ def parse_query(text: str, domain: Domain | str) -> alg.QueryDocument:
         sc.take_keyword(word)
         modifiers[word] = sc.var() if word == "orderby" else _parse_int(sc)
     return alg.QueryDocument(
-        select=tuple(select),
+        select=select,
         pattern=pattern,
         order_by=modifiers.get("orderby"),
         limit=modifiers.get("limit"),
     )
+
+
+def _parse_select(sc: _Scanner) -> tuple[tuple[alg.Var, ...], alg.Pattern]:
+    """The projected variables and the group of a query or a sub-SELECT,
+    read after the SELECT keyword."""
+    variables = []
+    while sc.peek() == "?":
+        variables.append(sc.var())
+    if not variables:
+        raise sc.error("SELECT needs at least one variable")
+    sc.take_keyword("where")
+    return tuple(variables), _parse_group(sc)
 
 
 def _parse_int(sc: _Scanner) -> int:
@@ -227,12 +221,7 @@ def _parse_group(sc: _Scanner) -> alg.Pattern:
         elif word == "select":
             flush()
             sc.take_keyword("select")
-            variables = []
-            while sc.peek() == "?":
-                variables.append(sc.var())
-            sc.take_keyword("where")
-            inner = _parse_group(sc)
-            sub = alg.SubSelect(tuple(variables), inner)
+            sub = alg.SubSelect(*_parse_select(sc))
             acc = sub if acc is None else alg.Join(acc, sub)
         else:
             bap.append(_parse_triple_pattern(sc))
@@ -311,7 +300,12 @@ def _call_name(sc: _Scanner) -> str | None:
 
 
 def _parse_call_args(sc: _Scanner, name: str) -> tuple[alg.Operand, ...]:
-    """Read the call whose name `_call_name` just returned."""
+    """Read the call whose name `_call_name` just returned.  The name must
+    be a registered built-in and the number of arguments must fit its
+    parameters (`ARITY`); either error is reported at the name."""
+    start = sc.pos
+    if name not in ARITY:
+        raise sc.error(f"unknown built-in {name!r}")
     sc.pos += len(name)
     sc.expect("(")
     args = []
@@ -320,6 +314,12 @@ def _parse_call_args(sc: _Scanner, name: str) -> tuple[alg.Operand, ...]:
         while sc.take(","):
             args.append(sc.label())
     sc.expect(")")
+    fewest, most = ARITY[name]
+    if not fewest <= len(args) <= most:
+        sc.pos = start
+        wanted = f"at least {fewest}" if most > fewest else f"{fewest}"
+        noun = "argument" if fewest == 1 else "arguments"
+        raise sc.error(f"{name} takes {wanted} {noun}, not {len(args)}")
     return tuple(args)
 
 
@@ -329,8 +329,6 @@ def _parse_call_or_operand(sc: _Scanner) -> tuple[str, tuple[alg.Operand, ...]]:
     name = _call_name(sc)
     if name is None:
         return "", (sc.operand(),)
-    if not is_known(name):
-        raise sc.error(f"unknown built-in {name!r}")
     return name, _parse_call_args(sc, name)
 
 
@@ -383,21 +381,29 @@ def _parse_filter_primary(sc: _Scanner) -> alg.FilterExpr:
             return node(operand)
     name = _call_name(sc)
     if name is not None:
-        if is_known(name):
-            return alg.BuiltinCall(name, _parse_call_args(sc, name))
-        if name.lower() not in _STRUCTURAL:
-            raise sc.error(f"unknown built-in {name!r}")
+        return alg.BuiltinCall(name, _parse_call_args(sc, name))
     if sc.peek() == "(":
         # Try a parenthesised boolean expression; fall back to an
-        # annotation literal operand (e.g. a provenance formula).
+        # annotation literal operand (e.g. a provenance formula).  When
+        # both fail, the error that got further is reported, so a bad
+        # call inside the parentheses is reported at its name.
         saved = sc.pos
         try:
             sc.expect("(")
             inner = _parse_filter_expr(sc)
             sc.expect(")")
             return inner
-        except ParseError:
+        except ParseError as exc:
             sc.pos = saved
+            try:
+                return _parse_comparison(sc)
+            except ParseError as other:
+                raise max(exc, other, key=lambda e: (e.line, e.column)) from None
+    return _parse_comparison(sc)
+
+
+def _parse_comparison(sc: _Scanner) -> alg.FilterExpr:
+    """`label <= label`, `operand = operand` or `operand != operand`."""
     if _label_before_leq(sc):
         left = sc.label()
         sc.skip_ws()

@@ -406,6 +406,15 @@ def format_statement(t: Triple, value: AnnotationValue | None) -> str:
 # -- random generators ---------------------------------------------------------
 
 
+def individual(i: int) -> Term:
+    """Individual `i` of the random graphs and patterns: `a<i>` for even
+    and `z<i>` for odd `i`.  They sort on both sides of every class
+    `c<j>` and property `p<j>`, and `closure` starts its agenda in sorted
+    order, so input data triples reach the rules both before and after
+    the schema triples they meet."""
+    return iri(f"z{i}" if i % 2 else f"a{i}")
+
+
 def random_crisp_graph(
     rng: random.Random, max_triples: int = 30, vocabulary: int = 1
 ) -> set[Triple]:
@@ -414,7 +423,7 @@ def random_crisp_graph(
     larger graphs do not saturate the closure."""
     properties = [iri(f"p{i}") for i in range(4 * vocabulary)]
     classes = [iri(f"c{i}") for i in range(4 * vocabulary)]
-    individuals = [iri(f"a{i}") for i in range(6 * vocabulary)]
+    individuals = [individual(i) for i in range(6 * vocabulary)]
     out = set()
     for _ in range(rng.randint(1, max_triples)):
         shape = rng.randrange(6)
@@ -453,11 +462,11 @@ _VARS = [alg.Var(name) for name in "xyzuv"]
 def random_triple_pattern(
     rng: random.Random, anchors: Sequence[Triple] = ()
 ) -> alg.TriplePattern:
-    """A pattern over the fixed constants `a0`-`a5`, `p0`-`p3`; with
-    `anchors`, a pattern made from one of these triples instead, so that
-    patterns of several triples can match together.  Either way each
-    position becomes a variable with probability 0.6."""
-    terms = [iri(f"a{i}") for i in range(6)] + [iri(f"p{i}") for i in range(4)]
+    """A pattern over the constants `individual(0)`-`individual(5)` and
+    `p0`-`p3`; with `anchors`, a pattern made from one of these triples
+    instead, so that patterns of several triples can match together.
+    Either way each position becomes a variable with probability 0.6."""
+    terms = [individual(i) for i in range(6)] + [iri(f"p{i}") for i in range(4)]
 
     def slot(pool):
         return rng.choice(_VARS) if rng.random() < 0.6 else rng.choice(pool)
@@ -488,7 +497,7 @@ def random_filter_expr(rng: random.Random, depth: int = 2) -> alg.FilterExpr:
         return alg.IsIri(var)
     if shape == 2:
         return alg.Eq(var, rng.choice(_VARS))
-    return alg.Eq(var, iri(f"a{rng.randrange(6)}"))
+    return alg.Eq(var, individual(rng.randrange(6)))
 
 
 def random_pattern(

@@ -37,13 +37,8 @@ from anrdf import (
     rewrite_defaults,
 )
 from anrdf.anql.engine import eval_pattern
-from anrdf.domains import (
-    CompoundDomain,
-    axiom_suite,
-    evaluate,
-    generated_sublattice,
-    normalise,
-)
+from anrdf.domains import CompoundDomain, axiom_suite, evaluate, normalise
+from anrdf.domains.compound import generated_sublattice
 from anrdf.domains.temporal import parse_interval_set, temporal_join, temporal_meet
 from anrdf.model import TYPE, Term, Triple
 from anrdf.syntax import parse_graph as reparse, serialize_graph

@@ -233,6 +233,23 @@ class TestQuery:
         assert code == 2
         assert "error" in stderr
 
+    @pytest.mark.parametrize(
+        "clause, message",
+        [
+            ("FILTER(before(?l))", "1:42: before takes 2 arguments, not 1"),
+            ("ASSIGN length(?l, ?l) AS ?n", "1:42: length takes 1 argument, not 2"),
+            ("GROUPBY(?x) SUM(nosuch(?l)) AS ?n", "1:51: unknown built-in 'nosuch'"),
+        ],
+    )
+    def test_bad_builtin_call_exit_2(self, capsys, data_dir, tmp_path, clause, message):
+        # Reported at parse time, before a FILTER could read it as false.
+        query = tmp_path / "call.anql"
+        query.write_text(f"SELECT ?x WHERE {{ (?x type ?c):?l {clause} }}")
+        code, stdout, stderr = run(
+            capsys, "query", "-i", str(data_dir / "fig1_exx1.anrdf"), str(query)
+        )
+        assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+
     def test_query_is_parsed_before_the_closure(self, capsys, data_dir, tmp_path):
         # With a firing cap the closure cannot reach, the syntax error
         # is still what is reported.

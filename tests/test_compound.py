@@ -10,12 +10,12 @@ import pytest
 from anrdf.domains import (
     Domain,
     evaluate,
-    generated_sublattice,
     get_domain,
     normalise,
     quasihomomorphism_suite,
     saturate_fast,
 )
+from anrdf.domains.compound import generated_sublattice
 from anrdf.errors import NotALatticeError, SaturationBoundError
 from oracles import NAIVE_SATURATE_BOUND, reduce_pairs, saturate_naive
 

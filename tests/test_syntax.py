@@ -395,6 +395,37 @@ class TestQueryParsing:
         with pytest.raises(ParseError):
             parse_query("SELECT ?x WHERE { (?x p ?y):?l FILTER(frobnicate(?l)) }", TEMPORAL)
 
+    # A call must name a registered built-in and fit its parameters; the
+    # error points at the name, wherever the call stands.
+    BAD_CALLS = {
+        "length(?l, ?l)": "length takes 1 argument, not 2",
+        "maxlength()": "maxlength takes 1 argument, not 0",
+        "isTEMPORAL(?l, ?l)": "isTEMPORAL takes 1 argument, not 2",
+        "isFUZZY()": "isFUZZY takes 1 argument, not 0",
+        "beforeAny(?l)": "beforeAny takes 2 arguments, not 1",
+        "before(?l, ?l, ?l)": "before takes 2 arguments, not 3",
+        "join()": "join takes at least 1 argument, not 0",
+        "meet()": "meet takes at least 1 argument, not 0",
+        "frobnicate(?l)": "unknown built-in 'frobnicate'",
+        "select(?l)": "unknown built-in 'select'",
+    }
+
+    @pytest.mark.parametrize("call", BAD_CALLS)
+    @pytest.mark.parametrize(
+        "clause",
+        ["FILTER({})", "FILTER(!({}))", "ASSIGN {} AS ?n", "GROUPBY(?x) SUM({}) AS ?n"],
+    )
+    def test_bad_call_is_reported_at_its_name(self, clause, call):
+        text = f"SELECT ?x WHERE {{ (?x p ?y):?l\n  {clause.format(call)} }}"
+        with pytest.raises(ParseError) as info:
+            parse_query(text, TEMPORAL)
+        column = text.index(call) - text.index("\n")
+        assert str(info.value) == f"2:{column}: {self.BAD_CALLS[call]}"
+
+    def test_calls_that_fit_their_parameters(self):
+        for call in ("length(?l)", "beforeAny(?l, ?l)", "join(?l)", "meet(?l, ?l, ?l)"):
+            parse_query(f"SELECT ?x WHERE {{ (?x p ?y):?l FILTER({call}) }}", TEMPORAL)
+
     def test_union_assign_groupby_modifiers(self):
         query = parse_query(
             """
@@ -460,6 +491,8 @@ class TestQueryParsing:
             "SELECT ?x WHERE { (?x p ?y):{[5,1]} }",
             "SELECT ?x WHERE { ?x p _:b }",  # blank nodes are data-only
             "@prefixex: <http://e/> . SELECT ?x WHERE { ?x ex:p ?y }",
+            # A sub-SELECT projects at least one variable, as a query does.
+            "SELECT ?p WHERE { (?p type ?c):?l SELECT WHERE { (?x worksFor ?y):?m } }",
         ],
     )
     def test_syntax_errors(self, bad):
@@ -556,6 +589,13 @@ class TestFilterGrammar:
     @pytest.mark.parametrize("text", TREES)
     def test_tree(self, text):
         assert self.expr(text) == self.TREES[text]
+
+    def test_parenthesised_label_before_leq(self):
+        # Not a parenthesised expression: the parser falls back to a
+        # provenance literal on the left of `<=`.
+        prov = get_domain("provenance")
+        assert self.expr("(a ^ b) <= ?l", prov) == alg.AnnLeq(prov.parse("(a ^ b)"), self.l)
+        assert self.expr("((a ^ b) <= ?l)", prov) == alg.AnnLeq(prov.parse("(a ^ b)"), self.l)
 
     def test_true_is_a_literal_where_the_domain_has_one(self):
         boolean = get_domain("boolean")
