@@ -66,7 +66,7 @@ from ..domains import AnnotationValue
 from ..errors import DomainMismatchError, QueryTypeError
 from ..model import IRI, LITERAL, SKOLEM, AnnotatedGraph, Term
 from . import algebra as alg
-from .builtins import FUNCTIONS, REGISTRY, TESTS, UNBOUND, BuiltinError
+from .builtins import FUNCTIONS, REGISTRY, UNBOUND, BuiltinError
 
 Value = Any  # Term | AnnotationValue | Fraction
 Solution = dict[str, Value]
@@ -315,14 +315,10 @@ def _eval_optional(
 def _apply_assign(
     graph: AnnotatedGraph, node: alg.Assign, diagnostics: list[str]
 ) -> list[Solution]:
-    if node.fn in TESTS:
-        raise QueryTypeError(
-            f"{node.fn} is a test, not a function: ASSIGN cannot bind it to ?{node.target.name}"
-        )
     rows = eval_pattern(graph, node.pattern, diagnostics)
     out = []
     for row in rows:
-        value = _call(node.fn, node.args, row)
+        value = _call(node.fn, node.args, row, FUNCTIONS)
         if value is None:
             continue
         if isinstance(value, AnnotationValue) and value.is_bottom:
@@ -333,13 +329,16 @@ def _apply_assign(
     return out
 
 
-def _call(fn: str, args: tuple[alg.Operand, ...], row: Solution):
+def _call(fn: str, args: tuple[alg.Operand, ...], row: Solution, table=REGISTRY):
+    """The value of built-in `fn` (or of its one operand when `fn` is
+    empty), looked up in `table`; None when the built-in has none.  ASSIGN
+    passes `FUNCTIONS`, so a test it was built with raises `KeyError`."""
     resolved = tuple(_resolve(a, row) for a in args)
     if fn == "":
         value = resolved[0]
         return None if value is UNBOUND else value
     try:
-        return REGISTRY[fn](*resolved)
+        return table[fn](*resolved)
     except BuiltinError:
         return None
 

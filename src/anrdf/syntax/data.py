@@ -12,6 +12,19 @@ after `:` is the scanner's `annotation_literal`, the same token as an
 AnQL label, and the final `.` follows it.  Plain statements carry no
 annotation and are returned separately for defaults handling.
 
+A line that `serialize_graph` writes from bare names, `(s p o) : ...`
+or `s p o .`, has its three terms read by one compiled pattern instead:
+the line starts with `(` or the first name, the names are `NAME_RE`
+matches apart by single spaces, and a space or `)` follows the third.
+The scanner would read the same three names to the same end: it skips
+no whitespace before the first, a name holds no `:` for `PNAME_RE` to
+take, and `NAME_RE` stops at the space or `)`.  Each distinct name
+becomes a term once per document, by the scanner's own `name_term`.
+The scanner then reads the rest of the line, so every error keeps its
+message and position.  Any other line (a prefixed name, `<iri>`, a
+literal, a blank node, a tab, extra or leading spaces, `a b c.`) is
+read by the scanner alone.
+
 Serialisation is canonical: statements sorted by subject, predicate,
 object; annotations in canonical literal form; no prefixes (IRIs print
 bare when they can, bracketed otherwise); shorthand annotations always
@@ -26,13 +39,20 @@ from dataclasses import dataclass, field
 from ..domains import AnnotationValue, Domain, get_domain
 from ..errors import AnnotationSyntaxError, AnrdfError, ParseError, UnknownDomainError
 from ..model import AnnotatedGraph, Term, Triple, skolem
-from .lexer import KEYWORDS, NAME_RE, Scanner
+from .lexer import KEYWORDS, NAME_RE, Scanner, name_term
 
 KEYWORD_FOR_TERM = {term: word for word, term in KEYWORDS.items()}
 
 # A blank-node label holds '.' only between two label characters, as
 # NAME_RE does, so a label glued to the final '.' ends before it.
 _LABEL_RE = re.compile(r"[A-Za-z0-9_\-]+(?:\.[A-Za-z0-9_\-]+)*")
+
+# `(s p o` or `s p o` at the start of a line, three bare names apart by
+# single spaces; the third must end where NAME_RE ends it, which the
+# lookahead checks (`a b c:d` and `a b c.` are read by the scanner).
+_SPO_NAMES_RE = re.compile(
+    r"(\(?)({0}) ({0}) ({0})(?=[ )])".format(NAME_RE.pattern)
+)
 
 
 @dataclass
@@ -43,6 +63,18 @@ class Document:
     domain: Domain
     graph: AnnotatedGraph
     plain: list[Triple] = field(default_factory=list)
+
+
+class _Memo(dict):
+    """`fn` of each key, computed on first lookup only."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 def _term(cur: Scanner) -> Term:
@@ -81,6 +113,31 @@ def _expect_final_dot(cur: Scanner, message: str) -> None:
         raise cur.error(message)
 
 
+def _directive(cur: Scanner, declared: Domain | None, after_annotated: bool) -> Domain | None:
+    """Read the `@domix` or `@prefix` line at `cur`; returns the declared
+    domain, which only `@domix` sets."""
+    start = cur.pos
+    if cur.directive("domix"):
+        # The domain fixes how every annotation literal reads, so it
+        # is named once, ahead of them all.
+        if declared is not None:
+            raise ParseError("a document has at most one @domix line", cur.line_no, start + 1)
+        if after_annotated:
+            raise ParseError(
+                "@domix must come before the first annotated statement", cur.line_no, start + 1
+            )
+        name = _up_to_final_dot(cur, "@domix line must end with '.'")
+        try:
+            return get_domain(name)
+        except UnknownDomainError as exc:
+            raise cur.error(str(exc)) from None
+    if not cur.directive("prefix"):
+        raise cur.error("unknown directive; expected @domix or @prefix")
+    cur.prefix_directive()
+    _expect_final_dot(cur, "@prefix line must end with '.'")
+    return declared
+
+
 def parse_graph(text: str, domain: Domain | str | None = None) -> Document:
     """Parse an AnRDF document.
 
@@ -94,35 +151,23 @@ def parse_graph(text: str, domain: Domain | str | None = None) -> Document:
     annotated: list[tuple[int, int, Triple, str]] = []
     plain: list[Triple] = []
     declared: Domain | None = None
+    names = _Memo(name_term)
     for line_no, line in enumerate(text.split("\n"), start=1):
         cur = Scanner(line, line_no, prefixes)
-        if cur.at_end():
+        spo = _SPO_NAMES_RE.match(line)
+        if spo:
+            start, bracketed = 0, spo[1]
+            s, p, o = names[spo[2]], names[spo[3]], names[spo[4]]
+            cur.pos = spo.end()
+        elif cur.at_end():
             continue
-        start = cur.pos
-        directive = line[start] == "@"
-        if directive and cur.directive("domix"):
-            # The domain fixes how every annotation literal reads, so it
-            # is named once, ahead of them all.
-            if declared is not None:
-                raise ParseError("a document has at most one @domix line", line_no, start + 1)
-            if annotated:
-                raise ParseError(
-                    "@domix must come before the first annotated statement", line_no, start + 1
-                )
-            name = _up_to_final_dot(cur, "@domix line must end with '.'")
-            try:
-                declared = get_domain(name)
-            except UnknownDomainError as exc:
-                raise cur.error(str(exc)) from None
+        elif line[cur.pos] == "@":
+            declared = _directive(cur, declared, bool(annotated))
             continue
-        if directive:
-            if not cur.directive("prefix"):
-                raise cur.error("unknown directive; expected @domix or @prefix")
-            cur.prefix_directive()
-            _expect_final_dot(cur, "@prefix line must end with '.'")
-            continue
-        bracketed = cur.take("(")
-        s, p, o = _term(cur), _term(cur), _term(cur)
+        else:
+            start = cur.pos
+            bracketed = cur.take("(")
+            s, p, o = _term(cur), _term(cur), _term(cur)
         annotation = None
         if bracketed:
             cur.expect(")")
@@ -182,18 +227,6 @@ def _statement_line(spo: str, literal: str | None) -> str:
     return f"{spo} ." if literal is None else f"({spo}) : {literal} ."
 
 
-class _Formatted(dict):
-    """Text of each key, formatted by `fmt` on first lookup only."""
-
-    def __init__(self, fmt):
-        super().__init__()
-        self.fmt = fmt
-
-    def __missing__(self, key):
-        text = self[key] = self.fmt(key)
-        return text
-
-
 def serialize_graph(graph: AnnotatedGraph, plain: list[Triple] | None = None) -> str:
     """Canonical text for a graph (optionally with plain triples).
 
@@ -202,8 +235,8 @@ def serialize_graph(graph: AnnotatedGraph, plain: list[Triple] | None = None) ->
     annotation values, so each distinct term and payload is formatted
     once per call; payloads are canonical, so equal payloads print
     alike."""
-    terms = _Formatted(format_term)
-    literals = _Formatted(graph.domain.format_payload)
+    terms = _Memo(format_term)
+    literals = _Memo(graph.domain.format_payload)
     entries: list[tuple[Triple, str]] = [
         (t, _statement_line(" ".join([terms[x] for x in t]), literals[v.payload]))
         for t, v in graph.statements()

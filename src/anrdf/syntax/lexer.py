@@ -33,6 +33,11 @@ _BRACKET_RE = re.compile(r"[<{\[(>}\])]")
 _WORD_RE = re.compile(r"[A-Za-z0-9_:+\-/]+(?:\.[A-Za-z0-9_:+\-/]+)*")
 
 
+def name_term(name: str) -> Term:
+    """The term a bare name stands for: a rho-df keyword, else an IRI."""
+    return KEYWORDS.get(name) or iri(name)
+
+
 class Scanner:
     """A position in `text`, whose first line is line `line_no`."""
 
@@ -114,7 +119,7 @@ class Scanner:
         m = NAME_RE.match(self.text, self.pos)
         if m:
             self.pos = m.end()
-            return KEYWORDS.get(m.group(0), iri(m.group(0)))
+            return name_term(m.group(0))
         return None
 
     def annotation_literal(self) -> str:

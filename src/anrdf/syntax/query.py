@@ -40,7 +40,7 @@ from ..domains import Domain, get_domain
 from ..errors import AnnotationSyntaxError, ParseError
 from ..rational import parse_scalar
 from ..anql import algebra as alg
-from ..anql.builtins import ARITY
+from ..anql.builtins import ARITY, TESTS
 from .lexer import NAME_RE, Scanner
 
 _AGGREGATES = {"sum", "avg", "max", "min", "count", "join", "meet"}
@@ -245,10 +245,19 @@ def _parse_wrapper(sc: _Scanner, word: str, acc: alg.Pattern) -> alg.Pattern:
         sc.expect(")")
         return alg.Filter(acc, expr)
     if word == "assign":
+        sc.skip_ws()
+        start = sc.pos
         fn, args = _parse_call_or_operand(sc)
         if not sc.take_keyword("as"):
             raise sc.error("ASSIGN needs 'AS ?var'")
-        return alg.Assign(acc, fn, args, sc.var())
+        target = sc.var()
+        if fn in TESTS:
+            # A test yields a truth value, which no answer cell can hold.
+            sc.pos = start
+            raise sc.error(
+                f"{fn} is a test, not a function: ASSIGN cannot bind it to ?{target.name}"
+            )
+        return alg.Assign(acc, fn, args, target)
     if word == "groupby":
         sc.expect("(")
         keys = []

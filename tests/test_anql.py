@@ -24,7 +24,7 @@ from anrdf.anql.engine import (
     prune_maximal,
 )
 from anrdf.domains import AnnotationValue, compound
-from anrdf.errors import DomainMismatchError, QueryTypeError, SaturationBoundError
+from anrdf.errors import DomainMismatchError, ParseError, QueryTypeError, SaturationBoundError
 from anrdf.model import TYPE, AnnotatedGraph, Term, Triple
 from oracles import (
     prune_maximal_pairwise,
@@ -392,20 +392,30 @@ class TestAssign:
         assert [r["z"] for r in rows] == [tv("{[1999,2004]}")]
 
     @pytest.mark.parametrize("call", ["isTEMPORAL(?l)", "before(?l, [2005])"])
-    def test_a_test_cannot_be_assigned(self, fig1_exx1_closure, call):
-        # A predicate yields a truth value, which no answer cell can hold.
+    def test_a_test_cannot_be_assigned(self, call):
+        # A predicate yields a truth value, which no answer cell can hold;
+        # the parser rejects it at the call's name.
         name = call.split("(")[0]
-        query = q(f"SELECT ?x ?t WHERE {{ (?x type ?c):?l ASSIGN {call} AS ?t }}")
-        with pytest.raises(QueryTypeError, match=rf"^{name} is a test.* \?t$"):
-            evaluate_query(fig1_exx1_closure, query)
+        text = f"SELECT ?x ?t WHERE {{ (?x type ?c):?l ASSIGN {call} AS ?t }}"
+        with pytest.raises(ParseError, match=rf"^1:45: {name} is a test.* \?t$"):
+            q(text)
 
     def test_a_test_cannot_be_assigned_over_no_rows(self, fig1_exx1_closure):
         # Rejected before evaluation, so whatever the data.
         pattern = "(?x noSuchProperty ?c):?l"
         assert evaluate_query(fig1_exx1_closure, q(f"SELECT ?x WHERE {{ {pattern} }}")) == []
-        query = q(f"SELECT ?x ?t WHERE {{ {pattern} ASSIGN isTEMPORAL(?l) AS ?t }}")
-        with pytest.raises(QueryTypeError, match=r"^isTEMPORAL is a test.* \?t$"):
-            evaluate_query(fig1_exx1_closure, query)
+        text = f"SELECT ?x ?t WHERE {{ {pattern} ASSIGN isTEMPORAL(?l) AS ?t }}"
+        with pytest.raises(ParseError, match=r"^1:55: isTEMPORAL is a test.* \?t$"):
+            q(text)
+
+    def test_a_hand_built_assign_of_a_test_raises(self, fig1_exx1_closure):
+        # Only FUNCTIONS can be assigned, so a test never binds a bool.
+        pattern = alg.Assign(
+            q("SELECT ?x WHERE { (?x type ?c):?l }").pattern,
+            "isTEMPORAL", (alg.Var("l"),), alg.Var("t"),
+        )
+        with pytest.raises(KeyError, match="isTEMPORAL"):
+            evaluate_query(fig1_exx1_closure, alg.QueryDocument((alg.Var("t"),), pattern))
 
 
 class TestGroupBy:

@@ -270,7 +270,9 @@ class TestQuery:
             "--format", fmt,
         )
         assert (code, stdout) == (2, "")
-        assert stderr == "error: isTEMPORAL is a test, not a function: ASSIGN cannot bind it to ?t\n"
+        assert stderr == (
+            "error: 1:45: isTEMPORAL is a test, not a function: ASSIGN cannot bind it to ?t\n"
+        )
 
     def test_ordered_filter_tsv(self, capsys, data_dir):
         code, stdout, _ = run(

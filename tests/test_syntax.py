@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from anrdf.syntax import (
     serialize_graph,
 )
 from anrdf.domains.base import split_top_level
-from anrdf.syntax.data import format_term
+from anrdf.syntax.data import _SPO_NAMES_RE, format_term
 from oracles import format_statement
 
 TEMPORAL = get_domain("temporal")
@@ -305,6 +306,86 @@ class TestDataRoundTrip:
         assert format_term(iri("has space")) == "<has space>"
         assert format_term(iri("type")) == "<type>"  # avoids the keyword
         assert format_term(literal('say "hi"')) == '"say \\"hi\\""'
+
+
+_STRING_OR_SPACE = re.compile(r'"(?:[^"\\]|\\.)*"| ')
+
+
+def double_spaces(text: str) -> str:
+    """`text` with every space outside a string literal doubled."""
+    return _STRING_OR_SPACE.sub(lambda m: "  " if m[0] == " " else m[0], text)
+
+
+class TestStatementPattern:
+    """Lines of three bare names are read by `_SPO_NAMES_RE`, all others
+    by the scanner alone; both readers must give the same document."""
+
+    @staticmethod
+    def pattern_lines(text: str) -> int:
+        return sum(1 for line in text.split("\n") if _SPO_NAMES_RE.match(line))
+
+    def assert_reads_as_the_scanner(self, text: str) -> None:
+        # Doubled spaces send every line to the scanner.
+        doubled = double_spaces(text)
+        assert self.pattern_lines(doubled) == 0
+        doc, scanned = parse_graph(text), parse_graph(doubled)
+        assert dict(doc.graph.statements()) == dict(scanned.graph.statements())
+        assert doc.plain == scanned.plain
+
+    @pytest.mark.parametrize("name", [p.name for p in DATA_FILES])
+    def test_data_files(self, data_dir, name):
+        text = (data_dir / name).read_text()
+        assert self.pattern_lines(text) > 0
+        self.assert_reads_as_the_scanner(text)
+
+    @pytest.mark.parametrize("domain_id", ALL_DOMAIN_IDS)
+    def test_generated_documents(self, domain_id):
+        domain = get_domain(domain_id)
+        rng = random.Random(f"pattern:{domain_id}")
+        read = 0
+        for _ in range(40):
+            graph = random_document(rng, domain)
+            plain = [Triple(random_term(rng), iri("q"), random_term(rng)) for _ in range(3)]
+            text = serialize_graph(graph, plain)
+            read += self.pattern_lines(text)
+            self.assert_reads_as_the_scanner(text)
+        assert read > 0
+
+    @pytest.mark.parametrize(
+        "line, expected",
+        [
+            ("a b c.", "a b c ."),
+            ("a b c:d .", "2:5: undeclared prefix 'c'"),
+            ("a b:c d .", "2:3: undeclared prefix 'b'"),
+            ("(a b c d) : 1 .", "2:8: expected ')'"),
+            ("a b c #x", "2:9: statement must end with '.'"),
+            ("a b c(", "2:6: statement must end with '.'"),
+            ("(a b c)x : 1 .", "2:8: expected ':'"),
+            ("(a b c.) : 1 .", "2:7: expected ')'"),
+            ("(type sp sc) : 1 .", "(type sp sc) : 1 ."),
+            ("(a.b c.d e.f) : 1 .", "(a.b c.d e.f) : 1 ."),
+            ("(a\tb\tc) : 1 .", "(a b c) : 1 ."),
+            ("a\tb\tc .", "a b c ."),
+            (" (a b c) : 1 .", "(a b c) : 1 ."),
+            (" a b c .", "a b c ."),
+            ("a b c\r", "2:7: statement must end with '.'"),
+            ("(a b c ) :1 . # x", "(a b c) : 1 ."),
+        ],
+    )
+    def test_edge_lines(self, line, expected):
+        # Each result is the one the scanner alone gave: the statement
+        # written back canonically, or the error at its position.
+        try:
+            doc = parse_graph("@domix fuzzy:min .\n" + line)
+        except ParseError as exc:
+            assert str(exc) == expected
+        else:
+            assert serialize_graph(doc.graph, doc.plain).split("\n")[1] == expected
+
+    def test_each_name_is_one_term(self):
+        doc = parse_graph("a p b .\nb p a .")
+        first, second = doc.plain
+        assert first.subject is second.object and first.predicate is second.predicate
 
 
 class TestLiteralParseCache:
