@@ -332,7 +332,8 @@ def _apply_assign(
 def _call(fn: str, args: tuple[alg.Operand, ...], row: Solution, table=REGISTRY):
     """The value of built-in `fn` (or of its one operand when `fn` is
     empty), looked up in `table`; None when the built-in has none.  ASSIGN
-    passes `FUNCTIONS`, so a test it was built with raises `KeyError`."""
+    and aggregates pass `FUNCTIONS`, so a test they were built with raises
+    `KeyError`."""
     resolved = tuple(_resolve(a, row) for a in args)
     if fn == "":
         value = resolved[0]
@@ -389,7 +390,7 @@ def _aggregate(
 ) -> Value | None:
     values = []
     for row in members:
-        value = _call(aggregate.fn, aggregate.args, row)
+        value = _call(aggregate.fn, aggregate.args, row, FUNCTIONS)
         if value is not None:
             values.append(value)
     op = aggregate.op

@@ -36,7 +36,12 @@ class TemporalValueError(AnrdfError):
 
 
 class ClosureIterationError(AnrdfError):
-    """The closure engine exceeded its rule-firing cap."""
+    """The closure engine exceeded its rule-firing cap.  `stats` holds the
+    closure's counts (`anrdf.reasoner.ClosureStats`) up to the cap."""
+
+    def __init__(self, max_firings: int, stats):
+        super().__init__(f"closure exceeded {max_firings} rule firings")
+        self.stats = stats
 
 
 class ParseError(AnrdfError):

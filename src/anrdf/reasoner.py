@@ -19,14 +19,15 @@ The rho-df rules, with conclusions right of the arrow:
     implicit-domain-typing  (A dom B), (D sp A), (X D Y)   -> (X type B)
     implicit-range-typing   (A range B), (D sp A), (X D Y) -> (Y type B)
 
-The closure is semi-naive.  Every stored triple starts on an agenda,
-which holds a triple at most once; a triple goes back on it whenever its
-stored annotation strictly grows.  A seed taken off the agenda joins the
-processed triples before it fires, and its rules take their other
-premises only from the processed triples.  So a combination of premises
-fires from the premise taken off last, not once from each premise, and
-again only when one of them grows; a self-join fires because the seed is
-already processed.
+The closure is semi-naive, and the store holds exactly the processed
+triples.  Every input triple starts on an agenda, which holds a triple at
+most once, and `pending` holds the values still to store.  A seed taken
+off the agenda is stored, then fires with its other premises from the
+store alone.  A conclusion raises a stored triple in place, putting it
+back on the agenda when it strictly grows, or joins into a pending value.
+So a combination of premises fires from the premise taken off last, not
+once from each, and again only when one of them grows; a self-join fires
+because the seed is already stored.
 
 Two kinds of conclusion then skip one role, because the closed `sp` and
 `sc` cover it:
@@ -53,131 +54,146 @@ any other rule makes it fire in full.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Container, Iterable, Iterator
+from dataclasses import dataclass
+from typing import Iterable
 
 from .domains import AnnotationValue, get_domain
 from .errors import ClosureIterationError
-from .model import (
-    DOM,
-    LITERAL,
-    RANGE,
-    RHO_DF,
-    SC,
-    SP,
-    TYPE,
-    AnnotatedGraph,
-    Term,
-    Triple,
-)
+from .model import DOM, LITERAL, RANGE, RHO_DF, SC, SP, TYPE, AnnotatedGraph, Term, Triple
 
 DEFAULT_MAX_FIRINGS = 1_000_000
 
 Conclusion = tuple[Triple, AnnotationValue, bool]
-Match = Callable[..., Iterable[tuple[Triple, AnnotationValue]]]
+
+
+@dataclass
+class ClosureStats:
+    """What one `closure` did.  Every rule conclusion is one firing with
+    one outcome: a `new` triple, neither stored nor on the agenda; a
+    stored or pending value strictly `raised`; a value `subsumed` by the
+    one there already; or a `bottom` value, dropped.  `seeds` counts the
+    triples taken off the agenda."""
+
+    firings: int = 0
+    new: int = 0
+    raised: int = 0
+    subsumed: int = 0
+    bottom: int = 0
+    seeds: int = 0
 
 
 def _typing(
-    match: Match, d: Term, x: Term, y: Term, value: AnnotationValue
-) -> Iterator[Conclusion]:
-    """Domain and range typing of the data triple (x d y), or of one
-    whose predicate is a subproperty of d, carrying `value`."""
-    for u, vu in match(d, DOM, None):
-        yield Triple(x, TYPE, u.object), value.meet(vu), True
-    for u, vu in match(d, RANGE, None):
-        yield Triple(y, TYPE, u.object), value.meet(vu), True
+    found: list[Conclusion], graph: AnnotatedGraph, d: Term, x: Term, y: Term, v: AnnotationValue
+) -> None:
+    """Add to `found` the domain and range typing of the data triple (x d y),
+    or of one whose predicate is a subproperty of d, carrying `v`."""
+    for u, vu in graph.match(d, DOM, None):
+        found.append((Triple(x, TYPE, u.object), v.meet(vu), True))
+    for u, vu in graph.match(d, RANGE, None):
+        found.append((Triple(y, TYPE, u.object), v.meet(vu), True))
 
 
 def _consequences(
-    graph: AnnotatedGraph,
-    t: Triple,
-    v: AnnotationValue,
-    done: Container[Triple],
-    full: bool,
-) -> Iterator[Conclusion]:
+    graph: AnnotatedGraph, t: Triple, v: AnnotationValue, full: bool
+) -> list[Conclusion]:
     """Every rule conclusion with `t`, annotated `v`, as one premise and
-    the other premises from the triples of `graph` in `done`.
+    the other premises from `graph`.
 
     Each conclusion comes with a flag that is False when it may skip a
     role (a type-propagation conclusion, or an sp-application conclusion
     outside the rho-df vocabulary).  With `full` False, `t` skips its
     role: it is neither a data premise nor propagated through `sc`.
     """
-
-    def match(s, p, o):
-        return [(u, vu) for u, vu in graph.match(s, p, o) if u in done]
-
+    match = graph.match
+    found: list[Conclusion] = []
     s, p, o = t.subject, t.predicate, t.object
     if full or p in RHO_DF:
         # t as the data premise (X D Y).
-        yield from _typing(match, p, s, o, v)
+        _typing(found, graph, p, s, o, v)
         for u, vu in match(p, SP, None):
             e, vd = u.object, v.meet(vu)
             if e.kind != LITERAL:
-                yield Triple(s, e, o), vd, e in RHO_DF
-            yield from _typing(match, e, s, o, vd)
+                found.append((Triple(s, e, o), vd, e in RHO_DF))
+            _typing(found, graph, e, s, o, vd)
     if p == SP or p == SC:
         # Transitivity, t as the first and as the second premise.
-        for u, vu in match(o, p, None):
-            yield Triple(s, p, u.object), v.meet(vu), True
-        for u, vu in match(None, p, s):
-            yield Triple(u.subject, p, o), v.meet(vu), True
+        found += [(Triple(s, p, u.object), v.meet(vu), True) for u, vu in match(o, p, None)]
+        found += [(Triple(u.subject, p, o), v.meet(vu), True) for u, vu in match(None, p, s)]
     if p == SP:
         # t as (D sp E): sp-application and implicit typing.
         for u, vu in match(None, s, None):
             vd = v.meet(vu)
             if o.kind != LITERAL:
-                yield Triple(u.subject, o, u.object), vd, o in RHO_DF
-            yield from _typing(match, o, u.subject, u.object, vd)
+                found.append((Triple(u.subject, o, u.object), vd, o in RHO_DF))
+            _typing(found, graph, o, u.subject, u.object, vd)
     elif p == SC:
-        for u, vu in match(None, TYPE, s):
-            yield Triple(u.subject, TYPE, o), v.meet(vu), False
+        found += [(Triple(u.subject, TYPE, o), v.meet(vu), False) for u, vu in match(None, TYPE, s)]
     elif p == TYPE and full:
-        for u, vu in match(o, SC, None):
-            yield Triple(s, TYPE, u.object), v.meet(vu), False
+        found += [(Triple(s, TYPE, u.object), v.meet(vu), False) for u, vu in match(o, SC, None)]
     elif p == DOM or p == RANGE:
         # t as (A dom B) or (A range B), over data triples of A itself
         # (plain typing) and of its subproperties (implicit typing).
-        properties = [(s, v)]
-        properties += [(u.subject, v.meet(vu)) for u, vu in match(None, SP, s)]
+        properties = [(s, v)] + [(u.subject, v.meet(vu)) for u, vu in match(None, SP, s)]
         for d, vd in properties:
             for u, vu in match(None, d, None):
                 typed = u.subject if p == DOM else u.object
-                yield Triple(typed, TYPE, o), vd.meet(vu), True
+                found.append((Triple(typed, TYPE, o), vd.meet(vu), True))
+    return found
 
 
 def closure(
-    graph: AnnotatedGraph, max_firings: int = DEFAULT_MAX_FIRINGS
+    graph: AnnotatedGraph,
+    max_firings: int = DEFAULT_MAX_FIRINGS,
+    stats: ClosureStats | None = None,
 ) -> AnnotatedGraph:
     """Least fixpoint of the rho-df rules over `graph`, as a frozen new graph.
 
     Semi-naive, with the skips the module docstring describes.  `pending`
-    maps each triple on the agenda to whether it fires in full: the OR
-    over the raises since it last left the agenda.  `done` holds the
-    processed triples.
+    maps each triple on the agenda to the value still to store (None once
+    stored) and to whether it fires in full: the OR over the raises since
+    it last left the agenda.  `stats`, if given, receives the counts.
     """
-    out = graph.copy()
-    agenda: deque[Triple] = deque(t for t, _ in out.statements())
-    pending = dict.fromkeys(agenda, True)
-    done: set[Triple] = set()
+    out = AnnotatedGraph(graph.domain)
+    pending = {t: (v, True) for t, v in graph.statements()}
+    agenda = deque(pending)
     skips = out.domain.meet_distributes
-    firings = 0
+    firings = new = subsumed = bottom = seeds = 0
+
+    def counts() -> ClosureStats:
+        raised = firings - new - subsumed - bottom
+        return ClosureStats(firings, new, raised, subsumed, bottom, seeds)
+
     while agenda:
         seed = agenda.popleft()
-        seed_full = pending.pop(seed)
-        done.add(seed)
-        for conclusion, value, full in list(
-            _consequences(out, seed, out.get(seed), done, seed_full)
-        ):
+        unstored, seed_full = pending.pop(seed)
+        seeds += 1
+        if unstored is not None:
+            out.insert(seed, unstored)
+        for conclusion, value, full in _consequences(out, seed, out.get(seed), seed_full):
+            if firings == max_firings:
+                raise ClosureIterationError(max_firings, counts())
             firings += 1
-            if firings > max_firings:
-                raise ClosureIterationError(
-                    f"closure exceeded {max_firings} rule firings"
-                )
-            if value.is_bottom or not out.insert(conclusion, value):
+            if value.is_bottom:
+                bottom += 1
                 continue
-            if conclusion not in pending:
+            waiting = pending.get(conclusion)
+            if conclusion in out:
+                grew, value = out.insert(conclusion, value), None
+            elif waiting is not None:
+                value = waiting[0].join(value)
+                grew = value != waiting[0]
+            else:
+                new += 1
+                grew = True
+            if not grew:
+                subsumed += 1
+                continue
+            if waiting is None:
                 agenda.append(conclusion)
-            pending[conclusion] = pending.get(conclusion, False) or full or not skips
+                waiting = (None, False)
+            pending[conclusion] = (value, waiting[1] or full or not skips)
+    if stats is not None:
+        vars(stats).update(vars(counts()))
     return out.freeze()
 
 

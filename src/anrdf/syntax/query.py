@@ -251,12 +251,7 @@ def _parse_wrapper(sc: _Scanner, word: str, acc: alg.Pattern) -> alg.Pattern:
         if not sc.take_keyword("as"):
             raise sc.error("ASSIGN needs 'AS ?var'")
         target = sc.var()
-        if fn in TESTS:
-            # A test yields a truth value, which no answer cell can hold.
-            sc.pos = start
-            raise sc.error(
-                f"{fn} is a test, not a function: ASSIGN cannot bind it to ?{target.name}"
-            )
+        _reject_test(sc, fn, start, f"ASSIGN cannot bind it to ?{target.name}")
         return alg.Assign(acc, fn, args, target)
     if word == "groupby":
         sc.expect("(")
@@ -292,11 +287,24 @@ def _parse_aggregate(sc: _Scanner) -> alg.Aggregate:
     op = sc.keyword()
     sc.take_keyword(op)
     sc.expect("(")
+    sc.skip_ws()
+    start = sc.pos
     fn, args = _parse_call_or_operand(sc)
     sc.expect(")")
     if not sc.take_keyword("as"):
         raise sc.error("aggregates need 'AS ?var'")
-    return alg.Aggregate(op=op.upper(), fn=fn, args=args, target=sc.var())
+    target = sc.var()
+    _reject_test(sc, fn, start, f"{op.upper()} cannot aggregate it into ?{target.name}")
+    return alg.Aggregate(op=op.upper(), fn=fn, args=args, target=target)
+
+
+def _reject_test(sc: _Scanner, fn: str, start: int, use: str) -> None:
+    """Reject the built-in test `fn`, called at `start`, as the function of
+    ASSIGN or of an aggregate: a test yields a truth value, which no
+    answer cell holds and no aggregate reads as data."""
+    if fn in TESTS:
+        sc.pos = start
+        raise sc.error(f"{fn} is a test, not a function: {use}")
 
 
 def _call_name(sc: _Scanner) -> str | None:

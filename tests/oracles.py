@@ -132,22 +132,16 @@ def brute_force_closure(graph: AnnotatedGraph) -> dict[Triple, AnnotationValue]:
                     changed |= merge(Triple(t2.subject, TYPE, t1.object), v12)
                 if t1.predicate == RANGE and t2.predicate == t1.subject:
                     changed |= merge(Triple(t2.object, TYPE, t1.object), v12)
+                if t2.predicate != SP or t2.object != t1.subject:
+                    continue
+                # The three-premise rules, with t2 as (D sp A) of t1's A.
                 for (t3, v3) in items:
-                    v123 = v12.meet(v3)
-                    if (
-                        t1.predicate == DOM
-                        and t2.predicate == SP
-                        and t2.object == t1.subject
-                        and t3.predicate == t2.subject
-                    ):
-                        changed |= merge(Triple(t3.subject, TYPE, t1.object), v123)
-                    if (
-                        t1.predicate == RANGE
-                        and t2.predicate == SP
-                        and t2.object == t1.subject
-                        and t3.predicate == t2.subject
-                    ):
-                        changed |= merge(Triple(t3.object, TYPE, t1.object), v123)
+                    if t3.predicate != t2.subject:
+                        continue
+                    if t1.predicate == DOM:
+                        changed |= merge(Triple(t3.subject, TYPE, t1.object), v12.meet(v3))
+                    if t1.predicate == RANGE:
+                        changed |= merge(Triple(t3.object, TYPE, t1.object), v12.meet(v3))
     return store
 
 

@@ -418,6 +418,29 @@ class TestAssign:
             evaluate_query(fig1_exx1_closure, alg.QueryDocument((alg.Var("t"),), pattern))
 
 
+class TestAggregateOfATest:
+    @pytest.mark.parametrize(
+        "op, call, column", [("COUNT", "before(?l, [2007])", 56), ("MAX", "isTEMPORAL(?l)", 54)]
+    )
+    def test_a_test_cannot_be_aggregated(self, op, call, column):
+        # COUNT would count False rows and MAX would drop every group; the
+        # parser rejects the test at the call's name.
+        name = call.split("(")[0]
+        text = f"SELECT ?c ?n WHERE {{ (?x type ?c):?l GROUPBY(?c) {op}({call}) AS ?n }}"
+        message = rf"^1:{column}: {name} is a test, not a function: {op} cannot aggregate it into \?n$"
+        with pytest.raises(ParseError, match=message):
+            q(text)
+
+    def test_a_hand_built_aggregate_of_a_test_raises(self, fig1_exx1_closure):
+        pattern = alg.GroupBy(
+            q("SELECT ?c WHERE { (?x type ?c):?l }").pattern,
+            (alg.Var("c"),),
+            (alg.Aggregate("COUNT", "isTEMPORAL", (alg.Var("l"),), alg.Var("n")),),
+        )
+        with pytest.raises(KeyError, match="isTEMPORAL"):
+            evaluate_query(fig1_exx1_closure, alg.QueryDocument((alg.Var("n"),), pattern))
+
+
 class TestGroupBy:
     @pytest.fixture()
     def lengths_graph(self):

@@ -274,6 +274,19 @@ class TestQuery:
             "error: 1:45: isTEMPORAL is a test, not a function: ASSIGN cannot bind it to ?t\n"
         )
 
+    def test_aggregating_a_test_exit_2(self, capsys, data_dir, tmp_path):
+        query = tmp_path / "count.anql"
+        query.write_text(
+            "SELECT ?c ?n WHERE { (?x type ?c):?l GROUPBY(?c) COUNT(before(?l, [2007])) AS ?n }"
+        )
+        code, stdout, stderr = run(
+            capsys, "query", "-i", str(data_dir / "fig1_exx1.anrdf"), str(query)
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == (
+            "error: 1:56: before is a test, not a function: COUNT cannot aggregate it into ?n\n"
+        )
+
     def test_ordered_filter_tsv(self, capsys, data_dir):
         code, stdout, _ = run(
             capsys, "query", "-i", str(data_dir / "fig1_exx1.anrdf"),
