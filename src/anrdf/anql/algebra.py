@@ -50,17 +50,11 @@ class Bound(FilterExpr):
 
 
 @dataclass(frozen=True)
-class IsBlank(FilterExpr):
-    operand: Operand
+class IsKind(FilterExpr):
+    """isIRI, isBLANK or isLITERAL: the operand is a term of `kind`
+    (`anrdf.model.IRI`, `SKOLEM` or `LITERAL`)."""
 
-
-@dataclass(frozen=True)
-class IsIri(FilterExpr):
-    operand: Operand
-
-
-@dataclass(frozen=True)
-class IsLiteral(FilterExpr):
+    kind: str
     operand: Operand
 
 

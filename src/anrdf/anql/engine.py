@@ -64,7 +64,7 @@ from typing import Any, Callable, Iterable
 
 from ..domains import AnnotationValue
 from ..errors import DomainMismatchError, QueryTypeError
-from ..model import IRI, LITERAL, SKOLEM, AnnotatedGraph, Term
+from ..model import LITERAL, AnnotatedGraph, Term
 from . import algebra as alg
 from .builtins import FUNCTIONS, REGISTRY, UNBOUND, BuiltinError
 
@@ -173,18 +173,11 @@ def _resolve(operand: alg.Operand, solution: Solution):
 def filter_eval(expr: alg.FilterExpr, solution: Solution) -> str:
     if isinstance(expr, alg.Bound):
         return TRUE if expr.var.name in solution else FALSE
-    if isinstance(expr, (alg.IsBlank, alg.IsIri, alg.IsLiteral)):
+    if isinstance(expr, alg.IsKind):
         value = _resolve(expr.operand, solution)
         if value is UNBOUND:
             return ERROR
-        if not isinstance(value, Term):
-            return FALSE
-        wanted = {
-            alg.IsBlank: SKOLEM,
-            alg.IsIri: IRI,
-            alg.IsLiteral: LITERAL,
-        }[type(expr)]
-        return TRUE if value.kind == wanted else FALSE
+        return TRUE if isinstance(value, Term) and value.kind == expr.kind else FALSE
     if isinstance(expr, alg.Eq):
         left = _resolve(expr.left, solution)
         right = _resolve(expr.right, solution)
@@ -347,25 +340,14 @@ def _call(fn: str, args: tuple[alg.Operand, ...], row: Solution, table=REGISTRY)
 def _apply_groupby(
     graph: AnnotatedGraph, node: alg.GroupBy, diagnostics: list[str]
 ) -> list[Solution]:
-    inner_vars = {v.name for v in alg.pattern_vars(node.pattern)}
-    for aggregate in node.aggregates:
-        if aggregate.target.name in inner_vars:
-            raise QueryTypeError(
-                f"aggregate target ?{aggregate.target.name} already occurs in the pattern"
-            )
-        for arg in aggregate.args:
-            if isinstance(arg, alg.Var) and any(k.name == arg.name for k in node.keys):
-                raise QueryTypeError(
-                    f"aggregate argument ?{arg.name} is a grouping key"
-                )
     rows = eval_pattern(graph, node.pattern, diagnostics)
     groups: dict[tuple, list[Solution]] = {}
     for row in rows:
         key = tuple(row.get(k.name) for k in node.keys)
         groups.setdefault(key, []).append(row)
     # Grouped output is a set with no dedup: two groups differ in a key
-    # some row binds, each projected row keeps its bound keys, and a
-    # target is never a variable the pattern can bind.
+    # some row binds, each projected row keeps its bound keys, and the
+    # parser rejects a target the pattern can bind.
     out: list[Solution] = []
     for members in groups.values():
         projected: Solution = {}

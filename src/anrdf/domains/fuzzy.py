@@ -8,6 +8,7 @@ is admissible as the first component of a compound domain.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from ..errors import AnnotationSyntaxError
@@ -18,21 +19,13 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def tnorm_min(a: Fraction, b: Fraction) -> Fraction:
-    return min(a, b)
-
-
-def tnorm_product(a: Fraction, b: Fraction) -> Fraction:
-    return a * b
-
-
 def tnorm_lukasiewicz(a: Fraction, b: Fraction) -> Fraction:
     return max(ZERO, a + b - ONE)
 
 
 _TNORMS = {
-    "min": (tnorm_min, True),
-    "product": (tnorm_product, False),
+    "min": (min, True),
+    "product": (operator.mul, False),
     "lukasiewicz": (tnorm_lukasiewicz, False),
 }
 
@@ -40,6 +33,9 @@ _TNORMS = {
 class FuzzyDomain(Domain):
     bottom_payload = ZERO
     top_payload = ONE
+    join_payload = staticmethod(max)
+    leq_payload = staticmethod(operator.le)
+    format_payload = staticmethod(format_scalar)
 
     def __init__(self, tnorm: str = "product"):
         if tnorm not in _TNORMS:
@@ -47,14 +43,8 @@ class FuzzyDomain(Domain):
         self._tnorm, self.is_lattice = _TNORMS[tnorm]
         self.name = f"fuzzy:{tnorm}"
 
-    def join_payload(self, a: Fraction, b: Fraction) -> Fraction:
-        return max(a, b)
-
     def meet_payload(self, a: Fraction, b: Fraction) -> Fraction:
         return self._tnorm(a, b)
-
-    def leq_payload(self, a: Fraction, b: Fraction) -> bool:
-        return a <= b
 
     def parse_payload(self, text: str) -> Fraction:
         try:
@@ -62,9 +52,6 @@ class FuzzyDomain(Domain):
         except ValueError as exc:
             raise AnnotationSyntaxError(str(exc)) from None
         return self.validate_payload(value)
-
-    def format_payload(self, payload: Fraction) -> str:
-        return format_scalar(payload)
 
     def validate_payload(self, payload) -> Fraction:
         if isinstance(payload, int):

@@ -57,14 +57,9 @@ class ProvenanceDomain(Domain):
     bottom_payload = FALSE
     top_payload = TRUE
 
-    def join_payload(self, a: Dnf, b: Dnf) -> Dnf:
-        return prov_join(a, b)
-
-    def meet_payload(self, a: Dnf, b: Dnf) -> Dnf:
-        return prov_meet(a, b)
-
-    def leq_payload(self, a: Dnf, b: Dnf) -> bool:
-        return prov_leq(a, b)
+    join_payload = staticmethod(prov_join)
+    meet_payload = staticmethod(prov_meet)
+    leq_payload = staticmethod(prov_leq)
 
     def parse_payload(self, text: str) -> Dnf:
         return _Parser(text).parse()

@@ -156,23 +156,12 @@ class TemporalDomain(Domain):
     bottom_payload = ()
     top_payload = ((NEG_INF, POS_INF),)
 
-    def join_payload(self, a: IntervalSet, b: IntervalSet) -> IntervalSet:
-        return temporal_join(a, b)
-
-    def meet_payload(self, a: IntervalSet, b: IntervalSet) -> IntervalSet:
-        return temporal_meet(a, b)
-
-    def leq_payload(self, a: IntervalSet, b: IntervalSet) -> bool:
-        return temporal_leq(a, b)
-
-    def parse_payload(self, text: str) -> IntervalSet:
-        return parse_interval_set(text)
-
-    def format_payload(self, payload: IntervalSet) -> str:
-        return format_interval_set(payload)
-
-    def validate_payload(self, payload) -> IntervalSet:
-        return canonical_intervals(payload)
+    join_payload = staticmethod(temporal_join)
+    meet_payload = staticmethod(temporal_meet)
+    leq_payload = staticmethod(temporal_leq)
+    parse_payload = staticmethod(parse_interval_set)
+    format_payload = staticmethod(format_interval_set)
+    validate_payload = staticmethod(canonical_intervals)
 
     def random_payload(self, rng) -> IntervalSet:
         intervals = []

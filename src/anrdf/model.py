@@ -128,13 +128,11 @@ class AnnotatedGraph:
             self._statements[t] = value
             self._by_ps.setdefault(t.predicate, {}).setdefault(t.subject, []).append(t)
             self._by_po.setdefault(t.predicate, {}).setdefault(t.object, []).append(t)
-            self._sorted_cache = None
             return True
         merged = stored.join(value)
         if merged == stored:
             return False
         self._statements[t] = merged
-        self._sorted_cache = None
         return True
 
     def freeze(self) -> "AnnotatedGraph":
@@ -152,13 +150,6 @@ class AnnotatedGraph:
 
     def get(self, t: Triple) -> AnnotationValue | None:
         return self._statements.get(t)
-
-    def entails(self, t: Triple, value: AnnotationValue) -> bool:
-        """True iff some stored annotation for t subsumes `value`."""
-        if value.is_bottom:
-            return True
-        stored = self._statements.get(t)
-        return stored is not None and value.leq(stored)
 
     def __len__(self) -> int:
         return len(self._statements)

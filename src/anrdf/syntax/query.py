@@ -19,6 +19,11 @@ optional.  Filter expressions support BOUND/isIRI/isBLANK/isLITERAL,
 `=`, `!=`, the domain order `<=`, `!`, `&&`, `||`, and registered
 built-ins.
 
+GROUPBY's rules are checked here, before evaluation, as the built-in
+calls are, and each is a `ParseError` at its position: no aggregate
+argument may be a grouping key, and no aggregate target may be a
+variable the grouped pattern can bind (`algebra.pattern_vars`).
+
 Every annotation constant is read one way.  A label is `?var` or a
 literal of the query's domain, read as the data format reads one
 (`annotation_literal`) and parsed by the domain, so a query can name
@@ -38,12 +43,15 @@ from fractions import Fraction
 
 from ..domains import Domain, get_domain
 from ..errors import AnnotationSyntaxError, ParseError
+from ..model import IRI, LITERAL, SKOLEM
 from ..rational import parse_scalar
 from ..anql import algebra as alg
 from ..anql.builtins import ARITY, TESTS
 from .lexer import NAME_RE, Scanner
 
 _AGGREGATES = {"sum", "avg", "max", "min", "count", "join", "meet"}
+# The term-kind tests and the kind of term each accepts.
+_KINDS = {"isiri": IRI, "isblank": SKOLEM, "isliteral": LITERAL}
 # Operators that wrap everything parsed so far in their group.
 _WRAPPERS = ("optional", "filter", "assign", "groupby", "orderby", "limit")
 
@@ -260,9 +268,10 @@ def _parse_wrapper(sc: _Scanner, word: str, acc: alg.Pattern) -> alg.Pattern:
             keys.append(sc.var())
             sc.take(",")
         sc.expect(")")
+        bound = alg.pattern_vars(acc)
         aggregates = []
         while sc.keyword() in _AGGREGATES:
-            aggregates.append(_parse_aggregate(sc))
+            aggregates.append(_parse_aggregate(sc, keys, bound))
         return alg.GroupBy(acc, tuple(keys), tuple(aggregates))
     if word == "orderby":
         return alg.OrderBy(acc, sc.var())
@@ -283,7 +292,12 @@ def _parse_triple_pattern(sc: _Scanner) -> alg.TriplePattern:
     return alg.TriplePattern(s, p, o, sc.label())
 
 
-def _parse_aggregate(sc: _Scanner) -> alg.Aggregate:
+def _parse_aggregate(
+    sc: _Scanner, keys: list[alg.Var], bound: frozenset[alg.Var]
+) -> alg.Aggregate:
+    """One aggregate of a GROUPBY with grouping `keys` over a pattern that
+    can bind `bound`.  An argument that is a key is reported at the
+    argument, and a target in `bound` at the target."""
     op = sc.keyword()
     sc.take_keyword(op)
     sc.expect("(")
@@ -293,8 +307,17 @@ def _parse_aggregate(sc: _Scanner) -> alg.Aggregate:
     sc.expect(")")
     if not sc.take_keyword("as"):
         raise sc.error("aggregates need 'AS ?var'")
+    sc.skip_ws()
+    at = sc.pos
     target = sc.var()
     _reject_test(sc, fn, start, f"{op.upper()} cannot aggregate it into ?{target.name}")
+    for arg in args:
+        if arg in keys:
+            sc.pos = start
+            raise sc.error(f"aggregate argument ?{arg.name} is a grouping key")
+    if target in bound:
+        sc.pos = at
+        raise sc.error(f"aggregate target ?{target.name} already occurs in the pattern")
     return alg.Aggregate(op=op.upper(), fn=fn, args=args, target=target)
 
 
@@ -389,13 +412,12 @@ def _parse_filter_primary(sc: _Scanner) -> alg.FilterExpr:
         var = sc.var()
         sc.expect(")")
         return alg.Bound(var)
-    for name, node in (("isiri", alg.IsIri), ("isblank", alg.IsBlank), ("isliteral", alg.IsLiteral)):
-        if word == name:
-            sc.take_keyword(name)
-            sc.expect("(")
-            operand = sc.operand()
-            sc.expect(")")
-            return node(operand)
+    if word in _KINDS:
+        sc.take_keyword(word)
+        sc.expect("(")
+        operand = sc.operand()
+        sc.expect(")")
+        return alg.IsKind(_KINDS[word], operand)
     name = _call_name(sc)
     if name is not None:
         return alg.BuiltinCall(name, _parse_call_args(sc, name))

@@ -22,7 +22,7 @@ from anrdf.syntax import format_term
 # -- crisp rho-df closure ------------------------------------------------------
 
 
-def crisp_closure(triples: set[Triple]) -> set[Triple]:
+def crisp_closure(triples: Iterable[Triple]) -> set[Triple]:
     """Naive fixpoint of the classical rules 2-5 on plain triples."""
     out = set(triples)
     changed = True
@@ -91,7 +91,16 @@ def minimal_witnesses(triples: Sequence[Triple]) -> dict[Triple, set[frozenset[i
     return out
 
 
-# -- annotated brute-force closure --------------------------------------------
+# -- annotated entailment and brute-force closure -----------------------------
+
+
+def entails(graph: AnnotatedGraph, t: Triple, value: AnnotationValue) -> bool:
+    """True iff `graph` stores for t an annotation that subsumes `value`;
+    bottom is entailed by every graph."""
+    if value.is_bottom:
+        return True
+    stored = graph.get(t)
+    return stored is not None and value.leq(stored)
 
 
 def brute_force_closure(graph: AnnotatedGraph) -> dict[Triple, AnnotationValue]:
@@ -246,7 +255,7 @@ def _compatible(a: Mapping, b: Mapping) -> bool:
     return all(a[k] == b[k] for k in a.keys() & b.keys())
 
 
-def _bgp_eval(triples: set[Triple], patterns) -> list[Mapping]:
+def _bgp_eval(triples: Iterable[Triple], patterns) -> list[Mapping]:
     rows: list[Mapping] = [{}]
     for tp in patterns:
         next_rows = []
@@ -276,16 +285,13 @@ def _bgp_eval(triples: set[Triple], patterns) -> list[Mapping]:
 def _filter_value(expr: alg.FilterExpr, row: Mapping) -> str:
     if isinstance(expr, alg.Bound):
         return "true" if expr.var.name in row else "false"
-    if isinstance(expr, (alg.IsBlank, alg.IsIri, alg.IsLiteral)):
+    if isinstance(expr, alg.IsKind):
         operand = expr.operand
         if isinstance(operand, alg.Var):
             if operand.name not in row:
                 return "error"
             operand = row[operand.name]
-        kind = {alg.IsBlank: "skolem", alg.IsIri: "iri", alg.IsLiteral: "literal"}[
-            type(expr)
-        ]
-        return "true" if isinstance(operand, Term) and operand.kind == kind else "false"
+        return "true" if isinstance(operand, Term) and operand.kind == expr.kind else "false"
     if isinstance(expr, alg.Eq):
         values = []
         for operand in (expr.left, expr.right):
@@ -316,7 +322,7 @@ def _filter_value(expr: alg.FilterExpr, row: Mapping) -> str:
     raise TypeError(f"oracle cannot evaluate {expr!r}")
 
 
-def sparql_eval(triples: set[Triple], pattern: alg.Pattern) -> list[Mapping]:
+def sparql_eval(triples: Iterable[Triple], pattern: alg.Pattern) -> list[Mapping]:
     """Classical evaluation of an annotation-free AND/UNION/OPTIONAL/FILTER
     pattern over a plain graph."""
     if isinstance(pattern, alg.Bap):
@@ -411,38 +417,36 @@ def individual(i: int) -> Term:
 
 def random_crisp_graph(
     rng: random.Random, max_triples: int = 30, vocabulary: int = 1
-) -> set[Triple]:
-    """Up to `max_triples` random rho-df and data triples.  `vocabulary`
-    multiplies the number of properties, classes and individuals, so
-    larger graphs do not saturate the closure."""
+) -> list[Triple]:
+    """Up to `max_triples` random rho-df and data triples, distinct and in
+    the order they were drawn, which does not depend on how terms are
+    named.  `vocabulary` multiplies the number of properties, classes and
+    individuals, so larger graphs do not saturate the closure."""
     properties = [iri(f"p{i}") for i in range(4 * vocabulary)]
     classes = [iri(f"c{i}") for i in range(4 * vocabulary)]
     individuals = [individual(i) for i in range(6 * vocabulary)]
-    out = set()
+    out: dict[Triple, None] = {}
     for _ in range(rng.randint(1, max_triples)):
         shape = rng.randrange(6)
         if shape == 0:
-            out.add(Triple(rng.choice(properties), SP, rng.choice(properties)))
+            t = Triple(rng.choice(properties), SP, rng.choice(properties))
         elif shape == 1:
-            out.add(Triple(rng.choice(classes), SC, rng.choice(classes)))
+            t = Triple(rng.choice(classes), SC, rng.choice(classes))
         elif shape == 2:
-            out.add(Triple(rng.choice(individuals), TYPE, rng.choice(classes)))
+            t = Triple(rng.choice(individuals), TYPE, rng.choice(classes))
         elif shape == 3:
-            out.add(Triple(rng.choice(properties), DOM, rng.choice(classes)))
+            t = Triple(rng.choice(properties), DOM, rng.choice(classes))
         elif shape == 4:
-            out.add(Triple(rng.choice(properties), RANGE, rng.choice(classes)))
+            t = Triple(rng.choice(properties), RANGE, rng.choice(classes))
         else:
-            out.add(
-                Triple(
-                    rng.choice(individuals),
-                    rng.choice(properties),
-                    rng.choice(individuals),
-                )
+            t = Triple(
+                rng.choice(individuals), rng.choice(properties), rng.choice(individuals)
             )
-    return out
+        out[t] = None
+    return list(out)
 
 
-def top_annotated(triples: set[Triple], domain: Domain) -> AnnotatedGraph:
+def top_annotated(triples: Iterable[Triple], domain: Domain) -> AnnotatedGraph:
     graph = AnnotatedGraph(domain)
     top = domain.top
     for t in triples:
@@ -488,7 +492,7 @@ def random_filter_expr(rng: random.Random, depth: int = 2) -> alg.FilterExpr:
     if shape == 0:
         return alg.Bound(var)
     if shape == 1:
-        return alg.IsIri(var)
+        return alg.IsKind("iri", var)
     if shape == 2:
         return alg.Eq(var, rng.choice(_VARS))
     return alg.Eq(var, individual(rng.randrange(6)))

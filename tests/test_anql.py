@@ -25,7 +25,7 @@ from anrdf.anql.engine import (
 )
 from anrdf.domains import AnnotationValue, compound
 from anrdf.errors import DomainMismatchError, ParseError, QueryTypeError, SaturationBoundError
-from anrdf.model import TYPE, AnnotatedGraph, Term, Triple
+from anrdf.model import IRI, LITERAL, SKOLEM, TYPE, AnnotatedGraph, Term, Triple
 from oracles import (
     prune_maximal_pairwise,
     random_crisp_graph,
@@ -550,12 +550,10 @@ class TestGroupBy:
         with pytest.raises(SaturationBoundError):
             evaluate_query(closed, query)
 
-    def test_target_collision_rejected(self, lengths_graph):
-        query = q(
-            "SELECT ?x WHERE { (?x worksFor ?y):?l GROUPBY(?x) COUNT(?y) AS ?l }"
-        )
-        with pytest.raises(QueryTypeError):
-            evaluate_query(lengths_graph, query)
+    def test_target_collision_rejected(self):
+        text = "SELECT ?x WHERE { (?x worksFor ?y):?l GROUPBY(?x) COUNT(?y) AS ?l }"
+        with pytest.raises(ParseError, match=r"^1:64: aggregate target \?l already occurs"):
+            q(text)
 
     @pytest.mark.parametrize(
         "pattern",
@@ -565,10 +563,11 @@ class TestGroupBy:
             "(?x worksFor ?y):?l ASSIGN length(?l) AS ?n",
         ],
     )
-    def test_target_bound_below_any_operator_rejected(self, lengths_graph, pattern):
-        query = q(f"SELECT ?x WHERE {{ {pattern} GROUPBY(?x) COUNT(?y) AS ?n }}")
-        with pytest.raises(QueryTypeError, match=r"target \?n already occurs"):
-            evaluate_query(lengths_graph, query)
+    def test_target_bound_below_any_operator_rejected(self, pattern):
+        text = f"SELECT ?x WHERE {{ {pattern} GROUPBY(?x) COUNT(?y) AS ?n }}"
+        with pytest.raises(ParseError, match=r"target \?n already occurs") as caught:
+            q(text)
+        assert caught.value.column == text.index("?n }") + 1
 
     @pytest.mark.parametrize(
         "pattern",
@@ -583,12 +582,10 @@ class TestGroupBy:
         counts = {row["x"].lexical: row["n"] for row in evaluate_query(lengths_graph, query)}
         assert counts == {"x": 2, "z": 1}
 
-    def test_key_used_as_argument_rejected(self, lengths_graph):
-        query = q(
-            "SELECT ?x WHERE { (?x worksFor ?y):?l GROUPBY(?x) COUNT(?x) AS ?n }"
-        )
-        with pytest.raises(QueryTypeError):
-            evaluate_query(lengths_graph, query)
+    def test_key_used_as_argument_rejected(self):
+        text = "SELECT ?x WHERE { (?x worksFor ?y):?l GROUPBY(?x) COUNT(?x) AS ?n }"
+        with pytest.raises(ParseError, match=r"^1:57: aggregate argument \?x is a grouping key"):
+            q(text)
 
 
 class TestModifiers:
@@ -770,15 +767,18 @@ class TestFilterSemantics:
         assert filter_eval(alg.Bound(alg.Var("nope")), self.theta) == FALSE
 
     def test_type_probes(self):
-        assert filter_eval(alg.IsIri(alg.Var("x")), self.theta) == TRUE
-        assert filter_eval(alg.IsBlank(alg.Var("sk")), self.theta) == TRUE
-        assert filter_eval(alg.IsLiteral(alg.Var("lit")), self.theta) == TRUE
-        assert filter_eval(alg.IsIri(alg.Var("nope")), self.theta) == ERROR
+        assert filter_eval(alg.IsKind(IRI, alg.Var("x")), self.theta) == TRUE
+        assert filter_eval(alg.IsKind(SKOLEM, alg.Var("sk")), self.theta) == TRUE
+        assert filter_eval(alg.IsKind(LITERAL, alg.Var("lit")), self.theta) == TRUE
+        assert filter_eval(alg.IsKind(LITERAL, alg.Var("x")), self.theta) == FALSE
+        assert filter_eval(alg.IsKind(IRI, alg.Var("nope")), self.theta) == ERROR
 
-    @pytest.mark.parametrize("probe", [alg.IsIri, alg.IsBlank, alg.IsLiteral])
-    def test_term_probes_of_non_terms_are_false(self, probe):
-        assert filter_eval(probe(alg.Var("l")), self.theta) == FALSE
-        assert filter_eval(probe(Fraction(3)), self.theta) == FALSE
+    @pytest.mark.parametrize(
+        "kind", [IRI, SKOLEM, LITERAL], ids=["IsIri", "IsBlank", "IsLiteral"]
+    )
+    def test_term_probes_of_non_terms_are_false(self, kind):
+        assert filter_eval(alg.IsKind(kind, alg.Var("l")), self.theta) == FALSE
+        assert filter_eval(alg.IsKind(kind, Fraction(3)), self.theta) == FALSE
 
     def test_eq(self):
         assert filter_eval(alg.Eq(alg.Var("x"), Term("iri", "a")), self.theta) == TRUE
@@ -1281,15 +1281,17 @@ class TestSparqlConservativityLarger:
     LIVE_JOIN_SEEDS = (72, 80, 84, 105, 143)
     LIVE_OPTIONAL_SEEDS = (11, 17, 84)
     LARGER_SEEDS = (*range(40), 72, 80, 84, 105, 143)
-    # The same, with every triple pattern drawn from a stored triple.
+    # The same, with every triple pattern drawn from a stored triple.  The
+    # anchors come in the order `random_crisp_graph` drew them, so these
+    # seeds do not depend on how the generator names terms.
     ANCHORED_LIVE_JOIN_SEEDS = (
-        31, 35, 37, 38, 72, 84, 99, 101, 119, 142, 143, 165, 166, 173
+        31, 35, 37, 38, 48, 72, 84, 99, 101, 119, 142, 143, 165, 166, 173, 174
     )
     ANCHORED_LIVE_OPTIONAL_SEEDS = (
-        16, 29, 32, 35, 52, 59, 97, 99, 114, 116, 122, 144
+        16, 29, 32, 35, 48, 59, 97, 99, 114, 121, 122, 157
     )
     # Further cases, whose anchored patterns reach no live Join or OPTIONAL.
-    FORMER_LIVE_SEEDS = (46, 81, 102, 121, 157)
+    FORMER_LIVE_SEEDS = (46, 52, 81, 102, 116, 144)
     ANCHORED_SEEDS = tuple(
         sorted(
             {
@@ -1305,8 +1307,7 @@ class TestSparqlConservativityLarger:
     def _case(seed, anchored=False):
         rng = random.Random(9100 + seed)
         triples = random_crisp_graph(rng, max_triples=300, vocabulary=2)
-        anchors = sorted(triples) if anchored else ()
-        return triples, random_pattern(rng, anchors=anchors)
+        return triples, random_pattern(rng, anchors=triples if anchored else ())
 
     @pytest.mark.parametrize("seed", LARGER_SEEDS)
     def test_sampled_equivalence(self, seed):

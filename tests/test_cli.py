@@ -287,6 +287,25 @@ class TestQuery:
             "error: 1:56: before is a test, not a function: COUNT cannot aggregate it into ?n\n"
         )
 
+    @pytest.mark.parametrize(
+        "aggregate, message",
+        [
+            ("COUNT(?x) AS ?x", "1:63: aggregate target ?x already occurs in the pattern"),
+            ("COUNT(?c) AS ?n", "1:56: aggregate argument ?c is a grouping key"),
+        ],
+    )
+    def test_groupby_rule_exit_2_before_the_closure(
+        self, capsys, data_dir, tmp_path, aggregate, message
+    ):
+        # A firing cap the closure cannot meet: the rule is reported first.
+        query = tmp_path / "group.anql"
+        query.write_text(f"SELECT ?c ?x WHERE {{ (?x type ?c):?l GROUPBY(?c) {aggregate} }}")
+        code, stdout, stderr = run(
+            capsys, "query", "-i", str(data_dir / "fig1_exx1.anrdf"), str(query),
+            "--max-iterations", "2",
+        )
+        assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+
     def test_ordered_filter_tsv(self, capsys, data_dir):
         code, stdout, _ = run(
             capsys, "query", "-i", str(data_dir / "fig1_exx1.anrdf"),

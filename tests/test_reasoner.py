@@ -15,6 +15,7 @@ from anrdf.reasoner import ClosureStats, _consequences
 from oracles import (
     brute_force_closure,
     crisp_closure,
+    entails,
     minimal_witnesses,
     random_crisp_graph,
     top_annotated,
@@ -136,12 +137,12 @@ class TestInsert:
 class TestEntailment:
     def test_subsumption(self, fig1_closure):
         t = Triple(iri("chadHurley"), TYPE, iri("googleEmp"))
-        assert fig1_closure.entails(t, tv("{[2007,2008]}"))
-        assert not fig1_closure.entails(t, tv("{[1990,1991]}"))
+        assert entails(fig1_closure, t, tv("{[2007,2008]}"))
+        assert not entails(fig1_closure, t, tv("{[1990,1991]}"))
 
     def test_bottom_always_entailed(self, fig1_closure):
         anything = Triple(iri("no"), iri("such"), iri("triple"))
-        assert fig1_closure.entails(anything, TEMPORAL.bottom)
+        assert entails(fig1_closure, anything, TEMPORAL.bottom)
 
 
 class TestPaperClosures:
@@ -248,6 +249,38 @@ BRUTE_FORCE_DOMAINS = [
 ]
 
 
+def _random_graph(domain, pool, rng: random.Random) -> AnnotatedGraph:
+    """Up to `pool`'s triple count of random triples over its nodes and
+    vocabulary, each with a random non-bottom value of `domain`."""
+    nodes, vocabulary, max_triples = pool
+    properties = [n for n in nodes if n.kind != "literal"] + vocabulary
+    graph = AnnotatedGraph(domain)
+    for _ in range(rng.randint(1, max_triples)):
+        s = rng.choice(nodes)
+        p = rng.choice(properties)
+        o = rng.choice(nodes)
+        value = domain.value(domain.random_payload(rng))
+        if not value.is_bottom:
+            graph.insert(Triple(s, p, o), value)
+    return graph
+
+
+class _ShuffledGraph(AnnotatedGraph):
+    """A copy of `graph` whose `statements()` come in an order shuffled
+    by `rng`, so that `closure` takes its seeds in that order."""
+
+    def __init__(self, graph: AnnotatedGraph, rng: random.Random):
+        super().__init__(graph.domain)
+        for t, value in graph.statements():
+            self.insert(t, value)
+        self._rng = rng
+
+    def statements(self):
+        out = list(super().statements())
+        self._rng.shuffle(out)
+        return out
+
+
 # Each rho-df rule as (premises, conclusion).  "A" is a literal, so it is
 # never a predicate and sp-application cannot stand in for the implicit
 # rules.
@@ -280,21 +313,23 @@ class TestClosureProperties:
         # One graph per domain from the same seed.  The compound's meet
         # does not distribute (`meet_distributes` False), so its closure
         # skips nothing.
-        nodes, vocabulary, max_triples = pool
-        properties = [n for n in nodes if n.kind != "literal"] + vocabulary
         for domain in BRUTE_FORCE_DOMAINS:
-            rng = random.Random(seed)
-            base = AnnotatedGraph(domain)
-            for _ in range(rng.randint(1, max_triples)):
-                s = rng.choice(nodes)
-                p = rng.choice(properties)
-                o = rng.choice(nodes)
-                value = domain.value(domain.random_payload(rng))
-                if not value.is_bottom:
-                    base.insert(Triple(s, p, o), value)
+            base = _random_graph(domain, pool, random.Random(seed))
             fast = dict(closure(base).statements())
             slow = brute_force_closure(base)
             assert fast == slow, domain.name
+
+    @pytest.mark.parametrize("domain", BRUTE_FORCE_DOMAINS, ids=lambda d: d.name)
+    def test_agenda_order_does_not_change_the_closure(self, domain):
+        # `closure` seeds its agenda in the order of `statements()`; three
+        # shuffles of it reach the same least fixpoint as the sorted order.
+        for seed in range(150):
+            rng = random.Random(seed)
+            base = _random_graph(domain, WIDE_POOL, rng)
+            expected = closure(base).statements()
+            for _ in range(3):
+                shuffled = _ShuffledGraph(base, random.Random(rng.random()))
+                assert closure(shuffled).statements() == expected, seed
 
     # A premise can reach its final value after every other premise of
     # the rule was last used as a seed, so the rule must fire from each.

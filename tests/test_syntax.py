@@ -13,7 +13,19 @@ from anrdf import evaluate_query, get_domain, parse_graph, parse_query
 from anrdf.anql import algebra as alg
 from anrdf.domains import Domain
 from anrdf.errors import ParseError
-from anrdf.model import SC, TYPE, AnnotatedGraph, Term, Triple, iri, literal, skolem
+from anrdf.model import (
+    IRI,
+    LITERAL,
+    SC,
+    SKOLEM,
+    TYPE,
+    AnnotatedGraph,
+    Term,
+    Triple,
+    iri,
+    literal,
+    skolem,
+)
 from anrdf.syntax import (
     serialize_answers_json,
     serialize_answers_tsv,
@@ -656,10 +668,10 @@ class TestFilterGrammar:
         "(BOUND(?x) || BOUND(?y)) && BOUND(?l)": alg.And(
             alg.Or(alg.Bound(x), alg.Bound(y)), alg.Bound(l)
         ),
-        "!(isIRI(?y))": alg.Not(alg.IsIri(y)),
-        "isIRI(?y)": alg.IsIri(y),
-        "isBLANK(?y)": alg.IsBlank(y),
-        "isLITERAL(?y)": alg.IsLiteral(y),
+        "!(isIRI(?y))": alg.Not(alg.IsKind(IRI, y)),
+        "isIRI(?y)": alg.IsKind(IRI, y),
+        "isBLANK(?y)": alg.IsKind(SKOLEM, y),
+        "isLITERAL(?y)": alg.IsKind(LITERAL, y),
         "?x != ?y": alg.Not(alg.Eq(x, y)),
         "?y = 3": alg.Eq(y, Fraction(3)),
         "?y = -3/2": alg.Eq(y, Fraction(-3, 2)),
