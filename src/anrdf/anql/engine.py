@@ -16,11 +16,14 @@ each shared annotation binding is met once, and the rows are
 incompatible when that meet is bottom.  Bap, Join and OPTIONAL all merge
 rows through it.
 
+`eval_pattern` is the one place that evaluates sub-patterns and
+prunes.  It evaluates a node's `left` and `right` or its `.pattern`,
+hands those rows to the node's operator, a function of rows that never
+sees the graph, and prunes the result with one `prune_maximal` call.
 Answers are the domain-maximal rows: a row loses when another row has
 the same key set, identical term bindings, and pointwise larger
-annotations.  `eval_pattern` decides this in one place.  It prunes the
-output of every node except four kinds, whose output is maximal by
-construction:
+annotations.  Every node's output is pruned except four kinds, whose
+output is maximal by construction:
 
 - Bap: the store keeps one annotation per triple, so the term bindings
   of a row fix the triples it matched and hence the whole row.  Two rows
@@ -52,7 +55,10 @@ right row passes the filter while strictly shrinking every shared
 annotation binding (there must be at least one shared annotation
 variable, and "shrinking" compares the merged value against the left
 one; with no compatible right rows this degenerates to the classical
-left join), or (3) every compatible right row fails the filter.
+left join), or (3) every compatible right row fails the filter.  The
+merged value is `left.meet(right)`, and a meet never exceeds its
+operand (the law "meet bounded", which `axiom_suite` checks for every
+domain), so it shrinks exactly when it differs from the left value.
 
 Filters are three-valued; errors never abort evaluation.
 """
@@ -267,10 +273,8 @@ def _match_triple(
 
 
 def _eval_optional(
-    graph: AnnotatedGraph, node: alg.Optional, diagnostics: list[str]
+    node: alg.Optional, left_rows: list[Solution], right_rows: list[Solution]
 ) -> list[Solution]:
-    left_rows = eval_pattern(graph, node.left, diagnostics)
-    right_rows = eval_pattern(graph, node.right, diagnostics)
     candidates = _right_partitions(left_rows, right_rows)
     out: list[Solution] = []
     for left in left_rows:
@@ -294,10 +298,7 @@ def _eval_optional(
             # A compatible pair binds a shared key to two annotations or
             # to two equal non-annotation values.
             shared = [k for k in left.keys() & right if isinstance(left[k], AnnotationValue)]
-            if not shared or not all(
-                merged[key] != left[key] and merged[key].leq(left[key])
-                for key in shared
-            ):
+            if not shared or not all(merged[key] != left[key] for key in shared):
                 all_shrink = False
         out.extend(merged_true)
         if (all_filter_true and all_shrink) or all_filter_false:
@@ -305,10 +306,7 @@ def _eval_optional(
     return out
 
 
-def _apply_assign(
-    graph: AnnotatedGraph, node: alg.Assign, diagnostics: list[str]
-) -> list[Solution]:
-    rows = eval_pattern(graph, node.pattern, diagnostics)
+def _apply_assign(node: alg.Assign, rows: list[Solution]) -> list[Solution]:
     out = []
     for row in rows:
         value = _call(node.fn, node.args, row, FUNCTIONS)
@@ -316,9 +314,7 @@ def _apply_assign(
             continue
         if isinstance(value, AnnotationValue) and value.is_bottom:
             continue  # annotation variables never hold bottom
-        updated = dict(row)
-        updated[node.target.name] = value
-        out.append(updated)
+        out.append({**row, node.target.name: value})
     return out
 
 
@@ -338,9 +334,8 @@ def _call(fn: str, args: tuple[alg.Operand, ...], row: Solution, table=REGISTRY)
 
 
 def _apply_groupby(
-    graph: AnnotatedGraph, node: alg.GroupBy, diagnostics: list[str]
+    node: alg.GroupBy, rows: list[Solution], diagnostics: list[str]
 ) -> list[Solution]:
-    rows = eval_pattern(graph, node.pattern, diagnostics)
     groups: dict[tuple, list[Solution]] = {}
     for row in rows:
         key = tuple(row.get(k.name) for k in node.keys)
@@ -432,18 +427,22 @@ def eval_pattern(
         diagnostics = []
     if isinstance(pattern, alg.Bap):
         return eval_bap(graph, pattern)
-    if isinstance(pattern, alg.Filter):
-        rows = eval_pattern(graph, pattern.pattern, diagnostics)
-        return [r for r in rows if filter_eval(pattern.expr, r) == TRUE]
-    if isinstance(pattern, alg.OrderBy):
-        rows = eval_pattern(graph, pattern.pattern, diagnostics)
-        return _apply_orderby(rows, pattern.var)
-    if isinstance(pattern, alg.Limit):
-        rows = eval_pattern(graph, pattern.pattern, diagnostics)
-        return rows[: pattern.count]
-    if isinstance(pattern, alg.Join):
+    if isinstance(pattern, (alg.Join, alg.Union, alg.Optional)):
         left = eval_pattern(graph, pattern.left, diagnostics)
         right = eval_pattern(graph, pattern.right, diagnostics)
+    elif isinstance(
+        pattern, (alg.Filter, alg.OrderBy, alg.Limit, alg.Assign, alg.GroupBy, alg.SubSelect)
+    ):
+        rows = eval_pattern(graph, pattern.pattern, diagnostics)
+    else:
+        raise TypeError(f"not a pattern: {pattern!r}")
+    if isinstance(pattern, alg.Filter):
+        return [r for r in rows if filter_eval(pattern.expr, r) == TRUE]
+    if isinstance(pattern, alg.OrderBy):
+        return _apply_orderby(rows, pattern.var)
+    if isinstance(pattern, alg.Limit):
+        return rows[: pattern.count]
+    if isinstance(pattern, alg.Join):
         candidates = _right_partitions(left, right)
         rows = [
             merged
@@ -452,21 +451,16 @@ def eval_pattern(
             if (merged := meet_compatible(a, b)) is not None
         ]
     elif isinstance(pattern, alg.Union):
-        rows = eval_pattern(graph, pattern.left, diagnostics) + eval_pattern(
-            graph, pattern.right, diagnostics
-        )
+        rows = left + right
     elif isinstance(pattern, alg.Optional):
-        rows = _eval_optional(graph, pattern, diagnostics)
+        rows = _eval_optional(pattern, left, right)
     elif isinstance(pattern, alg.Assign):
-        rows = _apply_assign(graph, pattern, diagnostics)
+        rows = _apply_assign(pattern, rows)
     elif isinstance(pattern, alg.GroupBy):
-        rows = _apply_groupby(graph, pattern, diagnostics)
-    elif isinstance(pattern, alg.SubSelect):
-        rows = eval_pattern(graph, pattern.pattern, diagnostics)
+        rows = _apply_groupby(pattern, rows, diagnostics)
+    else:  # SubSelect
         names = [v.name for v in pattern.variables]
         rows = [{name: row[name] for name in names if name in row} for row in rows]
-    else:
-        raise TypeError(f"not a pattern: {pattern!r}")
     return prune_maximal(rows)
 
 

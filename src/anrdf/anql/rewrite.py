@@ -64,9 +64,4 @@ def rewrite_defaults(
             },
         )
 
-    return alg.QueryDocument(
-        select=query.select,
-        pattern=walk(query.pattern),
-        order_by=query.order_by,
-        limit=query.limit,
-    )
+    return replace(query, pattern=walk(query.pattern))

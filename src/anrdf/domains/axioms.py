@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from .base import AnnotationValue, Domain
 
@@ -35,6 +35,16 @@ class AxiomReport:
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
+
+    def record(self, name: str, outcomes: Iterable[str | None]) -> None:
+        """Append the check `name` over `outcomes`, one per case: a
+        counterexample, or None for a passed case.  It stops at the first
+        counterexample, so no later case is drawn."""
+        cases, counterexample = 0, None
+        for cases, counterexample in enumerate(outcomes, 1):
+            if counterexample is not None:
+                break
+        self.checks.append(AxiomCheck(name, counterexample is None, cases, counterexample))
 
     def format(self) -> str:
         lines = [
@@ -136,14 +146,9 @@ def axiom_suite(domain: Domain, samples: int = 200, seed: int = 0) -> AxiomRepor
                 yield tuple(domain.random_value(rng) for _ in range(arity))
 
     for name, arity, law in _laws(domain):
-        count = 0
-        counterexample = None
-        for args in cases(arity):
-            count += 1
-            if not law(*args):
-                counterexample = ", ".join(v.serialize() for v in args)
-                break
-        report.checks.append(
-            AxiomCheck(name, counterexample is None, count, counterexample)
+        outcomes = (
+            None if law(*args) else ", ".join(v.serialize() for v in args)
+            for args in cases(arity)
         )
+        report.record(name, outcomes)
     return report

@@ -75,8 +75,7 @@ class _Scanner(Scanner):
 
     def take_keyword(self, word: str) -> bool:
         if self.keyword() == word:
-            m = NAME_RE.match(self.text, self.pos)
-            self.pos = m.end()
+            self.pos += len(word)  # `NAME_RE` is ASCII: lowercasing keeps the length
             return True
         return False
 
@@ -140,8 +139,7 @@ class _Scanner(Scanner):
                 value = self.domain.parse(word)
             except AnnotationSyntaxError:
                 return self.term()
-            m = NAME_RE.match(self.text, self.pos)
-            self.pos = m.end()
+            self.take_keyword(word)
             return value
         return self.term()
 

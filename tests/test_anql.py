@@ -267,6 +267,39 @@ class TestOptionalExamples:
             (("c", Term("iri", "car")), ("p", Term("iri", "p"))),
         }
 
+    @staticmethod
+    def _cars(statements: str, optional: str):
+        doc = parse_graph("@domix temporal .\n" + statements)
+        query = q(f"SELECT ?p ?l ?c WHERE {{ (?p type emp):?l OPTIONAL {{{optional}}} }}")
+        return rows_as_set(evaluate_query(closure(doc.graph), query))
+
+    def test_bare_row_passes_only_when_every_shared_annotation_shrinks(self):
+        # p1's car outlasts the employment, so the merged row keeps p1's
+        # annotation and no bare p1 row may follow it; p2's car shrinks
+        # it, so the bare p2 row passes.
+        rows = self._cars(
+            "(p1 type emp) : {[2000,2010]} .\n(p1 hasCar c1) : {[1990,2020]} .\n"
+            "(p2 type emp) : {[2000,2010]} .\n(p2 hasCar c2) : {[2005,2006]} .\n",
+            "(?p hasCar ?c):?l",
+        )
+        assert rows == {
+            (("c", Term("iri", "c1")), ("l", "{[2000,2010]}"), ("p", Term("iri", "p1"))),
+            (("c", Term("iri", "c2")), ("l", "{[2005,2006]}"), ("p", Term("iri", "p2"))),
+            (("l", "{[2000,2010]}"), ("p", Term("iri", "p2"))),
+        }
+
+    def test_bare_row_needs_every_shrinking_row_to_pass_the_filter(self):
+        # Both cars shrink p1's annotation, but c2 fails the filter, so
+        # neither pass-through case holds and only the c1 row remains.
+        rows = self._cars(
+            "(p1 type emp) : {[2000,2010]} .\n(p1 hasCar c1) : {[2005,2006]} .\n"
+            "(p1 hasCar c2) : {[2004,2007]} .\n",
+            "(?p hasCar ?c):?l FILTER(?c = c1)",
+        )
+        assert rows == {
+            (("c", Term("iri", "c1")), ("l", "{[2005,2006]}"), ("p", Term("iri", "p1"))),
+        }
+
     @pytest.mark.parametrize(
         "guard, count", [("?c = ?nope", 10), ("!(?c = ?c)", 12)]
     )
@@ -1067,6 +1100,11 @@ class TestDomainMaximality:
         graph = parse_graph("@domix temporal .\n(a q b) : [0,10] .\n(c q d) : [0,5] .\n").graph
         query = q("SELECT ?l ?n WHERE { (?x q ?y):?l GROUPBY(?l) COUNT(?x) AS ?n }")
         assert evaluate_query(graph, query) == [{"l": tv("{[0,10]}"), "n": Fraction(1)}]
+
+    def test_a_node_that_is_not_a_pattern_raises(self):
+        graph = AnnotatedGraph(TEMPORAL)
+        with pytest.raises(TypeError, match="not a pattern"):
+            eval_pattern(graph, alg.Join(alg.Bap(()), "?x"))
 
     def test_no_answer_binds_bottom(self, fig1_exx1_closure):
         query = q("SELECT ?p ?l WHERE { (?p type ebayEmp):?l (?p hasCar ?c):?l }")

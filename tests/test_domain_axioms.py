@@ -15,6 +15,7 @@ from anrdf.domains import (
     get_domain,
     primitive_domain_ids,
 )
+from anrdf.domains.compound import quasihomomorphism_suite
 from anrdf.domains.fuzzy import FuzzyDomain
 from anrdf.errors import DomainMismatchError, NotALatticeError, UnknownDomainError
 
@@ -61,6 +62,24 @@ def test_compound_distributivity_boundary(tnorm):
     rhs = a.meet(b).join(a.meet(c))
     assert lhs != rhs
     assert rhs.leq(lhs)  # the distributed side only under-approximates
+
+
+def test_checks_report_their_cases_and_stop_at_the_first_counterexample():
+    for domain_id in ("temporal", "compound(temporal,provenance)"):
+        report = axiom_suite(get_domain(domain_id), samples=37, seed=2)
+        assert [(c.passed, c.cases) for c in report.checks] == [(True, 37)] * len(report.checks)
+    quasi = quasihomomorphism_suite(get_domain("compound(temporal,provenance)"), trials=9)
+    assert [(c.passed, c.cases) for c in quasi.checks] == [(True, 9)] * 4
+    report = axiom_suite(get_domain("compound(temporal,fuzzy:product)"), samples=100, seed=0)
+    failed = [c for c in report.checks if not c.passed]
+    assert [(c.name, c.cases, c.counterexample) for c in failed] == [
+        (
+            "meet distributes over join",
+            4,
+            "{<{[-inf,8],[10,10]},0.4>}, {<{[-2,3]},0.6>}, {<{[4,7]},0.25>}",
+        )
+    ]
+    assert {c.cases for c in report.checks if c.passed} == {100}
 
 
 def test_boolean_suite_is_exhaustive():
