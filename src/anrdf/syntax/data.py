@@ -8,22 +8,23 @@
 Lines end at `\\n` only; a trailing `\\r` is whitespace.  Terms are read
 by the scanner shared with AnQL (`anrdf.syntax.lexer`), plus `_:label`
 blank nodes, which are skolemised on load.  The annotation literal
-after `:` is the scanner's `annotation_literal`, the same token as an
-AnQL label, and the final `.` follows it.  Plain statements carry no
+after `:` is the lexer's annotation literal, the same token as an AnQL
+label, and the final `.` follows it.  Plain statements carry no
 annotation and are returned separately for defaults handling.
 
-A line that `serialize_graph` writes from bare names, `(s p o) : ...`
-or `s p o .`, has its three terms read by one compiled pattern instead:
-the line starts with `(` or the first name, the names are `NAME_RE`
-matches apart by single spaces, and a space or `)` follows the third.
-The scanner would read the same three names to the same end: it skips
-no whitespace before the first, a name holds no `:` for `PNAME_RE` to
-take, and `NAME_RE` stops at the space or `)`.  Each distinct name
-becomes a term once per document, by the scanner's own `name_term`.
-The scanner then reads the rest of the line, so every error keeps its
-message and position.  Any other line (a prefixed name, `<iri>`, a
-literal, a blank node, a tab, extra or leading spaces, `a b c.`) is
-read by the scanner alone.
+Each line is read one of two ways, never part one way and part the
+other.  A line in either form `serialize_graph` writes from bare names,
+`(s p o) : literal .` or `s p o .`, single spaces apart, is read whole
+by one compiled pattern and builds no scanner.  The scanner reads the
+same line to the same result: it skips no whitespace before the first
+name, a name holds no `:` for `PNAME_RE` to take, `NAME_RE` stops at the
+space or `)` after each name, and the pattern takes the literal only
+where `annotation_literal_end` ends it, which the scanner calls too, so
+` .` is all that follows.  Each distinct name becomes a term, and each
+distinct literal text is checked, once per document.  Every other line
+(a prefixed name, `<iri>`, a literal term, a blank node, a tab, extra
+or leading spaces, a comment, `a b c.`, a directive) is read by the
+scanner alone, so every error keeps its message and position.
 
 Serialisation is canonical: statements sorted by subject, predicate,
 object; annotations in canonical literal form; no prefixes (IRIs print
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 from ..domains import AnnotationValue, Domain, get_domain
 from ..errors import AnnotationSyntaxError, AnrdfError, ParseError, UnknownDomainError
 from ..model import AnnotatedGraph, Term, Triple, skolem
-from .lexer import KEYWORDS, NAME_RE, Scanner, name_term
+from .lexer import KEYWORDS, NAME_RE, Scanner, annotation_literal_end, name_term
 
 KEYWORD_FOR_TERM = {term: word for word, term in KEYWORDS.items()}
 
@@ -47,12 +48,10 @@ KEYWORD_FOR_TERM = {term: word for word, term in KEYWORDS.items()}
 # NAME_RE does, so a label glued to the final '.' ends before it.
 _LABEL_RE = re.compile(r"[A-Za-z0-9_\-]+(?:\.[A-Za-z0-9_\-]+)*")
 
-# `(s p o` or `s p o` at the start of a line, three bare names apart by
-# single spaces; the third must end where NAME_RE ends it, which the
-# lookahead checks (`a b c:d` and `a b c.` are read by the scanner).
-_SPO_NAMES_RE = re.compile(
-    r"(\(?)({0}) ({0}) ({0})(?=[ )])".format(NAME_RE.pattern)
-)
+# A whole canonical line: `(s p o) : literal .` or `s p o .`, bare names
+# apart by single spaces.  Group 1 is the `(` that selects the annotated
+# form, groups 2-4 the names and group 5 the literal text.
+_STATEMENT_RE = re.compile(r"(\()?({0}) ({0}) ({0})(?(1)\) : (.+)) \.".format(NAME_RE.pattern))
 
 
 @dataclass
@@ -152,22 +151,25 @@ def parse_graph(text: str, domain: Domain | str | None = None) -> Document:
     plain: list[Triple] = []
     declared: Domain | None = None
     names = _Memo(name_term)
+    whole_literal = _Memo(lambda lit: annotation_literal_end(lit, 0) == len(lit))
     for line_no, line in enumerate(text.split("\n"), start=1):
-        cur = Scanner(line, line_no, prefixes)
-        spo = _SPO_NAMES_RE.match(line)
-        if spo:
-            start, bracketed = 0, spo[1]
-            s, p, o = names[spo[2]], names[spo[3]], names[spo[4]]
-            cur.pos = spo.end()
-        elif cur.at_end():
+        m = _STATEMENT_RE.fullmatch(line)
+        if m and (m[1] is None or whole_literal[m[5]]):
+            triple = Triple(names[m[2]], names[m[3]], names[m[4]])
+            if m[1] is None:
+                plain.append(triple)
+            else:
+                annotated.append((line_no, m.start(5) + 1, triple, m[5]))
             continue
-        elif line[cur.pos] == "@":
+        cur = Scanner(line, line_no, prefixes)
+        if cur.at_end():
+            continue
+        if line[cur.pos] == "@":
             declared = _directive(cur, declared, bool(annotated))
             continue
-        else:
-            start = cur.pos
-            bracketed = cur.take("(")
-            s, p, o = _term(cur), _term(cur), _term(cur)
+        start = cur.pos
+        bracketed = cur.take("(")
+        s, p, o = _term(cur), _term(cur), _term(cur)
         annotation = None
         if bracketed:
             cur.expect(")")
@@ -223,10 +225,6 @@ def format_term(term: Term) -> str:
     return f"<{term.lexical}>"
 
 
-def _statement_line(spo: str, literal: str | None) -> str:
-    return f"{spo} ." if literal is None else f"({spo}) : {literal} ."
-
-
 def serialize_graph(graph: AnnotatedGraph, plain: list[Triple] | None = None) -> str:
     """Canonical text for a graph (optionally with plain triples).
 
@@ -234,15 +232,18 @@ def serialize_graph(graph: AnnotatedGraph, plain: list[Triple] | None = None) ->
     with terms written by `format_term`.  A graph repeats its terms and
     annotation values, so each distinct term and payload is formatted
     once per call; payloads are canonical, so equal payloads print
-    alike."""
+    alike.  `graph.statements()` is already in line order, so only plain
+    triples call for a sort; a triple both annotated and plain prints
+    both lines, ordered by their text."""
     terms = _Memo(format_term)
     literals = _Memo(graph.domain.format_payload)
     entries: list[tuple[Triple, str]] = [
-        (t, _statement_line(" ".join([terms[x] for x in t]), literals[v.payload]))
+        (t, f"({terms[t[0]]} {terms[t[1]]} {terms[t[2]]}) : {literals[v.payload]} .")
         for t, v in graph.statements()
     ]
-    for t in plain or []:
-        entries.append((t, _statement_line(" ".join([terms[x] for x in t]), None)))
+    if plain:
+        entries += [(t, f"{terms[t[0]]} {terms[t[1]]} {terms[t[2]]} .") for t in plain]
+        entries.sort()
     lines = [f"@domix {graph.domain.name} ."]
-    lines.extend(text for _, text in sorted(entries))
+    lines.extend(text for _, text in entries)
     return "\n".join(lines) + "\n"

@@ -29,8 +29,26 @@ PNAME_RE = re.compile(
 _PREFIX_NAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9_.\-]*)?:")
 _DIRECTIVE_RE = re.compile(r"@([A-Za-z][A-Za-z0-9_.\-]*)")
 _ESCAPES = {"n": "\n", "t": "\t"}
+_OPENING = ("<", "{", "[", "(")
 _BRACKET_RE = re.compile(r"[<{\[(>}\])]")
 _WORD_RE = re.compile(r"[A-Za-z0-9_:+\-/]+(?:\.[A-Za-z0-9_:+\-/]+)*")
+
+
+def annotation_literal_end(text: str, start: int) -> int:
+    """Where the annotation literal at `text[start]` ends, or -1 when none
+    does.  It is one bracket group, ending where the depth over `<{[(`
+    and `>}])` returns to 0 as in `split_top_level`, or one word of
+    letters, digits and `_:+-/.` in which a `.` stands only between two
+    other word characters."""
+    if text.startswith(_OPENING, start):
+        depth = 0
+        for m in _BRACKET_RE.finditer(text, start):
+            depth += 1 if m.group() in "<{[(" else -1
+            if depth == 0:
+                return m.end()
+        return -1
+    m = _WORD_RE.match(text, start)
+    return -1 if m is None else m.end()
 
 
 def name_term(name: str) -> Term:
@@ -123,25 +141,17 @@ class Scanner:
         return None
 
     def annotation_literal(self) -> str:
-        """Read an annotation literal: one bracket group, ending where the
-        depth over `<{[(` and `>}])` returns to 0 as in `split_top_level`,
-        or one word of letters, digits and `_:+-/.` in which a `.` stands
-        only between two other word characters.  Errors point at its start."""
+        """Read the annotation literal that `annotation_literal_end`
+        delimits; errors point at its start."""
         self.skip_ws()
         start = self.pos
-        if self.text.startswith(("<", "{", "[", "("), start):
-            depth = 0
-            for m in _BRACKET_RE.finditer(self.text, start):
-                depth += 1 if m.group() in "<{[(" else -1
-                if depth == 0:
-                    self.pos = m.end()
-                    return self.text[start : self.pos]
-            raise self.error(f"unbalanced {self.text[start]}")
-        m = _WORD_RE.match(self.text, start)
-        if m is None:
+        end = annotation_literal_end(self.text, start)
+        if end < 0:
+            if self.text.startswith(_OPENING, start):
+                raise self.error(f"unbalanced {self.text[start]}")
             raise self.error("expected an annotation literal")
-        self.pos = m.end()
-        return m.group(0)
+        self.pos = end
+        return self.text[start:end]
 
     def directive(self, name: str) -> bool:
         """Take `@name` when it starts here as a whole word: a name

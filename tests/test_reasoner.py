@@ -319,6 +319,16 @@ class TestClosureProperties:
             slow = brute_force_closure(base)
             assert fast == slow, domain.name
 
+    def test_matches_brute_force_on_a_benchmark_document(self, workloads):
+        # The `infer-temporal` workload's shape (a class hierarchy, sp
+        # chains, one interval set per individual) at a quarter of its
+        # size, read through `parse_graph` as `anrdf infer` reads it.
+        doc = parse_graph(workloads.temporal_document(1, 100))
+        graph, _ = apply_defaults(doc.graph, doc.plain, "top")
+        fast = dict(closure(graph).statements())
+        assert (len(graph), len(fast)) == (244, 644)
+        assert fast == brute_force_closure(graph)
+
     @pytest.mark.parametrize("domain", BRUTE_FORCE_DOMAINS, ids=lambda d: d.name)
     def test_agenda_order_does_not_change_the_closure(self, domain):
         # `closure` seeds its agenda in the order of `statements()`; three

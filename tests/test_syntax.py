@@ -32,7 +32,8 @@ from anrdf.syntax import (
     serialize_graph,
 )
 from anrdf.domains.base import split_top_level
-from anrdf.syntax.data import _SPO_NAMES_RE, format_term
+from anrdf.syntax import data as data_syntax
+from anrdf.syntax.data import _STATEMENT_RE, format_term
 from oracles import format_statement
 
 TEMPORAL = get_domain("temporal")
@@ -149,6 +150,19 @@ class TestDataRoundTrip:
             entries += [(t, format_statement(t, None)) for t in plain]
             lines = [f"@domix {domain.name} .", *(text for _, text in sorted(entries))]
             assert serialize_graph(graph, plain) == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("domain_id", ALL_DOMAIN_IDS)
+    def test_lines_follow_the_sorted_triples(self, domain_id):
+        # The lines are written in `statements()` order with no sort of
+        # their own; a frozen graph serves that order from its cache.
+        domain = get_domain(domain_id)
+        rng = random.Random(f"order:{domain_id}")
+        for _ in range(40):
+            graph = random_document(rng, domain)
+            values = dict(graph.statements())
+            expected = [format_statement(t, values[t]) for t in sorted(values)]
+            assert serialize_graph(graph).split("\n")[1:-1] == expected
+            assert serialize_graph(graph.freeze()).split("\n")[1:-1] == expected
 
     def test_literals_with_quotes_comments_and_line_breaks(self):
         # The characters an escape, a comment or a line split could get
@@ -329,12 +343,38 @@ def double_spaces(text: str) -> str:
 
 
 class TestStatementPattern:
-    """Lines of three bare names are read by `_SPO_NAMES_RE`, all others
-    by the scanner alone; both readers must give the same document."""
+    """Whole lines in a canonical form are read by `_STATEMENT_RE`, all
+    others by the scanner alone; both readers must give the same
+    document."""
 
     @staticmethod
     def pattern_lines(text: str) -> int:
-        return sum(1 for line in text.split("\n") if _SPO_NAMES_RE.match(line))
+        return sum(1 for line in text.split("\n") if _STATEMENT_RE.fullmatch(line))
+
+    @staticmethod
+    def scanned_lines(text: str, monkeypatch) -> list[str]:
+        """The lines for which `parse_graph(text)` builds a scanner."""
+        lines = []
+
+        class Recording(data_syntax.Scanner):
+            def __init__(self, line, *args):
+                lines.append(line)
+                super().__init__(line, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(data_syntax, "Scanner", Recording)
+            parse_graph(text)
+        return lines
+
+    @staticmethod
+    def read_line(domain_id: str, line: str) -> str:
+        """`line` as the second line of a document, written back
+        canonically, or the error it raises."""
+        try:
+            doc = parse_graph(f"@domix {domain_id} .\n" + line)
+        except ParseError as exc:
+            return str(exc)
+        return serialize_graph(doc.graph, doc.plain).split("\n")[1]
 
     def assert_reads_as_the_scanner(self, text: str) -> None:
         # Doubled spaces send every line to the scanner.
@@ -382,17 +422,42 @@ class TestStatementPattern:
             (" a b c .", "a b c ."),
             ("a b c\r", "2:7: statement must end with '.'"),
             ("(a b c ) :1 . # x", "(a b c) : 1 ."),
+            ("(a b c) : 1) .", "2:12: statement must end with '.'"),
+            ("(a b c) : (1 .", "2:11: unbalanced ("),
+            ("(a b c) : 1 . # x", "(a b c) : 1 ."),
+            ("(a b c) : 1#x .", "2:16: statement must end with '.'"),
+            ("(a b c) : 1 .\r", "(a b c) : 1 ."),
+            ("(a b c) : 1 ..", "2:14: statement must end with '.'"),
         ],
     )
     def test_edge_lines(self, line, expected):
         # Each result is the one the scanner alone gave: the statement
         # written back canonically, or the error at its position.
-        try:
-            doc = parse_graph("@domix fuzzy:min .\n" + line)
-        except ParseError as exc:
-            assert str(exc) == expected
-        else:
-            assert serialize_graph(doc.graph, doc.plain).split("\n")[1] == expected
+        assert self.read_line("fuzzy:min", line) == expected
+
+    @pytest.mark.parametrize(
+        "line, expected",
+        [
+            ("(a b c) : {[1,2]]} .", "2:18: statement must end with '.'"),
+            ("(a b c) : {[1,2)} .", "2:11: malformed interval: '[1,2)'"),
+            ("(a b c) : {[1,2]} .", "(a b c) : {[1,2]} ."),
+            ("(a b c) : {[1,2] .", "2:11: unbalanced {"),
+            ("(a b c) : {#} .", "2:11: malformed interval: '#'"),
+        ],
+    )
+    def test_temporal_edge_lines(self, line, expected):
+        assert self.read_line("temporal", line) == expected
+
+    @pytest.mark.parametrize("document", ["temporal_document", "compound_document"])
+    def test_benchmark_documents(self, workloads, monkeypatch, document):
+        # The pattern must read every statement line of the documents the
+        # benchmark parses: only the `@domix` line and the empty line
+        # after the final newline may build a scanner.
+        text = getattr(workloads, document)(1)
+        statements = [line for line in text.split("\n") if line and line[0] != "@"]
+        assert self.pattern_lines(text) == len(statements) > 0
+        assert self.scanned_lines(text, monkeypatch) == [text.split("\n")[0], ""]
+        self.assert_reads_as_the_scanner(text)
 
     def test_each_name_is_one_term(self):
         doc = parse_graph("a p b .\nb p a .")
