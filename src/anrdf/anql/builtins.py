@@ -7,7 +7,9 @@ the query parser checks every call against it, so a built-in never sees
 a wrong number of arguments.  Unbound variables arrive as the UNBOUND
 sentinel: the domain fold built-ins `join` and `meet` skip them (so the
 union-of-annotations idiom works across UNION branches whose rows bind
-only one operand); every other built-in rejects them.
+only one operand); every other built-in rejects them.  A built-in
+applied outside its domain raises `BuiltinError`, as the temporal
+kernels' `TemporalValueError` does, and the call has no value.
 
 Temporal relation predicates exist for each Allen relation under each
 quantifier suffix, e.g. `beforeAny` (some interval of the first operand
@@ -25,12 +27,7 @@ from typing import Any, Callable
 
 from ..domains import AllenRelation, AnnotationValue, QuantifierMode, allen_lifted
 from ..domains.temporal import length, maxlength
-from ..errors import AnrdfError, TemporalValueError
-
-
-class BuiltinError(AnrdfError):
-    """Raised when a built-in is applied outside its domain of definition."""
-
+from ..errors import BuiltinError
 
 UNBOUND = object()
 
@@ -44,17 +41,11 @@ def _temporal_payload(value: Any, name: str):
 
 
 def _length(value: Any) -> Fraction:
-    try:
-        return length(_temporal_payload(value, "length"))
-    except TemporalValueError as exc:
-        raise BuiltinError(str(exc)) from None
+    return length(_temporal_payload(value, "length"))
 
 
 def _maxlength(value: Any) -> AnnotationValue:
-    try:
-        interval = maxlength(_temporal_payload(value, "maxlength"))
-    except TemporalValueError as exc:
-        raise BuiltinError(str(exc)) from None
+    interval = maxlength(_temporal_payload(value, "maxlength"))
     return value.domain.value((interval,))
 
 
@@ -87,10 +78,7 @@ def _allen(rel: AllenRelation, mode: QuantifierMode) -> Callable[[Any, Any], boo
     def predicate(first: Any, second: Any) -> bool:
         t1 = _temporal_payload(first, rel.value)
         t2 = _temporal_payload(second, rel.value)
-        try:
-            return allen_lifted(rel, mode, t1, t2)
-        except TemporalValueError as exc:
-            raise BuiltinError(str(exc)) from None
+        return allen_lifted(rel, mode, t1, t2)
 
     return predicate
 

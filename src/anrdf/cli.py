@@ -60,21 +60,26 @@ def _add_graph_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--max-iterations",
-        type=int,
+        type=_at_least(0),
         default=DEFAULT_MAX_FIRINGS,
-        help="closure rule-firing cap",
+        help="closure rule-firing cap, at least 0",
     )
 
 
-def _sample_count(text: str) -> int:
-    """A law checked on no sample passes vacuously, so at least one."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(minimum: int):
+    """An argparse type for an integer of at least `minimum`: a law checked
+    on no sample passes vacuously, and a negative firing cap is no cap."""
+
+    def check(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return check
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check-domain", help="run the axiom suites")
     p_check.add_argument("--domain", required=True)
-    p_check.add_argument("--samples", type=_sample_count, default=1000)
+    p_check.add_argument("--samples", type=_at_least(1), default=1000)
     p_check.add_argument("--seed", type=int, default=0)
 
     p_norm = sub.add_parser(

@@ -30,9 +30,15 @@ class SaturationBoundError(AnrdfError):
     exponential reference saturation."""
 
 
-class TemporalValueError(AnrdfError):
+class BuiltinError(AnrdfError):
+    """An AnQL built-in was applied outside its domain of definition, so
+    the call has no value: a FILTER reads it as false, ASSIGN drops the
+    row and an aggregate leaves the row out."""
+
+
+class TemporalValueError(BuiltinError):
     """A temporal built-in was applied outside its domain of definition
-    (e.g. length of an unbounded interval)."""
+    (e.g. length of an unbounded interval); it is a `BuiltinError`."""
 
 
 class ClosureIterationError(AnrdfError):

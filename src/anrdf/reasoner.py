@@ -152,7 +152,10 @@ def closure(
     maps each triple on the agenda to the value still to store (None once
     stored) and to whether it fires in full: the OR over the raises since
     it last left the agenda.  `stats`, if given, receives the counts.
+    A negative `max_firings` is a `ValueError`: it would be no cap.
     """
+    if max_firings < 0:
+        raise ValueError(f"max_firings must be at least 0, got {max_firings}")
     out = AnnotatedGraph(graph.domain)
     pending = {t: (v, True) for t, v in graph.statements()}
     agenda = deque(pending)

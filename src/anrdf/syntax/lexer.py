@@ -8,9 +8,12 @@ bare names, taken as IRIs verbatim except for the rho-df keywords
 `a b c.` ends after `c`; nor does an annotation literal, which both
 formats read as one token (`annotation_literal`) that only the domain's
 `parse` validates.  Whitespace and `#` comments (to the end of the
-line) are skipped between tokens, never inside one.  Blank nodes
-`_:label` exist only in data and `?var` only in queries; each parser
-checks its own before asking for a ground term.
+line) are skipped between tokens, never inside one; both are one
+compiled pattern, and so is a string literal (in a query, a backslash
+before a raw line break stands for the line break).  `Scanner.take`
+takes a token of any length.  Blank nodes `_:label` exist only in data
+and `?var` only in queries; each parser checks its own before asking
+for a ground term.
 """
 
 from __future__ import annotations
@@ -29,6 +32,9 @@ PNAME_RE = re.compile(
 _PREFIX_NAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9_.\-]*)?:")
 _DIRECTIVE_RE = re.compile(r"@([A-Za-z][A-Za-z0-9_.\-]*)")
 _ESCAPES = {"n": "\n", "t": "\t"}
+_WS_RE = re.compile(r"(?:\s|#[^\n]*)*")
+_STRING_RE = re.compile(r'"((?:[^"\\]|\\.)*)"', re.DOTALL)
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 _OPENING = ("<", "{", "[", "(")
 _BRACKET_RE = re.compile(r"[<{\[(>}\])]")
 _WORD_RE = re.compile(r"[A-Za-z0-9_:+\-/]+(?:\.[A-Za-z0-9_:+\-/]+)*")
@@ -73,15 +79,7 @@ class Scanner:
         return ParseError(message, line, column)
 
     def skip_ws(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "#":
-                nl = self.text.find("\n", self.pos)
-                self.pos = len(self.text) if nl < 0 else nl
-            elif ch.isspace():
-                self.pos += 1
-            else:
-                return
+        self.pos = _WS_RE.match(self.text, self.pos).end()
 
     def peek(self) -> str:
         self.skip_ws()
@@ -91,15 +89,16 @@ class Scanner:
         self.skip_ws()
         return self.pos >= len(self.text)
 
-    def take(self, char: str) -> bool:
-        if self.peek() == char:
-            self.pos += 1
+    def take(self, token: str) -> bool:
+        self.skip_ws()
+        if self.text.startswith(token, self.pos):
+            self.pos += len(token)
             return True
         return False
 
-    def expect(self, char: str) -> None:
-        if not self.take(char):
-            raise self.error(f"expected {char!r}")
+    def expect(self, token: str) -> None:
+        if not self.take(token):
+            raise self.error(f"expected {token!r}")
 
     def ground_term(self) -> Term | None:
         """Read an IRI or literal term; None when none starts here, so
@@ -113,20 +112,11 @@ class Scanner:
             self.pos = end + 1
             return iri(value)
         if ch == '"':
-            out = []
-            i = self.pos + 1
-            while i < len(self.text):
-                c = self.text[i]
-                if c == "\\" and i + 1 < len(self.text):
-                    out.append(_ESCAPES.get(self.text[i + 1], self.text[i + 1]))
-                    i += 2
-                    continue
-                if c == '"':
-                    self.pos = i + 1
-                    return literal("".join(out))
-                out.append(c)
-                i += 1
-            raise self.error("unterminated string literal")
+            m = _STRING_RE.match(self.text, self.pos)
+            if m is None:
+                raise self.error("unterminated string literal")
+            self.pos = m.end()
+            return literal(_ESCAPE_RE.sub(lambda e: _ESCAPES.get(e[1], e[1]), m[1]))
         m = PNAME_RE.match(self.text, self.pos)
         if m:
             prefix = m.group(1) or ""

@@ -17,7 +17,9 @@ Terms are read by the scanner shared with the data format
 Keywords are case-insensitive; structural dots between statements are
 optional.  Filter expressions support BOUND/isIRI/isBLANK/isLITERAL,
 `=`, `!=`, the domain order `<=`, `!`, `&&`, `||`, and registered
-built-ins.
+built-in tests; a built-in function (`length`, `maxlength`, `join`,
+`meet`) yields a value, not a truth value, so as a condition it is a
+`ParseError` at its name.
 
 GROUPBY's rules are checked here, before evaluation, as the built-in
 calls are, and each is a `ParseError` at its position: no aggregate
@@ -46,7 +48,7 @@ from ..errors import AnnotationSyntaxError, ParseError
 from ..model import IRI, LITERAL, SKOLEM
 from ..rational import parse_scalar
 from ..anql import algebra as alg
-from ..anql.builtins import ARITY, TESTS
+from ..anql.builtins import ARITY, FUNCTIONS, TESTS
 from .lexer import NAME_RE, Scanner
 
 _AGGREGATES = {"sum", "avg", "max", "min", "count", "join", "meet"}
@@ -372,28 +374,19 @@ def _parse_call_or_operand(sc: _Scanner) -> tuple[str, tuple[alg.Operand, ...]]:
 
 def _parse_filter_expr(sc: _Scanner) -> alg.FilterExpr:
     left = _parse_filter_and(sc)
-    while True:
-        sc.skip_ws()
-        if sc.text.startswith("||", sc.pos):
-            sc.pos += 2
-            left = alg.Or(left, _parse_filter_and(sc))
-        else:
-            return left
+    while sc.take("||"):
+        left = alg.Or(left, _parse_filter_and(sc))
+    return left
 
 
 def _parse_filter_and(sc: _Scanner) -> alg.FilterExpr:
     left = _parse_filter_unary(sc)
-    while True:
-        sc.skip_ws()
-        if sc.text.startswith("&&", sc.pos):
-            sc.pos += 2
-            left = alg.And(left, _parse_filter_unary(sc))
-        else:
-            return left
+    while sc.take("&&"):
+        left = alg.And(left, _parse_filter_unary(sc))
+    return left
 
 
 def _parse_filter_unary(sc: _Scanner) -> alg.FilterExpr:
-    sc.skip_ws()
     if sc.take("!"):
         if sc.peek() == "=":
             raise sc.error("unexpected '!='")
@@ -402,7 +395,6 @@ def _parse_filter_unary(sc: _Scanner) -> alg.FilterExpr:
 
 
 def _parse_filter_primary(sc: _Scanner) -> alg.FilterExpr:
-    sc.skip_ws()
     word = sc.keyword()
     if word == "bound":
         sc.take_keyword("bound")
@@ -418,7 +410,14 @@ def _parse_filter_primary(sc: _Scanner) -> alg.FilterExpr:
         return alg.IsKind(_KINDS[word], operand)
     name = _call_name(sc)
     if name is not None:
-        return alg.BuiltinCall(name, _parse_call_args(sc, name))
+        start = sc.pos
+        call = alg.BuiltinCall(name, _parse_call_args(sc, name))
+        if name in FUNCTIONS:
+            sc.pos = start
+            raise sc.error(
+                f"{name} is a function, not a test: FILTER cannot read it as a condition"
+            )
+        return call
     if sc.peek() == "(":
         # Try a parenthesised boolean expression; fall back to an
         # annotation literal operand (e.g. a provenance formula).  When
@@ -443,8 +442,7 @@ def _parse_comparison(sc: _Scanner) -> alg.FilterExpr:
     """`label <= label`, `operand = operand` or `operand != operand`."""
     if _label_before_leq(sc):
         left = sc.label()
-        sc.skip_ws()
-        sc.pos += 2
+        sc.expect("<=")
         return alg.AnnLeq(left, sc.label())
     start = sc.pos
     operand = sc.operand()
@@ -452,11 +450,9 @@ def _parse_comparison(sc: _Scanner) -> alg.FilterExpr:
     if sc.text.startswith("<=", sc.pos):
         sc.pos = start
         raise sc.error("expected an annotation literal")
-    if sc.text.startswith("!=", sc.pos):
-        sc.pos += 2
+    if sc.take("!="):
         return alg.Not(alg.Eq(operand, sc.operand()))
-    if sc.text.startswith("=", sc.pos):
-        sc.pos += 1
+    if sc.take("="):
         return alg.Eq(operand, sc.operand())
     raise sc.error("expected a comparison operator")
 
@@ -470,8 +466,7 @@ def _label_before_leq(sc: _Scanner) -> bool:
             sc.var()
         else:
             sc.annotation_literal()
-        sc.skip_ws()
-        return sc.text.startswith("<=", sc.pos)
+        return sc.take("<=")
     except ParseError:
         return False
     finally:

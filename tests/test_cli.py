@@ -76,6 +76,16 @@ class TestInfer:
         assert code == 3
         assert "firings" in stderr
 
+    @pytest.mark.parametrize("command", ["infer", "query"])
+    def test_negative_iteration_cap_exit_2(self, capsys, data_dir, command):
+        # A negative cap would be no cap at all.
+        query = [str(data_dir / "queries" / "exx1.anql")] if command == "query" else []
+        with pytest.raises(SystemExit) as info:
+            main([command, "-i", str(data_dir / "fig1.anrdf"), *query,
+                  "--max-iterations", "-1"])
+        assert info.value.code == 2
+        assert "--max-iterations: must be at least 0, got -1" in capsys.readouterr().err
+
     def test_saturation_cap_exit_3(self, capsys, tmp_path, monkeypatch):
         import anrdf.domains.compound as compound
 
@@ -305,6 +315,29 @@ class TestQuery:
             "--max-iterations", "2",
         )
         assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "condition, message",
+        [
+            ("length(?l)", "1:45: length is a function"),
+            ("!join(?l)", "1:46: join is a function"),
+        ],
+    )
+    def test_function_as_filter_condition_exit_2_before_the_closure(
+        self, capsys, data_dir, tmp_path, condition, message
+    ):
+        # A value is no truth value; under a firing cap the closure cannot
+        # meet, the parse error is what is reported.
+        query = tmp_path / "condition.anql"
+        query.write_text(f"SELECT ?p ?l WHERE {{ (?p type ?c):?l FILTER({condition}) }}")
+        code, stdout, stderr = run(
+            capsys, "query", "-i", str(data_dir / "fig1_exx1.anrdf"), str(query),
+            "--max-iterations", "2",
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == (
+            f"error: {message}, not a test: FILTER cannot read it as a condition\n"
+        )
 
     def test_ordered_filter_tsv(self, capsys, data_dir):
         code, stdout, _ = run(

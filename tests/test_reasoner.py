@@ -531,6 +531,17 @@ class TestClosureProperties:
         assert stats.firings == 3
         assert stats.new + stats.raised + stats.subsumed + stats.bottom == 3
 
+    def test_zero_cap_stops_at_the_first_firing(self, data_dir):
+        doc = parse_graph((data_dir / "fig1.anrdf").read_text())
+        with pytest.raises(ClosureIterationError, match="exceeded 0 rule firings") as caught:
+            closure(doc.graph, max_firings=0)
+        assert caught.value.stats.firings == 0
+
+    def test_negative_cap_rejected(self, data_dir):
+        doc = parse_graph((data_dir / "fig1.anrdf").read_text())
+        with pytest.raises(ValueError, match="at least 0, got -1"):
+            closure(doc.graph, max_firings=-1)
+
     def test_closure_output_is_frozen(self, fig1_closure):
         from anrdf.model import FrozenGraphError
 

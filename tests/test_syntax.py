@@ -261,6 +261,8 @@ class TestDataRoundTrip:
         "(_:b. p c) : 0.5 .": 5,  # a blank-node label never ends in '.'
         "a p _:b..c .": 9,
         "a p _:.b .": 5,
+        # Unicode, vertical-tab and form-feed spaces are whitespace.
+        "(a\xa0p\u2003b)\x0b:\x0c1.5 .": 11,
     }
 
     @pytest.mark.parametrize("bad", ERROR_COLUMNS)
@@ -581,8 +583,46 @@ class TestQueryParsing:
         assert str(info.value) == f"2:{column}: {self.BAD_CALLS[call]}"
 
     def test_calls_that_fit_their_parameters(self):
-        for call in ("length(?l)", "beforeAny(?l, ?l)", "join(?l)", "meet(?l, ?l, ?l)"):
-            parse_query(f"SELECT ?x WHERE {{ (?x p ?y):?l FILTER({call}) }}", TEMPORAL)
+        parse_query("SELECT ?x WHERE { (?x p ?y):?l FILTER(beforeAny(?l, ?l)) }", TEMPORAL)
+        for call in ("length(?l)", "join(?l)", "meet(?l, ?l, ?l)"):
+            parse_query(f"SELECT ?x WHERE {{ (?x p ?y):?l ASSIGN {call} AS ?n }}", TEMPORAL)
+
+    FUNCTION_CALLS = ("length(?l)", "maxlength(?l)", "join(?l, ?l)", "meet(?l)")
+
+    @pytest.mark.parametrize("call", FUNCTION_CALLS)
+    @pytest.mark.parametrize(
+        "clause",
+        [
+            "FILTER({})",
+            "FILTER(!{})",
+            "FILTER(BOUND(?x) && {})",
+            "FILTER({} || BOUND(?x))",
+            "FILTER(({}))",
+            "OPTIONAL {{ (?x q ?z):?m FILTER({}) }}",
+        ],
+    )
+    def test_function_as_condition_is_reported_at_its_name(self, clause, call):
+        # A value is no truth value, so no FILTER condition reads one.
+        text = f"SELECT ?x WHERE {{ (?x p ?y):?l\n  {clause.format(call)} }}"
+        with pytest.raises(ParseError) as info:
+            parse_query(text, TEMPORAL)
+        column = text.index(call) - text.index("\n")
+        name = call.partition("(")[0]
+        assert str(info.value) == (
+            f"2:{column}: {name} is a function, not a test: "
+            "FILTER cannot read it as a condition"
+        )
+
+    def test_whitespace_comments_and_escapes(self):
+        plain = parse_query('SELECT ?x WHERE { ?x p "a\\nb" . ?x q "c\\\\" }', TEMPORAL)
+        assert [tp.object for tp in plain.pattern.patterns] == [literal("a\nb"), literal("c\\")]
+        # A backslash before a raw line break stands for the line break.
+        spaced = parse_query(
+            'SELECT\xa0?x\u2003WHERE\x0b{\x0c?x p "a\\\nb" # a comment\n'
+            '  . ?x q "c\\\\" }',
+            TEMPORAL,
+        )
+        assert spaced == plain
 
     def test_union_assign_groupby_modifiers(self):
         query = parse_query(
@@ -651,6 +691,7 @@ class TestQueryParsing:
             "@prefixex: <http://e/> . SELECT ?x WHERE { ?x ex:p ?y }",
             # A sub-SELECT projects at least one variable, as a query does.
             "SELECT ?p WHERE { (?p type ?c):?l SELECT WHERE { (?x worksFor ?y):?m } }",
+            "SELECT ?x WHERE { ?x p ?y # }",  # a comment runs to the end of the line
         ],
     )
     def test_syntax_errors(self, bad):
@@ -685,6 +726,10 @@ class TestQueryParsing:
         "SELECT ?x WHERE { (?x p ?y):?l FILTER(?l <= chad) }": 45,
         'SELECT ?x WHERE { (?x p ?y):?l FILTER("a" <= ?l) }': 39,
         "SELECT ?x WHERE { (?x p ?y):?l FILTER(isTEMPORAL(chad)) }": 50,
+        "SELECT\xa0?x\u2003WHERE\x0b{\x0c(?x p ?y):{[2,1]} }": 29,
+        # An unterminated string literal fails at its opening quote.
+        'SELECT ?x WHERE { ?x p "abc\\': 24,
+        'SELECT ?x WHERE { ?x p "ab\\" }': 24,
     }
 
     @pytest.mark.parametrize("bad", ERROR_COLUMNS)
@@ -742,6 +787,13 @@ class TestFilterGrammar:
         "?y = -3/2": alg.Eq(y, Fraction(-3, 2)),
         # `true` is not a temporal literal, so it is a name here.
         "?y = true": alg.Eq(y, iri("true")),
+        # Operators need no spaces around them.
+        "?x = ?y || ?x != ?y && ?l <= ?l": alg.Or(
+            alg.Eq(x, y), alg.And(alg.Not(alg.Eq(x, y)), alg.AnnLeq(l, l))
+        ),
+        "?x=?y||?x!=?y&&?l<=?l": alg.Or(
+            alg.Eq(x, y), alg.And(alg.Not(alg.Eq(x, y)), alg.AnnLeq(l, l))
+        ),
     }
 
     @pytest.mark.parametrize("text", TREES)
