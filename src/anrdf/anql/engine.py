@@ -13,8 +13,19 @@ caller that hands `eval_pattern` a foreign constant meets the
 The merge rule: `meet_compatible` decides and builds a merged row in
 one pass.  The rows must agree on every shared non-annotation binding;
 each shared annotation binding is met once, and the rows are
-incompatible when that meet is bottom.  Bap, Join and OPTIONAL all merge
-rows through it.
+incompatible when that meet is bottom.  Join and OPTIONAL merge rows
+through it.
+
+The plan rule: every row that enters triple pattern i of a Bap binds the
+same variables, the term variables of patterns 0..i-1 to terms and their
+annotation variables to annotation values.  So `eval_bap` decides each
+slot and the label once per pattern, not once per row.  A slot is a
+constant, a variable an earlier pattern bound (read from the row), or a
+new variable bound from the matched triple (a repeated one must meet the
+same term).  A label is a constant matched by `leq`, a new annotation
+variable bound to the stored value, or one an earlier pattern bound, met
+with the row's value; a bottom meet drops the row.  A variable that
+would hold both a term and an annotation gives no rows.
 
 `eval_pattern` is the one place that evaluates sub-patterns and
 prunes.  It evaluates a node's `left` and `right` or its `.pattern`,
@@ -66,7 +77,7 @@ Filters are three-valued; errors never abort evaluation.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from ..domains import AnnotationValue
 from ..errors import DomainMismatchError, QueryTypeError
@@ -224,52 +235,56 @@ def filter_eval(expr: alg.FilterExpr, solution: Solution) -> str:
 
 
 def eval_bap(graph: AnnotatedGraph, bap: alg.Bap) -> list[Solution]:
-    """Match triple patterns left to right, constants by subsumption and
-    annotation variables by meet-combination of the stored values."""
-    solutions: list[Solution] = [{}]
+    """Match triple patterns left to right by the plan rule in the module
+    docstring.  Rows keep input order, and the extensions of a row come
+    in `match` order."""
+    rows: list[Solution] = [{}]
+    terms: set[str] = set()  # the variables every row binds to a term
+    labels: set[str] = set()  # ... and to an annotation value
     for tp in bap.patterns:
-        solutions = [
-            extended
-            for solution in solutions
-            for extended in _match_triple(graph, tp, solution)
-        ]
-    return solutions
-
-
-def _match_triple(
-    graph: AnnotatedGraph, tp: alg.TriplePattern, solution: Solution
-) -> Iterable[Solution]:
-    """`solution` extended by each stored triple `tp` matches: the row of
-    the term variables the lookup leaves open and of the annotation
-    variable, bound to the stored value, merges with `solution` by
-    `meet_compatible`.  A constant label must lie under the stored value."""
-    label = graph.domain.top if tp.annotation is None else tp.annotation
-    label_var = label.name if isinstance(label, alg.Var) else None
-    fixed: list[Term | None] = []
-    free: list[tuple[int, str]] = []  # the variables the lookup leaves open
-    for i, slot in enumerate((tp.subject, tp.predicate, tp.object)):
-        if isinstance(slot, alg.Var):
-            if slot.name == label_var:
-                return  # one variable cannot hold both a term and an annotation
-            value = solution.get(slot.name)
-            if not isinstance(value, Term):
-                free.append((i, slot.name))
-                value = None
-            slot = value
-        fixed.append(slot)
-    for t, stored in graph.match(*fixed):
-        row: Solution = {}
-        for i, name in free:
-            if row.setdefault(name, t[i]) != t[i]:
-                break  # a repeated variable meets two different terms
-        else:
-            if label_var is not None:
-                row[label_var] = stored
-            elif not label.leq(stored):
-                continue
-            merged = meet_compatible(solution, row)
-            if merged is not None:
-                yield merged
+        slots = (tp.subject, tp.predicate, tp.object)
+        key: list[Term | None] = [None if isinstance(slot, alg.Var) else slot for slot in slots]
+        read: list[tuple[int, str]] = []  # slots of a bound variable, read from the row
+        free: dict[str, int] = {}  # each new variable and the first slot it fills
+        same: list[tuple[int, int]] = []  # the slots a repeated new variable ties
+        for i, slot in enumerate(slots):
+            if isinstance(slot, alg.Var):
+                if slot.name in terms:
+                    read.append((i, slot.name))
+                elif slot.name in free:
+                    same.append((free[slot.name], i))
+                else:
+                    free[slot.name] = i
+        label = graph.domain.top if tp.annotation is None else tp.annotation
+        label_var = label.name if isinstance(label, alg.Var) else None
+        if label_var in terms or label_var in free or not labels.isdisjoint(free):
+            return []  # one variable cannot hold both a term and an annotation
+        shared = label_var in labels
+        extended: list[Solution] = []
+        for row in rows:
+            for i, name in read:
+                key[i] = row[name]
+            for t, stored in graph.match(*key):
+                if same and any(t[i] != t[j] for i, j in same):
+                    continue
+                if label_var is None:
+                    if not label.leq(stored):
+                        continue
+                elif shared:
+                    stored = row[label_var].meet(stored)
+                    if stored.is_bottom:
+                        continue
+                new = row.copy()
+                for name, i in free.items():
+                    new[name] = t[i]
+                if label_var is not None:
+                    new[label_var] = stored
+                extended.append(new)
+        rows = extended
+        terms.update(free)
+        if label_var is not None:
+            labels.add(label_var)
+    return rows
 
 
 def _eval_optional(

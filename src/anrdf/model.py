@@ -8,7 +8,7 @@ stored at all.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import NamedTuple
 
 from .domains import AnnotationValue, Domain
 from .errors import AnrdfError, DomainMismatchError
@@ -169,31 +169,32 @@ class AnnotatedGraph:
 
     def match(
         self, s: Term | None, p: Term | None, o: Term | None
-    ) -> Iterator[tuple[Triple, AnnotationValue]]:
-        """All statements agreeing with the given fixed positions, in
-        (s, p, o) order.
+    ) -> list[tuple[Triple, AnnotationValue]]:
+        """A new list of the statements agreeing with the given fixed
+        positions, in (s, p, o) order.  Callers iterate it once.
 
         With `p` bound the candidates come from an index: the `(p,s)`
         index when `s` is bound too, else the `(p,o)` index when `o` is
         bound, else every triple with predicate `p`.  With `p` unbound
-        every statement is a candidate.  Only the candidates are sorted.
+        every statement is a candidate.  Only the candidates are sorted,
+        and an empty lookup returns before any sort.
         """
-        if p is not None:
-            if s is not None:
-                found = self._by_ps.get(p, {}).get(s, ())
-            elif o is not None:
-                found = self._by_po.get(p, {}).get(o, ())
-            else:
-                found = [t for ts in self._by_ps.get(p, {}).values() for t in ts]
-            candidates: Iterable[Triple] = sorted(found)
+        if p is None:
+            return [
+                (t, value)
+                for t, value in self.statements()
+                if (s is None or t.subject == s) and (o is None or t.object == o)
+            ]
+        if s is not None:
+            found = self._by_ps.get(p, {}).get(s)
+        elif o is not None:
+            found = self._by_po.get(p, {}).get(o)
         else:
-            candidates = (t for t, _ in self.statements())
-        for t in candidates:
-            if s is not None and t.subject != s:
-                continue
-            if o is not None and t.object != o:
-                continue
-            yield t, self._statements[t]
+            found = [t for ts in self._by_ps.get(p, {}).values() for t in ts]
+        if not found:
+            return []
+        statements = self._statements
+        return [(t, statements[t]) for t in sorted(found) if o is None or t.object == o]
 
     def triple_set(self) -> set[Triple]:
         return set(self._statements)

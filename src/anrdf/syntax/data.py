@@ -211,10 +211,13 @@ def parse_graph(text: str, domain: Domain | str | None = None) -> Document:
 # -- serialisation ------------------------------------------------------------
 
 
+# A tab is escaped too, so that a literal stays one field of a TSV answer.
+_LITERAL_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"})
+
+
 def format_term(term: Term) -> str:
     if term.kind == "literal":
-        escaped = term.lexical.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        return f'"{escaped}"'
+        return f'"{term.lexical.translate(_LITERAL_ESCAPES)}"'
     if term.kind == "skolem":
         return f"_:{term.lexical}"
     short = KEYWORD_FOR_TERM.get(term)

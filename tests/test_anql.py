@@ -1265,32 +1265,58 @@ class TestBapAgainstClosureAnswering:
                 if stored is None:
                     ok = False
                     break
-                label = tp.annotation
+                label = closed.domain.top if tp.annotation is None else tp.annotation
                 if isinstance(label, alg.Var):
                     held = annotations.get(label.name)
                     annotations[label.name] = (
                         stored if held is None else held.meet(stored)
                     )
-                elif label is not None and not label.leq(stored):
+                elif not label.leq(stored):
                     ok = False
                     break
             if ok and all(not v.is_bottom for v in annotations.values()):
                 rows.append({**binding, **annotations})
         return prune_maximal_pairwise(rows)
 
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", range(60))
     def test_matches_direct_answering(self, fig1_closure, seed):
+        # Up to three patterns over the term variables x, y and z.  Each
+        # pattern is a stored triple, most often one sharing a term with
+        # the triples before it, whose terms are mostly replaced by the
+        # variable chosen for that term, so most Baps join and answer.  A
+        # label is a new annotation variable, the first pattern's `l0`, a
+        # constant (the triple's value, a value under it, or one over it)
+        # or absent.
         rng = random.Random(7000 + seed)
-        names = ["worksFor", "google", "chadHurley", "youtubeEmp", "googleEmp"]
-        pool = [iri(n) for n in names] + [TYPE]
+        statements = fig1_closure.statements()
+        anchors = [rng.choice(statements)]
+        for _ in range(rng.randint(0, 2)):
+            seen = {term for t, _ in anchors for term in t}
+            linked = [st for st in statements if seen.intersection(st[0])]
+            anchors.append(rng.choice(linked if rng.random() < 0.8 else statements))
+        variables = [alg.Var(v) for v in "xyz"]
+        terms = sorted({term for t, _ in anchors for term in t})
+        chosen = dict(zip(rng.sample(terms, min(3, len(terms))), variables))
         patterns = []
-        variables = [alg.Var(v) for v in "xy"]
-        for i in range(rng.randint(1, 2)):
-            def slot():
-                return rng.choice(variables) if rng.random() < 0.5 else rng.choice(pool)
-
-            annotation = alg.Var(f"l{i if rng.random() < 0.5 else 0}")
-            patterns.append(alg.TriplePattern(slot(), slot(), slot(), annotation))
+        for i, (t, stored) in enumerate(anchors):
+            slots = [
+                rng.choice(variables)
+                if rng.random() < 0.1
+                else chosen[term] if term in chosen and rng.random() < 0.8 else term
+                for term in t
+            ]
+            roll = rng.random()
+            if roll < 0.2:
+                annotation = alg.Var(f"l{i}")
+            elif roll < 0.6:
+                annotation = alg.Var("l0")
+            elif roll < 0.9:
+                annotation = rng.choice(
+                    [stored, stored.meet(tv("{[2004,2006]}")), stored.join(tv("{[1990,1991]}"))]
+                )
+            else:
+                annotation = None
+            patterns.append(alg.TriplePattern(*slots, annotation))
         got = eval_pattern(fig1_closure, alg.Bap(tuple(patterns)))
         expected = self._direct_answers(fig1_closure, patterns)
         assert rows_as_set(got) == rows_as_set(expected)

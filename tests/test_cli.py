@@ -13,6 +13,9 @@ import pytest
 import anrdf
 from anrdf.cli import main
 
+DATA = Path(__file__).resolve().parent.parent / "data"
+SAMPLE_QUERIES = sorted(query.stem for query in (DATA / "queries").glob("*.anql"))
+
 
 def run(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
@@ -357,6 +360,35 @@ class TestQuery:
         assert [{k: v["value"] for k, v in b.items()} for b in bindings] == [
             {"p": "chadHurley"}, {"p": "jawedKarim"}, {"p": "toivo", "c": "peugeot"},
         ]
+
+    @pytest.mark.parametrize("name", SAMPLE_QUERIES)
+    def test_sample_answers_match_the_checked_in_tsv(self, capsys, data_dir, name):
+        # Row order without ORDERBY is what a user sees, so it is pinned too.
+        code, stdout, _ = run(
+            capsys, "query", "-i", str(data_dir / "fig1_exx1.anrdf"),
+            str(data_dir / "queries" / f"{name}.anql"),
+        )
+        assert code == 0
+        assert stdout == (data_dir / "answers" / f"{name}.tsv").read_text()
+
+    def test_a_tab_in_a_literal_keeps_one_tsv_field_per_variable(self, capsys, tmp_path):
+        data = tmp_path / "tab.anrdf"
+        data.write_text('@domix temporal .\n(a name "x\\ty") : {[1,2]} .\n(b name c) : {[1,2]} .\n')
+        query = tmp_path / "names.anql"
+        query.write_text("SELECT ?s ?n WHERE { (?s name ?n):?l }")
+        code, stdout, _ = run(capsys, "query", "-i", str(data), str(query))
+        assert code == 0
+        lines = stdout.splitlines()
+        assert len(lines) == 3
+        assert all(len(line.split("\t")) == 2 for line in lines)
+        assert 'a\t"x\\ty"' in lines
+
+        once = tmp_path / "once.anrdf"
+        assert run(capsys, "convert", "-i", str(data), "-o", str(once))[0] == 0
+        code, twice, _ = run(capsys, "convert", "-i", str(once))
+        assert code == 0
+        assert twice == once.read_text()
+        assert '(a name "x\\ty") : {[1,2]} .' in twice.splitlines()
 
 
 class TestBadNumbers:
