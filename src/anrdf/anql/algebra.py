@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from ..domains import AnnotationValue
 from ..model import Term
@@ -181,27 +181,44 @@ class QueryDocument:
     limit: int | None = None
 
 
-def pattern_vars(p: Pattern) -> frozenset[Var]:
-    """Variables a pattern can bind (annotation labels included)."""
-    if isinstance(p, Bap):
-        out = set()
-        for tp in p.patterns:
-            for slot in (tp.subject, tp.predicate, tp.object, tp.annotation):
-                if isinstance(slot, Var):
-                    out.add(slot)
-        return frozenset(out)
+class Bindings(NamedTuple):
+    """What the rows of a pattern bind, by variable name (the engine's keyed rule)."""
+
+    can: frozenset[str]  # what some row may bind
+    terms: frozenset[str]  # what every row binds to a non-annotation value
+    labels: frozenset[str]  # what every row binds to an annotation value
+    keyed: bool  # every row binds exactly `can` and is fixed by its `terms` bindings
+
+
+def bindings(p: Pattern) -> Bindings:
+    """What the rows of `p` bind, read from the tree alone."""
+    if isinstance(p, Bap):  # a variable in a slot and in a label gives no rows
+        slots = [s for tp in p.patterns for s in (tp.subject, tp.predicate, tp.object)]
+        terms = frozenset(s.name for s in slots if isinstance(s, Var))
+        labels = frozenset(v.name for tp in p.patterns if isinstance(v := tp.annotation, Var))
+        return Bindings(terms | labels, terms, labels, True)
     if isinstance(p, (Join, Union, Optional)):
-        return pattern_vars(p.left) | pattern_vars(p.right)
-    if isinstance(p, Filter):
-        return pattern_vars(p.pattern)
-    if isinstance(p, Assign):
-        return pattern_vars(p.pattern) | {p.target}
-    if isinstance(p, GroupBy):
-        return frozenset(p.keys) | {a.target for a in p.aggregates}
-    if isinstance(p, (OrderBy, Limit)):
-        return pattern_vars(p.pattern)
+        left, right = bindings(p.left), bindings(p.right)
+        can = left.can | right.can
+        if isinstance(p, Join):
+            keyed = left.keyed and right.keyed
+            return Bindings(can, left.terms | right.terms, left.labels | right.labels, keyed)
+        if isinstance(p, Union):
+            return Bindings(can, left.terms & right.terms, left.labels & right.labels, False)
+        return Bindings(can, left.terms, left.labels, False)  # bare left rows pass through
+    if isinstance(p, (Filter, OrderBy, Limit)):
+        return bindings(p.pattern)
     if isinstance(p, SubSelect):
-        return frozenset(p.variables) & pattern_vars(p.pattern)
+        inner, kept = bindings(p.pattern), frozenset(v.name for v in p.variables)
+        keyed = inner.keyed and inner.terms <= kept
+        return Bindings(inner.can & kept, inner.terms & kept, inner.labels & kept, keyed)
+    if isinstance(p, Assign):  # the target may be overwritten by any kind of value
+        inner, new = bindings(p.pattern), frozenset({p.target.name})
+        return Bindings(inner.can | new, inner.terms - new, inner.labels - new, False)
+    if isinstance(p, GroupBy):  # a group keeps its bound keys and binds every target
+        inner, new = bindings(p.pattern), frozenset(a.target.name for a in p.aggregates)
+        kept = frozenset(k.name for k in p.keys)
+        return Bindings(kept | new, inner.terms & kept - new, inner.labels & kept - new, False)
     raise TypeError(f"not a pattern: {p!r}")
 
 

@@ -27,33 +27,38 @@ variable bound to the stored value, or one an earlier pattern bound, met
 with the row's value; a bottom meet drops the row.  A variable that
 would hold both a term and an annotation gives no rows.
 
+The keyed rule: `alg.bindings` reads from the tree alone what a node's
+rows can bind, what every row binds to a non-annotation value (its
+`terms`) and to an annotation value, and whether the node is keyed:
+every row binds exactly what it can and is fixed by its `terms`
+bindings.  Join and OPTIONAL hash the right rows on the `terms` both
+inputs share; rows that differ there never meet.
+
 `eval_pattern` is the one place that evaluates sub-patterns and
 prunes.  It evaluates a node's `left` and `right` or its `.pattern`,
 hands those rows to the node's operator, a function of rows that never
 sees the graph, and prunes the result with one `prune_maximal` call.
 Answers are the domain-maximal rows: a row loses when another row has
 the same key set, identical term bindings, and pointwise larger
-annotations.  Every node's output is pruned except four kinds, whose
-output is maximal by construction:
-
-- Bap: the store keeps one annotation per triple, so the term bindings
-  of a row fix the triples it matched and hence the whole row.  Two rows
-  with the same `_signature` are then equal, and no row dominates an
-  equal one.
-- Filter, OrderBy and Limit return a subset, a permutation and a prefix
-  of their input, which is maximal already.
-
-Every other node can create a dominated row:
+annotations.  Two rows of a keyed node with the same `_signature` are
+equal, and no row dominates an equal one, so a keyed node skips the
+prune.  A Bap is keyed: the store keeps one annotation per triple, so
+the term bindings of a row fix the triples it matched and hence the
+whole row.  So is a Join of two keyed inputs, whose rows' term bindings
+fix the two rows each merges; a Filter, OrderBy or Limit over a keyed
+input; and a SubSelect that keeps every `terms` variable of a keyed
+input.  Filter, OrderBy and Limit skip the prune over any input, since a
+subset, an order or a prefix of maximal rows is maximal.  Every other
+node can create a dominated row:
 
 - UNION puts rows from two inputs side by side;
 - OPTIONAL keeps a bare left row next to its extensions, and an
   extension that binds no new variable and shrinks an annotation is
   dominated by it;
-- Join, and the merge of OPTIONAL, once an input is not fixed by its
-  term bindings: an OPTIONAL output can hold a row with the optional
-  variables and one without them, and both can join a row that binds
-  the missing variables into one term binding
-  (`test_join_prunes_rows_from_optional`);
+- Join, and the merge of OPTIONAL, once an input is not keyed: an
+  OPTIONAL output can hold a row with the optional variables and one
+  without them, and both can join a row that binds the missing
+  variables into one term binding (`test_join_prunes_rows_from_optional`);
 - ASSIGN that overwrites a bound target can make two rows agree on
   their terms;
 - GROUPBY keyed on an annotation variable gives groups that differ
@@ -87,6 +92,7 @@ from .builtins import FUNCTIONS, REGISTRY, UNBOUND, BuiltinError
 
 Value = Any  # Term | AnnotationValue | Fraction
 Solution = dict[str, Value]
+Candidates = Callable[[Solution], list[Solution]]  # a left row's right rows
 
 TRUE = "true"
 FALSE = "false"
@@ -148,28 +154,14 @@ def prune_maximal(solutions: list[Solution]) -> list[Solution]:
     ]
 
 
-def _term_keys(rows: list[Solution]) -> set[str]:
-    """The variables every row binds to a non-annotation value."""
-    keys: set[str] | None = None
-    for row in rows:
-        bound = {key for key, value in row.items() if not isinstance(value, AnnotationValue)}
-        keys = bound if keys is None else keys & bound
-        if not keys:
-            break
-    return keys or set()
-
-
-def _right_partitions(
-    left_rows: list[Solution], right_rows: list[Solution]
-) -> Callable[[Solution], list[Solution]]:
+def _right_partitions(keys: list[str], right_rows: list[Solution]) -> Candidates:
     """For a left row, the right rows that can be meet-compatible with it.
 
-    The right rows are hashed on the variables every row on both sides
-    binds to a non-annotation value; rows that differ there never meet.
-    With no such variable every left row sees the whole right list.  Each
-    partition keeps right-row order.
+    The right rows are hashed on `keys`, variables that every row on both
+    sides binds to a non-annotation value (the keyed rule); rows that
+    differ there never meet.  With no keys every left row sees the whole
+    right list.  Each partition keeps right-row order.
     """
-    keys = sorted(_term_keys(left_rows) & _term_keys(right_rows))
     if not keys:
         return lambda left: right_rows
     partitions: dict[tuple, list[Solution]] = {}
@@ -288,9 +280,8 @@ def eval_bap(graph: AnnotatedGraph, bap: alg.Bap) -> list[Solution]:
 
 
 def _eval_optional(
-    node: alg.Optional, left_rows: list[Solution], right_rows: list[Solution]
+    node: alg.Optional, left_rows: list[Solution], candidates: Candidates
 ) -> list[Solution]:
-    candidates = _right_partitions(left_rows, right_rows)
     out: list[Solution] = []
     for left in left_rows:
         merged_true = []
@@ -357,7 +348,7 @@ def _apply_groupby(
         groups.setdefault(key, []).append(row)
     # Grouped output is a set with no dedup: two groups differ in a key
     # some row binds, each projected row keeps its bound keys, and the
-    # parser rejects a target the pattern can bind.
+    # parser rejects a target in the pattern's `alg.bindings(...).can`.
     out: list[Solution] = []
     for members in groups.values():
         projected: Solution = {}
@@ -436,8 +427,8 @@ def _apply_orderby(rows: list[Solution], var: alg.Var) -> list[Solution]:
 def eval_pattern(
     graph: AnnotatedGraph, pattern: alg.Pattern, diagnostics: list[str] | None = None
 ) -> list[Solution]:
-    """The maximal rows of `pattern` (see the module docstring for which
-    nodes need a prune)."""
+    """The maximal rows of `pattern` (keyed nodes need no prune; see the
+    module docstring)."""
     if diagnostics is None:
         diagnostics = []
     if isinstance(pattern, alg.Bap):
@@ -445,6 +436,7 @@ def eval_pattern(
     if isinstance(pattern, (alg.Join, alg.Union, alg.Optional)):
         left = eval_pattern(graph, pattern.left, diagnostics)
         right = eval_pattern(graph, pattern.right, diagnostics)
+        keys = sorted(alg.bindings(pattern.left).terms & alg.bindings(pattern.right).terms)
     elif isinstance(
         pattern, (alg.Filter, alg.OrderBy, alg.Limit, alg.Assign, alg.GroupBy, alg.SubSelect)
     ):
@@ -458,7 +450,7 @@ def eval_pattern(
     if isinstance(pattern, alg.Limit):
         return rows[: pattern.count]
     if isinstance(pattern, alg.Join):
-        candidates = _right_partitions(left, right)
+        candidates = _right_partitions(keys, right)
         rows = [
             merged
             for a in left
@@ -468,7 +460,7 @@ def eval_pattern(
     elif isinstance(pattern, alg.Union):
         rows = left + right
     elif isinstance(pattern, alg.Optional):
-        rows = _eval_optional(pattern, left, right)
+        rows = _eval_optional(pattern, left, _right_partitions(keys, right))
     elif isinstance(pattern, alg.Assign):
         rows = _apply_assign(pattern, rows)
     elif isinstance(pattern, alg.GroupBy):
@@ -476,7 +468,7 @@ def eval_pattern(
     else:  # SubSelect
         names = [v.name for v in pattern.variables]
         rows = [{name: row[name] for name in names if name in row} for row in rows]
-    return prune_maximal(rows)
+    return rows if alg.bindings(pattern).keyed else prune_maximal(rows)
 
 
 def evaluate_query(

@@ -211,8 +211,11 @@ def parse_graph(text: str, domain: Domain | str | None = None) -> Document:
 # -- serialisation ------------------------------------------------------------
 
 
-# A tab is escaped too, so that a literal stays one field of a TSV answer.
-_LITERAL_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"})
+# A tab is escaped too, so that a literal stays one field of a TSV answer,
+# and a carriage return, which a reader in text mode takes for a line end.
+_LITERAL_ESCAPES = str.maketrans(
+    {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+)
 
 
 def format_term(term: Term) -> str:

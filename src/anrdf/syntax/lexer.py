@@ -1,13 +1,14 @@
 """The scanner shared by the AnRDF data format and AnQL queries.
 
-Both formats read the same ground terms: `<iri>`, `"literal"` (escapes
-`\\n`, `\\t`, `\\"`, `\\\\`; any other escaped character stands for
-itself), `prefix:name` after an `@prefix name: <iri> .` directive, and
-bare names, taken as IRIs verbatim except for the rho-df keywords
-`type`, `sp`, `sc`, `dom`, `range`.  A name never ends in `.`, so
-`a b c.` ends after `c`; nor does an annotation literal, which both
-formats read as one token (`annotation_literal`) that only the domain's
-`parse` validates.  Whitespace and `#` comments (to the end of the
+Both formats read the same ground terms: `<iri>`, which may hold a
+space but no control character (U+0000-U+001F), also in `@prefix`;
+`"literal"` (escapes `\\n`, `\\t`, `\\r`, `\\"`, `\\\\`; any other
+escaped character stands for itself); `prefix:name` after an
+`@prefix name: <iri> .` directive; and bare names, taken as IRIs
+verbatim except for the rho-df keywords `type`, `sp`, `sc`, `dom`,
+`range`.  A name never ends in `.`, so `a b c.` ends after `c`; nor does
+an annotation literal, which both formats read as one token
+(`annotation_literal`) that only the domain's `parse` validates.  Whitespace and `#` comments (to the end of the
 line) are skipped between tokens, never inside one; both are one
 compiled pattern, and so is a string literal (in a query, a backslash
 before a raw line break stands for the line break).  `Scanner.take`
@@ -31,7 +32,8 @@ PNAME_RE = re.compile(
 )
 _PREFIX_NAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9_.\-]*)?:")
 _DIRECTIVE_RE = re.compile(r"@([A-Za-z][A-Za-z0-9_.\-]*)")
-_ESCAPES = {"n": "\n", "t": "\t"}
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}
+_CONTROL_RE = re.compile(r"[\x00-\x1f]")
 _WS_RE = re.compile(r"(?:\s|#[^\n]*)*")
 _STRING_RE = re.compile(r'"((?:[^"\\]|\\.)*)"', re.DOTALL)
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
@@ -108,9 +110,7 @@ class Scanner:
             end = self.text.find(">", self.pos + 1)
             if end < 0:
                 raise self.error("unterminated <iri>")
-            value = self.text[self.pos + 1 : end]
-            self.pos = end + 1
-            return iri(value)
+            return iri(self._iri_text(self.pos + 1, end))
         if ch == '"':
             m = _STRING_RE.match(self.text, self.pos)
             if m is None:
@@ -165,5 +165,14 @@ class Scanner:
         end = self.text.find(">", self.pos)
         if end < 0:
             raise self.error("unterminated prefix IRI")
-        self.prefixes[m.group(1) or ""] = self.text[self.pos : end]
+        self.prefixes[m.group(1) or ""] = self._iri_text(self.pos, end)
+
+    def _iri_text(self, start: int, end: int) -> str:
+        """The IRI `text[start:end]` inside `<...>`, leaving `pos` after
+        its `>`; a control character in it is an error at that character."""
+        bad = _CONTROL_RE.search(self.text, start, end)
+        if bad:
+            self.pos = bad.start()
+            raise self.error(f"control character U+{ord(bad[0]):04X} in an IRI")
         self.pos = end + 1
+        return self.text[start:end]

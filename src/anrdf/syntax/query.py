@@ -24,7 +24,7 @@ built-in tests; a built-in function (`length`, `maxlength`, `join`,
 GROUPBY's rules are checked here, before evaluation, as the built-in
 calls are, and each is a `ParseError` at its position: no aggregate
 argument may be a grouping key, and no aggregate target may be a
-variable the grouped pattern can bind (`algebra.pattern_vars`).
+variable the grouped pattern can bind (`algebra.bindings`).
 
 Every annotation constant is read one way.  A label is `?var` or a
 literal of the query's domain, read as the data format reads one
@@ -268,7 +268,7 @@ def _parse_wrapper(sc: _Scanner, word: str, acc: alg.Pattern) -> alg.Pattern:
             keys.append(sc.var())
             sc.take(",")
         sc.expect(")")
-        bound = alg.pattern_vars(acc)
+        bound = alg.bindings(acc).can
         aggregates = []
         while sc.keyword() in _AGGREGATES:
             aggregates.append(_parse_aggregate(sc, keys, bound))
@@ -293,11 +293,12 @@ def _parse_triple_pattern(sc: _Scanner) -> alg.TriplePattern:
 
 
 def _parse_aggregate(
-    sc: _Scanner, keys: list[alg.Var], bound: frozenset[alg.Var]
+    sc: _Scanner, keys: list[alg.Var], bound: frozenset[str]
 ) -> alg.Aggregate:
-    """One aggregate of a GROUPBY with grouping `keys` over a pattern that
-    can bind `bound`.  An argument that is a key is reported at the
-    argument, and a target in `bound` at the target."""
+    """One aggregate of a GROUPBY with grouping `keys` over a pattern whose
+    rows can bind the variables named in `bound`.  An argument that is a
+    key is reported at the argument, and a target in `bound` at the
+    target."""
     op = sc.keyword()
     sc.take_keyword(op)
     sc.expect("(")
@@ -315,7 +316,7 @@ def _parse_aggregate(
         if arg in keys:
             sc.pos = start
             raise sc.error(f"aggregate argument ?{arg.name} is a grouping key")
-    if target in bound:
+    if target.name in bound:
         sc.pos = at
         raise sc.error(f"aggregate target ?{target.name} already occurs in the pattern")
     return alg.Aggregate(op=op.upper(), fn=fn, args=args, target=target)

@@ -11,6 +11,7 @@ import pytest
 
 from anrdf import closure, evaluate_query, get_domain, iri, parse_graph, parse_query
 from anrdf.anql import algebra as alg
+from anrdf.anql import engine
 from anrdf.anql.rewrite import rewrite_defaults
 from anrdf.anql.engine import (
     ERROR,
@@ -1003,11 +1004,10 @@ class TestDomainMaximality:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_every_operator_returns_maximal_rows(self, seed):
-        # Bap, FILTER, ORDERBY and LIMIT skip the prune: a Bap row is
-        # fixed by its term bindings, and the other three return a subset,
-        # an order or a prefix of maximal rows.  These random patterns
-        # never put two rows in one bucket, so a missing prune shows only
-        # in the test below.
+        # Keyed nodes skip the prune, and so do FILTER, ORDERBY and LIMIT
+        # over any input (the keyed rule in the engine docstring).  These
+        # random patterns never put two rows in one bucket, so a missing
+        # prune shows only in the test below.
         rng = random.Random(9400 + seed)
         graph = AnnotatedGraph(TEMPORAL)
         for t in sorted(random_crisp_graph(rng, max_triples=40)):
@@ -1019,6 +1019,38 @@ class TestDomainMaximality:
             node = stack.pop()
             rows = eval_pattern(graph, node)
             assert prune_maximal(rows) == rows
+            children = (getattr(node, f, None) for f in ("left", "right", "pattern"))
+            stack.extend(child for child in children if child is not None)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_rows_bind_what_bindings_says(self, seed):
+        # A random pattern built from the graph's own triples, so that most
+        # nodes return rows, sits under a projection, an ASSIGN that may
+        # overwrite a bound variable and a GROUPBY: every node kind is checked.
+        rng = random.Random(9700 + seed)
+        graph = AnnotatedGraph(TEMPORAL)
+        triples = sorted(random_crisp_graph(rng, max_triples=40))
+        for t in triples:
+            graph.insert(t, TEMPORAL.random_value(rng))
+        graph.freeze()
+        query = alg.QueryDocument(select=(), pattern=random_pattern(rng, anchors=triples))
+        pattern = rewrite_defaults(query, "fresh-vars", TEMPORAL).pattern
+        a, b, *rest = (alg.Var(name) for name in rng.sample("xyzuv", 5))
+        projected = alg.SubSelect((a, b, *rest) if rng.random() < 0.5 else (a, b), pattern)
+        assigned = alg.Assign(projected, "", (iri("a0"),), b)
+        stack = [alg.GroupBy(assigned, (a,), (alg.Aggregate("COUNT", "", (b,), alg.Var("n")),))]
+        while stack:
+            node = stack.pop()
+            rows = eval_pattern(graph, node)
+            bound = alg.bindings(node)
+            for row in rows:
+                assert row.keys() <= bound.can, node
+                assert bound.terms <= row.keys(), node
+                assert not any(isinstance(row[k], AnnotationValue) for k in bound.terms), node
+                assert all(isinstance(row.get(k), AnnotationValue) for k in bound.labels), node
+                assert not bound.keyed or row.keys() == bound.can, node
+            if bound.keyed:
+                assert len({_signature(r) for r in rows}) == len(rows), node
             children = (getattr(node, f, None) for f in ("left", "right", "pattern"))
             stack.extend(child for child in children if child is not None)
 
@@ -1133,11 +1165,34 @@ class TestMeetCompatibility:
             random_rows(rng, 1.0, 1.0) if rng.random() < 0.7 else random_rows(rng)
             for _ in range(2)
         )
-        candidates = _right_partitions(left, right)
+        # The keys are what every row on both sides binds to a term, which
+        # is what `alg.bindings` promises of the keys the engine passes.
+        keys = [k for k in ("x", "y") if all(isinstance(r.get(k), Term) for r in left + right)]
+        candidates = _right_partitions(keys, right)
         for row in left:
             assert [
                 r for r in candidates(row) if meet_compatible(row, r) is not None
             ] == [r for r in right if meet_compatible(row, r) is not None]
+
+    def test_query_mix_optional_partitions_on_p(self, monkeypatch):
+        # The `optional` shape of the query-mix benchmark: ?p is the one
+        # variable both sides bind to a term.
+        seen = []
+        real = engine._right_partitions
+        monkeypatch.setattr(
+            engine, "_right_partitions", lambda keys, rows: seen.append(keys) or real(keys, rows)
+        )
+        graph = parse_graph(
+            "@domix temporal .\n(a type C3) : [0,10] .\n(a knows b) : [2,4] .\n"
+        ).graph
+        query = q(
+            "SELECT ?p ?l ?c WHERE { (?p type C3):?l"
+            " OPTIONAL {(?p knows ?c):?l2 FILTER (?l2 <= ?l)} }"
+        )
+        assert evaluate_query(graph, query) == [
+            {"p": iri("a"), "l": tv("{[0,10]}"), "c": iri("b")}
+        ]
+        assert [tuple(keys) for keys in seen] == [("p",)]
 
     def test_annotations_must_not_meet_to_bottom(self):
         a = {"l": tv("{[1,2]}")}

@@ -391,6 +391,23 @@ class TestQuery:
         assert '(a name "x\\ty") : {[1,2]} .' in twice.splitlines()
 
 
+    def test_a_carriage_return_in_a_literal_survives_a_file(self, capsys, tmp_path):
+        # Files are read in text mode, where a raw carriage return would
+        # read back as a line break, so the writer escapes it.
+        temporal = anrdf.get_domain("temporal")
+        graph = anrdf.AnnotatedGraph(temporal)
+        triple = anrdf.Triple(anrdf.iri("a"), anrdf.iri("name"), anrdf.literal("x\ry"))
+        graph.insert(triple, temporal.parse("[1,2]"))
+        data = tmp_path / "cr.anrdf"
+        with open(data, "w", newline="") as out:
+            out.write(anrdf.serialize_graph(graph))
+        code, once, _ = run(capsys, "convert", "-i", str(data))
+        assert code == 0
+        assert once == data.read_bytes().decode()
+        assert '(a name "x\\ry") : {[1,2]} .' in once.splitlines()
+        assert anrdf.parse_graph(once).graph.get(triple) == temporal.parse("[1,2]")
+
+
 class TestBadNumbers:
     """A malformed number is a parse error at its position, not a crash."""
 

@@ -263,6 +263,10 @@ class TestDataRoundTrip:
         "a p _:.b .": 5,
         # Unicode, vertical-tab and form-feed spaces are whitespace.
         "(a\xa0p\u2003b)\x0b:\x0c1.5 .": 11,
+        # ... but no control character may stand inside <...>.
+        "(<c\td> p b) : 0.5 .": 4,
+        "a p <x\x1fy> .": 7,
+        "@prefix ex: <http://e/\x00x> .": 23,
     }
 
     @pytest.mark.parametrize("bad", ERROR_COLUMNS)
@@ -327,6 +331,11 @@ class TestDataRoundTrip:
         again = parse_graph(serialize_graph(doc.graph, doc.plain))
         assert again.plain == doc.plain
         assert dict(again.graph.statements()) == dict(doc.graph.statements())
+
+    def test_a_carriage_return_escape_reads_as_one(self):
+        doc = parse_graph('(a p "x\\ry") : 1 .\n', "temporal")
+        assert doc.graph.get(Triple(iri("a"), iri("p"), literal("x\ry"))) is not None
+        assert format_term(literal("x\ry")) == '"x\\ry"'
 
     def test_term_formatting(self):
         assert format_term(TYPE) == "type"
@@ -730,6 +739,10 @@ class TestQueryParsing:
         # An unterminated string literal fails at its opening quote.
         'SELECT ?x WHERE { ?x p "abc\\': 24,
         'SELECT ?x WHERE { ?x p "ab\\" }': 24,
+        # A control character inside <...> fails at that character.
+        "SELECT ?s ?n WHERE { (<c\td> name ?n):?l }": 25,
+        "SELECT ?x WHERE { ?x p <a\nb> }": 26,
+        "@prefix ex: <http://e\x0b/> . SELECT ?x WHERE { (?x ex:p ?y):?l }": 22,
     }
 
     @pytest.mark.parametrize("bad", ERROR_COLUMNS)
