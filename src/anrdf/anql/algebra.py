@@ -9,6 +9,7 @@ binds terms), so solutions distinguish the two by the bound value.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Union
 
@@ -99,7 +100,10 @@ class BuiltinCall(FilterExpr):
 
 
 class Pattern:
-    pass
+    @cached_property
+    def bindings(self) -> Bindings:
+        """What this node's rows bind (`bindings`), computed once per node."""
+        return bindings(self)
 
 
 @dataclass(frozen=True)
@@ -191,14 +195,14 @@ class Bindings(NamedTuple):
 
 
 def bindings(p: Pattern) -> Bindings:
-    """What the rows of `p` bind, read from the tree alone."""
+    """What the rows of `p` bind, read from the tree alone: from its children's `bindings`."""
     if isinstance(p, Bap):  # a variable in a slot and in a label gives no rows
         slots = [s for tp in p.patterns for s in (tp.subject, tp.predicate, tp.object)]
         terms = frozenset(s.name for s in slots if isinstance(s, Var))
         labels = frozenset(v.name for tp in p.patterns if isinstance(v := tp.annotation, Var))
         return Bindings(terms | labels, terms, labels, True)
     if isinstance(p, (Join, Union, Optional)):
-        left, right = bindings(p.left), bindings(p.right)
+        left, right = p.left.bindings, p.right.bindings
         can = left.can | right.can
         if isinstance(p, Join):
             keyed = left.keyed and right.keyed
@@ -207,16 +211,16 @@ def bindings(p: Pattern) -> Bindings:
             return Bindings(can, left.terms & right.terms, left.labels & right.labels, False)
         return Bindings(can, left.terms, left.labels, False)  # bare left rows pass through
     if isinstance(p, (Filter, OrderBy, Limit)):
-        return bindings(p.pattern)
+        return p.pattern.bindings
     if isinstance(p, SubSelect):
-        inner, kept = bindings(p.pattern), frozenset(v.name for v in p.variables)
+        inner, kept = p.pattern.bindings, frozenset(v.name for v in p.variables)
         keyed = inner.keyed and inner.terms <= kept
         return Bindings(inner.can & kept, inner.terms & kept, inner.labels & kept, keyed)
     if isinstance(p, Assign):  # the target may be overwritten by any kind of value
-        inner, new = bindings(p.pattern), frozenset({p.target.name})
+        inner, new = p.pattern.bindings, frozenset({p.target.name})
         return Bindings(inner.can | new, inner.terms - new, inner.labels - new, False)
     if isinstance(p, GroupBy):  # a group keeps its bound keys and binds every target
-        inner, new = bindings(p.pattern), frozenset(a.target.name for a in p.aggregates)
+        inner, new = p.pattern.bindings, frozenset(a.target.name for a in p.aggregates)
         kept = frozenset(k.name for k in p.keys)
         return Bindings(kept | new, inner.terms & kept - new, inner.labels & kept - new, False)
     raise TypeError(f"not a pattern: {p!r}")

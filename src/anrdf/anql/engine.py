@@ -27,12 +27,13 @@ variable bound to the stored value, or one an earlier pattern bound, met
 with the row's value; a bottom meet drops the row.  A variable that
 would hold both a term and an annotation gives no rows.
 
-The keyed rule: `alg.bindings` reads from the tree alone what a node's
-rows can bind, what every row binds to a non-annotation value (its
-`terms`) and to an annotation value, and whether the node is keyed:
-every row binds exactly what it can and is fixed by its `terms`
-bindings.  Join and OPTIONAL hash the right rows on the `terms` both
-inputs share; rows that differ there never meet.
+The keyed rule: a node's `bindings`, computed once per node from its
+children's (`alg.bindings`), says from the tree alone what its rows can
+bind, what every row binds to a non-annotation value (its `terms`) and
+to an annotation value, and whether the node is keyed: every row binds
+exactly what it can and is fixed by its `terms` bindings.  Join and
+OPTIONAL hash the right rows on the `terms` both inputs share; rows that
+differ there never meet.
 
 `eval_pattern` is the one place that evaluates sub-patterns and
 prunes.  It evaluates a node's `left` and `right` or its `.pattern`,
@@ -348,7 +349,7 @@ def _apply_groupby(
         groups.setdefault(key, []).append(row)
     # Grouped output is a set with no dedup: two groups differ in a key
     # some row binds, each projected row keeps its bound keys, and the
-    # parser rejects a target in the pattern's `alg.bindings(...).can`.
+    # parser rejects a target in the pattern's `bindings.can`.
     out: list[Solution] = []
     for members in groups.values():
         projected: Solution = {}
@@ -436,7 +437,7 @@ def eval_pattern(
     if isinstance(pattern, (alg.Join, alg.Union, alg.Optional)):
         left = eval_pattern(graph, pattern.left, diagnostics)
         right = eval_pattern(graph, pattern.right, diagnostics)
-        keys = sorted(alg.bindings(pattern.left).terms & alg.bindings(pattern.right).terms)
+        keys = sorted(pattern.left.bindings.terms & pattern.right.bindings.terms)
     elif isinstance(
         pattern, (alg.Filter, alg.OrderBy, alg.Limit, alg.Assign, alg.GroupBy, alg.SubSelect)
     ):
@@ -468,7 +469,7 @@ def eval_pattern(
     else:  # SubSelect
         names = [v.name for v in pattern.variables]
         rows = [{name: row[name] for name in names if name in row} for row in rows]
-    return rows if alg.bindings(pattern).keyed else prune_maximal(rows)
+    return rows if pattern.bindings.keyed else prune_maximal(rows)
 
 
 def evaluate_query(

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from ..domains import AnnotationValue, Domain, get_domain
 from ..errors import AnnotationSyntaxError, AnrdfError, ParseError, UnknownDomainError
 from ..model import AnnotatedGraph, Term, Triple, skolem
-from .lexer import KEYWORDS, NAME_RE, Scanner, annotation_literal_end, name_term
+from .lexer import CONTROL_RE, KEYWORDS, NAME_RE, Scanner, annotation_literal_end, name_term
 
 KEYWORD_FOR_TERM = {term: word for word, term in KEYWORDS.items()}
 
@@ -219,6 +219,9 @@ _LITERAL_ESCAPES = str.maketrans(
 
 
 def format_term(term: Term) -> str:
+    """The text of `term` as both formats read it.  An IRI that no bare
+    name spells is written `<...>`, which holds no control character, so
+    an IRI with one raises `AnrdfError`."""
     if term.kind == "literal":
         return f'"{term.lexical.translate(_LITERAL_ESCAPES)}"'
     if term.kind == "skolem":
@@ -228,6 +231,10 @@ def format_term(term: Term) -> str:
         return short
     if NAME_RE.fullmatch(term.lexical) and term.lexical not in KEYWORDS:
         return term.lexical
+    bad = CONTROL_RE.search(term.lexical)
+    if bad:
+        code = f"U+{ord(bad[0]):04X}"
+        raise AnrdfError(f"cannot write IRI {term.lexical!r}: control character {code}")
     return f"<{term.lexical}>"
 
 

@@ -33,7 +33,7 @@ PNAME_RE = re.compile(
 _PREFIX_NAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9_.\-]*)?:")
 _DIRECTIVE_RE = re.compile(r"@([A-Za-z][A-Za-z0-9_.\-]*)")
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}
-_CONTROL_RE = re.compile(r"[\x00-\x1f]")
+CONTROL_RE = re.compile(r"[\x00-\x1f]")
 _WS_RE = re.compile(r"(?:\s|#[^\n]*)*")
 _STRING_RE = re.compile(r'"((?:[^"\\]|\\.)*)"', re.DOTALL)
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
@@ -170,7 +170,7 @@ class Scanner:
     def _iri_text(self, start: int, end: int) -> str:
         """The IRI `text[start:end]` inside `<...>`, leaving `pos` after
         its `>`; a control character in it is an error at that character."""
-        bad = _CONTROL_RE.search(self.text, start, end)
+        bad = CONTROL_RE.search(self.text, start, end)
         if bad:
             self.pos = bad.start()
             raise self.error(f"control character U+{ord(bad[0]):04X} in an IRI")

@@ -19,7 +19,9 @@ optional.  Filter expressions support BOUND/isIRI/isBLANK/isLITERAL,
 `=`, `!=`, the domain order `<=`, `!`, `&&`, `||`, and registered
 built-in tests; a built-in function (`length`, `maxlength`, `join`,
 `meet`) yields a value, not a truth value, so as a condition it is a
-`ParseError` at its name.
+`ParseError` at its name.  In a filter, a `(` opens a group unless a
+`?variable` or annotation literal followed by `<=`, `=` or `!=` starts
+there (`_comparison_ahead`), as in the provenance `(a ^ b) <= ?l`.
 
 GROUPBY's rules are checked here, before evaluation, as the built-in
 calls are, and each is a `ParseError` at its position: no aggregate
@@ -268,7 +270,7 @@ def _parse_wrapper(sc: _Scanner, word: str, acc: alg.Pattern) -> alg.Pattern:
             keys.append(sc.var())
             sc.take(",")
         sc.expect(")")
-        bound = alg.bindings(acc).can
+        bound = acc.bindings.can
         aggregates = []
         while sc.keyword() in _AGGREGATES:
             aggregates.append(_parse_aggregate(sc, keys, bound))
@@ -419,29 +421,18 @@ def _parse_filter_primary(sc: _Scanner) -> alg.FilterExpr:
                 f"{name} is a function, not a test: FILTER cannot read it as a condition"
             )
         return call
-    if sc.peek() == "(":
-        # Try a parenthesised boolean expression; fall back to an
-        # annotation literal operand (e.g. a provenance formula).  When
-        # both fail, the error that got further is reported, so a bad
-        # call inside the parentheses is reported at its name.
-        saved = sc.pos
-        try:
-            sc.expect("(")
-            inner = _parse_filter_expr(sc)
-            sc.expect(")")
-            return inner
-        except ParseError as exc:
-            sc.pos = saved
-            try:
-                return _parse_comparison(sc)
-            except ParseError as other:
-                raise max(exc, other, key=lambda e: (e.line, e.column)) from None
-    return _parse_comparison(sc)
+    ahead = _comparison_ahead(sc)
+    if ahead is None and sc.take("("):
+        inner = _parse_filter_expr(sc)
+        sc.expect(")")
+        return inner
+    return _parse_comparison(sc, ahead)
 
 
-def _parse_comparison(sc: _Scanner) -> alg.FilterExpr:
-    """`label <= label`, `operand = operand` or `operand != operand`."""
-    if _label_before_leq(sc):
+def _parse_comparison(sc: _Scanner, ahead: str | None) -> alg.FilterExpr:
+    """`label <= label`, `operand = operand` or `operand != operand`,
+    where `ahead` is what `_comparison_ahead` returned here."""
+    if ahead == "<=":
         left = sc.label()
         sc.expect("<=")
         return alg.AnnLeq(left, sc.label())
@@ -458,8 +449,9 @@ def _parse_comparison(sc: _Scanner) -> alg.FilterExpr:
     raise sc.error("expected a comparison operator")
 
 
-def _label_before_leq(sc: _Scanner) -> bool:
-    """Whether a label followed by `<=` starts here; reads the label's
+def _comparison_ahead(sc: _Scanner) -> str | None:
+    """The comparison operator (`<=`, `!=` or `=`) after the `?var` or
+    annotation literal that starts here, or None; reads the operand's
     extent without parsing it in the domain and without moving `sc`."""
     start = sc.pos
     try:
@@ -467,8 +459,9 @@ def _label_before_leq(sc: _Scanner) -> bool:
             sc.var()
         else:
             sc.annotation_literal()
-        return sc.take("<=")
+        sc.skip_ws()
+        return next((op for op in ("<=", "!=", "=") if sc.text.startswith(op, sc.pos)), None)
     except ParseError:
-        return False
+        return None
     finally:
         sc.pos = start

@@ -1042,7 +1042,7 @@ class TestDomainMaximality:
         while stack:
             node = stack.pop()
             rows = eval_pattern(graph, node)
-            bound = alg.bindings(node)
+            bound = node.bindings
             for row in rows:
                 assert row.keys() <= bound.can, node
                 assert bound.terms <= row.keys(), node
@@ -1053,6 +1053,35 @@ class TestDomainMaximality:
                 assert len({_signature(r) for r in rows}) == len(rows), node
             children = (getattr(node, f, None) for f in ("left", "right", "pattern"))
             stack.extend(child for child in children if child is not None)
+
+    def test_each_node_computes_its_bindings_once(self, monkeypatch):
+        # A chain 40 nodes deep over one-triple Baps: each node's
+        # `bindings` is computed from its children's, once, and not again
+        # for every ancestor that reads it or on a second evaluation.
+        computed = []
+        real = alg.bindings
+        monkeypatch.setattr(alg, "bindings", lambda p: computed.append(p) or real(p))
+        graph = parse_graph("@domix temporal .\n(a p b) : [0,10] .\n(a q b) : [2,4] .\n").graph
+        x, y, l = alg.Var("x"), alg.Var("y"), alg.Var("l")
+        bap = lambda p: alg.Bap((alg.TriplePattern(x, iri(p), y, l),))
+        wrappers = [
+            lambda acc: alg.Filter(acc, alg.Bound(x)),
+            lambda acc: alg.Join(acc, bap("q")),
+            lambda acc: alg.Optional(acc, bap("q")),
+            lambda acc: alg.Union(acc, bap("p")),
+            lambda acc: alg.OrderBy(acc, x),
+            lambda acc: alg.Limit(acc, 5),
+            lambda acc: alg.SubSelect((x, y, l), acc),
+            lambda acc: alg.Assign(acc, "length", (l,), alg.Var("n")),
+        ]
+        tree, nodes = bap("p"), 1
+        for depth in range(40):
+            tree = wrappers[depth % len(wrappers)](tree)
+            nodes += 1 + hasattr(tree, "right")
+        assert eval_pattern(graph, tree)
+        assert len(computed) == len({id(p) for p in computed}) == nodes
+        eval_pattern(graph, tree)
+        assert len(computed) == nodes
 
     @pytest.mark.parametrize("seed", range(12))
     def test_operators_that_can_create_dominated_rows_prune(self, seed):

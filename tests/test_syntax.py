@@ -11,8 +11,8 @@ import pytest
 
 from anrdf import evaluate_query, get_domain, parse_graph, parse_query
 from anrdf.anql import algebra as alg
-from anrdf.domains import Domain
-from anrdf.errors import ParseError
+from anrdf.domains import AnnotationValue, Domain
+from anrdf.errors import AnrdfError, ParseError
 from anrdf.model import (
     IRI,
     LITERAL,
@@ -37,6 +37,7 @@ from anrdf.syntax.data import _STATEMENT_RE, format_term
 from oracles import format_statement
 
 TEMPORAL = get_domain("temporal")
+PROVENANCE = get_domain("provenance")
 DATA_FILES = sorted((Path(__file__).resolve().parent.parent / "data").glob("*.anrdf"))
 
 ALL_DOMAIN_IDS = [
@@ -343,6 +344,15 @@ class TestDataRoundTrip:
         assert format_term(iri("has space")) == "<has space>"
         assert format_term(iri("type")) == "<type>"  # avoids the keyword
         assert format_term(literal('say "hi"')) == '"say \\"hi\\""'
+
+    def test_an_iri_with_a_control_character_is_not_written(self):
+        # The reader rejects `<c\td>`, so neither writer emits it.
+        graph = AnnotatedGraph(TEMPORAL)
+        graph.insert(Triple(iri("c\td"), iri("name"), literal("n")), TEMPORAL.parse("[1,2]"))
+        with pytest.raises(AnrdfError, match=r"control character U\+0009"):
+            serialize_graph(graph)
+        with pytest.raises(AnrdfError, match=r"control character U\+0009"):
+            serialize_answers_tsv([alg.Var("s")], [{"s": iri("c\td")}])
 
 
 _STRING_OR_SPACE = re.compile(r'"(?:[^"\\]|\\.)*"| ')
@@ -743,6 +753,12 @@ class TestQueryParsing:
         "SELECT ?s ?n WHERE { (<c\td> name ?n):?l }": 25,
         "SELECT ?x WHERE { ?x p <a\nb> }": 26,
         "@prefix ex: <http://e\x0b/> . SELECT ?x WHERE { (?x ex:p ?y):?l }": 22,
+        # A bad call in a parenthesised filter is reported at its name.
+        "SELECT ?x WHERE { (?x p ?y):?l FILTER((before(?l))) }": 40,
+        "SELECT ?x WHERE { (?x p ?y):?l FILTER((length(?l))) }": 40,
+        # `(?x)` followed by `=` is an annotation literal, which the
+        # domain rejects at its `(`.
+        "SELECT ?x WHERE { (?x p ?y):?l FILTER((?x) = ?y) }": 39,
     }
 
     @pytest.mark.parametrize("bad", ERROR_COLUMNS)
@@ -777,7 +793,8 @@ class TestFilterGrammar:
         query = parse_query(f"SELECT ?x WHERE {{ (?x p ?y):?l FILTER({text}) }}", domain)
         return query.pattern.expr
 
-    x, y, l = alg.Var("x"), alg.Var("y"), alg.Var("l")
+    x, y, l, m = alg.Var("x"), alg.Var("y"), alg.Var("l"), alg.Var("m")
+    # A row whose constants are provenance formulas is parsed in that domain.
     TREES = {
         "!BOUND(?y)": alg.Not(alg.Bound(y)),
         "BOUND(?x) && BOUND(?y)": alg.And(alg.Bound(x), alg.Bound(y)),
@@ -807,18 +824,31 @@ class TestFilterGrammar:
         "?x=?y||?x!=?y&&?l<=?l": alg.Or(
             alg.Eq(x, y), alg.And(alg.Not(alg.Eq(x, y)), alg.AnnLeq(l, l))
         ),
+        # A `(` opens a group unless an operand and a comparison start there.
+        "(a ^ b) <= ?l": alg.AnnLeq(PROVENANCE.parse("(a ^ b)"), l),
+        "((a ^ b) <= ?l)": alg.AnnLeq(PROVENANCE.parse("(a ^ b)"), l),
+        "(a v b) = ?l": alg.Eq(PROVENANCE.parse("(a v b)"), l),
+        "((a v b) != ?l)": alg.Not(alg.Eq(PROVENANCE.parse("(a v b)"), l)),
+        "((?x = ?y))": alg.Eq(x, y),
+        "(?l <= ?m) && BOUND(?x)": alg.And(alg.AnnLeq(l, m), alg.Bound(x)),
+        "([1,2] <= ?l) || !(?x = ?y)": alg.Or(
+            alg.AnnLeq(TEMPORAL.parse("[1,2]"), l), alg.Not(alg.Eq(x, y))
+        ),
     }
 
     @pytest.mark.parametrize("text", TREES)
     def test_tree(self, text):
-        assert self.expr(text) == self.TREES[text]
+        tree = self.TREES[text]
+        domain = next((v.domain for v in alg.occurrences(tree, AnnotationValue)), TEMPORAL)
+        assert self.expr(text, domain) == tree
 
-    def test_parenthesised_label_before_leq(self):
-        # Not a parenthesised expression: the parser falls back to a
-        # provenance literal on the left of `<=`.
-        prov = get_domain("provenance")
-        assert self.expr("(a ^ b) <= ?l", prov) == alg.AnnLeq(prov.parse("(a ^ b)"), self.l)
-        assert self.expr("((a ^ b) <= ?l)", prov) == alg.AnnLeq(prov.parse("(a ^ b)"), self.l)
+    def test_unclosed_provenance_group(self):
+        # The filter's `(` is never closed, so no comparison follows
+        # `((a ^ b))` or `(a ^ b)`: both open groups, and `a` is an operand
+        # with no comparison after it.
+        with pytest.raises(ParseError) as info:
+            parse_query("SELECT ?x WHERE { (?x p ?y):?l FILTER(((a ^ b)) }", PROVENANCE)
+        assert str(info.value) == "1:43: expected a comparison operator"
 
     def test_true_is_a_literal_where_the_domain_has_one(self):
         boolean = get_domain("boolean")
