@@ -9,7 +9,6 @@ binds terms), so solutions distinguish the two by the bound value.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Union
 
@@ -100,10 +99,12 @@ class BuiltinCall(FilterExpr):
 
 
 class Pattern:
-    @cached_property
-    def bindings(self) -> Bindings:
-        """What this node's rows bind (`bindings`), computed once per node."""
-        return bindings(self)
+    bindings: Bindings  # what this node's rows bind, set once when the node is built
+
+    def __post_init__(self) -> None:
+        # The children are built first, so `bindings` reads their attribute
+        # and never recurses, however deep the tree.
+        object.__setattr__(self, "bindings", bindings(self))
 
 
 @dataclass(frozen=True)
@@ -196,6 +197,9 @@ class Bindings(NamedTuple):
 
 def bindings(p: Pattern) -> Bindings:
     """What the rows of `p` bind, read from the tree alone: from its children's `bindings`."""
+    for child in (getattr(p, name, None) for name in ("left", "right", "pattern")):
+        if child is not None and not isinstance(child, Pattern):
+            raise TypeError(f"not a pattern: {child!r}")
     if isinstance(p, Bap):  # a variable in a slot and in a label gives no rows
         slots = [s for tp in p.patterns for s in (tp.subject, tp.predicate, tp.object)]
         terms = frozenset(s.name for s in slots if isinstance(s, Var))

@@ -77,7 +77,11 @@ merged value is `left.meet(right)`, and a meet never exceeds its
 operand (the law "meet bounded", which `axiom_suite` checks for every
 domain), so it shrinks exactly when it differs from the left value.
 
-Filters are three-valued; errors never abort evaluation.
+Filters are three-valued; errors never abort evaluation.  `&&` and `||`
+follow SPARQL 1.1's logical-and and logical-or (section 17.2): `&&` is
+false when either side is false, otherwise an error when either side is
+one, otherwise true; `||` is true when either side is true, otherwise an
+error when either side is one, otherwise false.
 """
 
 from __future__ import annotations
@@ -210,9 +214,11 @@ def filter_eval(expr: alg.FilterExpr, solution: Solution) -> str:
     if isinstance(expr, alg.And):
         left = filter_eval(expr.left, solution)
         right = filter_eval(expr.right, solution)
+        if FALSE in (left, right):
+            return FALSE
         if ERROR in (left, right):
             return ERROR
-        return TRUE if left == TRUE and right == TRUE else FALSE
+        return TRUE
     if isinstance(expr, alg.AnnLeq):
         left = _resolve(expr.left, solution)
         right = _resolve(expr.right, solution)

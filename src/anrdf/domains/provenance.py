@@ -12,11 +12,18 @@ each clause's atoms sorted.
 
 Meet and join are conjunction and disjunction; the induced order is
 entailment, which for monotone DNFs reduces to clause containment.
+
+A literal is read from a list of tokens: `(`, `)`, `^` and atoms, with
+whitespace allowed between them (`_TOKEN_RE`).  One recursive rule reads
+a formula: an atom, `true`, `false`, or a group `(f op g op ...)` of one
+or more formulas joined by one operator, `^` (and) or `v` (or).  `v` is
+never an atom, and a group that mixes the two operators is rejected.
 """
 
 from __future__ import annotations
 
 import re
+from functools import reduce
 from typing import Iterable
 
 from ..errors import AnnotationSyntaxError
@@ -30,6 +37,9 @@ TRUE: Dnf = frozenset({frozenset()})
 
 # Like a name of the text formats, an atom never ends in `.`.
 _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_:-]*(?:\.[A-Za-z0-9_:-]+)*")
+# Group 1 is a token: an atom (group 2), or `(`, `)`, `^` or a character
+# no rule accepts, kept as a token so that an error can name its position.
+_TOKEN_RE = re.compile(rf"\s*(({_ATOM_RE.pattern})|\S)")
 
 
 def minimize_clauses(clauses: Iterable[Iterable[str]]) -> Dnf:
@@ -51,6 +61,45 @@ def prov_leq(a: Dnf, b: Dnf) -> bool:
     return all(any(cb <= ca for cb in b) for ca in a)
 
 
+def parse_formula(text: str) -> Dnf:
+    """Read a provenance literal (see the module docstring)."""
+    tokens = [(m[1], m.start(1), m[2] is not None) for m in _TOKEN_RE.finditer(text)]
+    tokens.append(("", len(text), False))  # the end of the text
+    value, i = _formula(text, tokens, 0)
+    token, pos, _ = tokens[i]
+    if token:
+        raise AnnotationSyntaxError(f"trailing input in provenance literal: {text[pos:]!r}")
+    return value
+
+
+def _formula(text: str, tokens: list[tuple[str, int, bool]], i: int) -> tuple[Dnf, int]:
+    """The formula that starts at token `i`, and the index of the token after it."""
+    token, pos, atom = tokens[i]
+    if token == "(":
+        operands, operator = [], None
+        while True:
+            value, i = _formula(text, tokens, i + 1)
+            operands.append(value)
+            token, pos, _ = tokens[i]
+            if token == ")":
+                return reduce(prov_meet if operator == "^" else prov_join, operands), i + 1
+            if token not in ("^", "v"):
+                raise AnnotationSyntaxError(f"expected ^, v or ) at position {pos} in {text!r}")
+            if operator is None:
+                operator = token
+            elif token != operator:
+                raise AnnotationSyntaxError("mixed ^ and v inside one group; add parentheses")
+    if not atom:
+        raise AnnotationSyntaxError(f"expected an atom or ( at position {pos} in {text!r}")
+    if token == "v":
+        raise AnnotationSyntaxError("'v' is the disjunction operator, not an atom")
+    if token == "true":
+        return TRUE, i + 1
+    if token == "false":
+        return FALSE, i + 1
+    return frozenset({frozenset({token})}), i + 1
+
+
 class ProvenanceDomain(Domain):
     name = "provenance"
     is_lattice = True
@@ -61,8 +110,7 @@ class ProvenanceDomain(Domain):
     meet_payload = staticmethod(prov_meet)
     leq_payload = staticmethod(prov_leq)
 
-    def parse_payload(self, text: str) -> Dnf:
-        return _Parser(text).parse()
+    parse_payload = staticmethod(parse_formula)
 
     def format_payload(self, payload: Dnf) -> str:
         if payload == FALSE:
@@ -103,83 +151,3 @@ def _format_clause(clause: list[str]) -> str:
     if len(clause) == 1:
         return clause[0]
     return "(" + " ^ ".join(clause) + ")"
-
-
-class _Parser:
-    """Recursive-descent parser for `atom`, `(f ^ g)`, `(f v g)`,
-    `true`, `false`; chains of one operator inside a group are allowed."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def parse(self) -> Dnf:
-        dnf = self._formula()
-        self._skip_ws()
-        if self.pos != len(self.text):
-            raise AnnotationSyntaxError(
-                f"trailing input in provenance literal: {self.text[self.pos:]!r}"
-            )
-        return dnf
-
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _formula(self) -> Dnf:
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            raise AnnotationSyntaxError("empty provenance literal")
-        if self.text[self.pos] == "(":
-            self.pos += 1
-            operands = [self._formula()]
-            operator = None
-            while True:
-                self._skip_ws()
-                if self.pos < len(self.text) and self.text[self.pos] == ")":
-                    self.pos += 1
-                    break
-                op = self._operator()
-                if operator is None:
-                    operator = op
-                elif op != operator:
-                    raise AnnotationSyntaxError(
-                        "mixed ^ and v inside one group; add parentheses"
-                    )
-                operands.append(self._formula())
-            if operator is None or operator == "v":
-                result = FALSE
-                for item in operands:
-                    result = prov_join(result, item)
-            else:
-                result = TRUE
-                for item in operands:
-                    result = prov_meet(result, item)
-            return result
-        m = _ATOM_RE.match(self.text, self.pos)
-        if not m:
-            raise AnnotationSyntaxError(
-                f"expected atom at position {self.pos} in {self.text!r}"
-            )
-        word = m.group(0)
-        self.pos = m.end()
-        if word == "true":
-            return TRUE
-        if word == "false":
-            return FALSE
-        if word == "v":
-            raise AnnotationSyntaxError("'v' is the disjunction operator, not an atom")
-        return frozenset({frozenset({word})})
-
-    def _operator(self) -> str:
-        self._skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == "^":
-            self.pos += 1
-            return "^"
-        m = _ATOM_RE.match(self.text, self.pos)
-        if m and m.group(0) == "v":
-            self.pos = m.end()
-            return "v"
-        raise AnnotationSyntaxError(
-            f"expected ^ or v at position {self.pos} in {self.text!r}"
-        )

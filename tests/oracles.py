@@ -316,9 +316,11 @@ def _filter_value(expr: alg.FilterExpr, row: Mapping) -> str:
         return "false"
     if isinstance(expr, alg.And):
         left, right = _filter_value(expr.left, row), _filter_value(expr.right, row)
+        if "false" in (left, right):
+            return "false"
         if "error" in (left, right):
             return "error"
-        return "true" if left == right == "true" else "false"
+        return "true"
     raise TypeError(f"oracle cannot evaluate {expr!r}")
 
 

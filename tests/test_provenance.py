@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from anrdf.domains import get_domain
 from anrdf.domains.provenance import (
@@ -23,6 +24,32 @@ PROV = get_domain("provenance")
 
 def pv(text: str):
     return PROV.parse_payload(text)
+
+
+# A formula is an atom or `(op, operands)` with `op` one of `^` and `v`.
+FORMULAS = st.recursive(
+    st.sampled_from(["a", "b", "c", "d", "true", "false"]),
+    lambda inner: st.tuples(st.sampled_from("^v"), st.lists(inner, min_size=1, max_size=3)),
+    max_leaves=12,
+)
+
+
+def truth(formula) -> set:
+    """The formula as a DNF, by distribution alone: no clause is dropped."""
+    if formula == "true":
+        return {frozenset()}
+    if formula == "false":
+        return set()
+    if isinstance(formula, str):
+        return {frozenset({formula})}
+    op, operands = formula
+    dnfs = [truth(operand) for operand in operands]
+    if op == "v":
+        return set().union(*dnfs)
+    clauses = {frozenset()}
+    for dnf in dnfs:
+        clauses = {c1 | c2 for c1 in clauses for c2 in dnf}
+    return clauses
 
 
 class TestCanonicalForm:
@@ -91,7 +118,43 @@ class TestCodec:
         value = PROV.parse(text)
         assert PROV.parse(value.serialize()) == value
 
-    @pytest.mark.parametrize("bad", ["", "(a ^", "(a ^ b v c)", "a b", "(v)", "()"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["", "(a ^", "(a ^ b v c)", "a b", "(v)", "()", "(a ^ b))", "a $", "v", "(a vb)", "((a)"],
+    )
     def test_malformed(self, bad):
         with pytest.raises(AnnotationSyntaxError):
             PROV.parse(bad)
+
+    @given(st.randoms(use_true_random=False))
+    def test_parse_reads_what_format_writes(self, rng):
+        value = PROV.random_payload(rng)
+        assert pv(PROV.format_payload(value)) == value
+
+    @given(FORMULAS, st.data())
+    def test_parse_means_the_formula(self, formula, data):
+        # The formula is written with random spacing and redundant
+        # parentheses; `v` needs a space where it touches an atom.
+        def space(required=False):
+            return data.draw(st.sampled_from(["", " ", "  ", "\t", "\n"])) or " " * required
+
+        def write(node):
+            if isinstance(node, str):
+                text = node
+            else:
+                op, operands = node
+                text = write(operands[0])
+                for operand in map(write, operands[1:]):
+                    left = space(op == "v" and not text.endswith(")"))
+                    right = space(op == "v" and not operand.startswith("("))
+                    text += left + op + right + operand
+                text = "(" + space() + text + space() + ")"
+            for _ in range(data.draw(st.integers(0, 2))):
+                text = "(" + space() + text + space() + ")"
+            return text
+
+        text = space() + write(formula) + space()
+        value, meaning = pv(text), truth(formula)
+        assert dnf_implies_by_truth_table(value, meaning), text
+        assert dnf_implies_by_truth_table(meaning, value), text
+

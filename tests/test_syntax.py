@@ -664,6 +664,14 @@ class TestQueryParsing:
         assert assign.fn == "join"
         assert isinstance(assign.pattern, alg.Union)
 
+    def test_a_deep_group_parses(self):
+        # The GROUPBY rule reads what the 2,000 filters below it bind.
+        filters = "FILTER(BOUND(?x)) " * 2000
+        text = f"SELECT ?x WHERE {{ (?x p ?y):?l {filters}GROUPBY(?x) COUNT(?y) AS ?n }}"
+        group = parse_query(text, TEMPORAL).pattern
+        assert isinstance(group, alg.GroupBy)
+        assert group.bindings.can == {"x", "n"}
+
     def test_nested_select(self):
         query = parse_query(
             "SELECT ?x WHERE { (?x p ?y):?l SELECT ?x WHERE { (?x q ?z):?m } }",
