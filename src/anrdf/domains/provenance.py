@@ -18,6 +18,8 @@ whitespace allowed between them (`_TOKEN_RE`).  One recursive rule reads
 a formula: an atom, `true`, `false`, or a group `(f op g op ...)` of one
 or more formulas joined by one operator, `^` (and) or `v` (or).  `v` is
 never an atom, and a group that mixes the two operators is rejected.
+Groups nest at most `MAX_NESTING` deep, which keeps the rule's recursion
+well inside Python's stack; `format_payload` writes two levels at most.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ Dnf = frozenset[Clause]
 
 FALSE: Dnf = frozenset()
 TRUE: Dnf = frozenset({frozenset()})
+
+MAX_NESTING = 100
 
 # Like a name of the text formats, an atom never ends in `.`.
 _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_:-]*(?:\.[A-Za-z0-9_:-]+)*")
@@ -72,13 +76,20 @@ def parse_formula(text: str) -> Dnf:
     return value
 
 
-def _formula(text: str, tokens: list[tuple[str, int, bool]], i: int) -> tuple[Dnf, int]:
-    """The formula that starts at token `i`, and the index of the token after it."""
+def _formula(
+    text: str, tokens: list[tuple[str, int, bool]], i: int, depth: int = 0
+) -> tuple[Dnf, int]:
+    """The formula that starts at token `i`, inside `depth` groups, and the
+    index of the token after it."""
     token, pos, atom = tokens[i]
     if token == "(":
+        if depth == MAX_NESTING:
+            raise AnnotationSyntaxError(
+                f"groups nested deeper than {MAX_NESTING} at position {pos} in a provenance literal"
+            )
         operands, operator = [], None
         while True:
-            value, i = _formula(text, tokens, i + 1)
+            value, i = _formula(text, tokens, i + 1, depth + 1)
             operands.append(value)
             token, pos, _ = tokens[i]
             if token == ")":

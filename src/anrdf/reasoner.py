@@ -19,36 +19,45 @@ The rho-df rules, with conclusions right of the arrow:
     implicit-domain-typing  (A dom B), (D sp A), (X D Y)   -> (X type B)
     implicit-range-typing   (A range B), (D sp A), (X D Y) -> (Y type B)
 
-The closure is semi-naive, and the store holds exactly the processed
-triples.  Every input triple starts on an agenda, which holds a triple at
-most once, and `pending` holds the values still to store.  A seed taken
-off the agenda is stored, then fires with its other premises from the
-store alone.  A conclusion raises a stored triple in place, putting it
-back on the agenda when it strictly grows, or joins into a pending value.
-So a combination of premises fires from the premise taken off last, not
-once from each, and again only when one of them grows; a self-join fires
-because the seed is already stored.
+The schema triples are those whose predicate is `sp`, `sc`, `dom` or
+`range`; every other triple, `type` triples included, is a data triple.
 
-Two kinds of conclusion then skip one role, because the closed `sp` and
-`sc` cover it:
+The table rule.  When no rho-df term is used as data, that is, none is
+the subject of a triple or the object of a triple other than a `type`
+triple, data triples never combine with one another and never conclude
+a schema triple.  The schema then closes by sp- and sc-transitivity
+alone, and every conclusion of a data triple annotated v is v meet w,
+for a schema value w that depends on its predicate D alone, or on its
+class A for a `type` triple (X type A):
 
-- a type-propagation conclusion (X type B) is not propagated through
-  `sc` again: for (B sc C), the (X type A) it came from meets (A sc C);
-- an sp-application conclusion (X E Y), E outside the rho-df vocabulary,
-  is not a data premise again: (X D Y) is typed through the closed
-  (D sp E) by the implicit rules, and reaches (E sp F) through (D sp F).
+- (X E Y) for each closed (D sp E), E not a literal, w its value;
+- (X type C) for each class C reached by the `dom` of D or of a closed
+  superproperty E, and then by closed `sc`; w meets the values along
+  the path, and the paths to one C are joined;
+- (Y type C) likewise from `range`;
+- (X type C) for each closed (A sc C), from (X type A).
 
-The skips lose nothing because the same fixpoint closes `sp` and `sc`,
-and meet is associative and monotone: a chain a -> b -> c gives
-v meet ab meet bc <= v meet ac.  That needs one more law, that meet
-distributes over join, because a stored annotation joins every
-derivation of its triple and the skipped firing would meet that join.  A
-compound whose second meet is not idempotent, such as temporal x
-fuzzy:product, distributes only up to an inequality
-(`anrdf.domains.compound`), so over a domain without `meet_distributes`
-nothing is skipped.  A triple skips its role only when every raise since
-it last left the agenda came from a skipping conclusion; one raise from
-any other rule makes it fire in full.
+The conclusions are data triples whose own conclusions these tables
+already hold, because the closed `sp` and `sc` cover every chain: a
+chain a -> b -> c gives v meet ab meet bc <= v meet ac.  A stored
+annotation joins every derivation of its triple, so firing each path
+and firing the joined value agree only when meet distributes over join:
+v meet (a join b) = (v meet a) join (v meet b).  A compound whose second
+meet is not idempotent, such as temporal x fuzzy:product, distributes
+only up to an inequality (`anrdf.domains.compound`).  So `closure` takes
+the table path when the domain has `meet_distributes` and no rho-df term
+is used as data, and the agenda loop otherwise.
+
+The agenda loop is semi-naive, and the store holds exactly the
+processed triples.  Every input triple starts on an agenda, which holds
+a triple at most once, and `pending` holds the values still to store.  A
+seed taken off the agenda is stored, then fires with its other premises
+from the store alone.  A conclusion raises a stored triple in place,
+putting it back on the agenda when it strictly grows, or joins into a
+pending value.  So a combination of premises fires from the premise
+taken off last, not once from each, and again only when one of them
+grows; a self-join fires because the seed is already stored.  The table
+path closes its schema triples with the same loop.
 """
 
 from __future__ import annotations
@@ -63,7 +72,10 @@ from .model import DOM, LITERAL, RANGE, RHO_DF, SC, SP, TYPE, AnnotatedGraph, Te
 
 DEFAULT_MAX_FIRINGS = 1_000_000
 
-Conclusion = tuple[Triple, AnnotationValue, bool]
+SCHEMA = frozenset({SP, SC, DOM, RANGE})
+
+Conclusion = tuple[Triple, AnnotationValue]
+Statements = list[tuple[Triple, AnnotationValue]]
 
 
 @dataclass
@@ -72,7 +84,9 @@ class ClosureStats:
     one outcome: a `new` triple, neither stored nor on the agenda; a
     stored or pending value strictly `raised`; a value `subsumed` by the
     one there already; or a `bottom` value, dropped.  `seeds` counts the
-    triples taken off the agenda."""
+    triples taken off the agenda.  On the table path each table
+    conclusion of a data triple is one firing, and each data triple is
+    one seed."""
 
     firings: int = 0
     new: int = 0
@@ -88,48 +102,39 @@ def _typing(
     """Add to `found` the domain and range typing of the data triple (x d y),
     or of one whose predicate is a subproperty of d, carrying `v`."""
     for u, vu in graph.match(d, DOM, None):
-        found.append((Triple(x, TYPE, u.object), v.meet(vu), True))
+        found.append((Triple(x, TYPE, u.object), v.meet(vu)))
     for u, vu in graph.match(d, RANGE, None):
-        found.append((Triple(y, TYPE, u.object), v.meet(vu), True))
+        found.append((Triple(y, TYPE, u.object), v.meet(vu)))
 
 
-def _consequences(
-    graph: AnnotatedGraph, t: Triple, v: AnnotationValue, full: bool
-) -> list[Conclusion]:
+def _consequences(graph: AnnotatedGraph, t: Triple, v: AnnotationValue) -> list[Conclusion]:
     """Every rule conclusion with `t`, annotated `v`, as one premise and
-    the other premises from `graph`.
-
-    Each conclusion comes with a flag that is False when it may skip a
-    role (a type-propagation conclusion, or an sp-application conclusion
-    outside the rho-df vocabulary).  With `full` False, `t` skips its
-    role: it is neither a data premise nor propagated through `sc`.
-    """
+    the other premises from `graph`."""
     match = graph.match
     found: list[Conclusion] = []
     s, p, o = t.subject, t.predicate, t.object
-    if full or p in RHO_DF:
-        # t as the data premise (X D Y).
-        _typing(found, graph, p, s, o, v)
-        for u, vu in match(p, SP, None):
-            e, vd = u.object, v.meet(vu)
-            if e.kind != LITERAL:
-                found.append((Triple(s, e, o), vd, e in RHO_DF))
-            _typing(found, graph, e, s, o, vd)
+    # t as the data premise (X D Y).
+    _typing(found, graph, p, s, o, v)
+    for u, vu in match(p, SP, None):
+        e, vd = u.object, v.meet(vu)
+        if e.kind != LITERAL:
+            found.append((Triple(s, e, o), vd))
+        _typing(found, graph, e, s, o, vd)
     if p == SP or p == SC:
         # Transitivity, t as the first and as the second premise.
-        found += [(Triple(s, p, u.object), v.meet(vu), True) for u, vu in match(o, p, None)]
-        found += [(Triple(u.subject, p, o), v.meet(vu), True) for u, vu in match(None, p, s)]
+        found += [(Triple(s, p, u.object), v.meet(vu)) for u, vu in match(o, p, None)]
+        found += [(Triple(u.subject, p, o), v.meet(vu)) for u, vu in match(None, p, s)]
     if p == SP:
         # t as (D sp E): sp-application and implicit typing.
         for u, vu in match(None, s, None):
             vd = v.meet(vu)
             if o.kind != LITERAL:
-                found.append((Triple(u.subject, o, u.object), vd, o in RHO_DF))
+                found.append((Triple(u.subject, o, u.object), vd))
             _typing(found, graph, o, u.subject, u.object, vd)
     elif p == SC:
-        found += [(Triple(u.subject, TYPE, o), v.meet(vu), False) for u, vu in match(None, TYPE, s)]
-    elif p == TYPE and full:
-        found += [(Triple(s, TYPE, u.object), v.meet(vu), False) for u, vu in match(o, SC, None)]
+        found += [(Triple(u.subject, TYPE, o), v.meet(vu)) for u, vu in match(None, TYPE, s)]
+    elif p == TYPE:
+        found += [(Triple(s, TYPE, u.object), v.meet(vu)) for u, vu in match(o, SC, None)]
     elif p == DOM or p == RANGE:
         # t as (A dom B) or (A range B), over data triples of A itself
         # (plain typing) and of its subproperties (implicit typing).
@@ -137,8 +142,152 @@ def _consequences(
         for d, vd in properties:
             for u, vu in match(None, d, None):
                 typed = u.subject if p == DOM else u.object
-                found.append((Triple(typed, TYPE, o), vd.meet(vu), True))
+                found.append((Triple(typed, TYPE, o), vd.meet(vu)))
     return found
+
+
+def _agenda_loop(
+    out: AnnotatedGraph, seeds: Statements, max_firings: int, stats: ClosureStats
+) -> None:
+    """Close `seeds` into the empty store `out` by the agenda loop of the
+    module docstring, and put the counts in `stats`.  `pending` maps each
+    triple on the agenda to the value still to store, None once stored."""
+    pending: dict[Triple, AnnotationValue | None] = dict(seeds)
+    agenda = deque(pending)
+    firings = new = subsumed = bottom = taken = 0
+
+    def counts() -> ClosureStats:
+        raised = firings - new - subsumed - bottom
+        return ClosureStats(firings, new, raised, subsumed, bottom, taken)
+
+    while agenda:
+        seed = agenda.popleft()
+        unstored = pending.pop(seed)
+        taken += 1
+        if unstored is not None:
+            out.insert(seed, unstored)
+        for conclusion, value in _consequences(out, seed, out.get(seed)):
+            if firings == max_firings:
+                raise ClosureIterationError(max_firings, counts())
+            firings += 1
+            if value.is_bottom:
+                bottom += 1
+                continue
+            queued = conclusion in pending
+            if conclusion in out:
+                grew, value = out.insert(conclusion, value), None
+            elif queued:
+                waiting = pending[conclusion]
+                value = waiting.join(value)
+                grew = value != waiting
+            else:
+                new += 1
+                grew = True
+            if not grew:
+                subsumed += 1
+                continue
+            if not queued:
+                agenda.append(conclusion)
+            pending[conclusion] = value
+    vars(stats).update(vars(counts()))
+
+
+def _tables_apply(graph: AnnotatedGraph) -> tuple[Statements, Statements] | None:
+    """The schema and the data statements of `graph`, or None when the
+    table rule does not hold for it (see the module docstring)."""
+    if not graph.domain.meet_distributes:
+        return None
+    schema: Statements = []
+    data: Statements = []
+    for t, v in graph.statements():
+        if t.subject in RHO_DF or (t.object in RHO_DF and t.predicate != TYPE):
+            return None
+        (schema if t.predicate in SCHEMA else data).append((t, v))
+    return schema, data
+
+
+def _table_closure(
+    graph: AnnotatedGraph,
+    schema_seeds: Statements,
+    data: Statements,
+    max_firings: int,
+    stats: ClosureStats,
+) -> AnnotatedGraph:
+    """The closure of `graph` by the table rule: close the schema with the
+    agenda loop, then insert each data triple's table conclusions."""
+    schema = AnnotatedGraph(graph.domain)
+    _agenda_loop(schema, schema_seeds, max_firings, stats)
+    out = graph.copy()
+    for t, v in schema.statements():
+        out.insert(t, v)
+    match = schema.match
+    superclasses: dict[Term, list[tuple[Term, AnnotationValue]]] = {}
+    tables: dict[Term, tuple] = {}
+
+    def supers(a: Term) -> list[tuple[Term, AnnotationValue]]:
+        found = superclasses.get(a)
+        if found is None:
+            found = superclasses[a] = [(u.object, w) for u, w in match(a, SC, None)]
+        return found
+
+    def types(kind: Term, properties) -> list[tuple[Term, AnnotationValue]]:
+        # Each class the `kind` of a property reaches, closed under `sc`,
+        # with the values of its paths joined.
+        joined: dict[Term, AnnotationValue] = {}
+        for d, a in properties:
+            for u, b in match(d, kind, None):
+                w = b if a is None else a.meet(b)
+                for c, x in [(u.object, w)] + [(c, w.meet(x)) for c, x in supers(u.object)]:
+                    old = joined.get(c)
+                    joined[c] = x if old is None else old.join(x)
+        return [(c, w) for c, w in joined.items() if not w.is_bottom]
+
+    def table(p: Term) -> tuple:
+        found = tables.get(p)
+        if found is None:
+            up = [(u.object, a) for u, a in match(p, SP, None)]
+            properties = [(p, None)] + up
+            found = tables[p] = (
+                [(e, a) for e, a in up if e.kind != LITERAL],
+                types(DOM, properties),
+                types(RANGE, properties),
+            )
+        return found
+
+    # Every predicate below is `type` or a stored superproperty that is
+    # not a literal, so the conclusions skip `Triple`'s check.
+    make = tuple.__new__
+    firings, new, subsumed, bottom, seeds = (
+        stats.firings, stats.new, stats.subsumed, stats.bottom, stats.seeds
+    )
+
+    def counts() -> ClosureStats:
+        raised = firings - new - subsumed - bottom
+        return ClosureStats(firings, new, raised, subsumed, bottom, seeds)
+
+    for (s, p, o), v in data:
+        seeds += 1
+        if p == TYPE:
+            found = [(make(Triple, (s, TYPE, c)), w) for c, w in supers(o)]
+        else:
+            up, subject_types, object_types = table(p)
+            found = [(make(Triple, (s, e, o)), w) for e, w in up]
+            found += [(make(Triple, (s, TYPE, c)), w) for c, w in subject_types]
+            found += [(make(Triple, (o, TYPE, c)), w) for c, w in object_types]
+        for conclusion, w in found:
+            if firings == max_firings:
+                raise ClosureIterationError(max_firings, counts())
+            firings += 1
+            value = v.meet(w)
+            if value.is_bottom:
+                bottom += 1
+            elif conclusion not in out:
+                new += 1
+                out.insert(conclusion, value)
+            elif not out.insert(conclusion, value):
+                subsumed += 1
+    vars(stats).update(vars(counts()))
+    return out
 
 
 def closure(
@@ -148,55 +297,21 @@ def closure(
 ) -> AnnotatedGraph:
     """Least fixpoint of the rho-df rules over `graph`, as a frozen new graph.
 
-    Semi-naive, with the skips the module docstring describes.  `pending`
-    maps each triple on the agenda to the value still to store (None once
-    stored) and to whether it fires in full: the OR over the raises since
-    it last left the agenda.  `stats`, if given, receives the counts.
-    A negative `max_firings` is a `ValueError`: it would be no cap.
+    By the table rule when it holds, else by the agenda loop (see the
+    module docstring).  `stats`, if given, receives the counts.  A
+    negative `max_firings` is a `ValueError`: it would be no cap.
     """
     if max_firings < 0:
         raise ValueError(f"max_firings must be at least 0, got {max_firings}")
-    out = AnnotatedGraph(graph.domain)
-    pending = {t: (v, True) for t, v in graph.statements()}
-    agenda = deque(pending)
-    skips = out.domain.meet_distributes
-    firings = new = subsumed = bottom = seeds = 0
-
-    def counts() -> ClosureStats:
-        raised = firings - new - subsumed - bottom
-        return ClosureStats(firings, new, raised, subsumed, bottom, seeds)
-
-    while agenda:
-        seed = agenda.popleft()
-        unstored, seed_full = pending.pop(seed)
-        seeds += 1
-        if unstored is not None:
-            out.insert(seed, unstored)
-        for conclusion, value, full in _consequences(out, seed, out.get(seed), seed_full):
-            if firings == max_firings:
-                raise ClosureIterationError(max_firings, counts())
-            firings += 1
-            if value.is_bottom:
-                bottom += 1
-                continue
-            waiting = pending.get(conclusion)
-            if conclusion in out:
-                grew, value = out.insert(conclusion, value), None
-            elif waiting is not None:
-                value = waiting[0].join(value)
-                grew = value != waiting[0]
-            else:
-                new += 1
-                grew = True
-            if not grew:
-                subsumed += 1
-                continue
-            if waiting is None:
-                agenda.append(conclusion)
-                waiting = (None, False)
-            pending[conclusion] = (value, waiting[1] or full or not skips)
+    counts = ClosureStats()
+    split = _tables_apply(graph)
+    if split is None:
+        out = AnnotatedGraph(graph.domain)
+        _agenda_loop(out, graph.statements(), max_firings, counts)
+    else:
+        out = _table_closure(graph, *split, max_firings, counts)
     if stats is not None:
-        vars(stats).update(vars(counts()))
+        vars(stats).update(vars(counts))
     return out.freeze()
 
 

@@ -212,9 +212,11 @@ def parse_graph(text: str, domain: Domain | str | None = None) -> Document:
 
 
 # A tab is escaped too, so that a literal stays one field of a TSV answer,
-# and a carriage return, which a reader in text mode takes for a line end.
+# and so is every line break that `str.splitlines` knows, so that it stays
+# on one line: `\r` by name and the rest as `\uXXXX`.
 _LITERAL_ESCAPES = str.maketrans(
     {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+    | {c: f"\\u{ord(c):04X}" for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 )
 
 

@@ -2,8 +2,9 @@
 
 Both formats read the same ground terms: `<iri>`, which may hold a
 space but no control character (U+0000-U+001F), also in `@prefix`;
-`"literal"` (escapes `\\n`, `\\t`, `\\r`, `\\"`, `\\\\`; any other
-escaped character stands for itself); `prefix:name` after an
+`"literal"` (escapes `\\n`, `\\t`, `\\r`, `\\"`, `\\\\`, and `\\uXXXX` for
+the character with those four hex digits, unless they name a surrogate;
+any other escaped character stands for itself); `prefix:name` after an
 `@prefix name: <iri> .` directive; and bare names, taken as IRIs
 verbatim except for the rho-df keywords `type`, `sp`, `sc`, `dom`,
 `range`.  A name never ends in `.`, so `a b c.` ends after `c`; nor does
@@ -36,7 +37,7 @@ _ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}
 CONTROL_RE = re.compile(r"[\x00-\x1f]")
 _WS_RE = re.compile(r"(?:\s|#[^\n]*)*")
 _STRING_RE = re.compile(r'"((?:[^"\\]|\\.)*)"', re.DOTALL)
-_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPE_RE = re.compile(r"\\(u(?![dD][89a-fA-F])[0-9a-fA-F]{4}|.)", re.DOTALL)
 _OPENING = ("<", "{", "[", "(")
 _BRACKET_RE = re.compile(r"[<{\[(>}\])]")
 _WORD_RE = re.compile(r"[A-Za-z0-9_:+\-/]+(?:\.[A-Za-z0-9_:+\-/]+)*")
@@ -57,6 +58,11 @@ def annotation_literal_end(text: str, start: int) -> int:
         return -1
     m = _WORD_RE.match(text, start)
     return -1 if m is None else m.end()
+
+
+def _unescape(escape: re.Match) -> str:
+    code = escape[1]
+    return chr(int(code[1:], 16)) if len(code) == 5 else _ESCAPES.get(code, code)
 
 
 def name_term(name: str) -> Term:
@@ -116,7 +122,7 @@ class Scanner:
             if m is None:
                 raise self.error("unterminated string literal")
             self.pos = m.end()
-            return literal(_ESCAPE_RE.sub(lambda e: _ESCAPES.get(e[1], e[1]), m[1]))
+            return literal(_ESCAPE_RE.sub(_unescape, m[1]))
         m = PNAME_RE.match(self.text, self.pos)
         if m:
             prefix = m.group(1) or ""

@@ -45,6 +45,13 @@ class TestInfer:
         assert code == 0
         assert stdout == (data_dir / "compound_sample.closed.anrdf").read_text()
 
+    def test_fallback_sample_closes_to_the_checked_in_closure(self, capsys, data_dir):
+        # manages is a subproperty of type, so the closure runs the agenda
+        # loop.
+        code, stdout, _ = run(capsys, "infer", "-i", str(data_dir / "fallback_sample.anrdf"))
+        assert code == 0
+        assert stdout == (data_dir / "fallback_sample.closed.anrdf").read_text()
+
     def test_empty_input(self, capsys, tmp_path):
         src = tmp_path / "empty.anrdf"
         src.write_text("@domix temporal .\n")
@@ -63,6 +70,13 @@ class TestInfer:
         code, _, stderr = run(capsys, "infer", "-i", str(src))
         assert code == 2
         assert "error" in stderr
+
+    def test_deeply_nested_provenance_literal_exit_2(self, capsys, tmp_path):
+        src = tmp_path / "deep.anrdf"
+        src.write_text("@domix provenance .\n(x p y) : " + "(" * 1200 + "a" + ")" * 1200 + " .\n")
+        code, stdout, stderr = run(capsys, "infer", "-i", str(src))
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: 2:11: groups nested deeper than")
 
     @pytest.mark.parametrize("override", [[], ["--domain", "temporal"]])
     def test_late_domix_exit_2(self, capsys, tmp_path, override):

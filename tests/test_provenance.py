@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from anrdf.domains import get_domain
 from anrdf.domains.provenance import (
     FALSE,
+    MAX_NESTING,
     TRUE,
     minimize_clauses,
     prov_join,
@@ -125,6 +126,16 @@ class TestCodec:
     def test_malformed(self, bad):
         with pytest.raises(AnnotationSyntaxError):
             PROV.parse(bad)
+
+    def test_groups_nest_up_to_the_limit(self):
+        def nested(depth):
+            return "(" * depth + "a" + ")" * depth
+
+        assert PROV.parse(nested(MAX_NESTING)) == PROV.parse("a")
+        for depth in (MAX_NESTING + 1, 1200):
+            message = f"deeper than {MAX_NESTING} at position {MAX_NESTING} "
+            with pytest.raises(AnnotationSyntaxError, match=message):
+                PROV.parse(nested(depth))
 
     @given(st.randoms(use_true_random=False))
     def test_parse_reads_what_format_writes(self, rng):

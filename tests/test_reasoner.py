@@ -11,7 +11,13 @@ from anrdf import apply_defaults, closure, get_domain, iri, literal, parse_graph
 from anrdf.domains.compound import CompoundDomain
 from anrdf.errors import AnrdfError, ClosureIterationError, DomainMismatchError
 from anrdf.model import DOM, RANGE, SC, SP, TYPE, AnnotatedGraph, Triple, skolem
-from anrdf.reasoner import ClosureStats, _consequences
+from anrdf.reasoner import (
+    DEFAULT_MAX_FIRINGS,
+    ClosureStats,
+    _agenda_loop,
+    _consequences,
+    _tables_apply,
+)
 from oracles import (
     brute_force_closure,
     crisp_closure,
@@ -247,6 +253,17 @@ BRUTE_FORCE_DOMAINS = [
     get_domain(name)
     for name in ("temporal", "provenance", "fuzzy:min", "compound(temporal,fuzzy:product)")
 ]
+# The table pool has no rho-df node, so its graphs take the table path
+# in every domain whose meet distributes over join.  Its few nodes and
+# many triples give classes that two schema paths reach.
+TABLE_POOL = ([iri(x) for x in "abcd"] + [literal("l")], WIDE_VOCABULARY, 24)
+TABLE_DOMAINS = [
+    get_domain(name)
+    for name in (
+        "temporal", "provenance", "fuzzy:min", "fuzzy:product", "boolean",
+        "compound(temporal,provenance)",
+    )
+]
 
 
 def _random_graph(domain, pool, rng: random.Random) -> AnnotatedGraph:
@@ -263,6 +280,18 @@ def _random_graph(domain, pool, rng: random.Random) -> AnnotatedGraph:
         if not value.is_bottom:
             graph.insert(Triple(s, p, o), value)
     return graph
+
+
+def _loop_closure(
+    graph: AnnotatedGraph,
+    max_firings: int = DEFAULT_MAX_FIRINGS,
+    stats: ClosureStats | None = None,
+) -> AnnotatedGraph:
+    """The closure of `graph` by the agenda loop, whichever path `closure`
+    would take; `stats`, if given, receives the loop's counts."""
+    out = AnnotatedGraph(graph.domain)
+    _agenda_loop(out, graph.statements(), max_firings, stats or ClosureStats())
+    return out
 
 
 class _ShuffledGraph(AnnotatedGraph):
@@ -311,8 +340,8 @@ class TestClosureProperties:
     )
     def test_matches_brute_force_on_small_graphs(self, pool, seed):
         # One graph per domain from the same seed.  The compound's meet
-        # does not distribute (`meet_distributes` False), so its closure
-        # skips nothing.
+        # does not distribute (`meet_distributes` False), and the wide
+        # pool uses rho-df terms as data, so most graphs take the loop.
         for domain in BRUTE_FORCE_DOMAINS:
             base = _random_graph(domain, pool, random.Random(seed))
             fast = dict(closure(base).statements())
@@ -328,6 +357,61 @@ class TestClosureProperties:
         fast = dict(closure(graph).statements())
         assert (len(graph), len(fast)) == (244, 644)
         assert fast == brute_force_closure(graph)
+
+    @pytest.mark.parametrize("domain", TABLE_DOMAINS, ids=lambda d: d.name)
+    def test_table_path_equals_the_loop_and_the_brute_force(self, domain):
+        for seed in range(150):
+            graph = _random_graph(domain, TABLE_POOL, random.Random(seed))
+            assert _tables_apply(graph) is not None, seed
+            tables = dict(closure(graph).statements())
+            assert tables == dict(_loop_closure(graph).statements()), seed
+            assert tables == brute_force_closure(graph), seed
+
+    # Each graph takes the agenda loop for the reason its id names, and
+    # `derived` is a conclusion that the tables would get wrong.
+    @pytest.mark.parametrize(
+        "text, derived, value",
+        [
+            pytest.param(
+                # (x type B) joins [0,1] from domain typing and [4,5] from
+                # propagation; the meet of the join with (B sc C) exceeds
+                # the join of the two meets in this domain.
+                "@domix compound(temporal,fuzzy:product) .\n"
+                "(x P y) : {<{[0,1]},1>} .\n"
+                "(P dom B) : {<{[0,10]},1>} .\n"
+                "(x type A) : {<{[4,5]},1>} .\n"
+                "(A sc A1) : {<{[0,10]},1>} .\n"
+                "(A1 sc A2) : {<{[0,10]},1>} .\n"
+                "(A2 sc B) : {<{[0,10]},1>} .\n"
+                "(B sc C) : {<{[0,1],[4,5]},1/2>} .\n",
+                "x type C",
+                "{<{[0,1],[4,5]},1/2>}",
+                id="meet-does-not-distribute",
+            ),
+            pytest.param(
+                # type has a superproperty, so type triples are sp-applied.
+                "@domix temporal .\n(type sp rel) : {[0,9]} .\n(x type A) : {[2,5]} .\n",
+                "x rel A",
+                "{[2,5]}",
+                id="rho-df-subject",
+            ),
+            pytest.param(
+                # manages triples conclude type triples, which sc propagates.
+                "@domix temporal .\n(manages sp type) : {[0,9]} .\n"
+                "(alice manages Boss) : {[2,12]} .\n(Boss sc Person) : {[0,20]} .\n",
+                "alice type Person",
+                "{[2,9]}",
+                id="rho-df-object",
+            ),
+        ],
+    )
+    def test_each_fallback_condition_takes_the_loop(self, text, derived, value):
+        graph = parse_graph(text).graph
+        assert _tables_apply(graph) is None
+        closed = closure(graph)
+        (t,) = parse_graph(f"{derived} .\n", domain="temporal").plain
+        assert closed.get(t) == graph.domain.parse(value)
+        assert dict(closed.statements()) == brute_force_closure(graph)
 
     @pytest.mark.parametrize("domain", BRUTE_FORCE_DOMAINS, ids=lambda d: d.name)
     def test_agenda_order_does_not_change_the_closure(self, domain):
@@ -360,17 +444,13 @@ class TestClosureProperties:
         for t, value in zip(triples, values):
             graph.insert(t, value)
         expected = functools.reduce(lambda a, b: a.meet(b), values)
-        assert (derived, expected) in [
-            (t, v)
-            for t, v, _ in _consequences(
-                graph, triples[seed], values[seed], True
-            )
-        ]
+        assert (derived, expected) in _consequences(graph, triples[seed], values[seed])
 
     def test_raises_before_a_seed_leaves_or_their_flags(self):
-        # (x type A) is raised by domain typing ([5,6]) and then, before
-        # it leaves the agenda, by type propagation from (x type A0)
-        # ([1,2]).  It must still be propagated through (A sc B).
+        # In the agenda loop, (x type A) is raised by domain typing ([5,6])
+        # and then, before it leaves the agenda, by type propagation from
+        # (x type A0) ([1,2]).  It must still be propagated through
+        # (A sc B).
         doc = parse_graph(
             "@domix temporal .\n"
             "(A sc B) : {[0,10]} .\n"
@@ -379,28 +459,8 @@ class TestClosureProperties:
             "(x P y) : {[5,6]} .\n"
             "(x type A0) : {[1,2]} .\n"
         )
-        closed = closure(doc.graph)
+        closed = _loop_closure(doc.graph)
         assert closed.get(Triple(iri("x"), TYPE, iri("B"))) == tv("{[1,2],[5,6]}")
-        assert dict(closed.statements()) == brute_force_closure(doc.graph)
-
-    def test_no_skips_where_meet_only_distributes_up_to_an_inequality(self):
-        # (x type B) joins [0,1] from domain typing and, after it first
-        # left the agenda, [4,5] from propagation; the meet of the join
-        # with (B sc C) exceeds the join of the two meets in this domain.
-        doc = parse_graph(
-            "@domix compound(temporal,fuzzy:product) .\n"
-            "(x P y) : {<{[0,1]},1>} .\n"
-            "(P dom B) : {<{[0,10]},1>} .\n"
-            "(x type A) : {<{[4,5]},1>} .\n"
-            "(A sc A1) : {<{[0,10]},1>} .\n"
-            "(A1 sc A2) : {<{[0,10]},1>} .\n"
-            "(A2 sc B) : {<{[0,10]},1>} .\n"
-            "(B sc C) : {<{[0,1],[4,5]},1/2>} .\n"
-        )
-        closed = closure(doc.graph)
-        assert closed.get(Triple(iri("x"), TYPE, iri("C"))) == doc.graph.domain.parse(
-            "{<{[0,1],[4,5]},1/2>}"
-        )
         assert dict(closed.statements()) == brute_force_closure(doc.graph)
 
     def test_few_firings_are_subsumed(self):
@@ -425,18 +485,24 @@ class TestClosureProperties:
 
     def test_each_combination_of_premises_fires_once(self):
         # Lookups see only the processed triples, so the rule fires from
-        # whichever of its two premises leaves the agenda last.
+        # whichever of its two premises leaves the agenda last.  The table
+        # path fires it once from the data triple, its one seed beside
+        # the schema triple.
         doc = parse_graph("@domix temporal .\n(A sc B) : {[0,10]} .\n(x type A) : {[2,5]} .\n")
+        derived = Triple(iri("x"), TYPE, iri("B"))
         stats = ClosureStats()
-        closed = closure(doc.graph, stats=stats)
-        assert closed.get(Triple(iri("x"), TYPE, iri("B"))) == tv("{[2,5]}")
+        assert _loop_closure(doc.graph, stats=stats).get(derived) == tv("{[2,5]}")
         assert stats == ClosureStats(firings=1, new=1, raised=0, subsumed=0, bottom=0, seeds=3)
+        assert closure(doc.graph, stats=stats).get(derived) == tv("{[2,5]}")
+        assert stats == ClosureStats(firings=1, new=1, raised=0, subsumed=0, bottom=0, seeds=2)
 
     def test_stats_count_each_outcome(self):
-        # Every firing concludes (x type B).  From (x type A) it raises the
-        # pending value of that input triple; from (x type C), once stored,
-        # it raises it in place and puts it back on the agenda; from
-        # (x type D) it is bottom, and from (x type E) subsumed.
+        # Every firing concludes (x type B).  In the agenda loop, from
+        # (x type A) it raises the pending value of that input triple; from
+        # (x type C), once stored, it raises it in place and puts it back
+        # on the agenda; from (x type D) it is bottom, and from (x type E)
+        # subsumed.  The table path has the same outcomes, and its seeds
+        # are the four schema triples and the five data triples.
         doc = parse_graph(
             "@domix temporal .\n"
             "(A sc B) : {[0,10]} .\n(C sc B) : {[0,10]} .\n"
@@ -445,10 +511,12 @@ class TestClosureProperties:
             "(x type C) : {[1,2],[5,6]} .\n(x type D) : {[1,2]} .\n"
             "(x type E) : {[1,1]} .\n"
         )
+        derived = Triple(iri("x"), TYPE, iri("B"))
         stats = ClosureStats()
-        closed = closure(doc.graph, stats=stats)
-        assert closed.get(Triple(iri("x"), TYPE, iri("B"))) == tv("{[0,0],[1,2],[5,6]}")
+        assert _loop_closure(doc.graph, stats=stats).get(derived) == tv("{[0,0],[1,2],[5,6]}")
         assert stats == ClosureStats(firings=4, new=0, raised=2, subsumed=1, bottom=1, seeds=10)
+        assert closure(doc.graph, stats=stats).get(derived) == tv("{[0,0],[1,2],[5,6]}")
+        assert stats == ClosureStats(firings=4, new=0, raised=2, subsumed=1, bottom=1, seeds=9)
 
     def test_plain_schema_meets_skip_the_compound_kernel(self, monkeypatch):
         # A plain schema gets top from `apply_defaults`, so every rule
@@ -530,6 +598,28 @@ class TestClosureProperties:
         stats = caught.value.stats
         assert stats.firings == 3
         assert stats.new + stats.raised + stats.subsumed + stats.bottom == 3
+
+    def test_every_cap_stops_at_its_firing_on_both_paths(self):
+        # The table path fires its schema loop (sp and sc transitivity)
+        # before its table conclusions; each cap below the total stops at
+        # that firing, in either phase and in the loop alone.
+        doc = parse_graph(
+            "@domix temporal .\n"
+            "(A sc B) : {[0,10]} .\n(B sc C) : {[0,10]} .\n"
+            "(p sp q) : {[0,10]} .\n(q sp r) : {[0,10]} .\n(q dom A) : {[0,10]} .\n"
+            "(x p y) : {[1,5]} .\n(z type A) : {[2,3]} .\n"
+        )
+        assert _tables_apply(doc.graph) is not None
+        for close in (closure, _loop_closure):
+            stats = ClosureStats()
+            close(doc.graph, stats=stats)
+            for cap in range(stats.firings):
+                with pytest.raises(ClosureIterationError) as caught:
+                    close(doc.graph, max_firings=cap)
+                got = caught.value.stats
+                assert got.firings == cap
+                assert got.new + got.raised + got.subsumed + got.bottom == cap
+            close(doc.graph, max_firings=stats.firings)
 
     def test_zero_cap_stops_at_the_first_firing(self, data_dir):
         doc = parse_graph((data_dir / "fig1.anrdf").read_text())

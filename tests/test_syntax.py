@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from anrdf import evaluate_query, get_domain, parse_graph, parse_query
 from anrdf.anql import algebra as alg
@@ -332,6 +333,16 @@ class TestDataRoundTrip:
         again = parse_graph(serialize_graph(doc.graph, doc.plain))
         assert again.plain == doc.plain
         assert dict(again.graph.statements()) == dict(doc.graph.statements())
+
+    @pytest.mark.parametrize(
+        "written, read",
+        [("\\u2028", "\u2028"), ("\\u000b", "\v"), ("\\u00E9", "é"),
+         ("\\u12", "u12"), ("\\uD800", "uD800"), ("\\U2028", "U2028"), ("\\\\u0041", "\\u0041")],
+    )
+    def test_a_unicode_escape_reads_as_its_character(self, written, read):
+        # Four hex digits that name no surrogate; else `u` stands for itself.
+        doc = parse_graph(f'(a p "{written}") : 1 .\n', "temporal")
+        assert doc.graph.get(Triple(iri("a"), iri("p"), literal(read))) is not None
 
     def test_a_carriage_return_escape_reads_as_one(self):
         doc = parse_graph('(a p "x\\ry") : 1 .\n', "temporal")
@@ -940,6 +951,21 @@ class TestAnswerSerialisation:
         assert lines[0] == "?x\t?l\t?n"
         assert lines[1] == "toivo\t{[2002,2009]}\t7"
         assert lines[2] == '"free text"\t\t'
+
+    # Every line break that str.splitlines() knows, with the characters
+    # an escape could be confused with.
+    @given(st.text(st.sampled_from([*"\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029", *'\t\\"u0Ba'])))
+    def test_a_literal_stays_on_one_line_and_round_trips(self, text):
+        term = literal(text)
+        tsv = serialize_answers_tsv(self.VARS[:2], [{"x": term, "l": term}])
+        assert [line.split("\t") for line in tsv.splitlines()] == [
+            ["?x", "?l"], [format_term(term)] * 2
+        ]
+        graph = AnnotatedGraph(TEMPORAL)
+        graph.insert(Triple(iri("a"), iri("p"), term), TEMPORAL.parse("[1,2]"))
+        written = serialize_graph(graph)
+        assert len(written.splitlines()) == 2
+        assert dict(parse_graph(written).graph.statements()) == dict(graph.statements())
 
     def test_json(self):
         import json
