@@ -4,6 +4,12 @@ Variables are plain `?name` tokens; whether one is a regular or an
 annotation variable follows from where it occurs (annotation slots and
 annotation-valued built-ins bind annotation values, everything else
 binds terms), so solutions distinguish the two by the bound value.
+
+The depth rule: every pattern and filter-expression node has a `depth`,
+the levels of its tree, set when it is built from its children's.  The
+walkers of a tree recurse a level at a time, so `rewrite_defaults` and
+`evaluate_query` take no pattern deeper than `MAX_DEPTH` (`check_depth`),
+and the parser takes no group, `(` or `!` nested deeper than it.
 """
 
 from __future__ import annotations
@@ -13,7 +19,12 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Union
 
 from ..domains import AnnotationValue
+from ..errors import AnrdfError
 from ..model import Term
+
+# The walkers and the parser spend up to four frames a level, so this
+# stays well inside Python's default limit of 1,000.
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -37,10 +48,22 @@ class TriplePattern:
     annotation: AnnotationLabel = None
 
 
+class Node:
+    depth: int = 1  # the levels of this node's tree, set once when the node is built
+
+    def __post_init__(self) -> None:
+        children = (getattr(self, name, None) for name in _CHILDREN)
+        depth = 1 + max((c.depth for c in children if isinstance(c, Node)), default=0)
+        object.__setattr__(self, "depth", depth)
+
+
+_CHILDREN = ("left", "right", "pattern", "inner", "expr", "filter")
+
+
 # -- filter expressions -------------------------------------------------------
 
 
-class FilterExpr:
+class FilterExpr(Node):
     pass
 
 
@@ -98,12 +121,13 @@ class BuiltinCall(FilterExpr):
 # -- patterns -----------------------------------------------------------------
 
 
-class Pattern:
+class Pattern(Node):
     bindings: Bindings  # what this node's rows bind, set once when the node is built
 
     def __post_init__(self) -> None:
-        # The children are built first, so `bindings` reads their attribute
-        # and never recurses, however deep the tree.
+        # The children are built first, so `depth` and `bindings` read
+        # their attributes and never recurse, however deep the tree.
+        super().__post_init__()
         object.__setattr__(self, "bindings", bindings(self))
 
 
@@ -228,6 +252,14 @@ def bindings(p: Pattern) -> Bindings:
         kept = frozenset(k.name for k in p.keys)
         return Bindings(kept | new, inner.terms & kept - new, inner.labels & kept - new, False)
     raise TypeError(f"not a pattern: {p!r}")
+
+
+def check_depth(query: QueryDocument) -> None:
+    """Raise `AnrdfError` if the pattern of `query` is deeper than
+    `MAX_DEPTH` (the depth rule)."""
+    depth = query.pattern.depth
+    if depth > MAX_DEPTH:
+        raise AnrdfError(f"query pattern is {depth} levels deep, deeper than {MAX_DEPTH}")
 
 
 def occurrences(node, kind: type) -> Iterator:

@@ -486,7 +486,9 @@ def evaluate_query(
     """Evaluate a SELECT query; rows keep only the selected variables.
 
     Raises `DomainMismatchError` if an annotation constant of the query
-    is not in the graph's domain (the domain rule)."""
+    is not in the graph's domain (the domain rule), and `AnrdfError` if
+    its pattern is too deep (`algebra`'s depth rule)."""
+    alg.check_depth(query)
     for value in alg.occurrences(query, AnnotationValue):
         if value.domain.name != graph.domain.name:
             raise DomainMismatchError(

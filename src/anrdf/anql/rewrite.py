@@ -24,6 +24,7 @@ def rewrite_defaults(
 ) -> alg.QueryDocument:
     if mode not in MODES:
         raise ValueError(f"unknown rewrite mode {mode!r}")
+    alg.check_depth(query)
     used = {var.name for var in alg.occurrences(query, alg.Var)}
     counter = count()
 

@@ -26,16 +26,13 @@ The table rule.  When no rho-df term is used as data, that is, none is
 the subject of a triple or the object of a triple other than a `type`
 triple, data triples never combine with one another and never conclude
 a schema triple.  The schema then closes by sp- and sc-transitivity
-alone, and every conclusion of a data triple annotated v is v meet w,
-for a schema value w that depends on its predicate D alone, or on its
-class A for a `type` triple (X type A):
-
-- (X E Y) for each closed (D sp E), E not a literal, w its value;
-- (X type C) for each class C reached by the `dom` of D or of a closed
-  superproperty E, and then by closed `sc`; w meets the values along
-  the path, and the paths to one C are joined;
-- (Y type C) likewise from `range`;
-- (X type C) for each closed (A sc C), from (X type A).
+alone, and a data triple's conclusions depend only on its predicate D,
+or on its class A for a `type` triple (X type A).  So they come from a
+table: the conclusions of the placeholder (X D Y), or (X type A),
+annotated top over the closed schema, each `type` conclusion of (X D Y)
+taken one `sc` step further, the values of one conclusion joined and
+bottom ones dropped.  A data triple (s D o) annotated v concludes each
+entry with s and o in place of X and Y, annotated v meet its value.
 
 The conclusions are data triples whose own conclusions these tables
 already hold, because the closed `sp` and `sc` cover every chain: a
@@ -68,7 +65,7 @@ from typing import Iterable
 
 from .domains import AnnotationValue, get_domain
 from .errors import ClosureIterationError
-from .model import DOM, LITERAL, RANGE, RHO_DF, SC, SP, TYPE, AnnotatedGraph, Term, Triple
+from .model import DOM, LITERAL, RANGE, RHO_DF, SC, SP, TYPE, AnnotatedGraph, Term, Triple, skolem
 
 DEFAULT_MAX_FIRINGS = 1_000_000
 
@@ -76,6 +73,10 @@ SCHEMA = frozenset({SP, SC, DOM, RANGE})
 
 Conclusion = tuple[Triple, AnnotationValue]
 Statements = list[tuple[Triple, AnnotationValue]]
+
+# The subject and object of a table's placeholder (see the table rule),
+# told apart from every stored term by identity.
+_X, _Y = skolem("X"), skolem("Y")
 
 
 @dataclass
@@ -94,6 +95,11 @@ class ClosureStats:
     subsumed: int = 0
     bottom: int = 0
     seeds: int = 0
+
+
+def _counts(firings: int, new: int, subsumed: int, bottom: int, seeds: int) -> ClosureStats:
+    """The `ClosureStats` of these counts; every other firing raised a value."""
+    return ClosureStats(firings, new, firings - new - subsumed - bottom, subsumed, bottom, seeds)
 
 
 def _typing(
@@ -155,11 +161,6 @@ def _agenda_loop(
     pending: dict[Triple, AnnotationValue | None] = dict(seeds)
     agenda = deque(pending)
     firings = new = subsumed = bottom = taken = 0
-
-    def counts() -> ClosureStats:
-        raised = firings - new - subsumed - bottom
-        return ClosureStats(firings, new, raised, subsumed, bottom, taken)
-
     while agenda:
         seed = agenda.popleft()
         unstored = pending.pop(seed)
@@ -168,7 +169,8 @@ def _agenda_loop(
             out.insert(seed, unstored)
         for conclusion, value in _consequences(out, seed, out.get(seed)):
             if firings == max_firings:
-                raise ClosureIterationError(max_firings, counts())
+                stopped = _counts(firings, new, subsumed, bottom, taken)
+                raise ClosureIterationError(max_firings, stopped)
             firings += 1
             if value.is_bottom:
                 bottom += 1
@@ -189,7 +191,7 @@ def _agenda_loop(
             if not queued:
                 agenda.append(conclusion)
             pending[conclusion] = value
-    vars(stats).update(vars(counts()))
+    vars(stats).update(vars(_counts(firings, new, subsumed, bottom, taken)))
 
 
 def _tables_apply(graph: AnnotatedGraph) -> tuple[Statements, Statements] | None:
@@ -219,40 +221,23 @@ def _table_closure(
     _agenda_loop(schema, schema_seeds, max_firings, stats)
     out = graph.copy()
     for t, v in schema.statements():
-        out.insert(t, v)
-    match = schema.match
-    superclasses: dict[Term, list[tuple[Term, AnnotationValue]]] = {}
-    tables: dict[Term, tuple] = {}
+        if graph.get(t) != v:
+            out.insert(t, v)
+    top = graph.domain.top
+    by_predicate: dict[Term, list[Conclusion]] = {}
+    by_class: dict[Term, list[Conclusion]] = {}
 
-    def supers(a: Term) -> list[tuple[Term, AnnotationValue]]:
-        found = superclasses.get(a)
-        if found is None:
-            found = superclasses[a] = [(u.object, w) for u, w in match(a, SC, None)]
-        return found
-
-    def types(kind: Term, properties) -> list[tuple[Term, AnnotationValue]]:
-        # Each class the `kind` of a property reaches, closed under `sc`,
-        # with the values of its paths joined.
-        joined: dict[Term, AnnotationValue] = {}
-        for d, a in properties:
-            for u, b in match(d, kind, None):
-                w = b if a is None else a.meet(b)
-                for c, x in [(u.object, w)] + [(c, w.meet(x)) for c, x in supers(u.object)]:
-                    old = joined.get(c)
-                    joined[c] = x if old is None else old.join(x)
+    def table(placeholder: Triple) -> list[Conclusion]:
+        # The table of `placeholder`, by the table rule.  A class's
+        # conclusions come from the closed `sc`, so they need no step.
+        further = placeholder.predicate != TYPE
+        joined: dict[Triple, AnnotationValue] = {}
+        for t, w in _consequences(schema, placeholder, top):
+            steps = _consequences(schema, t, w) if further and t.predicate == TYPE else []
+            for c, x in [(t, w), *steps]:
+                old = joined.get(c)
+                joined[c] = x if old is None else old.join(x)
         return [(c, w) for c, w in joined.items() if not w.is_bottom]
-
-    def table(p: Term) -> tuple:
-        found = tables.get(p)
-        if found is None:
-            up = [(u.object, a) for u, a in match(p, SP, None)]
-            properties = [(p, None)] + up
-            found = tables[p] = (
-                [(e, a) for e, a in up if e.kind != LITERAL],
-                types(DOM, properties),
-                types(RANGE, properties),
-            )
-        return found
 
     # Every predicate below is `type` or a stored superproperty that is
     # not a literal, so the conclusions skip `Triple`'s check.
@@ -260,24 +245,23 @@ def _table_closure(
     firings, new, subsumed, bottom, seeds = (
         stats.firings, stats.new, stats.subsumed, stats.bottom, stats.seeds
     )
-
-    def counts() -> ClosureStats:
-        raised = firings - new - subsumed - bottom
-        return ClosureStats(firings, new, raised, subsumed, bottom, seeds)
-
     for (s, p, o), v in data:
         seeds += 1
         if p == TYPE:
-            found = [(make(Triple, (s, TYPE, c)), w) for c, w in supers(o)]
+            found = by_class.get(o)
+            if found is None:
+                found = by_class[o] = table(Triple(_X, TYPE, o))
         else:
-            up, subject_types, object_types = table(p)
-            found = [(make(Triple, (s, e, o)), w) for e, w in up]
-            found += [(make(Triple, (s, TYPE, c)), w) for c, w in subject_types]
-            found += [(make(Triple, (o, TYPE, c)), w) for c, w in object_types]
-        for conclusion, w in found:
+            found = by_predicate.get(p)
+            if found is None:
+                found = by_predicate[p] = table(Triple(_X, p, _Y))
+        for (a, q, b), w in found:
             if firings == max_firings:
-                raise ClosureIterationError(max_firings, counts())
+                stopped = _counts(firings, new, subsumed, bottom, seeds)
+                raise ClosureIterationError(max_firings, stopped)
             firings += 1
+            # A conclusion's subject is always a placeholder.
+            conclusion = make(Triple, (s if a is _X else o, q, o if b is _Y else b))
             value = v.meet(w)
             if value.is_bottom:
                 bottom += 1
@@ -286,7 +270,7 @@ def _table_closure(
                 out.insert(conclusion, value)
             elif not out.insert(conclusion, value):
                 subsumed += 1
-    vars(stats).update(vars(counts()))
+    vars(stats).update(vars(_counts(firings, new, subsumed, bottom, seeds)))
     return out
 
 

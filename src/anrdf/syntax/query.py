@@ -22,6 +22,8 @@ built-in tests; a built-in function (`length`, `maxlength`, `join`,
 `ParseError` at its name.  In a filter, a `(` opens a group unless a
 `?variable` or annotation literal followed by `<=`, `=` or `!=` starts
 there (`_comparison_ahead`), as in the provenance `(a ^ b) <= ?l`.
+Groups, a filter's `(` and `!` nest at most `algebra.MAX_DEPTH` levels,
+and the opening that crosses it is a `ParseError` there.
 
 GROUPBY's rules are checked here, before evaluation, as the built-in
 calls are, and each is a `ParseError` at its position: no aggregate
@@ -68,6 +70,18 @@ class _Scanner(Scanner):
     def __init__(self, text: str, domain: Domain):
         super().__init__(text)
         self.domain = domain
+        self.depth = 0  # the groups, `(` and `!` open here; the reader of each closes it
+
+    def open(self, token: str) -> bool:
+        """`take` the opening `token` of one more nesting level; a level
+        past `alg.MAX_DEPTH` is an error at the token."""
+        if not self.take(token):
+            return False
+        if self.depth == alg.MAX_DEPTH:
+            self.pos -= len(token)
+            raise self.error(f"query nested deeper than {alg.MAX_DEPTH} levels")
+        self.depth += 1
+        return True
 
     def keyword(self) -> str | None:
         """Peek the next bare word, lowercased, without consuming."""
@@ -200,7 +214,8 @@ def _parse_int(sc: _Scanner) -> int:
 
 
 def _parse_group(sc: _Scanner) -> alg.Pattern:
-    sc.expect("{")
+    if not sc.open("{"):
+        raise sc.error("expected '{'")
     acc: alg.Pattern | None = None
     bap: list[alg.TriplePattern] = []
 
@@ -239,6 +254,7 @@ def _parse_group(sc: _Scanner) -> alg.Pattern:
     flush()
     if acc is None:
         raise sc.error("empty group")
+    sc.depth -= 1
     return acc
 
 
@@ -390,11 +406,13 @@ def _parse_filter_and(sc: _Scanner) -> alg.FilterExpr:
 
 
 def _parse_filter_unary(sc: _Scanner) -> alg.FilterExpr:
-    if sc.take("!"):
-        if sc.peek() == "=":
-            raise sc.error("unexpected '!='")
-        return alg.Not(_parse_filter_unary(sc))
-    return _parse_filter_primary(sc)
+    if not sc.open("!"):
+        return _parse_filter_primary(sc)
+    if sc.peek() == "=":
+        raise sc.error("unexpected '!='")
+    negated = alg.Not(_parse_filter_unary(sc))
+    sc.depth -= 1
+    return negated
 
 
 def _parse_filter_primary(sc: _Scanner) -> alg.FilterExpr:
@@ -422,9 +440,10 @@ def _parse_filter_primary(sc: _Scanner) -> alg.FilterExpr:
             )
         return call
     ahead = _comparison_ahead(sc)
-    if ahead is None and sc.take("("):
+    if ahead is None and sc.open("("):
         inner = _parse_filter_expr(sc)
         sc.expect(")")
+        sc.depth -= 1
         return inner
     return _parse_comparison(sc, ahead)
 

@@ -25,7 +25,9 @@ from anrdf.anql.engine import (
     prune_maximal,
 )
 from anrdf.domains import AnnotationValue, compound
-from anrdf.errors import DomainMismatchError, ParseError, QueryTypeError, SaturationBoundError
+from anrdf.errors import (
+    AnrdfError, DomainMismatchError, ParseError, QueryTypeError, SaturationBoundError
+)
 from anrdf.model import IRI, LITERAL, SKOLEM, TYPE, AnnotatedGraph, Term, Triple
 from oracles import (
     _filter_value,
@@ -1337,6 +1339,53 @@ class TestDomainRule:
             [{"o": iri("b"), "l": tv("{[8,10]}")}, {"o": iri("c"), "l": tv("{[8,20]}")}]
         )
         assert len(calls) == 2
+
+
+class TestDepthRule:
+    """`rewrite_defaults` and `evaluate_query` take a pattern up to
+    `MAX_DEPTH` levels deep, and refuse a deeper one with an `AnrdfError`
+    before they walk it."""
+
+    GRAPH = "@domix temporal .\n(a p b) : {[0,10]} .\n"
+
+    @staticmethod
+    def query(depth: int, shape: str) -> alg.QueryDocument:
+        # A Bap under a chain of Filters, or under one Filter whose
+        # expression is a chain of `&&`; either is `depth` levels.
+        x = alg.Var("x")
+        pattern = alg.Bap((alg.TriplePattern(x, iri("p"), alg.Var("y"), alg.Var("l")),))
+        if shape == "filters":
+            for _ in range(depth - 1):
+                pattern = alg.Filter(pattern, alg.Bound(x))
+        else:
+            expr = alg.Bound(x)
+            for _ in range(depth - 2):
+                expr = alg.And(expr, alg.Bound(x))
+            pattern = alg.Filter(pattern, expr)
+        assert pattern.depth == depth
+        return alg.QueryDocument((x,), pattern)
+
+    @pytest.mark.parametrize("shape", ["filters", "conjunctions"])
+    def test_a_pattern_one_level_past_the_bound_is_refused(self, shape):
+        graph = closure(parse_graph(self.GRAPH).graph)
+        at_bound = self.query(alg.MAX_DEPTH, shape)
+        rewritten = rewrite_defaults(at_bound, "fresh-vars", TEMPORAL)
+        assert evaluate_query(graph, rewritten) == [{"x": iri("a")}]
+        past = self.query(alg.MAX_DEPTH + 1, shape)
+        message = f"{alg.MAX_DEPTH + 1} levels deep, deeper than {alg.MAX_DEPTH}"
+        with pytest.raises(AnrdfError, match=message):
+            rewrite_defaults(past, "top", TEMPORAL)
+        with pytest.raises(AnrdfError, match=message):
+            evaluate_query(graph, past)
+
+    def test_depth_counts_every_child(self):
+        x = alg.Var("x")
+        bap = alg.Bap((alg.TriplePattern(x, iri("p"), iri("o")),))
+        deep_filter = alg.Not(alg.And(alg.Bound(x), alg.Not(alg.Bound(x))))
+        assert deep_filter.depth == 4
+        assert alg.Optional(bap, alg.Filter(bap, alg.Bound(x)), deep_filter).depth == 5
+        assert alg.Union(alg.Limit(alg.OrderBy(bap, x), 1), bap).depth == 4
+        assert alg.GroupBy(alg.SubSelect((x,), bap), (x,), ()).depth == 3
 
 
 class TestBapAgainstClosureAnswering:

@@ -251,6 +251,18 @@ class TestQuery:
                 "warning: 1 plain triple(s) segregated; the query does not see them\n"
             )
 
+    def test_deep_query_exit_2(self, capsys, data_dir, tmp_path):
+        # It parses (`test_a_deep_group_parses`), but its pattern is 2,002
+        # levels deep, past the bound of `anrdf.anql.algebra`.
+        deep = tmp_path / "deep.anql"
+        filters = "FILTER(BOUND(?x)) " * 2000
+        deep.write_text(f"SELECT ?x WHERE {{ (?x p ?y):?l {filters}GROUPBY(?x) COUNT(?y) AS ?n }}")
+        code, stdout, stderr = run(
+            capsys, "query", "-i", str(data_dir / "fig1_exx1.anrdf"), str(deep)
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: query pattern is 2002 levels deep, deeper than 100\n"
+
     def test_query_parse_error_exit_2(self, capsys, data_dir, tmp_path):
         bad = tmp_path / "bad.anql"
         bad.write_text("SELECT ?x WHERE { }")

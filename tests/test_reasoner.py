@@ -367,6 +367,65 @@ class TestClosureProperties:
             assert tables == dict(_loop_closure(graph).statements()), seed
             assert tables == brute_force_closure(graph), seed
 
+    # Graphs on the table path whose data triples fill a table's
+    # placeholders in each way, and the triples their closures add.
+    PLACEHOLDERS = {
+        "subject-is-object": (
+            ["a p a", "p dom C", "p range D", "p sp q", "C sc E"],
+            ["a type C", "a type D", "a type E", "a q a"],
+        ),
+        "class-and-predicate": (  # p is a data predicate and a class
+            ["a p b", "c type p", "p sc C", "p dom D", "q dom p", "x q y"],
+            ["a type D", "c type C", "x type p", "x type C"],
+        ),
+        "literal-superproperty": (  # (a "L" b) is not a triple; its typing is
+            ["a p b", 'p sp "L"', '"L" dom C', '"L" range D', "C sc E"],
+            ["a type C", "a type E", "b type D"],
+        ),
+        "class-without-superclass": (["a type A", "b type B", "B sc C"], ["b type C"]),
+    }
+    # The value of the i-th statement of a graph, by domain.
+    VALUES = {"temporal": "{{[{i},{j}]}}", "provenance": "w{i}"}
+
+    @pytest.mark.parametrize("name", ["temporal", "provenance"])
+    @pytest.mark.parametrize("case", PLACEHOLDERS)
+    def test_placeholders_take_each_data_triples_terms(self, case, name):
+        domain = get_domain(name)
+        statements, added = (
+            parse_graph("".join(f"{t} .\n" for t in lines), domain="temporal").plain
+            for lines in self.PLACEHOLDERS[case]
+        )
+        graph = AnnotatedGraph(domain)
+        for i, t in enumerate(statements):
+            graph.insert(t, domain.parse(self.VALUES[name].format(i=i, j=20 - i)))
+        assert _tables_apply(graph) is not None
+        closed = dict(closure(graph).statements())
+        assert closed == dict(_loop_closure(graph).statements())
+        assert closed == brute_force_closure(graph)
+        assert closed.keys() - graph.triple_set() == set(added)
+
+    def test_only_changed_schema_statements_are_inserted(self, monkeypatch):
+        # The output starts as a copy of the input, so of the closed
+        # schema only what the loop derived or raised is inserted: here
+        # (A sc C) is raised, (A sc D) and (B sc D) are derived.
+        graph = parse_graph(
+            "@domix temporal .\n(A sc B) : {[0,5]} .\n(B sc C) : {[0,10]} .\n"
+            "(A sc C) : {[6,8]} .\n(C sc D) : {[0,10]} .\n(x type A) : {[1,2]} .\n"
+        ).graph
+        inserts = []
+        real = AnnotatedGraph.insert
+
+        def insert(store, t, value):
+            grew = real(store, t, value)
+            inserts.append((store, t, grew))
+            return grew
+
+        monkeypatch.setattr(AnnotatedGraph, "insert", insert)
+        out = closure(graph)
+        schema = {(t, grew) for store, t, grew in inserts if store is out and t.predicate == SC}
+        expected = parse_graph("A sc C .\nA sc D .\nB sc D .\n", domain="temporal").plain
+        assert schema == {(t, True) for t in expected}
+
     # Each graph takes the agenda loop for the reason its id names, and
     # `derived` is a conclusion that the tables would get wrong.
     @pytest.mark.parametrize(

@@ -683,6 +683,25 @@ class TestQueryParsing:
         assert isinstance(group, alg.GroupBy)
         assert group.bindings.can == {"x", "n"}
 
+    # Each opening token and a query that nests `n` levels deep, the
+    # WHERE group's `{` the first of them.
+    NESTINGS = {
+        "{": lambda n: "SELECT ?x WHERE " + "{ " * n + "(?x p ?y):?l" + " }" * n,
+        "!": lambda n: "SELECT ?x WHERE { (?x p ?y):?l FILTER(" + "!" * (n - 1) + "BOUND(?x)) }",
+        "(": lambda n: (
+            "SELECT ?x WHERE { (?x p ?y):?l FILTER(" + "(" * (n - 1) + "?x = ?y" + ")" * n + " }"
+        ),
+    }
+
+    @pytest.mark.parametrize("token", NESTINGS)
+    def test_nesting_stops_one_level_past_the_bound(self, token):
+        # The innermost opening crosses the bound, and the error is there.
+        parse_query(self.NESTINGS[token](alg.MAX_DEPTH), TEMPORAL)
+        deeper = self.NESTINGS[token](alg.MAX_DEPTH + 1)
+        with pytest.raises(ParseError, match=f"nested deeper than {alg.MAX_DEPTH} levels") as info:
+            parse_query(deeper, TEMPORAL)
+        assert info.value.column == deeper.rindex(token) + 1
+
     def test_nested_select(self):
         query = parse_query(
             "SELECT ?x WHERE { (?x p ?y):?l SELECT ?x WHERE { (?x q ?z):?m } }",
