@@ -8,8 +8,14 @@ binds terms), so solutions distinguish the two by the bound value.
 The depth rule: every pattern and filter-expression node has a `depth`,
 the levels of its tree, set when it is built from its children's.  The
 walkers of a tree recurse a level at a time, so `rewrite_defaults` and
-`evaluate_query` take no pattern deeper than `MAX_DEPTH` (`check_depth`),
-and the parser takes no group, `(` or `!` nested deeper than it.
+`evaluate_query` take no pattern deeper than `MAX_DEPTH` (`check_depth`).
+The query parser bounds a different count by the same number: the
+groups `{` and filter parentheses `(` that a query's text nests, which
+are its own recursion.  The two differ because a group or parenthesis
+need not add a node (`{ { X } }` is `X`) and a node need not nest text
+(each FILTER of a group wraps what precedes it).  So a query that
+parses may still be too deep to evaluate, and one within both bounds
+parses and evaluates.
 """
 
 from __future__ import annotations
@@ -22,9 +28,13 @@ from ..domains import AnnotationValue
 from ..errors import AnrdfError
 from ..model import Term
 
-# The walkers and the parser spend up to four frames a level, so this
-# stays well inside Python's default limit of 1,000.
-MAX_DEPTH = 100
+# A level costs the recursive code at most two frames: `eval_pattern`
+# and the benchmark tracer's wrapper around it, `rewrite_defaults`' walk
+# and its comprehension, or a filter expression and its parenthesised
+# primary in the parser.  So 350 levels take about 700 of Python's
+# default limit of 1,000 frames (`TestDepthRule` measures it), leaving
+# the rest to the caller; a group of 300 FILTERs in a row is 301 deep.
+MAX_DEPTH = 350
 
 
 @dataclass(frozen=True)
@@ -52,12 +62,10 @@ class Node:
     depth: int = 1  # the levels of this node's tree, set once when the node is built
 
     def __post_init__(self) -> None:
-        children = (getattr(self, name, None) for name in _CHILDREN)
-        depth = 1 + max((c.depth for c in children if isinstance(c, Node)), default=0)
+        # Every field that holds a node holds a child.
+        values = (getattr(self, f.name) for f in fields(self))
+        depth = 1 + max((v.depth for v in values if isinstance(v, Node)), default=0)
         object.__setattr__(self, "depth", depth)
-
-
-_CHILDREN = ("left", "right", "pattern", "inner", "expr", "filter")
 
 
 # -- filter expressions -------------------------------------------------------

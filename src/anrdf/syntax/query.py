@@ -22,8 +22,11 @@ built-in tests; a built-in function (`length`, `maxlength`, `join`,
 `ParseError` at its name.  In a filter, a `(` opens a group unless a
 `?variable` or annotation literal followed by `<=`, `=` or `!=` starts
 there (`_comparison_ahead`), as in the provenance `(a ^ b) <= ?l`.
-Groups, a filter's `(` and `!` nest at most `algebra.MAX_DEPTH` levels,
-and the opening that crosses it is a `ParseError` there.
+The operands of a run of `&&`, or of `||`, join in a balanced tree, so
+a long run adds few levels to the pattern (`algebra`'s depth rule);
+both operators are associative in the three-valued filter logic.
+Groups and a filter's `(` nest at most `algebra.MAX_DEPTH` levels in the
+text, and the opening that crosses it is a `ParseError` there.
 
 GROUPBY's rules are checked here, before evaluation, as the built-in
 calls are, and each is a `ParseError` at its position: no aggregate
@@ -70,7 +73,7 @@ class _Scanner(Scanner):
     def __init__(self, text: str, domain: Domain):
         super().__init__(text)
         self.domain = domain
-        self.depth = 0  # the groups, `(` and `!` open here; the reader of each closes it
+        self.depth = 0  # the groups and `(` open here; the reader of each closes it
 
     def open(self, token: str) -> bool:
         """`take` the opening `token` of one more nesting level; a level
@@ -392,27 +395,36 @@ def _parse_call_or_operand(sc: _Scanner) -> tuple[str, tuple[alg.Operand, ...]]:
 
 
 def _parse_filter_expr(sc: _Scanner) -> alg.FilterExpr:
-    left = _parse_filter_and(sc)
-    while sc.take("||"):
-        left = alg.Or(left, _parse_filter_and(sc))
-    return left
+    """`||` over `&&` over operands, each a primary after any `!`s.  The
+    loops stay in this frame, so a nested `(` costs the parser two frames,
+    this and `_parse_filter_primary`."""
+    disjuncts: list[alg.FilterExpr] = []
+    conjuncts: list[alg.FilterExpr] = []
+    while True:
+        negations = 0
+        while sc.take("!"):
+            if sc.peek() == "=":
+                raise sc.error("unexpected '!='")
+            negations += 1
+        operand = _parse_filter_primary(sc)
+        for _ in range(negations):
+            operand = alg.Not(operand)
+        conjuncts.append(operand)
+        if sc.take("&&"):
+            continue
+        disjuncts.append(_balanced(alg.And, conjuncts))
+        conjuncts = []
+        if not sc.take("||"):
+            return _balanced(alg.Or, disjuncts)
 
 
-def _parse_filter_and(sc: _Scanner) -> alg.FilterExpr:
-    left = _parse_filter_unary(sc)
-    while sc.take("&&"):
-        left = alg.And(left, _parse_filter_unary(sc))
-    return left
-
-
-def _parse_filter_unary(sc: _Scanner) -> alg.FilterExpr:
-    if not sc.open("!"):
-        return _parse_filter_primary(sc)
-    if sc.peek() == "=":
-        raise sc.error("unexpected '!='")
-    negated = alg.Not(_parse_filter_unary(sc))
-    sc.depth -= 1
-    return negated
+def _balanced(op: type, operands: list[alg.FilterExpr]) -> alg.FilterExpr:
+    """`operands` joined by `op` (`And` or `Or`) in a balanced tree, the
+    left half first; up to three operands it nests to the left."""
+    if len(operands) == 1:
+        return operands[0]
+    half = (len(operands) + 1) // 2
+    return op(_balanced(op, operands[:half]), _balanced(op, operands[half:]))
 
 
 def _parse_filter_primary(sc: _Scanner) -> alg.FilterExpr:

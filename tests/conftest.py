@@ -16,14 +16,29 @@ def data_dir() -> Path:
     return DATA_DIR
 
 
-@pytest.fixture(scope="session")
-def workloads():
-    """`perfbench/workloads.py`, the benchmark's seeded document
-    generators (a script directory, not a package)."""
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+def perfbench_module(name: str):
+    """`perfbench/<name>.py`, loaded from the benchmark's script
+    directory (not a package)."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """`perfbench/workloads.py`, the benchmark's seeded document generators."""
+    return perfbench_module("workloads")
+
+
+@pytest.fixture
+def tracer():
+    """The benchmark's per-layer tracer (`perfbench/tracing.py`),
+    installed around the program for one test."""
+    tracing = perfbench_module("tracing")
+    undo = tracing.install(tracing.Tracer())
+    yield
+    undo()
 
 
 def load_closure(name: str):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -1378,14 +1379,94 @@ class TestDepthRule:
         with pytest.raises(AnrdfError, match=message):
             evaluate_query(graph, past)
 
-    def test_depth_counts_every_child(self):
+    # Query texts `n` levels deep: in the pattern tree for the chains and
+    # the nested OPTIONALs and sub-SELECTs, in the text (the parser's
+    # count) for the groups and parentheses, the WHERE group's `{` the
+    # first of them.
+    T = "(?x p ?y):?l "
+    AT_DEPTH = {
+        "filters": lambda n: "SELECT ?x WHERE { " + TestDepthRule.T + "FILTER(BOUND(?x)) " * (n - 1) + "}",
+        "optionals": lambda n: (
+            "SELECT ?x WHERE { " + TestDepthRule.T + "OPTIONAL { (?x p ?y):?l } " * (n - 1) + "}"
+        ),
+        "negations": lambda n: (
+            "SELECT ?x WHERE { " + TestDepthRule.T + "FILTER(" + "!" * (n - 3) + "BOUND(?z) || BOUND(?x)) }"
+        ),
+        "nested-optionals": lambda n: (
+            "SELECT ?x WHERE { " + TestDepthRule.T
+            + "OPTIONAL { (?x p ?y):?l " * (n - 1) + "}" * (n - 1) + " }"
+        ),
+        "sub-selects": lambda n: (
+            "SELECT ?x WHERE { " + "SELECT ?x { " * (n - 1) + TestDepthRule.T + "}" * n
+        ),
+        "groups": lambda n: "SELECT ?x WHERE " + "{ " * n + TestDepthRule.T + "}" * n,
+        "parentheses": lambda n: (
+            "SELECT ?x WHERE { " + TestDepthRule.T
+            + "FILTER(" + "(" * (n - 1) + "?x = a" + ")" * n + " }"
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", AT_DEPTH)
+    def test_a_query_at_the_bound_takes_two_frames_a_level(self, shape, tracer):
+        # Parsed, rewritten and evaluated under the benchmark's tracer in
+        # two frames a level, and 40 more, above the caller's stack (the
+        # budget behind `MAX_DEPTH`); one level deeper is refused.
+        graph = closure(parse_graph(self.GRAPH).graph)
+        make = self.AT_DEPTH[shape]
+
+        def answer(text: str):
+            query = rewrite_defaults(parse_query(text, TEMPORAL), "fresh-vars", TEMPORAL)
+            return evaluate_query(graph, query)
+
+        caller, frame = 0, sys._getframe()
+        while frame is not None:
+            caller, frame = caller + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(caller + 2 * alg.MAX_DEPTH + 40)
+        try:
+            assert answer(make(alg.MAX_DEPTH)) == [{"x": iri("a")}]
+        finally:
+            sys.setrecursionlimit(limit)
+        with pytest.raises(AnrdfError, match=f"deeper than {alg.MAX_DEPTH}"):
+            answer(make(alg.MAX_DEPTH + 1))
+
+    def test_every_node_is_a_level_above_its_deepest_child(self):
         x = alg.Var("x")
-        bap = alg.Bap((alg.TriplePattern(x, iri("p"), iri("o")),))
-        deep_filter = alg.Not(alg.And(alg.Bound(x), alg.Not(alg.Bound(x))))
-        assert deep_filter.depth == 4
-        assert alg.Optional(bap, alg.Filter(bap, alg.Bound(x)), deep_filter).depth == 5
-        assert alg.Union(alg.Limit(alg.OrderBy(bap, x), 1), bap).depth == 4
-        assert alg.GroupBy(alg.SubSelect((x,), bap), (x,), ()).depth == 3
+        bap, test = alg.Bap((alg.TriplePattern(x, iri("p"), iri("o")),)), alg.Bound(x)
+        pattern, expr = alg.Filter(bap, test), alg.Not(test)  # each 2 deep
+        leaves = [
+            bap,
+            test,
+            alg.IsKind(IRI, x),
+            alg.Eq(x, iri("o")),
+            alg.AnnLeq(x, x),
+            alg.BuiltinCall("before", (x, x)),
+        ]
+        parents = [
+            alg.Not(expr),
+            alg.And(expr, test),
+            alg.And(test, expr),
+            alg.Or(expr, test),
+            alg.Or(test, expr),
+            alg.Join(pattern, bap),
+            alg.Join(bap, pattern),
+            alg.Union(pattern, bap),
+            alg.Union(bap, pattern),
+            alg.Optional(pattern, bap),
+            alg.Optional(bap, pattern),
+            alg.Optional(bap, bap, expr),
+            alg.Filter(pattern, test),
+            alg.Filter(bap, expr),
+            alg.Assign(pattern, "", (x,), alg.Var("y")),
+            alg.GroupBy(pattern, (x,), ()),
+            alg.OrderBy(pattern, x),
+            alg.Limit(pattern, 1),
+            alg.SubSelect((x,), pattern),
+        ]
+        assert [node.depth for node in leaves] == [1] * len(leaves)
+        assert [node.depth for node in parents] == [3] * len(parents)
+        kinds = {type(node) for node in leaves + parents}
+        assert kinds == set(alg.Pattern.__subclasses__()) | set(alg.FilterExpr.__subclasses__())
 
 
 class TestBapAgainstClosureAnswering:

@@ -261,7 +261,26 @@ class TestQuery:
             capsys, "query", "-i", str(data_dir / "fig1_exx1.anrdf"), str(deep)
         )
         assert (code, stdout) == (2, "")
-        assert stderr == "error: query pattern is 2002 levels deep, deeper than 100\n"
+        assert stderr == "error: query pattern is 2002 levels deep, deeper than 350\n"
+
+    @pytest.mark.parametrize(
+        "condition",
+        [
+            "FILTER(BOUND(?p)) " * 300 + "GROUPBY(?p) COUNT(?c) AS ?n",
+            "FILTER(" + " || ".join(["?c = nobody"] * 2000 + ["?c = ebayEmp"]) + ")",
+        ],
+        ids=["300-filters", "2001-alternatives"],
+    )
+    def test_long_flat_query_runs(self, capsys, data_dir, tmp_path, condition):
+        # Text that nests nothing stays inside the depth bound: 300 FILTERs
+        # are 302 levels with the GROUPBY, and a run of `||` is balanced.
+        flat = tmp_path / "flat.anql"
+        flat.write_text(f"SELECT ?p WHERE {{ (?p type ?c):?l {condition} }}")
+        code, stdout, stderr = run(
+            capsys, "query", "-i", str(data_dir / "fig1_exx1.anrdf"), str(flat)
+        )
+        assert (code, stderr) == (0, "")
+        assert "chadHurley" in stdout.splitlines()
 
     def test_query_parse_error_exit_2(self, capsys, data_dir, tmp_path):
         bad = tmp_path / "bad.anql"

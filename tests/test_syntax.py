@@ -684,10 +684,10 @@ class TestQueryParsing:
         assert group.bindings.can == {"x", "n"}
 
     # Each opening token and a query that nests `n` levels deep, the
-    # WHERE group's `{` the first of them.
+    # WHERE group's `{` the first of them.  (`TestDepthRule` in
+    # `test_anql.py` evaluates each at the bound.)
     NESTINGS = {
         "{": lambda n: "SELECT ?x WHERE " + "{ " * n + "(?x p ?y):?l" + " }" * n,
-        "!": lambda n: "SELECT ?x WHERE { (?x p ?y):?l FILTER(" + "!" * (n - 1) + "BOUND(?x)) }",
         "(": lambda n: (
             "SELECT ?x WHERE { (?x p ?y):?l FILTER(" + "(" * (n - 1) + "?x = ?y" + ")" * n + " }"
         ),
@@ -701,6 +701,31 @@ class TestQueryParsing:
         with pytest.raises(ParseError, match=f"nested deeper than {alg.MAX_DEPTH} levels") as info:
             parse_query(deeper, TEMPORAL)
         assert info.value.column == deeper.rindex(token) + 1
+
+    @staticmethod
+    def condition(text: str) -> alg.FilterExpr:
+        return parse_query(f"SELECT ?x WHERE {{ (?x p ?y):?l FILTER({text}) }}", TEMPORAL).pattern.expr
+
+    def test_runs_of_and_and_or_are_balanced(self):
+        a, b, c, d = (alg.Eq(alg.Var("x"), iri(name)) for name in "abcd")
+        assert self.condition("?x = a || ?x = b || ?x = c") == alg.Or(alg.Or(a, b), c)
+        assert self.condition("?x = a || ?x = b || ?x = c || ?x = d") == alg.Or(
+            alg.Or(a, b), alg.Or(c, d)
+        )
+        assert self.condition("?x = a && ?x = b || ?x = c && !?x = d") == alg.Or(
+            alg.And(a, b), alg.And(c, alg.Not(d))
+        )
+        assert self.condition(" || ".join(["?x = a"] * 1000)).depth == 11
+
+    def test_a_run_of_negations_is_no_text_nesting(self):
+        # Each `!` is a tree level, counted by `algebra`'s depth rule when
+        # the query is evaluated, not a level of the parser's recursion.
+        expr = self.condition("!" * 2000 + "BOUND(?x)")
+        assert expr.depth == 2001
+        for _ in range(2000):
+            assert isinstance(expr, alg.Not)
+            expr = expr.inner
+        assert expr == alg.Bound(alg.Var("x"))
 
     def test_nested_select(self):
         query = parse_query(
