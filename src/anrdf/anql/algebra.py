@@ -5,17 +5,11 @@ annotation variable follows from where it occurs (annotation slots and
 annotation-valued built-ins bind annotation values, everything else
 binds terms), so solutions distinguish the two by the bound value.
 
-The depth rule: every pattern and filter-expression node has a `depth`,
-the levels of its tree, set when it is built from its children's.  The
-walkers of a tree recurse a level at a time, so `rewrite_defaults` and
-`evaluate_query` take no pattern deeper than `MAX_DEPTH` (`check_depth`).
-The query parser bounds a different count by the same number: the
-groups `{` and filter parentheses `(` that a query's text nests, which
-are its own recursion.  The two differ because a group or parenthesis
-need not add a node (`{ { X } }` is `X`) and a node need not nest text
-(each FILTER of a group wraps what precedes it).  So a query that
-parses may still be too deep to evaluate, and one within both bounds
-parses and evaluates.
+The depth rule: every node (pattern, filter expression or query) has a
+`depth`, the levels of its tree, set when it is built from its
+children's, and no node deeper than `MAX_DEPTH` can be built.  A query's
+depth counts the levels `evaluate_query` walks, so a query that can be
+built can be rewritten and evaluated.
 """
 
 from __future__ import annotations
@@ -31,10 +25,11 @@ from ..model import Term
 # A level costs the recursive code at most two frames: `eval_pattern`
 # and the benchmark tracer's wrapper around it, `rewrite_defaults`' walk
 # and its comprehension, or a filter expression and its parenthesised
-# primary in the parser.  So 350 levels take about 700 of Python's
+# primary in the parser.  So 353 levels take about 700 of Python's
 # default limit of 1,000 frames (`TestDepthRule` measures it), leaving
-# the rest to the caller; a group of 300 FILTERs in a row is 301 deep.
-MAX_DEPTH = 350
+# the rest to the caller; 349 FILTERs in a row under ORDERBY and LIMIT
+# are 353 levels as evaluated.
+MAX_DEPTH = 353
 
 
 @dataclass(frozen=True)
@@ -60,12 +55,36 @@ class TriplePattern:
 
 class Node:
     depth: int = 1  # the levels of this node's tree, set once when the node is built
+    levels = 1  # the levels this node adds above its deepest child
 
     def __post_init__(self) -> None:
         # Every field that holds a node holds a child.
         values = (getattr(self, f.name) for f in fields(self))
-        depth = 1 + max((v.depth for v in values if isinstance(v, Node)), default=0)
+        depth = self.levels + max((v.depth for v in values if isinstance(v, Node)), default=0)
+        if depth > MAX_DEPTH:
+            raise AnrdfError(f"query nested deeper than {MAX_DEPTH} levels")
         object.__setattr__(self, "depth", depth)
+
+    # Loops over the fields, so that `==` and `repr` cost a level two
+    # frames (the depth rule's budget); the generated ones cost three
+    # before Python 3.12.
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        for f in fields(self):
+            if not getattr(self, f.name) == getattr(other, f.name):
+                return False
+        return True
+
+    def __repr__(self) -> str:
+        args = []
+        for f in fields(self):
+            args.append(f"{f.name}={getattr(self, f.name)!r}")
+        return f"{type(self).__name__}({', '.join(args)})"
+
+
+# A node class keeps `Node`'s `==` and `repr`, and gets the hash of its fields.
+_node = dataclass(frozen=True, eq=False, repr=False, unsafe_hash=True)
 
 
 # -- filter expressions -------------------------------------------------------
@@ -75,12 +94,12 @@ class FilterExpr(Node):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Bound(FilterExpr):
     var: Var
 
 
-@dataclass(frozen=True)
+@_node
 class IsKind(FilterExpr):
     """isIRI, isBLANK or isLITERAL: the operand is a term of `kind`
     (`anrdf.model.IRI`, `SKOLEM` or `LITERAL`)."""
@@ -89,30 +108,30 @@ class IsKind(FilterExpr):
     operand: Operand
 
 
-@dataclass(frozen=True)
+@_node
 class Eq(FilterExpr):
     left: Operand
     right: Operand
 
 
-@dataclass(frozen=True)
+@_node
 class Not(FilterExpr):
     inner: FilterExpr
 
 
-@dataclass(frozen=True)
+@_node
 class Or(FilterExpr):
     left: FilterExpr
     right: FilterExpr
 
 
-@dataclass(frozen=True)
+@_node
 class And(FilterExpr):
     left: FilterExpr
     right: FilterExpr
 
 
-@dataclass(frozen=True)
+@_node
 class AnnLeq(FilterExpr):
     """Domain order test `x <= y` on annotation values."""
 
@@ -120,7 +139,7 @@ class AnnLeq(FilterExpr):
     right: Operand
 
 
-@dataclass(frozen=True)
+@_node
 class BuiltinCall(FilterExpr):
     name: str
     args: tuple[Operand, ...]
@@ -139,37 +158,37 @@ class Pattern(Node):
         object.__setattr__(self, "bindings", bindings(self))
 
 
-@dataclass(frozen=True)
+@_node
 class Bap(Pattern):
     patterns: tuple[TriplePattern, ...]
 
 
-@dataclass(frozen=True)
+@_node
 class Join(Pattern):  # AND
     left: Pattern
     right: Pattern
 
 
-@dataclass(frozen=True)
+@_node
 class Union(Pattern):
     left: Pattern
     right: Pattern
 
 
-@dataclass(frozen=True)
+@_node
 class Optional(Pattern):
     left: Pattern
     right: Pattern
     filter: FilterExpr | None = None
 
 
-@dataclass(frozen=True)
+@_node
 class Filter(Pattern):
     pattern: Pattern
     expr: FilterExpr
 
 
-@dataclass(frozen=True)
+@_node
 class Assign(Pattern):
     pattern: Pattern
     fn: str  # built-in name; "" is the identity on a single argument
@@ -185,37 +204,42 @@ class Aggregate:
     target: Var
 
 
-@dataclass(frozen=True)
+@_node
 class GroupBy(Pattern):
     pattern: Pattern
     keys: tuple[Var, ...]
     aggregates: tuple[Aggregate, ...]
 
 
-@dataclass(frozen=True)
+@_node
 class OrderBy(Pattern):
     pattern: Pattern
     var: Var
 
 
-@dataclass(frozen=True)
+@_node
 class Limit(Pattern):
     pattern: Pattern
     count: int
 
 
-@dataclass(frozen=True)
+@_node
 class SubSelect(Pattern):
     variables: tuple[Var, ...]
     pattern: Pattern
 
 
-@dataclass(frozen=True)
-class QueryDocument:
+@_node
+class QueryDocument(Node):
     select: tuple[Var, ...]
     pattern: Pattern
     order_by: Var | None = None
     limit: int | None = None
+
+    @property
+    def levels(self) -> int:
+        # `evaluate_query` walks a SubSelect, and an OrderBy and a Limit when present.
+        return 1 + (self.order_by is not None) + (self.limit is not None)
 
 
 class Bindings(NamedTuple):
@@ -260,14 +284,6 @@ def bindings(p: Pattern) -> Bindings:
         kept = frozenset(k.name for k in p.keys)
         return Bindings(kept | new, inner.terms & kept - new, inner.labels & kept - new, False)
     raise TypeError(f"not a pattern: {p!r}")
-
-
-def check_depth(query: QueryDocument) -> None:
-    """Raise `AnrdfError` if the pattern of `query` is deeper than
-    `MAX_DEPTH` (the depth rule)."""
-    depth = query.pattern.depth
-    if depth > MAX_DEPTH:
-        raise AnrdfError(f"query pattern is {depth} levels deep, deeper than {MAX_DEPTH}")
 
 
 def occurrences(node, kind: type) -> Iterator:

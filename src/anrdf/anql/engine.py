@@ -102,6 +102,7 @@ Candidates = Callable[[Solution], list[Solution]]  # a left row's right rows
 TRUE = "true"
 FALSE = "false"
 ERROR = "error"
+_NOT = {TRUE: FALSE, FALSE: TRUE, ERROR: ERROR}  # `!`, which maps error to error
 
 
 # -- solution combinators -----------------------------------------------------
@@ -199,26 +200,14 @@ def filter_eval(expr: alg.FilterExpr, solution: Solution) -> str:
             return ERROR
         return TRUE if left == right else FALSE
     if isinstance(expr, alg.Not):
-        inner = filter_eval(expr.inner, solution)
-        if inner == ERROR:
-            return ERROR
-        return FALSE if inner == TRUE else TRUE
-    if isinstance(expr, alg.Or):
-        left = filter_eval(expr.left, solution)
-        right = filter_eval(expr.right, solution)
-        if TRUE in (left, right):
-            return TRUE
-        if ERROR in (left, right):
-            return ERROR
-        return FALSE
-    if isinstance(expr, alg.And):
-        left = filter_eval(expr.left, solution)
-        right = filter_eval(expr.right, solution)
-        if FALSE in (left, right):
-            return FALSE
-        if ERROR in (left, right):
-            return ERROR
-        return TRUE
+        return _NOT[filter_eval(expr.inner, solution)]
+    if isinstance(expr, (alg.Or, alg.And)):
+        # A true side decides `||` and a false one `&&`; then an error does.
+        decisive = TRUE if isinstance(expr, alg.Or) else FALSE
+        sides = (filter_eval(expr.left, solution), filter_eval(expr.right, solution))
+        if decisive in sides:
+            return decisive
+        return ERROR if ERROR in sides else _NOT[decisive]
     if isinstance(expr, alg.AnnLeq):
         left = _resolve(expr.left, solution)
         right = _resolve(expr.right, solution)
@@ -362,16 +351,13 @@ def _apply_groupby(
         for k in node.keys:
             if k.name in members[0]:
                 projected[k.name] = members[0][k.name]
-        ok = True
         for aggregate in node.aggregates:
             value = _aggregate(aggregate, members, diagnostics)
             if value is None:
-                ok = False
-                break
+                break  # an undefined aggregate drops the group
             projected[aggregate.target.name] = value
-        if not ok:
-            continue
-        out.append(projected)
+        else:
+            out.append(projected)
     return out
 
 
@@ -486,9 +472,9 @@ def evaluate_query(
     """Evaluate a SELECT query; rows keep only the selected variables.
 
     Raises `DomainMismatchError` if an annotation constant of the query
-    is not in the graph's domain (the domain rule), and `AnrdfError` if
-    its pattern is too deep (`algebra`'s depth rule)."""
-    alg.check_depth(query)
+    is not in the graph's domain (the domain rule).  The nodes built
+    here are no deeper than `query`, which `algebra`'s depth rule
+    bounded when it was built."""
     for value in alg.occurrences(query, AnnotationValue):
         if value.domain.name != graph.domain.name:
             raise DomainMismatchError(

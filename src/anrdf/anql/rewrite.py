@@ -22,9 +22,11 @@ MODES = ("shared-var", "fresh-vars", "top")
 def rewrite_defaults(
     query: alg.QueryDocument, mode: str, domain: Domain
 ) -> alg.QueryDocument:
+    """`query` with a label on every bare triple pattern.  The walk
+    recurses a level at a time, which `algebra`'s depth rule bounds
+    where `query` was built, so it checks no depth itself."""
     if mode not in MODES:
         raise ValueError(f"unknown rewrite mode {mode!r}")
-    alg.check_depth(query)
     used = {var.name for var in alg.occurrences(query, alg.Var)}
     counter = count()
 

@@ -24,9 +24,11 @@ built-in tests; a built-in function (`length`, `maxlength`, `join`,
 there (`_comparison_ahead`), as in the provenance `(a ^ b) <= ?l`.
 The operands of a run of `&&`, or of `||`, join in a balanced tree, so
 a long run adds few levels to the pattern (`algebra`'s depth rule);
-both operators are associative in the three-valued filter logic.
-Groups and a filter's `(` nest at most `algebra.MAX_DEPTH` levels in the
-text, and the opening that crosses it is a `ParseError` there.
+both operators are associative in the three-valued filter logic, and a
+run of `!` folds by its parity, since `!` maps error to error.  A query
+deeper than `algebra.MAX_DEPTH` is refused where its node is built, and
+groups and a filter's `(`, which need build no node, nest at most as
+many levels in the text: the opening that crosses it is a `ParseError`.
 
 GROUPBY's rules are checked here, before evaluation, as the built-in
 calls are, and each is a `ParseError` at its position: no aggregate
@@ -407,7 +409,7 @@ def _parse_filter_expr(sc: _Scanner) -> alg.FilterExpr:
                 raise sc.error("unexpected '!='")
             negations += 1
         operand = _parse_filter_primary(sc)
-        for _ in range(negations):
+        if negations % 2:
             operand = alg.Not(operand)
         conjuncts.append(operand)
         if sc.take("&&"):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
 import sys
@@ -306,7 +307,8 @@ class TestOptionalExamples:
         }
 
     @pytest.mark.parametrize(
-        "guard, count", [("?c = ?nope", 10), ("!(?c = ?c)", 12)]
+        "guard, count",
+        [("?c = ?nope", 10), ("!(?c = ?c)", 12), ("!!(?c = ?nope)", 10), ("!!!(?c = ?c)", 12)],
     )
     def test_guard_verdicts_on_every_compatible_right_row(self, fig1_exx1_closure, guard, count):
         # toivo owns the only car.  A guard that is an error for each of
@@ -320,6 +322,21 @@ class TestOptionalExamples:
         assert len(rows) == count
         assert not any("c" in row for row in rows)
         assert any(row["p"].lexical == "toivo" for row in rows) == (count == 12)
+
+    @pytest.mark.parametrize(
+        "filters, expected",
+        [
+            ("FILTER(BOUND(?y)) FILTER(BOUND(?z))", [{"x": iri("a")}]),
+            ("FILTER(BOUND(?y) && BOUND(?z))", [{"x": iri("a"), "z": iri("d")}]),
+        ],
+        ids=["two-filters", "one-conjunction"],
+    )
+    def test_only_the_last_filter_of_an_optional_group_is_its_guard(self, filters, expected):
+        # The guard sees the outer ?y; an earlier FILTER filters the
+        # optional's own rows, where ?y is unbound, so none are left.
+        graph = closure(parse_graph("@domix temporal .\n(a p c) : {[0,10]} .\n(a q d) : {[0,5]} .\n").graph)
+        query = q(f"SELECT ?x ?z WHERE {{ (?x p ?y):?l OPTIONAL {{(?x q ?z):?m {filters}}} }}")
+        assert evaluate_query(graph, query) == expected
 
 
 class TestConstraintsAndUnions:
@@ -927,6 +944,20 @@ class TestFilterSemantics:
         rows = evaluate_query(fig1_closure, query)
         assert {r["p"].lexical for r in rows} == {"chadHurley"}
 
+    @pytest.mark.parametrize(
+        "group, expected",
+        [
+            ("(?x p ?y):?l FILTER(BOUND(?z)) OPTIONAL {(?x q ?z):?m}", []),
+            ("(?x p ?y):?l OPTIONAL {(?x q ?z):?m} FILTER(BOUND(?z))", [{"x": iri("a"), "y": iri("c")}]),
+        ],
+        ids=["before-optional", "after-optional"],
+    )
+    def test_a_filter_filters_what_precedes_it_in_its_group(self, group, expected):
+        # The paper's binary (P FILTER R), not SPARQL 1.1's group-wide
+        # FILTER: before the OPTIONAL binds ?z, BOUND(?z) is false.
+        graph = closure(parse_graph("@domix temporal .\n(a p c) : {[0,10]} .\n(a q d) : {[0,5]} .\n").graph)
+        assert evaluate_query(graph, q(f"SELECT ?x ?y WHERE {{ {group} }}")) == expected
+
 
 class TestAllenQueries:
     def test_before_all_gives_no_result(self, data_dir):
@@ -1343,28 +1374,46 @@ class TestDomainRule:
 
 
 class TestDepthRule:
-    """`rewrite_defaults` and `evaluate_query` take a pattern up to
-    `MAX_DEPTH` levels deep, and refuse a deeper one with an `AnrdfError`
-    before they walk it."""
+    """No node deeper than `MAX_DEPTH` levels can be built, and a query's
+    depth counts the levels `evaluate_query` walks, so every query that
+    can be built, parsed or not, rewrites and evaluates."""
 
     GRAPH = "@domix temporal .\n(a p b) : {[0,10]} .\n"
 
     @staticmethod
+    @contextlib.contextmanager
+    def frame_budget():
+        # The recursion limit two frames a level, and 40 more, above the
+        # caller's stack: the budget behind `MAX_DEPTH`.  The caller's
+        # frame is two up, past this generator and `__enter__`.
+        caller, frame = 0, sys._getframe(2)
+        while frame is not None:
+            caller, frame = caller + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(caller + 2 * alg.MAX_DEPTH + 40)
+        try:
+            yield
+        finally:
+            sys.setrecursionlimit(limit)
+
+    @staticmethod
     def query(depth: int, shape: str) -> alg.QueryDocument:
         # A Bap under a chain of Filters, or under one Filter whose
-        # expression is a chain of `&&`; either is `depth` levels.
+        # expression is a chain of `&&`, walked under the query's
+        # SubSelect; either is `depth` levels.
         x = alg.Var("x")
         pattern = alg.Bap((alg.TriplePattern(x, iri("p"), alg.Var("y"), alg.Var("l")),))
         if shape == "filters":
-            for _ in range(depth - 1):
+            for _ in range(depth - 2):
                 pattern = alg.Filter(pattern, alg.Bound(x))
         else:
             expr = alg.Bound(x)
-            for _ in range(depth - 2):
+            for _ in range(depth - 3):
                 expr = alg.And(expr, alg.Bound(x))
             pattern = alg.Filter(pattern, expr)
-        assert pattern.depth == depth
-        return alg.QueryDocument((x,), pattern)
+        query = alg.QueryDocument((x,), pattern)
+        assert query.depth == depth
+        return query
 
     @pytest.mark.parametrize("shape", ["filters", "conjunctions"])
     def test_a_pattern_one_level_past_the_bound_is_refused(self, shape):
@@ -1372,32 +1421,59 @@ class TestDepthRule:
         at_bound = self.query(alg.MAX_DEPTH, shape)
         rewritten = rewrite_defaults(at_bound, "fresh-vars", TEMPORAL)
         assert evaluate_query(graph, rewritten) == [{"x": iri("a")}]
-        past = self.query(alg.MAX_DEPTH + 1, shape)
-        message = f"{alg.MAX_DEPTH + 1} levels deep, deeper than {alg.MAX_DEPTH}"
-        with pytest.raises(AnrdfError, match=message):
-            rewrite_defaults(past, "top", TEMPORAL)
-        with pytest.raises(AnrdfError, match=message):
-            evaluate_query(graph, past)
+        with pytest.raises(AnrdfError, match=f"query nested deeper than {alg.MAX_DEPTH} levels"):
+            self.query(alg.MAX_DEPTH + 1, shape)
 
-    # Query texts `n` levels deep: in the pattern tree for the chains and
-    # the nested OPTIONALs and sub-SELECTs, in the text (the parser's
-    # count) for the groups and parentheses, the WHERE group's `{` the
-    # first of them.
+    def test_no_node_past_the_bound_can_be_built(self):
+        x = alg.Var("x")
+        pattern, expr = alg.Bap((alg.TriplePattern(x, iri("p"), iri("o")),)), alg.Bound(x)
+        for _ in range(alg.MAX_DEPTH - 1):
+            pattern, expr = alg.Filter(pattern, alg.Bound(x)), alg.Not(expr)
+        assert pattern.depth == expr.depth == alg.MAX_DEPTH
+        under = pattern.pattern.pattern.pattern  # MAX_DEPTH - 3 levels
+        # The query adds its SubSelect, and an OrderBy and a Limit when present.
+        assert alg.QueryDocument((x,), under, x, 1).depth == alg.MAX_DEPTH
+        assert alg.QueryDocument((x,), under.pattern, None, 1).depth == alg.MAX_DEPTH - 2
+        message = f"query nested deeper than {alg.MAX_DEPTH} levels"
+        for build in (
+            lambda: alg.Filter(pattern, alg.Bound(x)),
+            lambda: alg.Not(expr),
+            lambda: alg.QueryDocument((x,), pattern),
+            lambda: alg.QueryDocument((x,), alg.Filter(under, alg.Bound(x)), x, 1),
+        ):
+            with pytest.raises(AnrdfError, match=message):
+                build()
+
+    def test_a_query_at_the_bound_compares_hashes_and_prints(self):
+        # In the frame budget that evaluation keeps.
+        text = "SELECT ?x WHERE { (?x p ?y):?l " + "FILTER(BOUND(?x)) " * 349 + "} ORDERBY ?x LIMIT 1"
+        query, again = parse_query(text, TEMPORAL), parse_query(text, TEMPORAL)
+        assert query.depth == alg.MAX_DEPTH
+        with self.frame_budget():
+            assert query == again and hash(query) == hash(again)
+            printed = repr(query)
+        assert printed.count("Filter(pattern=") == 349
+        assert query != parse_query(text.replace("LIMIT 1", "LIMIT 2"), TEMPORAL)
+
+    # Query texts `n` levels deep: as evaluated (the query's `depth`) for
+    # the chains, the nested OPTIONALs and the sub-SELECTs; in the text
+    # (the parser's count) for the groups and parentheses, which build no
+    # node, the WHERE group's `{` the first of them.
     T = "(?x p ?y):?l "
     AT_DEPTH = {
-        "filters": lambda n: "SELECT ?x WHERE { " + TestDepthRule.T + "FILTER(BOUND(?x)) " * (n - 1) + "}",
-        "optionals": lambda n: (
-            "SELECT ?x WHERE { " + TestDepthRule.T + "OPTIONAL { (?x p ?y):?l } " * (n - 1) + "}"
+        "filters": lambda n: "SELECT ?x WHERE { " + TestDepthRule.T + "FILTER(BOUND(?x)) " * (n - 2) + "}",
+        "ordered-filters": lambda n: (
+            "SELECT ?x WHERE { " + TestDepthRule.T + "FILTER(BOUND(?x)) " * (n - 4) + "} ORDERBY ?x LIMIT 1"
         ),
-        "negations": lambda n: (
-            "SELECT ?x WHERE { " + TestDepthRule.T + "FILTER(" + "!" * (n - 3) + "BOUND(?z) || BOUND(?x)) }"
+        "optionals": lambda n: (
+            "SELECT ?x WHERE { " + TestDepthRule.T + "OPTIONAL { (?x p ?y):?l } " * (n - 2) + "}"
         ),
         "nested-optionals": lambda n: (
             "SELECT ?x WHERE { " + TestDepthRule.T
-            + "OPTIONAL { (?x p ?y):?l " * (n - 1) + "}" * (n - 1) + " }"
+            + "OPTIONAL { (?x p ?y):?l " * (n - 2) + "}" * (n - 2) + " }"
         ),
         "sub-selects": lambda n: (
-            "SELECT ?x WHERE { " + "SELECT ?x { " * (n - 1) + TestDepthRule.T + "}" * n
+            "SELECT ?x WHERE { " + "SELECT ?x { " * (n - 2) + TestDepthRule.T + "}" * (n - 1)
         ),
         "groups": lambda n: "SELECT ?x WHERE " + "{ " * n + TestDepthRule.T + "}" * n,
         "parentheses": lambda n: (
@@ -1409,26 +1485,16 @@ class TestDepthRule:
     @pytest.mark.parametrize("shape", AT_DEPTH)
     def test_a_query_at_the_bound_takes_two_frames_a_level(self, shape, tracer):
         # Parsed, rewritten and evaluated under the benchmark's tracer in
-        # two frames a level, and 40 more, above the caller's stack (the
-        # budget behind `MAX_DEPTH`); one level deeper is refused.
+        # the frame budget; one level deeper, `parse_query` refuses it.
         graph = closure(parse_graph(self.GRAPH).graph)
         make = self.AT_DEPTH[shape]
-
-        def answer(text: str):
-            query = rewrite_defaults(parse_query(text, TEMPORAL), "fresh-vars", TEMPORAL)
-            return evaluate_query(graph, query)
-
-        caller, frame = 0, sys._getframe()
-        while frame is not None:
-            caller, frame = caller + 1, frame.f_back
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(caller + 2 * alg.MAX_DEPTH + 40)
-        try:
-            assert answer(make(alg.MAX_DEPTH)) == [{"x": iri("a")}]
-        finally:
-            sys.setrecursionlimit(limit)
-        with pytest.raises(AnrdfError, match=f"deeper than {alg.MAX_DEPTH}"):
-            answer(make(alg.MAX_DEPTH + 1))
+        with self.frame_budget():
+            query = parse_query(make(alg.MAX_DEPTH), TEMPORAL)
+            rewritten = rewrite_defaults(query, "fresh-vars", TEMPORAL)
+            assert evaluate_query(graph, rewritten) == [{"x": iri("a")}]
+        assert (query.depth == alg.MAX_DEPTH) == (shape not in ("groups", "parentheses"))
+        with pytest.raises(AnrdfError, match=f"query nested deeper than {alg.MAX_DEPTH} levels"):
+            parse_query(make(alg.MAX_DEPTH + 1), TEMPORAL)
 
     def test_every_node_is_a_level_above_its_deepest_child(self):
         x = alg.Var("x")

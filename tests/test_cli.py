@@ -252,8 +252,8 @@ class TestQuery:
             )
 
     def test_deep_query_exit_2(self, capsys, data_dir, tmp_path):
-        # It parses (`test_a_deep_group_parses`), but its pattern is 2,002
-        # levels deep, past the bound of `anrdf.anql.algebra`.
+        # Its pattern would be 2,002 levels deep, past the bound of
+        # `anrdf.anql.algebra`, so `parse_query` refuses it.
         deep = tmp_path / "deep.anql"
         filters = "FILTER(BOUND(?x)) " * 2000
         deep.write_text(f"SELECT ?x WHERE {{ (?x p ?y):?l {filters}GROUPBY(?x) COUNT(?y) AS ?n }}")
@@ -261,21 +261,23 @@ class TestQuery:
             capsys, "query", "-i", str(data_dir / "fig1_exx1.anrdf"), str(deep)
         )
         assert (code, stdout) == (2, "")
-        assert stderr == "error: query pattern is 2002 levels deep, deeper than 350\n"
+        assert stderr == "error: query nested deeper than 353 levels\n"
 
     @pytest.mark.parametrize(
-        "condition",
+        "condition, modifiers",
         [
-            "FILTER(BOUND(?p)) " * 300 + "GROUPBY(?p) COUNT(?c) AS ?n",
-            "FILTER(" + " || ".join(["?c = nobody"] * 2000 + ["?c = ebayEmp"]) + ")",
+            ("FILTER(BOUND(?p)) " * 300 + "GROUPBY(?p) COUNT(?c) AS ?n", ""),
+            ("FILTER(" + " || ".join(["?c = nobody"] * 2000 + ["?c = ebayEmp"]) + ")", ""),
+            ("FILTER(BOUND(?p)) " * 349, "ORDERBY ?p LIMIT 1"),
         ],
-        ids=["300-filters", "2001-alternatives"],
+        ids=["300-filters", "2001-alternatives", "349-filters-ordered"],
     )
-    def test_long_flat_query_runs(self, capsys, data_dir, tmp_path, condition):
+    def test_long_flat_query_runs(self, capsys, data_dir, tmp_path, condition, modifiers):
         # Text that nests nothing stays inside the depth bound: 300 FILTERs
-        # are 302 levels with the GROUPBY, and a run of `||` is balanced.
+        # are 303 levels with the GROUPBY and the query's SubSelect, 349
+        # under ORDERBY and LIMIT are 353, and a run of `||` is balanced.
         flat = tmp_path / "flat.anql"
-        flat.write_text(f"SELECT ?p WHERE {{ (?p type ?c):?l {condition} }}")
+        flat.write_text(f"SELECT ?p WHERE {{ (?p type ?c):?l {condition} }} {modifiers}")
         code, stdout, stderr = run(
             capsys, "query", "-i", str(data_dir / "fig1_exx1.anrdf"), str(flat)
         )

@@ -675,13 +675,19 @@ class TestQueryParsing:
         assert assign.fn == "join"
         assert isinstance(assign.pattern, alg.Union)
 
-    def test_a_deep_group_parses(self):
-        # The GROUPBY rule reads what the 2,000 filters below it bind.
-        filters = "FILTER(BOUND(?x)) " * 2000
-        text = f"SELECT ?x WHERE {{ (?x p ?y):?l {filters}GROUPBY(?x) COUNT(?y) AS ?n }}"
-        group = parse_query(text, TEMPORAL).pattern
+    def test_a_deep_group_is_refused_while_parsing(self):
+        # The GROUPBY rule reads what the filters below it bind.  With its
+        # Bap and the query's SubSelect, 350 filters are `MAX_DEPTH` levels.
+        def text(filters: int) -> str:
+            body = "FILTER(BOUND(?x)) " * filters
+            return f"SELECT ?x WHERE {{ (?x p ?y):?l {body}GROUPBY(?x) COUNT(?y) AS ?n }}"
+
+        group = parse_query(text(alg.MAX_DEPTH - 3), TEMPORAL).pattern
         assert isinstance(group, alg.GroupBy)
         assert group.bindings.can == {"x", "n"}
+        for filters in (alg.MAX_DEPTH - 2, 2000):
+            with pytest.raises(AnrdfError, match=f"query nested deeper than {alg.MAX_DEPTH} levels"):
+                parse_query(text(filters), TEMPORAL)
 
     # Each opening token and a query that nests `n` levels deep, the
     # WHERE group's `{` the first of them.  (`TestDepthRule` in
@@ -717,15 +723,13 @@ class TestQueryParsing:
         )
         assert self.condition(" || ".join(["?x = a"] * 1000)).depth == 11
 
-    def test_a_run_of_negations_is_no_text_nesting(self):
-        # Each `!` is a tree level, counted by `algebra`'s depth rule when
-        # the query is evaluated, not a level of the parser's recursion.
-        expr = self.condition("!" * 2000 + "BOUND(?x)")
-        assert expr.depth == 2001
-        for _ in range(2000):
-            assert isinstance(expr, alg.Not)
-            expr = expr.inner
-        assert expr == alg.Bound(alg.Var("x"))
+    def test_a_run_of_negations_folds_by_parity(self):
+        # `!` maps error to error, so `!!e` is `e`: a run of `!` is at most
+        # one tree level, and no level of the parser's recursion.
+        bound = alg.Bound(alg.Var("x"))
+        assert self.condition("!" * 2000 + "BOUND(?x)") == bound
+        assert self.condition("!" * 2001 + "BOUND(?x)") == alg.Not(bound)
+        assert self.condition("!!?x != a") == alg.Not(alg.Eq(alg.Var("x"), iri("a")))
 
     def test_nested_select(self):
         query = parse_query(
