@@ -67,7 +67,7 @@ class Node:
 
     # Loops over the fields, so that `==` and `repr` cost a level two
     # frames (the depth rule's budget); the generated ones cost three
-    # before Python 3.12.
+    # before Python 3.12, and so would `!=`, through `object.__ne__`.
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
