@@ -4,10 +4,17 @@ A graph keeps at most one annotation per triple: inserting a triple that
 is already present joins the new annotation into the stored one (the
 destructive generalisation step), and bottom-annotated triples are never
 stored at all.
+
+A graph whose contents are known up front is built once, by
+`AnnotatedGraph.from_values`, from a dict of triple to joined value;
+any other graph grows by `insert`.  The `(p,s)` and `(p,o)` indexes are
+built by one scan on the first `match`, and `insert` keeps them up to
+date from then on, so a graph that is never matched never pays for them.
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView
 from typing import NamedTuple
 
 from .domains import AnnotationValue, Domain
@@ -100,12 +107,29 @@ class AnnotatedGraph:
     def __init__(self, domain: Domain):
         self.domain = domain
         self._statements: dict[Triple, AnnotationValue] = {}
-        # Reduced Hexastore: p -> s -> triples and p -> o -> triples.  The
-        # store never deletes, so append-only lists are enough.
-        self._by_ps: _Index = {}
-        self._by_po: _Index = {}
+        # Reduced Hexastore: p -> s -> triples and p -> o -> triples, built
+        # by the first `match` (`_index`).  The store never deletes, so
+        # append-only lists are enough.  One attribute holds both, so a
+        # reader sees neither or both.
+        self._indexes: tuple[_Index, _Index] | None = None
         self._frozen = False
         self._sorted_cache: list[tuple[Triple, AnnotationValue]] | None = None
+
+    @classmethod
+    def from_values(cls, domain: Domain, values: dict[Triple, AnnotationValue]) -> "AnnotatedGraph":
+        """A new graph holding each triple of `values` with its value, as
+        `insert` would store it: a bottom value is dropped, and a value of
+        another domain raises `DomainMismatchError`.  `values` is not kept."""
+        graph = cls(domain)
+        kept, bottom = graph._statements, domain.bottom_payload
+        for t, value in values.items():
+            # `is_bottom`, and the domain check of `insert`, made cheaper
+            # for the usual value, which holds the graph's own domain.
+            if value.domain is not domain and value.domain.name != domain.name:
+                raise _mismatch(domain, value)
+            if value.payload != bottom:
+                kept[t] = value
+        return graph
 
     # -- mutation --------------------------------------------------------
 
@@ -118,16 +142,14 @@ class AnnotatedGraph:
         if self._frozen:
             raise FrozenGraphError("graph is frozen")
         if value.domain.name != self.domain.name:
-            raise DomainMismatchError(
-                f"graph over {self.domain.name} got a {value.domain.name} value"
-            )
+            raise _mismatch(self.domain, value)
         if value.is_bottom:
             return False
         stored = self._statements.get(t)
         if stored is None:
             self._statements[t] = value
-            self._by_ps.setdefault(t.predicate, {}).setdefault(t.subject, []).append(t)
-            self._by_po.setdefault(t.predicate, {}).setdefault(t.object, []).append(t)
+            if self._indexes is not None:
+                _add(self._indexes, t)
             return True
         merged = stored.join(value)
         if merged == stored:
@@ -139,13 +161,6 @@ class AnnotatedGraph:
         self._frozen = True
         return self
 
-    def copy(self) -> "AnnotatedGraph":
-        clone = AnnotatedGraph(self.domain)
-        clone._statements = dict(self._statements)
-        clone._by_ps = _copy_index(self._by_ps)
-        clone._by_po = _copy_index(self._by_po)
-        return clone
-
     # -- queries ---------------------------------------------------------
 
     def get(self, t: Triple) -> AnnotationValue | None:
@@ -156,6 +171,10 @@ class AnnotatedGraph:
 
     def __contains__(self, t: Triple) -> bool:
         return t in self._statements
+
+    def items(self) -> ItemsView[Triple, AnnotationValue]:
+        """A view of the statements as (triple, value) pairs, in no order."""
+        return self._statements.items()
 
     def statements(self) -> list[tuple[Triple, AnnotationValue]]:
         """Statements in (s, p, o) order; cached once frozen."""
@@ -177,7 +196,8 @@ class AnnotatedGraph:
         index when `s` is bound too, else the `(p,o)` index when `o` is
         bound, else every triple with predicate `p`.  With `p` unbound
         every statement is a candidate.  Only the candidates are sorted,
-        and an empty lookup returns before any sort.
+        and an empty lookup returns before any sort.  The first lookup
+        with `p` bound builds the indexes.
         """
         if p is None:
             return [
@@ -185,12 +205,13 @@ class AnnotatedGraph:
                 for t, value in self.statements()
                 if (s is None or t.subject == s) and (o is None or t.object == o)
             ]
+        by_ps, by_po = self._indexes or self._index()
         if s is not None:
-            found = self._by_ps.get(p, {}).get(s)
+            found = by_ps.get(p, {}).get(s)
         elif o is not None:
-            found = self._by_po.get(p, {}).get(o)
+            found = by_po.get(p, {}).get(o)
         else:
-            found = [t for ts in self._by_ps.get(p, {}).values() for t in ts]
+            found = [t for ts in by_ps.get(p, {}).values() for t in ts]
         if not found:
             return []
         statements = self._statements
@@ -199,6 +220,20 @@ class AnnotatedGraph:
     def triple_set(self) -> set[Triple]:
         return set(self._statements)
 
+    def _index(self) -> tuple[_Index, _Index]:
+        """Build the indexes by one scan of the store and keep them."""
+        indexes: tuple[_Index, _Index] = ({}, {})
+        for t in self._statements:
+            _add(indexes, t)
+        self._indexes = indexes
+        return indexes
 
-def _copy_index(index: _Index) -> _Index:
-    return {p: {k: list(ts) for k, ts in by_key.items()} for p, by_key in index.items()}
+
+def _add(indexes: tuple[_Index, _Index], t: Triple) -> None:
+    by_ps, by_po = indexes
+    by_ps.setdefault(t.predicate, {}).setdefault(t.subject, []).append(t)
+    by_po.setdefault(t.predicate, {}).setdefault(t.object, []).append(t)
+
+
+def _mismatch(domain: Domain, value: AnnotationValue) -> DomainMismatchError:
+    return DomainMismatchError(f"graph over {domain.name} got a {value.domain.name} value")

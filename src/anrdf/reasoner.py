@@ -45,6 +45,12 @@ only up to an inequality (`anrdf.domains.compound`).  So `closure` takes
 the table path when the domain has `meet_distributes` and no rho-df term
 is used as data, and the agenda loop otherwise.
 
+The table path joins every conclusion into one dict of triple to value,
+which starts as the input with the closed schema laid over it, and
+builds the output graph from that dict once (`AnnotatedGraph.from_values`).
+It reads the input unsorted (`AnnotatedGraph.items`), since it needs no
+order.
+
 The agenda loop is semi-naive, and the store holds exactly the
 processed triples.  Every input triple starts on an agenda, which holds
 a triple at most once, and `pending` holds the values still to store.  A
@@ -201,7 +207,7 @@ def _tables_apply(graph: AnnotatedGraph) -> tuple[Statements, Statements] | None
         return None
     schema: Statements = []
     data: Statements = []
-    for t, v in graph.statements():
+    for t, v in graph.items():
         if t.subject in RHO_DF or (t.object in RHO_DF and t.predicate != TYPE):
             return None
         (schema if t.predicate in SCHEMA else data).append((t, v))
@@ -216,13 +222,14 @@ def _table_closure(
     stats: ClosureStats,
 ) -> AnnotatedGraph:
     """The closure of `graph` by the table rule: close the schema with the
-    agenda loop, then insert each data triple's table conclusions."""
+    agenda loop, then join each data triple's table conclusions into one
+    dict of triple to value, and build the graph from it once."""
     schema = AnnotatedGraph(graph.domain)
     _agenda_loop(schema, schema_seeds, max_firings, stats)
-    out = graph.copy()
-    for t, v in schema.statements():
-        if graph.get(t) != v:
-            out.insert(t, v)
+    # A closed schema value is at least the input's, so it replaces it.
+    values = dict(graph.items())
+    values.update(schema.items())
+    get = values.get
     top = graph.domain.top
     by_predicate: dict[Term, list[Conclusion]] = {}
     by_class: dict[Term, list[Conclusion]] = {}
@@ -265,13 +272,19 @@ def _table_closure(
             value = v.meet(w)
             if value.is_bottom:
                 bottom += 1
-            elif conclusion not in out:
+                continue
+            old = get(conclusion)
+            if old is None:
                 new += 1
-                out.insert(conclusion, value)
-            elif not out.insert(conclusion, value):
+                values[conclusion] = value
+                continue
+            value = old.join(value)
+            if value == old:
                 subsumed += 1
+            else:
+                values[conclusion] = value
     vars(stats).update(vars(_counts(firings, new, subsumed, bottom, seeds)))
-    return out
+    return AnnotatedGraph.from_values(graph.domain, values)
 
 
 def closure(
@@ -314,13 +327,9 @@ def apply_defaults(
     if mode not in ("top", "segregate"):
         raise ValueError(f"unknown default-annotation mode {mode!r}")
     if mode == "segregate":
-        side = AnnotatedGraph(get_domain("boolean"))
-        top = side.domain.top
-        for t in plain_triples:
-            side.insert(t, top)
-        return graph, side
-    merged = graph.copy()
-    top = graph.domain.top
-    for t in plain_triples:
-        merged.insert(t, top)
-    return merged, None
+        boolean = get_domain("boolean")
+        return graph, AnnotatedGraph.from_values(boolean, dict.fromkeys(plain_triples, boolean.top))
+    # Any value joined with top is top.
+    values = dict(graph.items())
+    values.update(dict.fromkeys(plain_triples, graph.domain.top))
+    return AnnotatedGraph.from_values(graph.domain, values), None

@@ -193,18 +193,21 @@ def parse_graph(text: str, domain: Domain | str | None = None) -> Document:
             line_no = annotated[0][0]
             raise ParseError("no annotation domain declared", line_no, 1)
         effective = get_domain("boolean")
-    graph = AnnotatedGraph(effective)
     # Annotated data repeats its literals, so each distinct text is parsed
     # once; lines are visited in order, so a bad literal fails at its first.
-    values: dict[str, AnnotationValue] = {}
+    # A repeated triple joins its values, and the graph is built once.
+    parsed: dict[str, AnnotationValue] = {}
+    joined: dict[Triple, AnnotationValue] = {}
     for line_no, column, triple, literal_text in annotated:
-        value = values.get(literal_text)
+        value = parsed.get(literal_text)
         if value is None:
             try:
-                value = values[literal_text] = effective.parse(literal_text)
+                value = parsed[literal_text] = effective.parse(literal_text)
             except AnnotationSyntaxError as exc:
                 raise ParseError(str(exc), line_no, column) from None
-        graph.insert(triple, value)
+        old = joined.get(triple)
+        joined[triple] = value if old is None else old.join(value)
+    graph = AnnotatedGraph.from_values(effective, joined)
     return Document(domain=effective, graph=graph, plain=plain)
 
 

@@ -53,7 +53,7 @@ import re
 from fractions import Fraction
 
 from ..domains import Domain, get_domain
-from ..errors import AnnotationSyntaxError, ParseError
+from ..errors import AnnotationSyntaxError, AnrdfError, ParseError
 from ..model import IRI, LITERAL, SKOLEM
 from ..rational import parse_scalar
 from ..anql import algebra as alg
@@ -76,6 +76,9 @@ class _Scanner(Scanner):
         super().__init__(text)
         self.domain = domain
         self.depth = 0  # the groups and `(` open here; the reader of each closes it
+        # Each depth a node of a group reached, and the start of the
+        # construct of the first such node (`_build`).
+        self.reached: dict[int, int] = {}
 
     def open(self, token: str) -> bool:
         """`take` the opening `token` of one more nesting level; a level
@@ -189,12 +192,21 @@ def parse_query(text: str, domain: Domain | str) -> alg.QueryDocument:
             raise sc.error(f"a query has at most one {word.upper()}")
         sc.take_keyword(word)
         modifiers[word] = sc.var() if word == "orderby" else _parse_int(sc)
-    return alg.QueryDocument(
-        select=select,
-        pattern=pattern,
-        order_by=modifiers.get("orderby"),
-        limit=modifiers.get("limit"),
-    )
+    try:
+        return alg.QueryDocument(
+            select=select,
+            pattern=pattern,
+            order_by=modifiers.get("orderby"),
+            limit=modifiers.get("limit"),
+        )
+    except AnrdfError as exc:
+        # The query adds a level for its SubSelect and one for each
+        # modifier, so the first node to reach this depth took it past
+        # the bound.  A depth reached only inside a filter expression is
+        # reported at the end of the query.
+        crossed = alg.MAX_DEPTH - len(modifiers)
+        sc.pos = sc.reached.get(crossed, sc.pos)
+        raise sc.error(str(exc)) from None
 
 
 def _parse_select(sc: _Scanner) -> tuple[tuple[alg.Var, ...], alg.Pattern]:
@@ -223,12 +235,17 @@ def _parse_group(sc: _Scanner) -> alg.Pattern:
         raise sc.error("expected '{'")
     acc: alg.Pattern | None = None
     bap: list[alg.TriplePattern] = []
+    bap_start = 0
+
+    def join(start: int, sub: alg.Pattern) -> None:
+        # `sub`, which starts at `start`, joined to what precedes it.
+        nonlocal acc
+        acc = sub if acc is None else _build(sc, start, alg.Join, acc, sub)
 
     def flush() -> None:
-        nonlocal acc, bap
+        nonlocal bap
         if bap:
-            block = alg.Bap(tuple(bap))
-            acc = block if acc is None else alg.Join(acc, block)
+            join(bap_start, alg.Bap(tuple(bap)))
             bap = []
 
     while True:
@@ -238,22 +255,25 @@ def _parse_group(sc: _Scanner) -> alg.Pattern:
             raise sc.error("unterminated group")
         word = sc.keyword()
         ch = sc.peek()
+        start = sc.pos
         if ch == "{":
             flush()
             sub = _parse_group(sc)
-            while sc.take_keyword("union"):
-                sub = alg.Union(sub, _parse_group(sc))
-            acc = sub if acc is None else alg.Join(acc, sub)
+            while sc.keyword() == "union":
+                union = sc.pos
+                sc.take_keyword("union")
+                sub = _build(sc, union, alg.Union, sub, _parse_group(sc))
+            join(start, sub)
         elif word in _WRAPPERS:
             flush()
-            sc.take_keyword(word)
             acc = _parse_wrapper(sc, word, alg.Bap(()) if acc is None else acc)
         elif word == "select":
             flush()
             sc.take_keyword("select")
-            sub = alg.SubSelect(*_parse_select(sc))
-            acc = sub if acc is None else alg.Join(acc, sub)
+            join(start, _build(sc, start, alg.SubSelect, *_parse_select(sc)))
         else:
+            if not bap:
+                bap_start = start
             bap.append(_parse_triple_pattern(sc))
             sc.take(".")
     flush()
@@ -263,27 +283,43 @@ def _parse_group(sc: _Scanner) -> alg.Pattern:
     return acc
 
 
+def _build(sc: _Scanner, start: int, make, *args):
+    """`make(*args)`, a node of the construct that starts at `start`; a
+    node built past the depth bound is a `ParseError` there."""
+    try:
+        built = make(*args)
+    except ParseError:
+        raise
+    except AnrdfError as exc:
+        sc.pos = start
+        raise sc.error(str(exc)) from None
+    sc.reached.setdefault(built.depth, start)
+    return built
+
+
 def _parse_wrapper(sc: _Scanner, word: str, acc: alg.Pattern) -> alg.Pattern:
-    """The operator `word`, already read, applied to the pattern `acc`."""
+    """The operator `word`, whose keyword is next, applied to the pattern `acc`."""
+    start = sc.pos
+    sc.take_keyword(word)
     if word == "optional":
         inner = _parse_group(sc)
         if isinstance(inner, alg.Filter):
-            return alg.Optional(acc, inner.pattern, inner.expr)
-        return alg.Optional(acc, inner, None)
+            return _build(sc, start, alg.Optional, acc, inner.pattern, inner.expr)
+        return _build(sc, start, alg.Optional, acc, inner, None)
     if word == "filter":
         sc.expect("(")
-        expr = _parse_filter_expr(sc)
+        expr = _build(sc, start, _parse_filter_expr, sc)
         sc.expect(")")
-        return alg.Filter(acc, expr)
+        return _build(sc, start, alg.Filter, acc, expr)
     if word == "assign":
         sc.skip_ws()
-        start = sc.pos
+        call = sc.pos
         fn, args = _parse_call_or_operand(sc)
         if not sc.take_keyword("as"):
             raise sc.error("ASSIGN needs 'AS ?var'")
         target = sc.var()
-        _reject_test(sc, fn, start, f"ASSIGN cannot bind it to ?{target.name}")
-        return alg.Assign(acc, fn, args, target)
+        _reject_test(sc, fn, call, f"ASSIGN cannot bind it to ?{target.name}")
+        return _build(sc, start, alg.Assign, acc, fn, args, target)
     if word == "groupby":
         sc.expect("(")
         keys = []
@@ -295,10 +331,10 @@ def _parse_wrapper(sc: _Scanner, word: str, acc: alg.Pattern) -> alg.Pattern:
         aggregates = []
         while sc.keyword() in _AGGREGATES:
             aggregates.append(_parse_aggregate(sc, keys, bound))
-        return alg.GroupBy(acc, tuple(keys), tuple(aggregates))
+        return _build(sc, start, alg.GroupBy, acc, tuple(keys), tuple(aggregates))
     if word == "orderby":
-        return alg.OrderBy(acc, sc.var())
-    return alg.Limit(acc, _parse_int(sc))
+        return _build(sc, start, alg.OrderBy, acc, sc.var())
+    return _build(sc, start, alg.Limit, acc, _parse_int(sc))
 
 
 def _parse_triple_pattern(sc: _Scanner) -> alg.TriplePattern:

@@ -253,15 +253,17 @@ class TestQuery:
 
     def test_deep_query_exit_2(self, capsys, data_dir, tmp_path):
         # Its pattern would be 2,002 levels deep, past the bound of
-        # `anrdf.anql.algebra`, so `parse_query` refuses it.
+        # `anrdf.anql.algebra`, so `parse_query` refuses it at the 353rd
+        # FILTER, whose node would be the first 354 levels deep.
         deep = tmp_path / "deep.anql"
-        filters = "FILTER(BOUND(?x)) " * 2000
-        deep.write_text(f"SELECT ?x WHERE {{ (?x p ?y):?l {filters}GROUPBY(?x) COUNT(?y) AS ?n }}")
+        head, filter_ = "SELECT ?x WHERE { (?x p ?y):?l ", "FILTER(BOUND(?x)) "
+        deep.write_text(f"{head}{filter_ * 2000}GROUPBY(?x) COUNT(?y) AS ?n }}")
         code, stdout, stderr = run(
             capsys, "query", "-i", str(data_dir / "fig1_exx1.anrdf"), str(deep)
         )
         assert (code, stdout) == (2, "")
-        assert stderr == "error: query nested deeper than 353 levels\n"
+        column = len(head) + 352 * len(filter_) + 1
+        assert stderr == f"error: 1:{column}: query nested deeper than 353 levels\n"
 
     @pytest.mark.parametrize(
         "condition, modifiers",

@@ -36,21 +36,28 @@ def tv(text: str):
 
 
 class TestMatch:
-    @staticmethod
-    def _graph():
-        g = AnnotatedGraph(TEMPORAL)
-        terms = [iri(x) for x in "abc"] + [TYPE, SC]
-        rng = random.Random(5)
-        for _ in range(40):
-            g.insert(
+    TERMS = [iri(x) for x in "abc"] + [TYPE, SC]
+
+    @classmethod
+    def _statements(cls) -> list[tuple[Triple, object]]:
+        terms, rng = cls.TERMS, random.Random(5)
+        return [
+            (
                 Triple(rng.choice(terms[:3]), rng.choice(terms), rng.choice(terms[:3])),
                 tv(f"{{[{rng.randint(0, 5)},9]}}"),
             )
-        return g, terms
+            for _ in range(40)
+        ]
 
-    def test_every_binding_pattern_matches_a_scan_in_order(self):
-        g, terms = self._graph()
-        slots = [None, *terms]
+    @classmethod
+    def _graph(cls) -> AnnotatedGraph:
+        g = AnnotatedGraph(TEMPORAL)
+        for t, value in cls._statements():
+            g.insert(t, value)
+        return g
+
+    def _assert_every_pattern_matches_a_scan(self, g: AnnotatedGraph) -> None:
+        slots = [None, *self.TERMS]
         for s in slots:
             for p in slots:
                 for o in slots:
@@ -63,10 +70,26 @@ class TestMatch:
                     ]
                     assert list(g.match(s, p, o)) == expected, (s, p, o)
 
-    def test_copy_does_not_share_indexes(self):
-        g, _ = self._graph()
+    def test_every_binding_pattern_matches_a_scan_in_order(self):
+        self._assert_every_pattern_matches_a_scan(self._graph())
+
+    def test_a_built_graph_matches_a_scan_before_and_after_inserts(self):
+        # A graph from `from_values` builds its indexes on the first
+        # `match`, and `insert` keeps them up to date from then on.
+        statements = self._statements()
+        g = AnnotatedGraph.from_values(TEMPORAL, dict(statements[:15]))
+        self._assert_every_pattern_matches_a_scan(g)
+        size = len(g)
+        for t, value in statements[15:]:
+            g.insert(t, value)
+        assert len(g) > size
+        self._assert_every_pattern_matches_a_scan(g)
+
+    def test_a_built_graph_shares_no_index_with_its_source(self):
+        g = self._graph()
         before = list(g.match(iri("a"), TYPE, None))
-        clone = g.copy()
+        clone = AnnotatedGraph.from_values(g.domain, dict(g.items()))
+        assert list(clone.match(iri("a"), TYPE, None)) == before
         clone.insert(Triple(iri("a"), TYPE, iri("z")), tv("{[1,2]}"))
         clone.insert(Triple(iri("z"), TYPE, iri("a")), tv("{[1,2]}"))
         assert list(g.match(iri("a"), TYPE, None)) == before
@@ -138,6 +161,17 @@ class TestInsert:
         g = AnnotatedGraph(TEMPORAL)
         with pytest.raises(DomainMismatchError):
             g.insert(Triple(iri("a"), iri("p"), iri("b")), BOOLEAN.top)
+
+    def test_from_values_drops_bottom(self):
+        t, u = Triple(iri("a"), iri("p"), iri("b")), Triple(iri("a"), iri("p"), iri("c"))
+        g = AnnotatedGraph.from_values(TEMPORAL, {t: TEMPORAL.bottom, u: tv("{[1,2]}")})
+        assert t not in g
+        assert g.statements() == [(u, tv("{[1,2]}"))]
+
+    def test_from_values_domain_mismatch(self):
+        t = Triple(iri("a"), iri("p"), iri("b"))
+        with pytest.raises(DomainMismatchError, match="graph over temporal got a boolean value"):
+            AnnotatedGraph.from_values(TEMPORAL, {t: BOOLEAN.top})
 
 
 class TestEntailment:
@@ -295,8 +329,9 @@ def _loop_closure(
 
 
 class _ShuffledGraph(AnnotatedGraph):
-    """A copy of `graph` whose `statements()` come in an order shuffled
-    by `rng`, so that `closure` takes its seeds in that order."""
+    """A copy of `graph` whose `statements()` and `items()` come in an
+    order shuffled by `rng`, so that `closure` takes its seeds in that
+    order."""
 
     def __init__(self, graph: AnnotatedGraph, rng: random.Random):
         super().__init__(graph.domain)
@@ -308,6 +343,9 @@ class _ShuffledGraph(AnnotatedGraph):
         out = list(super().statements())
         self._rng.shuffle(out)
         return out
+
+    def items(self):
+        return self.statements()
 
 
 # Each rho-df rule as (premises, conclusion).  "A" is a literal, so it is
@@ -330,7 +368,7 @@ class TestClosureProperties:
         doc = parse_graph((data_dir / "fig1.anrdf").read_text())
         for t, value in doc.graph.statements():
             assert value.leq(fig1_closure.get(t))
-        again = closure(fig1_closure.copy())
+        again = closure(AnnotatedGraph.from_values(fig1_closure.domain, dict(fig1_closure.items())))
         assert dict(again.statements()) == dict(fig1_closure.statements())
 
     @pytest.mark.parametrize(
@@ -404,27 +442,24 @@ class TestClosureProperties:
         assert closed == brute_force_closure(graph)
         assert closed.keys() - graph.triple_set() == set(added)
 
-    def test_only_changed_schema_statements_are_inserted(self, monkeypatch):
-        # The output starts as a copy of the input, so of the closed
-        # schema only what the loop derived or raised is inserted: here
-        # (A sc C) is raised, (A sc D) and (B sc D) are derived.
-        graph = parse_graph(
+    def test_the_closed_schema_replaces_the_input_schema(self):
+        # The table path lays the closed schema over the input, so its `sc`
+        # statements are those of the loop's closure of the schema alone.
+        # There (A sc C) is raised to the join of its own value and the
+        # path through B, and (A sc D) and (B sc D) are derived.
+        schema = (
             "@domix temporal .\n(A sc B) : {[0,5]} .\n(B sc C) : {[0,10]} .\n"
-            "(A sc C) : {[6,8]} .\n(C sc D) : {[0,10]} .\n(x type A) : {[1,2]} .\n"
-        ).graph
-        inserts = []
-        real = AnnotatedGraph.insert
-
-        def insert(store, t, value):
-            grew = real(store, t, value)
-            inserts.append((store, t, grew))
-            return grew
-
-        monkeypatch.setattr(AnnotatedGraph, "insert", insert)
-        out = closure(graph)
-        schema = {(t, grew) for store, t, grew in inserts if store is out and t.predicate == SC}
-        expected = parse_graph("A sc C .\nA sc D .\nB sc D .\n", domain="temporal").plain
-        assert schema == {(t, True) for t in expected}
+            "(A sc C) : {[6,8]} .\n(C sc D) : {[0,10]} .\n"
+        )
+        graph = parse_graph(schema + "(x type A) : {[1,2]} .\n").graph
+        assert _tables_apply(graph) is not None
+        closed_schema = _loop_closure(parse_graph(schema).graph)
+        a_c, a_d, b_d = parse_graph("A sc C .\nA sc D .\nB sc D .\n", domain="temporal").plain
+        assert closed_schema.get(a_c) == tv("{[0,5],[6,8]}")
+        assert a_d not in graph and a_d in closed_schema
+        assert b_d not in graph and b_d in closed_schema
+        sc = [(t, v) for t, v in closure(graph).statements() if t.predicate == SC]
+        assert sc == closed_schema.statements()
 
     # Each graph takes the agenda loop for the reason its id names, and
     # `derived` is a conclusion that the tables would get wrong.
@@ -474,8 +509,9 @@ class TestClosureProperties:
 
     @pytest.mark.parametrize("domain", BRUTE_FORCE_DOMAINS, ids=lambda d: d.name)
     def test_agenda_order_does_not_change_the_closure(self, domain):
-        # `closure` seeds its agenda in the order of `statements()`; three
-        # shuffles of it reach the same least fixpoint as the sorted order.
+        # `closure` seeds its agenda in the order of `items()` or of
+        # `statements()`, by its path; three shuffles of it reach the same
+        # least fixpoint as the unshuffled order.
         for seed in range(150):
             rng = random.Random(seed)
             base = _random_graph(domain, WIDE_POOL, rng)

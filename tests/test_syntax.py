@@ -528,6 +528,22 @@ class TestLiteralParseCache:
         assert (info.value.line, info.value.column) == (3, 13)
 
 
+class TestRepeatedStatements:
+    def test_a_repeated_annotated_triple_holds_the_join(self):
+        # The second statement goes through the scanner, the first not.
+        text = "@domix temporal .\n(a p b) : {[1,3]} .\n(a  p b) : {[5,7]} .\n"
+        graph = parse_graph(text).graph
+        assert graph.statements() == [
+            (Triple(iri("a"), iri("p"), iri("b")), TEMPORAL.parse("{[1,3],[5,7]}"))
+        ]
+
+    def test_a_bottom_annotated_triple_is_not_stored(self):
+        text = "@domix temporal .\n(a p b) : {} .\n(a p c) : {[1,3]} .\n"
+        graph = parse_graph(text).graph
+        assert Triple(iri("a"), iri("p"), iri("b")) not in graph
+        assert len(graph) == 1
+
+
 class TestQueryParsing:
     @pytest.mark.parametrize(
         "modifiers, column",
@@ -707,6 +723,19 @@ class TestQueryParsing:
         with pytest.raises(ParseError, match=f"nested deeper than {alg.MAX_DEPTH} levels") as info:
             parse_query(deeper, TEMPORAL)
         assert info.value.column == deeper.rindex(token) + 1
+
+    def test_a_flat_filter_run_past_the_bound_names_the_filter_that_crossed_it(self):
+        # 349 FILTERs under ORDERBY and LIMIT are `MAX_DEPTH` levels as
+        # evaluated, so with 350 the 350th FILTER's node is the first that
+        # takes the query past the bound, and the error is at its keyword.
+        def text(filters: int) -> str:
+            body = "\n  FILTER(BOUND(?x))" * filters
+            return f"SELECT ?x WHERE {{ (?x type ?c):?l{body}\n}} ORDERBY ?x LIMIT 1"
+
+        parse_query(text(alg.MAX_DEPTH - 4), TEMPORAL)
+        with pytest.raises(ParseError, match=f"nested deeper than {alg.MAX_DEPTH} levels") as info:
+            parse_query(text(alg.MAX_DEPTH - 3), TEMPORAL)
+        assert (info.value.line, info.value.column) == (351, 3)
 
     @staticmethod
     def condition(text: str) -> alg.FilterExpr:
