@@ -26,9 +26,12 @@ The operands of a run of `&&`, or of `||`, join in a balanced tree, so
 a long run adds few levels to the pattern (`algebra`'s depth rule);
 both operators are associative in the three-valued filter logic, and a
 run of `!` folds by its parity, since `!` maps error to error.  A query
-deeper than `algebra.MAX_DEPTH` is refused where its node is built, and
-groups and a filter's `(`, which need build no node, nest at most as
-many levels in the text: the opening that crosses it is a `ParseError`.
+deeper than `algebra.MAX_DEPTH` is refused where its node is built, as
+a `ParseError` at the construct that built it (`_build`), and groups
+and a filter's `(`, which need build no node, nest at most as many
+levels in the text: the opening that crosses it is a `ParseError`.  A
+query whose ORDERBY or LIMIT takes it past the bound is refused at the
+construct whose node first reached the depth that crossed it.
 
 GROUPBY's rules are checked here, before evaluation, as the built-in
 calls are, and each is a `ParseError` at its position: no aggregate
