@@ -24,7 +24,7 @@ from .domains import (
 )
 from .model import AnnotatedGraph, Term, Triple, iri, literal, skolem
 from .reasoner import apply_defaults, closure
-from .anql import QueryDocument, evaluate_query, rewrite_defaults
+from .anql import SubSelect, evaluate_query, rewrite_defaults
 from .syntax import (
     parse_graph,
     parse_query,
@@ -41,7 +41,7 @@ __all__ = [
     "AnnotationValue",
     "Domain",
     "QuantifierMode",
-    "QueryDocument",
+    "SubSelect",
     "Term",
     "Triple",
     "allen_lifted",

@@ -1,5 +1,5 @@
 """AnQL: the annotation-aware query algebra and its evaluator."""
 
-from .algebra import QueryDocument
+from .algebra import SubSelect
 from .engine import evaluate_query
 from .rewrite import rewrite_defaults

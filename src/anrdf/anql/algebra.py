@@ -6,10 +6,11 @@ annotation-valued built-ins bind annotation values, everything else
 binds terms), so solutions distinguish the two by the bound value.
 
 The depth rule: every node (pattern, filter expression or query) has a
-`depth`, the levels of its tree, set when it is built from its
-children's, and no node deeper than `MAX_DEPTH` can be built.  A query's
-depth counts the levels `evaluate_query` walks, so a query that can be
-built can be rewritten and evaluated.
+`depth`, the levels of its tree, one more than its deepest child's, set
+when it is built, and no node deeper than `MAX_DEPTH` can be built.  A
+query is its outermost `SubSelect`, which applies its own ORDERBY and
+LIMIT, so the tree `evaluate_query` walks is the query's own: a query
+that can be built can be rewritten and evaluated.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from ..model import Term
 # and its comprehension, or a filter expression and its parenthesised
 # primary in the parser.  So 353 levels take about 700 of Python's
 # default limit of 1,000 frames (`TestDepthRule` measures it), leaving
-# the rest to the caller; 349 FILTERs in a row under ORDERBY and LIMIT
-# are 353 levels as evaluated.
+# the rest to the caller; a query's SELECT is one level over its
+# pattern, so 351 FILTERs in a row, over their Bap, are 353 levels.
 MAX_DEPTH = 353
 
 
@@ -55,12 +56,11 @@ class TriplePattern:
 
 class Node:
     depth: int = 1  # the levels of this node's tree, set once when the node is built
-    levels = 1  # the levels this node adds above its deepest child
 
     def __post_init__(self) -> None:
         # Every field that holds a node holds a child.
         values = (getattr(self, f.name) for f in fields(self))
-        depth = self.levels + max((v.depth for v in values if isinstance(v, Node)), default=0)
+        depth = 1 + max((v.depth for v in values if isinstance(v, Node)), default=0)
         if depth > MAX_DEPTH:
             raise AnrdfError(f"query nested deeper than {MAX_DEPTH} levels")
         object.__setattr__(self, "depth", depth)
@@ -225,21 +225,14 @@ class Limit(Pattern):
 
 @_node
 class SubSelect(Pattern):
-    variables: tuple[Var, ...]
-    pattern: Pattern
+    """A SELECT: its pattern's rows sorted by `order_by`, projected onto
+    `select`, and cut to the first `limit`.  A query is one, and so is a
+    sub-SELECT, which has no modifiers of its own."""
 
-
-@_node
-class QueryDocument(Node):
     select: tuple[Var, ...]
     pattern: Pattern
     order_by: Var | None = None
     limit: int | None = None
-
-    @property
-    def levels(self) -> int:
-        # `evaluate_query` walks a SubSelect, and an OrderBy and a Limit when present.
-        return 1 + (self.order_by is not None) + (self.limit is not None)
 
 
 class Bindings(NamedTuple):
@@ -253,9 +246,11 @@ class Bindings(NamedTuple):
 
 def bindings(p: Pattern) -> Bindings:
     """What the rows of `p` bind, read from the tree alone: from its children's `bindings`."""
+    # A built pattern has `bindings`; a bare `Pattern()` has none, nor
+    # the fields `repr` prints, so the error names the child's type.
     for child in (getattr(p, name, None) for name in ("left", "right", "pattern")):
-        if child is not None and not isinstance(child, Pattern):
-            raise TypeError(f"not a pattern: {child!r}")
+        if child is not None and not hasattr(child, "bindings"):
+            raise TypeError(f"not a pattern: {type(child).__name__}")
     if isinstance(p, Bap):  # a variable in a slot and in a label gives no rows
         slots = [s for tp in p.patterns for s in (tp.subject, tp.predicate, tp.object)]
         terms = frozenset(s.name for s in slots if isinstance(s, Var))
@@ -273,7 +268,7 @@ def bindings(p: Pattern) -> Bindings:
     if isinstance(p, (Filter, OrderBy, Limit)):
         return p.pattern.bindings
     if isinstance(p, SubSelect):
-        inner, kept = p.pattern.bindings, frozenset(v.name for v in p.variables)
+        inner, kept = p.pattern.bindings, frozenset(v.name for v in p.select)
         keyed = inner.keyed and inner.terms <= kept
         return Bindings(inner.can & kept, inner.terms & kept, inner.labels & kept, keyed)
     if isinstance(p, Assign):  # the target may be overwritten by any kind of value

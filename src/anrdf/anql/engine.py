@@ -49,8 +49,12 @@ whole row.  So is a Join of two keyed inputs, whose rows' term bindings
 fix the two rows each merges; a Filter, OrderBy or Limit over a keyed
 input; and a SubSelect that keeps every `terms` variable of a keyed
 input.  Filter, OrderBy and Limit skip the prune over any input, since a
-subset, an order or a prefix of maximal rows is maximal.  Every other
-node can create a dominated row:
+subset, an order or a prefix of maximal rows is maximal.  A query is
+its outermost SubSelect, which does its ORDERBY and LIMIT itself: it
+sorts its input's rows, projects them, prunes them unless keyed, and
+only then keeps the first `limit`, so the cut keeps maximal rows and a
+dominated row cannot take a place.  Every other node can create a
+dominated row:
 
 - UNION puts rows from two inputs side by side;
 - OPTIONAL keeps a bare left row next to its extensions, and an
@@ -458,33 +462,32 @@ def eval_pattern(
         rows = _apply_assign(pattern, rows)
     elif isinstance(pattern, alg.GroupBy):
         rows = _apply_groupby(pattern, rows, diagnostics)
-    else:  # SubSelect
-        names = [v.name for v in pattern.variables]
+    else:  # SubSelect: sort, project, prune, then keep the first `limit` rows
+        if pattern.order_by is not None:
+            rows = _apply_orderby(rows, pattern.order_by)
+        names = [v.name for v in pattern.select]
         rows = [{name: row[name] for name in names if name in row} for row in rows]
+        if not pattern.bindings.keyed:
+            rows = prune_maximal(rows)
+        return rows[: pattern.limit]  # a limit of None keeps every row
     return rows if pattern.bindings.keyed else prune_maximal(rows)
 
 
 def evaluate_query(
     graph: AnnotatedGraph,
-    query: alg.QueryDocument,
+    query: alg.SubSelect,
     diagnostics: list[str] | None = None,
 ) -> list[Solution]:
     """Evaluate a SELECT query; rows keep only the selected variables.
 
     Raises `DomainMismatchError` if an annotation constant of the query
-    is not in the graph's domain (the domain rule).  The nodes built
-    here are no deeper than `query`, which `algebra`'s depth rule
-    bounded when it was built."""
+    is not in the graph's domain (the domain rule).  Evaluation walks
+    the query's own tree, which `algebra`'s depth rule bounded when it
+    was built."""
     for value in alg.occurrences(query, AnnotationValue):
         if value.domain.name != graph.domain.name:
             raise DomainMismatchError(
                 f"query constant {value.serialize()} is in domain {value.domain.name},"
                 f" not in the graph's domain {graph.domain.name}"
             )
-    pattern: alg.Pattern = query.pattern
-    if query.order_by is not None:
-        pattern = alg.OrderBy(pattern, query.order_by)
-    pattern = alg.SubSelect(query.select, pattern)
-    if query.limit is not None:
-        pattern = alg.Limit(pattern, query.limit)
-    return eval_pattern(graph, pattern, diagnostics)
+    return eval_pattern(graph, query, diagnostics)

@@ -19,9 +19,7 @@ from . import algebra as alg
 MODES = ("shared-var", "fresh-vars", "top")
 
 
-def rewrite_defaults(
-    query: alg.QueryDocument, mode: str, domain: Domain
-) -> alg.QueryDocument:
+def rewrite_defaults(query: alg.SubSelect, mode: str, domain: Domain) -> alg.SubSelect:
     """`query` with a label on every bare triple pattern.  The walk
     recurses a level at a time, which `algebra`'s depth rule bounds
     where `query` was built, so it checks no depth itself."""
@@ -67,4 +65,4 @@ def rewrite_defaults(
             },
         )
 
-    return replace(query, pattern=walk(query.pattern))
+    return walk(query)

@@ -8,9 +8,10 @@
 Patterns inside WHERE combine left to right: runs of triple patterns
 form a basic annotated pattern, groups join with AND (or with UNION when
 written `{...} UNION {...}`), OPTIONAL attaches to everything parsed so
-far, and FILTER/ASSIGN/GROUPBY/ORDERBY/LIMIT/sub-SELECT wrap it.  A
-FILTER written last inside an OPTIONAL group becomes the optional's
-guard expression, which may mention variables of the outer pattern.
+far, FILTER/ASSIGN/GROUPBY/ORDERBY/LIMIT wrap it, and a sub-SELECT
+joins it, as a group does.  A FILTER written last inside an OPTIONAL
+group becomes the optional's guard expression, which may mention
+variables of the outer pattern.
 
 Terms are read by the scanner shared with the data format
 (`anrdf.syntax.lexer`), plus `?var`; blank nodes are data-only.
@@ -26,12 +27,13 @@ The operands of a run of `&&`, or of `||`, join in a balanced tree, so
 a long run adds few levels to the pattern (`algebra`'s depth rule);
 both operators are associative in the three-valued filter logic, and a
 run of `!` folds by its parity, since `!` maps error to error.  A query
-deeper than `algebra.MAX_DEPTH` is refused where its node is built, as
-a `ParseError` at the construct that built it (`_build`), and groups
-and a filter's `(`, which need build no node, nest at most as many
-levels in the text: the opening that crosses it is a `ParseError`.  A
-query whose ORDERBY or LIMIT takes it past the bound is refused at the
-construct whose node first reached the depth that crossed it.
+is its outermost SELECT, one `SubSelect` node that applies the query's
+ORDERBY and LIMIT itself, so it is one level over its pattern: a node
+of the pattern that reaches `algebra.MAX_DEPTH` is refused where it is
+built, as a `ParseError` at the construct that built it (`_build`), and
+groups and a filter's `(`, which need build no node, nest at most
+`MAX_DEPTH` levels in the text: the opening that crosses it is a
+`ParseError`.
 
 GROUPBY's rules are checked here, before evaluation, as the built-in
 calls are, and each is a `ParseError` at its position: no aggregate
@@ -79,9 +81,6 @@ class _Scanner(Scanner):
         super().__init__(text)
         self.domain = domain
         self.depth = 0  # the groups and `(` open here; the reader of each closes it
-        # Each depth a node of a group reached, and the start of the
-        # construct of the first such node (`_build`).
-        self.reached: dict[int, int] = {}
 
     def open(self, token: str) -> bool:
         """`take` the opening `token` of one more nesting level; a level
@@ -173,7 +172,7 @@ class _Scanner(Scanner):
         return self.term()
 
 
-def parse_query(text: str, domain: Domain | str) -> alg.QueryDocument:
+def parse_query(text: str, domain: Domain | str) -> alg.SubSelect:
     if isinstance(domain, str):
         domain = get_domain(domain)
     sc = _Scanner(text, domain)
@@ -195,21 +194,8 @@ def parse_query(text: str, domain: Domain | str) -> alg.QueryDocument:
             raise sc.error(f"a query has at most one {word.upper()}")
         sc.take_keyword(word)
         modifiers[word] = sc.var() if word == "orderby" else _parse_int(sc)
-    try:
-        return alg.QueryDocument(
-            select=select,
-            pattern=pattern,
-            order_by=modifiers.get("orderby"),
-            limit=modifiers.get("limit"),
-        )
-    except AnrdfError as exc:
-        # The query adds a level for its SubSelect and one for each
-        # modifier, so the first node to reach this depth took it past
-        # the bound.  A depth reached only inside a filter expression is
-        # reported at the end of the query.
-        crossed = alg.MAX_DEPTH - len(modifiers)
-        sc.pos = sc.reached.get(crossed, sc.pos)
-        raise sc.error(str(exc)) from None
+    # `_build` kept every node of `pattern` below `MAX_DEPTH`, so the query fits.
+    return alg.SubSelect(select, pattern, modifiers.get("orderby"), modifiers.get("limit"))
 
 
 def _parse_select(sc: _Scanner) -> tuple[tuple[alg.Var, ...], alg.Pattern]:
@@ -287,16 +273,18 @@ def _parse_group(sc: _Scanner) -> alg.Pattern:
 
 
 def _build(sc: _Scanner, start: int, make, *args):
-    """`make(*args)`, a node of the construct that starts at `start`; a
-    node built past the depth bound is a `ParseError` there."""
+    """`make(*args)`, a node of the construct that starts at `start`.  A
+    node that reaches `MAX_DEPTH` is a `ParseError` there: every node
+    sits under the query's SELECT, which would then be past the bound."""
     try:
         built = make(*args)
+        if built.depth >= alg.MAX_DEPTH:
+            raise AnrdfError(f"query nested deeper than {alg.MAX_DEPTH} levels")
     except ParseError:
         raise
     except AnrdfError as exc:
         sc.pos = start
         raise sc.error(str(exc)) from None
-    sc.reached.setdefault(built.depth, start)
     return built
 
 

@@ -470,7 +470,7 @@ class TestAssign:
             "isTEMPORAL", (alg.Var("l"),), alg.Var("t"),
         )
         with pytest.raises(KeyError, match="isTEMPORAL"):
-            evaluate_query(fig1_exx1_closure, alg.QueryDocument((alg.Var("t"),), pattern))
+            evaluate_query(fig1_exx1_closure, alg.SubSelect((alg.Var("t"),), pattern))
 
 
 class TestAggregateOfATest:
@@ -493,7 +493,7 @@ class TestAggregateOfATest:
             (alg.Aggregate("COUNT", "isTEMPORAL", (alg.Var("l"),), alg.Var("n")),),
         )
         with pytest.raises(KeyError, match="isTEMPORAL"):
-            evaluate_query(fig1_exx1_closure, alg.QueryDocument((alg.Var("n"),), pattern))
+            evaluate_query(fig1_exx1_closure, alg.SubSelect((alg.Var("n"),), pattern))
 
 
 class TestGroupBy:
@@ -1019,11 +1019,11 @@ class TestDefaultRewrites:
             group = alg.GroupBy(assign, (x[0],), ())
             return alg.Limit(alg.OrderBy(alg.SubSelect((x[0],), group), x[0]), 5)
 
-        query = alg.QueryDocument(select=(x[0],), pattern=tree(bap))
+        query = alg.SubSelect((x[0],), tree(bap), x[0], 3)
         rewritten = rewrite_defaults(query, "fresh-vars", TEMPORAL)
-        assert rewritten.pattern == tree(lambda i: bap(i, alg.Var(f"_a{i}")))
+        assert rewritten == alg.SubSelect((x[0],), tree(lambda i: bap(i, alg.Var(f"_a{i}"))), x[0], 3)
         with pytest.raises(TypeError):
-            rewrite_defaults(alg.QueryDocument((), alg.Pattern()), "top", TEMPORAL)
+            rewrite_defaults(alg.SubSelect((), alg.Pattern()), "top", TEMPORAL)
 
     @pytest.mark.parametrize(
         "text",
@@ -1081,7 +1081,7 @@ class TestDomainMaximality:
         for t in sorted(random_crisp_graph(rng, max_triples=40)):
             graph.insert(t, TEMPORAL.random_value(rng))
         graph.freeze()
-        query = alg.QueryDocument(select=(), pattern=random_pattern(rng))
+        query = alg.SubSelect((), random_pattern(rng))
         stack = [rewrite_defaults(query, "fresh-vars", TEMPORAL).pattern]
         while stack:
             node = stack.pop()
@@ -1101,7 +1101,7 @@ class TestDomainMaximality:
         for t in triples:
             graph.insert(t, TEMPORAL.random_value(rng))
         graph.freeze()
-        query = alg.QueryDocument(select=(), pattern=random_pattern(rng, anchors=triples))
+        query = alg.SubSelect((), random_pattern(rng, anchors=triples))
         pattern = rewrite_defaults(query, "fresh-vars", TEMPORAL).pattern
         a, b, *rest = (alg.Var(name) for name in rng.sample("xyzuv", 5))
         projected = alg.SubSelect((a, b, *rest) if rng.random() < 0.5 else (a, b), pattern)
@@ -1231,8 +1231,11 @@ class TestDomainMaximality:
         assert evaluate_query(graph, query) == [{"l": tv("{[0,10]}"), "n": Fraction(1)}]
 
     def test_a_node_that_is_not_a_pattern_raises(self):
-        with pytest.raises(TypeError, match="not a pattern"):
+        with pytest.raises(TypeError, match="not a pattern: str"):
             alg.Join(alg.Bap(()), "?x")
+        # A bare `Pattern()` was built by no constructor and has no `bindings`.
+        with pytest.raises(TypeError, match="not a pattern: Pattern"):
+            alg.Filter(alg.Pattern(), alg.Bound(alg.Var("x")))
 
     def test_no_answer_binds_bottom(self, fig1_exx1_closure):
         query = q("SELECT ?p ?l WHERE { (?p type ebayEmp):?l (?p hasCar ?c):?l }")
@@ -1373,10 +1376,60 @@ class TestDomainRule:
         assert len(calls) == 2
 
 
+class TestQueryModifiers:
+    """A query is one SubSelect that sorts, projects, prunes and then
+    cuts: the rows, in order, of `Limit(SubSelect(OrderBy(P)))`."""
+
+    @staticmethod
+    def nested(select, pattern, order_by, limit) -> alg.Pattern:
+        # The same query built from the node classes a group's modifiers use.
+        node = pattern if order_by is None else alg.OrderBy(pattern, order_by)
+        node = alg.SubSelect(select, node)
+        return node if limit is None else alg.Limit(node, limit)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_one_node_gives_the_nested_rows_in_order(self, seed):
+        # A dense graph over p0 and p1, and a projection that keeps every
+        # label and drops most term variables, so that some projected rows
+        # are dominated and the prune must come before the cut.
+        rng = random.Random(9900 + seed)
+        graph = AnnotatedGraph(TEMPORAL)
+        names = [iri(f"a{i}") for i in range(3)]
+        triples = [
+            Triple(s, p, o)
+            for s, p, o in itertools.product(names, (iri("p0"), iri("p1")), names)
+            if rng.random() < 0.8
+        ]
+        for t in triples:
+            graph.insert(t, TEMPORAL.random_value(rng))
+        graph.freeze()
+        pattern = rewrite_defaults(
+            alg.SubSelect((), random_pattern(rng, anchors=triples)), "fresh-vars", TEMPORAL
+        ).pattern
+        bound = sorted(pattern.bindings.can)
+        select = tuple(alg.Var(n) for n in bound if n.startswith("_a") or rng.random() < 0.3)
+        order_by = rng.choice([None, *(alg.Var(n) for n in bound)])
+        limit = rng.choice([None, 0, 1, 2, 3])
+        query = alg.SubSelect(select, pattern, order_by, limit)
+        assert query.depth == pattern.depth + 1
+        expected = eval_pattern(graph, self.nested(select, pattern, order_by, limit))
+        assert eval_pattern(graph, query) == expected
+
+    def test_the_prune_comes_before_the_cut(self):
+        # Sorted by ?y, (a p b) comes first; projected onto ?x ?l its row
+        # is dominated by the (a p c) row, so LIMIT 1 keeps the (a p c) row.
+        graph = parse_graph("@domix temporal .\n(a p b) : {[1,2]} .\n(a p c) : {[1,5]} .\n").graph
+        x, y, label = alg.Var("x"), alg.Var("y"), alg.Var("l")
+        pattern = alg.Bap((alg.TriplePattern(x, iri("p"), y, label),))
+        rows = eval_pattern(graph, alg.SubSelect((x, label), pattern, y, 1))
+        assert rows == [{"x": iri("a"), "l": tv("{[1,5]}")}]
+        assert rows == eval_pattern(graph, self.nested((x, label), pattern, y, 1))
+
+
 class TestDepthRule:
-    """No node deeper than `MAX_DEPTH` levels can be built, and a query's
-    depth counts the levels `evaluate_query` walks, so every query that
-    can be built, parsed or not, rewrites and evaluates."""
+    """No node deeper than `MAX_DEPTH` levels can be built, and a query is
+    its outermost SubSelect, the tree `evaluate_query` walks, so every
+    query that can be built, parsed or not, rewrites and evaluates."""
 
     GRAPH = "@domix temporal .\n(a p b) : {[0,10]} .\n"
 
@@ -1397,10 +1450,10 @@ class TestDepthRule:
             sys.setrecursionlimit(limit)
 
     @staticmethod
-    def query(depth: int, shape: str) -> alg.QueryDocument:
+    def query(depth: int, shape: str) -> alg.SubSelect:
         # A Bap under a chain of Filters, or under one Filter whose
-        # expression is a chain of `&&`, walked under the query's
-        # SubSelect; either is `depth` levels.
+        # expression is a chain of `&&`, under the query's SubSelect;
+        # either is `depth` levels.
         x = alg.Var("x")
         pattern = alg.Bap((alg.TriplePattern(x, iri("p"), alg.Var("y"), alg.Var("l")),))
         if shape == "filters":
@@ -1411,7 +1464,7 @@ class TestDepthRule:
             for _ in range(depth - 3):
                 expr = alg.And(expr, alg.Bound(x))
             pattern = alg.Filter(pattern, expr)
-        query = alg.QueryDocument((x,), pattern)
+        query = alg.SubSelect((x,), pattern)
         assert query.depth == depth
         return query
 
@@ -1430,29 +1483,29 @@ class TestDepthRule:
         for _ in range(alg.MAX_DEPTH - 1):
             pattern, expr = alg.Filter(pattern, alg.Bound(x)), alg.Not(expr)
         assert pattern.depth == expr.depth == alg.MAX_DEPTH
-        under = pattern.pattern.pattern.pattern  # MAX_DEPTH - 3 levels
-        # The query adds its SubSelect, and an OrderBy and a Limit when present.
-        assert alg.QueryDocument((x,), under, x, 1).depth == alg.MAX_DEPTH
-        assert alg.QueryDocument((x,), under.pattern, None, 1).depth == alg.MAX_DEPTH - 2
+        under = pattern.pattern  # MAX_DEPTH - 1 levels
+        # A query is one level over its pattern, with or without ORDERBY and LIMIT.
+        assert alg.SubSelect((x,), under, x, 1).depth == alg.MAX_DEPTH
+        assert alg.SubSelect((x,), under.pattern, None, 1).depth == alg.MAX_DEPTH - 1
         message = f"query nested deeper than {alg.MAX_DEPTH} levels"
         for build in (
             lambda: alg.Filter(pattern, alg.Bound(x)),
             lambda: alg.Not(expr),
-            lambda: alg.QueryDocument((x,), pattern),
-            lambda: alg.QueryDocument((x,), alg.Filter(under, alg.Bound(x)), x, 1),
+            lambda: alg.SubSelect((x,), pattern),
+            lambda: alg.SubSelect((x,), pattern, x, 1),
         ):
             with pytest.raises(AnrdfError, match=message):
                 build()
 
     def test_a_query_at_the_bound_compares_hashes_and_prints(self):
         # In the frame budget that evaluation keeps.
-        text = "SELECT ?x WHERE { (?x p ?y):?l " + "FILTER(BOUND(?x)) " * 349 + "} ORDERBY ?x LIMIT 1"
+        text = "SELECT ?x WHERE { (?x p ?y):?l " + "FILTER(BOUND(?x)) " * 351 + "} ORDERBY ?x LIMIT 1"
         query, again = parse_query(text, TEMPORAL), parse_query(text, TEMPORAL)
         assert query.depth == alg.MAX_DEPTH
         with self.frame_budget():
             assert query == again and hash(query) == hash(again)
             printed = repr(query)
-        assert printed.count("Filter(pattern=") == 349
+        assert printed.count("Filter(pattern=") == 351
         assert query != parse_query(text.replace("LIMIT 1", "LIMIT 2"), TEMPORAL)
 
     # Query texts `n` levels deep: as evaluated (the query's `depth`) for
@@ -1463,7 +1516,7 @@ class TestDepthRule:
     AT_DEPTH = {
         "filters": lambda n: "SELECT ?x WHERE { " + TestDepthRule.T + "FILTER(BOUND(?x)) " * (n - 2) + "}",
         "ordered-filters": lambda n: (
-            "SELECT ?x WHERE { " + TestDepthRule.T + "FILTER(BOUND(?x)) " * (n - 4) + "} ORDERBY ?x LIMIT 1"
+            "SELECT ?x WHERE { " + TestDepthRule.T + "FILTER(BOUND(?x)) " * (n - 2) + "} ORDERBY ?x LIMIT 1"
         ),
         "optionals": lambda n: (
             "SELECT ?x WHERE { " + TestDepthRule.T + "OPTIONAL { (?x p ?y):?l } " * (n - 2) + "}"
@@ -1493,7 +1546,7 @@ class TestDepthRule:
             rewritten = rewrite_defaults(query, "fresh-vars", TEMPORAL)
             assert evaluate_query(graph, rewritten) == [{"x": iri("a")}]
         assert (query.depth == alg.MAX_DEPTH) == (shape not in ("groups", "parentheses"))
-        with pytest.raises(AnrdfError, match=f"query nested deeper than {alg.MAX_DEPTH} levels"):
+        with pytest.raises(ParseError, match=f"query nested deeper than {alg.MAX_DEPTH} levels"):
             parse_query(make(alg.MAX_DEPTH + 1), TEMPORAL)
 
     def test_every_node_is_a_level_above_its_deepest_child(self):
@@ -1528,6 +1581,7 @@ class TestDepthRule:
             alg.OrderBy(pattern, x),
             alg.Limit(pattern, 1),
             alg.SubSelect((x,), pattern),
+            alg.SubSelect((x,), pattern, x, 1),
         ]
         assert [node.depth for node in leaves] == [1] * len(leaves)
         assert [node.depth for node in parents] == [3] * len(parents)

@@ -253,8 +253,9 @@ class TestQuery:
 
     def test_deep_query_exit_2(self, capsys, data_dir, tmp_path):
         # Its pattern would be 2,002 levels deep, past the bound of
-        # `anrdf.anql.algebra`, so `parse_query` refuses it at the 353rd
-        # FILTER, whose node would be the first 354 levels deep.
+        # `anrdf.anql.algebra`, so `parse_query` refuses it at the 352nd
+        # FILTER, whose node is the first to reach 353 levels and leaves
+        # the query's SELECT no room.
         deep = tmp_path / "deep.anql"
         head, filter_ = "SELECT ?x WHERE { (?x p ?y):?l ", "FILTER(BOUND(?x)) "
         deep.write_text(f"{head}{filter_ * 2000}GROUPBY(?x) COUNT(?y) AS ?n }}")
@@ -262,7 +263,7 @@ class TestQuery:
             capsys, "query", "-i", str(data_dir / "fig1_exx1.anrdf"), str(deep)
         )
         assert (code, stdout) == (2, "")
-        column = len(head) + 352 * len(filter_) + 1
+        column = len(head) + 351 * len(filter_) + 1
         assert stderr == f"error: 1:{column}: query nested deeper than 353 levels\n"
 
     @pytest.mark.parametrize(
@@ -270,13 +271,13 @@ class TestQuery:
         [
             ("FILTER(BOUND(?p)) " * 300 + "GROUPBY(?p) COUNT(?c) AS ?n", ""),
             ("FILTER(" + " || ".join(["?c = nobody"] * 2000 + ["?c = ebayEmp"]) + ")", ""),
-            ("FILTER(BOUND(?p)) " * 349, "ORDERBY ?p LIMIT 1"),
+            ("FILTER(BOUND(?p)) " * 351, "ORDERBY ?p LIMIT 1"),
         ],
-        ids=["300-filters", "2001-alternatives", "349-filters-ordered"],
+        ids=["300-filters", "2001-alternatives", "351-filters-ordered"],
     )
     def test_long_flat_query_runs(self, capsys, data_dir, tmp_path, condition, modifiers):
         # Text that nests nothing stays inside the depth bound: 300 FILTERs
-        # are 303 levels with the GROUPBY and the query's SubSelect, 349
+        # are 303 levels with the GROUPBY and the query's SubSelect, 351
         # under ORDERBY and LIMIT are 353, and a run of `||` is balanced.
         flat = tmp_path / "flat.anql"
         flat.write_text(f"SELECT ?p WHERE {{ (?p type ?c):?l {condition} }} {modifiers}")

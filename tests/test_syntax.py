@@ -724,18 +724,22 @@ class TestQueryParsing:
             parse_query(deeper, TEMPORAL)
         assert info.value.column == deeper.rindex(token) + 1
 
-    def test_a_flat_filter_run_past_the_bound_names_the_filter_that_crossed_it(self):
-        # 349 FILTERs under ORDERBY and LIMIT are `MAX_DEPTH` levels as
-        # evaluated, so with 350 the 350th FILTER's node is the first that
-        # takes the query past the bound, and the error is at its keyword.
+    @pytest.mark.parametrize("modifiers", ["", " ORDERBY ?x LIMIT 1"])
+    def test_a_flat_filter_run_is_refused_at_its_352nd_filter(self, modifiers):
+        # The query's SELECT, which applies its ORDERBY and LIMIT, is one
+        # level over its pattern, so 351 FILTERs over their Bap are
+        # `MAX_DEPTH` levels.  In a longer run the 352nd FILTER's node is
+        # the first to reach the bound, and the error is at its keyword
+        # (line 353), however long the run.
         def text(filters: int) -> str:
             body = "\n  FILTER(BOUND(?x))" * filters
-            return f"SELECT ?x WHERE {{ (?x type ?c):?l{body}\n}} ORDERBY ?x LIMIT 1"
+            return f"SELECT ?x WHERE {{ (?x type ?c):?l{body}\n}}{modifiers}"
 
-        parse_query(text(alg.MAX_DEPTH - 4), TEMPORAL)
-        with pytest.raises(ParseError, match=f"nested deeper than {alg.MAX_DEPTH} levels") as info:
-            parse_query(text(alg.MAX_DEPTH - 3), TEMPORAL)
-        assert (info.value.line, info.value.column) == (351, 3)
+        assert parse_query(text(351), TEMPORAL).depth == alg.MAX_DEPTH
+        for filters in (352, 353, 2000):
+            with pytest.raises(ParseError, match=f"nested deeper than {alg.MAX_DEPTH} levels") as info:
+                parse_query(text(filters), TEMPORAL)
+            assert (info.value.line, info.value.column) == (353, 3)
 
     @staticmethod
     def condition(text: str) -> alg.FilterExpr:
