@@ -10,7 +10,9 @@ The depth rule: every node (pattern, filter expression or query) has a
 when it is built, and no node deeper than `MAX_DEPTH` can be built.  A
 query is its outermost `SubSelect`, which applies its own ORDERBY and
 LIMIT, so the tree `evaluate_query` walks is the query's own: a query
-that can be built can be rewritten and evaluated.
+that can be built can be rewritten and evaluated.  An ORDERBY or a
+LIMIT inside a group is a `SubSelect` too, one with no projection, so
+one node class sorts rows and cuts them.
 """
 
 from __future__ import annotations
@@ -212,24 +214,14 @@ class GroupBy(Pattern):
 
 
 @_node
-class OrderBy(Pattern):
-    pattern: Pattern
-    var: Var
-
-
-@_node
-class Limit(Pattern):
-    pattern: Pattern
-    count: int
-
-
-@_node
 class SubSelect(Pattern):
-    """A SELECT: its pattern's rows sorted by `order_by`, projected onto
-    `select`, and cut to the first `limit`.  A query is one, and so is a
-    sub-SELECT, which has no modifiers of its own."""
+    """Its pattern's rows sorted by `order_by`, projected onto `select`,
+    and cut to the first `limit`.  A query is one, with the query's
+    ORDERBY and LIMIT, and so is a sub-SELECT, which has none; an
+    ORDERBY or a LIMIT inside a group is one with no projection
+    (`select` None), over what precedes it in the group."""
 
-    select: tuple[Var, ...]
+    select: tuple[Var, ...] | None  # None: no projection
     pattern: Pattern
     order_by: Var | None = None
     limit: int | None = None
@@ -265,7 +257,7 @@ def bindings(p: Pattern) -> Bindings:
         if isinstance(p, Union):
             return Bindings(can, left.terms & right.terms, left.labels & right.labels, False)
         return Bindings(can, left.terms, left.labels, False)  # bare left rows pass through
-    if isinstance(p, (Filter, OrderBy, Limit)):
+    if isinstance(p, Filter) or isinstance(p, SubSelect) and p.select is None:
         return p.pattern.bindings
     if isinstance(p, SubSelect):
         inner, kept = p.pattern.bindings, frozenset(v.name for v in p.select)
@@ -278,7 +270,7 @@ def bindings(p: Pattern) -> Bindings:
         inner, new = p.pattern.bindings, frozenset(a.target.name for a in p.aggregates)
         kept = frozenset(k.name for k in p.keys)
         return Bindings(kept | new, inner.terms & kept - new, inner.labels & kept - new, False)
-    raise TypeError(f"not a pattern: {p!r}")
+    raise TypeError(f"not a pattern: {type(p).__name__}")
 
 
 def occurrences(node, kind: type) -> Iterator:

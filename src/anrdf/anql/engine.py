@@ -46,15 +46,16 @@ equal, and no row dominates an equal one, so a keyed node skips the
 prune.  A Bap is keyed: the store keeps one annotation per triple, so
 the term bindings of a row fix the triples it matched and hence the
 whole row.  So is a Join of two keyed inputs, whose rows' term bindings
-fix the two rows each merges; a Filter, OrderBy or Limit over a keyed
-input; and a SubSelect that keeps every `terms` variable of a keyed
-input.  Filter, OrderBy and Limit skip the prune over any input, since a
-subset, an order or a prefix of maximal rows is maximal.  A query is
-its outermost SubSelect, which does its ORDERBY and LIMIT itself: it
-sorts its input's rows, projects them, prunes them unless keyed, and
-only then keeps the first `limit`, so the cut keeps maximal rows and a
-dominated row cannot take a place.  Every other node can create a
-dominated row:
+fix the two rows each merges; a Filter over a keyed input; and a
+SubSelect over a keyed input that keeps every `terms` variable or has no
+projection.  A SubSelect sorts and cuts rows, for a query, a sub-SELECT
+and a group's ORDERBY or LIMIT alike; the last is one with no
+projection (`select` None).  A Filter and a SubSelect with no projection
+skip the prune over any input, since a subset, an order or a prefix of
+maximal rows is maximal.  A SubSelect that projects sorts its input's
+rows, projects them, prunes them unless keyed, and only then keeps the
+first `limit`, so the cut keeps maximal rows and a dominated row cannot
+take a place.  Every other node can create a dominated row:
 
 - UNION puts rows from two inputs side by side;
 - OPTIONAL keeps a bare left row next to its extensions, and an
@@ -220,7 +221,7 @@ def filter_eval(expr: alg.FilterExpr, solution: Solution) -> str:
         return FALSE
     if isinstance(expr, alg.BuiltinCall):
         return TRUE if _call(expr.name, expr.args, solution) is True else FALSE
-    raise TypeError(f"not a filter expression: {expr!r}")
+    raise TypeError(f"not a filter expression: {type(expr).__name__}")
 
 
 # -- pattern evaluation -------------------------------------------------------
@@ -434,18 +435,12 @@ def eval_pattern(
         left = eval_pattern(graph, pattern.left, diagnostics)
         right = eval_pattern(graph, pattern.right, diagnostics)
         keys = sorted(pattern.left.bindings.terms & pattern.right.bindings.terms)
-    elif isinstance(
-        pattern, (alg.Filter, alg.OrderBy, alg.Limit, alg.Assign, alg.GroupBy, alg.SubSelect)
-    ):
+    elif isinstance(pattern, (alg.Filter, alg.Assign, alg.GroupBy, alg.SubSelect)):
         rows = eval_pattern(graph, pattern.pattern, diagnostics)
     else:
-        raise TypeError(f"not a pattern: {pattern!r}")
+        raise TypeError(f"not a pattern: {type(pattern).__name__}")
     if isinstance(pattern, alg.Filter):
         return [r for r in rows if filter_eval(pattern.expr, r) == TRUE]
-    if isinstance(pattern, alg.OrderBy):
-        return _apply_orderby(rows, pattern.var)
-    if isinstance(pattern, alg.Limit):
-        return rows[: pattern.count]
     if isinstance(pattern, alg.Join):
         candidates = _right_partitions(keys, right)
         rows = [
@@ -462,13 +457,14 @@ def eval_pattern(
         rows = _apply_assign(pattern, rows)
     elif isinstance(pattern, alg.GroupBy):
         rows = _apply_groupby(pattern, rows, diagnostics)
-    else:  # SubSelect: sort, project, prune, then keep the first `limit` rows
+    else:  # SubSelect: sort, project and prune, then keep the first `limit` rows
         if pattern.order_by is not None:
             rows = _apply_orderby(rows, pattern.order_by)
-        names = [v.name for v in pattern.select]
-        rows = [{name: row[name] for name in names if name in row} for row in rows]
-        if not pattern.bindings.keyed:
-            rows = prune_maximal(rows)
+        if pattern.select is not None:  # with none, the rows stay maximal
+            names = [v.name for v in pattern.select]
+            rows = [{name: row[name] for name in names if name in row} for row in rows]
+            if not pattern.bindings.keyed:
+                rows = prune_maximal(rows)
         return rows[: pattern.limit]  # a limit of None keeps every row
     return rows if pattern.bindings.keyed else prune_maximal(rows)
 

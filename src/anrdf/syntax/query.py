@@ -8,10 +8,11 @@
 Patterns inside WHERE combine left to right: runs of triple patterns
 form a basic annotated pattern, groups join with AND (or with UNION when
 written `{...} UNION {...}`), OPTIONAL attaches to everything parsed so
-far, FILTER/ASSIGN/GROUPBY/ORDERBY/LIMIT wrap it, and a sub-SELECT
-joins it, as a group does.  A FILTER written last inside an OPTIONAL
-group becomes the optional's guard expression, which may mention
-variables of the outer pattern.
+far, FILTER/ASSIGN/GROUPBY wrap it, ORDERBY and LIMIT sort or cut it
+(each a `SubSelect` with no projection, so `ORDERBY ?v LIMIT n` is two
+nodes), and a sub-SELECT joins it, as a group does.  A FILTER written
+last inside an OPTIONAL group becomes the optional's guard expression,
+which may mention variables of the outer pattern.
 
 Terms are read by the scanner shared with the data format
 (`anrdf.syntax.lexer`), plus `?var`; blank nodes are data-only.
@@ -323,9 +324,12 @@ def _parse_wrapper(sc: _Scanner, word: str, acc: alg.Pattern) -> alg.Pattern:
         while sc.keyword() in _AGGREGATES:
             aggregates.append(_parse_aggregate(sc, keys, bound))
         return _build(sc, start, alg.GroupBy, acc, tuple(keys), tuple(aggregates))
+    # ORDERBY and LIMIT sort or cut `acc` without projecting it.  Not
+    # onto `acc.bindings.can`: `rewrite_defaults` labels bare triple
+    # patterns after parsing, and such a projection would drop the labels.
     if word == "orderby":
-        return _build(sc, start, alg.OrderBy, acc, sc.var())
-    return _build(sc, start, alg.Limit, acc, _parse_int(sc))
+        return _build(sc, start, alg.SubSelect, None, acc, sc.var())
+    return _build(sc, start, alg.SubSelect, None, acc, None, _parse_int(sc))
 
 
 def _parse_triple_pattern(sc: _Scanner) -> alg.TriplePattern:

@@ -700,10 +700,46 @@ class TestModifiers:
         assert evaluate_query(fig1_exx1_closure, q(base + " LIMIT 0")) == []
 
     def test_limit_inside_a_group(self, fig1_exx1_closure):
+        # A group's ORDERBY and LIMIT are two SubSelects with no projection.
         query = q("SELECT ?p WHERE { (?p type ebayEmp):?l ORDERBY ?p LIMIT 2 }")
-        assert isinstance(query.pattern, alg.Limit) and query.limit is None
+        p, label = alg.Var("p"), alg.Var("l")
+        bap = alg.Bap((alg.TriplePattern(p, TYPE, iri("ebayEmp"), label),))
+        assert query.pattern == alg.SubSelect(None, alg.SubSelect(None, bap, p), None, 2)
+        assert query.order_by is None and query.limit is None
         rows = evaluate_query(fig1_exx1_closure, query)
         assert [r["p"].lexical for r in rows] == ["chadHurley", "jawedKarim"]
+
+    @pytest.mark.parametrize("modifier", ["ORDERBY ?s", "LIMIT 5"])
+    @pytest.mark.parametrize("mode, expected", [("shared-var", "b"), ("fresh-vars", "a b")])
+    def test_a_group_modifier_keeps_the_labels_a_rewrite_adds(self, modifier, mode, expected):
+        # `rewrite_defaults` labels `?s p x` and `?s q y` after parsing.
+        # Under shared-var one label must meet both values, which is
+        # bottom for a; a modifier that projected onto what its group
+        # could bind when parsed would drop the label and answer a too.
+        graph = parse_graph(
+            "@domix temporal .\n(a p x) : {[1,2]} .\n(a q y) : {[5,6]} .\n"
+            "(b p x) : {[1,9]} .\n(b q y) : {[3,4]} .\n"
+        ).graph
+        query = q(f"SELECT ?s WHERE {{ ?s p x {modifier} ?s q y }}")
+        rows = evaluate_query(graph, rewrite_defaults(query, mode, TEMPORAL))
+        assert " ".join(r["s"].lexical for r in rows) == expected
+
+    def test_a_subselect_with_no_projection_does_not_prune(self, monkeypatch):
+        # The Union's rows are already maximal, and so is any order or
+        # prefix of them; only a projection can make a row dominated.
+        graph = parse_graph("@domix temporal .\n(a p b) : {[1,2]} .\n(a p c) : {[1,5]} .\n").graph
+        x, y, label = alg.Var("x"), alg.Var("y"), alg.Var("l")
+        bap = alg.Bap((alg.TriplePattern(x, iri("p"), y, label),))
+        union = alg.Union(bap, bap)
+        calls = []
+        monkeypatch.setattr(engine, "prune_maximal", lambda rows: calls.append(rows) or rows)
+        for node in (alg.SubSelect(None, union, y), alg.SubSelect(None, union, None, 1)):
+            calls.clear()
+            eval_pattern(graph, node)
+            assert len(calls) == 1  # the Union's own prune
+        calls.clear()
+        eval_pattern(graph, alg.SubSelect((x, label), union))
+        assert len(calls) == 2
 
     def test_subselect_projects(self, fig1_exx1_closure):
         query = q(
@@ -1017,7 +1053,8 @@ class TestDefaultRewrites:
             )
             assign = alg.Assign(alg.Filter(inner, alg.Bound(x[0])), "", (x[0],), alg.Var("y"))
             group = alg.GroupBy(assign, (x[0],), ())
-            return alg.Limit(alg.OrderBy(alg.SubSelect((x[0],), group), x[0]), 5)
+            ordered = alg.SubSelect(None, alg.SubSelect((x[0],), group), x[0])
+            return alg.SubSelect(None, ordered, None, 5)
 
         query = alg.SubSelect((x[0],), tree(bap), x[0], 3)
         rewritten = rewrite_defaults(query, "fresh-vars", TEMPORAL)
@@ -1137,8 +1174,8 @@ class TestDomainMaximality:
             lambda acc: alg.Join(acc, bap("q")),
             lambda acc: alg.Optional(acc, bap("q")),
             lambda acc: alg.Union(acc, bap("p")),
-            lambda acc: alg.OrderBy(acc, x),
-            lambda acc: alg.Limit(acc, 5),
+            lambda acc: alg.SubSelect(None, acc, x),
+            lambda acc: alg.SubSelect(None, acc, None, 5),
             lambda acc: alg.SubSelect((x, y, l), acc),
             lambda acc: alg.Assign(acc, "length", (l,), alg.Var("n")),
         ]
@@ -1236,6 +1273,10 @@ class TestDomainMaximality:
         # A bare `Pattern()` was built by no constructor and has no `bindings`.
         with pytest.raises(TypeError, match="not a pattern: Pattern"):
             alg.Filter(alg.Pattern(), alg.Bound(alg.Var("x")))
+        with pytest.raises(TypeError, match="not a pattern: Pattern"):
+            eval_pattern(None, alg.Pattern())
+        with pytest.raises(TypeError, match="not a filter expression: FilterExpr"):
+            filter_eval(alg.FilterExpr(), {})
 
     def test_no_answer_binds_bottom(self, fig1_exx1_closure):
         query = q("SELECT ?p ?l WHERE { (?p type ebayEmp):?l (?p hasCar ?c):?l }")
@@ -1378,14 +1419,14 @@ class TestDomainRule:
 
 class TestQueryModifiers:
     """A query is one SubSelect that sorts, projects, prunes and then
-    cuts: the rows, in order, of `Limit(SubSelect(OrderBy(P)))`."""
+    cuts: the rows, in order, of three single-job nodes, a sort, a
+    projection and a cut, nested as a group's modifiers nest them."""
 
     @staticmethod
     def nested(select, pattern, order_by, limit) -> alg.Pattern:
-        # The same query built from the node classes a group's modifiers use.
-        node = pattern if order_by is None else alg.OrderBy(pattern, order_by)
+        node = pattern if order_by is None else alg.SubSelect(None, pattern, order_by)
         node = alg.SubSelect(select, node)
-        return node if limit is None else alg.Limit(node, limit)
+        return node if limit is None else alg.SubSelect(None, node, None, limit)
 
     @pytest.mark.parametrize("seed", range(60))
     def test_one_node_gives_the_nested_rows_in_order(self, seed):
@@ -1424,6 +1465,12 @@ class TestQueryModifiers:
         rows = eval_pattern(graph, alg.SubSelect((x, label), pattern, y, 1))
         assert rows == [{"x": iri("a"), "l": tv("{[1,5]}")}]
         assert rows == eval_pattern(graph, self.nested((x, label), pattern, y, 1))
+        # Cut first, as a group's LIMIT under the projection would, and
+        # the (a p b) row takes the place.
+        cut = alg.SubSelect(None, alg.SubSelect(None, pattern, y), None, 1)
+        assert eval_pattern(graph, alg.SubSelect((x, label), cut)) == [
+            {"x": iri("a"), "l": tv("{[1,2]}")}
+        ]
 
 
 class TestDepthRule:
@@ -1578,8 +1625,8 @@ class TestDepthRule:
             alg.Filter(bap, expr),
             alg.Assign(pattern, "", (x,), alg.Var("y")),
             alg.GroupBy(pattern, (x,), ()),
-            alg.OrderBy(pattern, x),
-            alg.Limit(pattern, 1),
+            alg.SubSelect(None, pattern, x),
+            alg.SubSelect(None, pattern, None, 1),
             alg.SubSelect((x,), pattern),
             alg.SubSelect((x,), pattern, x, 1),
         ]
