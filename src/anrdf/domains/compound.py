@@ -41,10 +41,42 @@ A popped pair is combined only with the members of `done` that are
 still in the antichain, never with itself (both combinators applied to
 <x, y> and <x, y> give pairs under <x, y>) nor with a member that is
 still queued: that member meets the popped pair when its own turn comes.
-So each unordered pair of surviving members is combined exactly once.
-The pruning argument carries over: a dropped member's dominator is
-either already in `done` or still queued, and in both cases it meets
-every member the dropped one would have met.
+So each unordered pair of surviving members is combined at most once,
+and never a derived pair with its parents or sibling (the one exception
+is named below).  The pruning argument carries over: a dropped member's dominator is either already in
+`done` or still queued, and in both cases it meets every member the
+dropped one would have met.
+
+The lattice laws decide the combinations a derived pair skips.  Combining
+a popped p = <a, b> with a member q = <c, d> of `done` derives the
+siblings low = <a meet1 c, b join2 d> and high = <a join1 c, b meet2 d>,
+and each is queued tagged with p, q and its sibling, with which it is not
+combined when it is popped.  Each such combination gives a pair equal to
+one of p, low, high (or q, by symmetry) or under one of them:
+
+    low with p:     <a meet1 c, b join2 d> = low,  <a, (b join2 d) meet2 b> <= p
+    high with p:    <a, b> = p,                    <a join1 c, (b meet2 d) meet2 b> <= high
+    low with high:  <a meet1 c, b join2 d> = low,  <a join1 c, (b join2 d) meet2 (b meet2 d)> <= high
+
+The first components use only that D1 is a lattice: meet1 and join1 are
+idempotent, commutative and associative, absorption gives
+(a meet1 c) join1 a = a and (a join1 c) meet1 a = a, and
+a meet1 c <= a join1 c.  The second use that join2 is idempotent,
+commutative and associative, that the D2 order is the one join2
+induces, and that meet2 is commutative and bounded (y meet2 w <= y, the
+"meet bounded" law that criterion 09 checks for every D2), so
+b meet2 d <= b <= b join2 d.  The argument uses no distributivity, so it
+covers `fuzzy:product` and `fuzzy:lukasiewicz` too.  Now every pair that
+has been offered or has seeded the front stays equal to or under a
+member of the front: `offer` keeps a pair only when no member equals or
+dominates it, a member leaves only for a pair that dominates it, and
+dominance is transitive.  p, q and both siblings are such pairs, so
+`offer` would drop both results of a skipped combination and change
+nothing: the loop ends with the same front as one that forms every
+combination, having formed fewer.  The exception: a sibling that was
+already queued before the combination derived it keeps its own tag, so
+when it is popped it may still meet the derived pair; that combination
+is decided as well, but formed.
 
 The order needs no join.  For normal forms a and b, a <= b (that is,
 a join b == b) iff every pair of a lies componentwise under some pair of
@@ -97,6 +129,8 @@ from .base import Domain, split_top_level
 
 Pair = tuple[Any, Any]
 
+# The most combination results one saturation may form; a combination
+# that the lattice laws decide forms none and counts no step.
 _FAST_SATURATE_CAP = 200_000
 
 
@@ -137,44 +171,54 @@ def saturate_fast(
     antichain, and only `pairs` are queued (see the module docstring).
     The loop is semi-naive: a popped pair meets only the members of
     `done` still in the front, so each unordered pair of surviving
-    members is combined once and no pair with itself.
+    members is combined at most once and no pair with itself.  A queued
+    pair carries the pairs it is never combined with: for a pair that a
+    combination derived, its two parents and its sibling, whose
+    combinations with it the lattice laws decide (module docstring).
+    A step is one combination result that is formed; combinations
+    skipped that way form none and count no step.
     """
     bot1, bot2 = d1.bottom_payload, d2.bottom_payload
-
-    def leq(p: Pair, q: Pair) -> bool:
-        return d1.leq_payload(p[0], q[0]) and d2.leq_payload(p[1], q[1])
+    meet1, join1, leq1 = d1.meet_payload, d1.join_payload, d1.leq_payload
+    meet2, join2, leq2 = d2.meet_payload, d2.join_payload, d2.leq_payload
 
     front: set[Pair] = set(closed)
     done: set[Pair] = set(front)
-    queue: list[Pair] = []
+    # Entries are (pair, the pairs it is not combined with).
+    queue: list[tuple[Pair, tuple[Pair, ...]]] = []
 
-    def offer(r: Pair) -> None:
+    def offer(r: Pair, skip: tuple[Pair, ...]) -> None:
         # Keep `r` unless it has a bottom component or a member of the
         # front equals or dominates it; then drop the members it dominates.
-        if r[0] == bot1 or r[1] == bot2 or r in front or any(leq(r, q) for q in front):
+        x, y = r
+        if x == bot1 or y == bot2 or r in front:
             return
-        front.difference_update([q for q in front if leq(q, r)])
+        for u, v in front:
+            if leq1(x, u) and leq2(y, v):
+                return
+        front.difference_update([q for q in front if leq1(q[0], x) and leq2(q[1], y)])
         front.add(r)
-        queue.append(r)
+        queue.append((r, skip))
 
     for p in pairs:
-        offer(p)
+        offer(p, ())
     steps = 0
     while queue:
-        p = queue.pop()
+        p, skip = queue.pop()
         if p not in front:
             continue  # pruned while waiting
-        for q in [q for q in done if q in front]:
-            for r in (
-                (d1.meet_payload(p[0], q[0]), d2.join_payload(p[1], q[1])),
-                (d1.join_payload(p[0], q[0]), d2.meet_payload(p[1], q[1])),
-            ):
+        x, y = p
+        for q in [q for q in done if q in front and q not in skip]:
+            u, v = q
+            low = (meet1(x, u), join2(y, v))
+            high = (join1(x, u), meet2(y, v))
+            for r, sibling in ((low, high), (high, low)):
                 steps += 1
                 if steps > _FAST_SATURATE_CAP:
                     raise SaturationBoundError(
                         f"compound saturation exceeded its cap of {_FAST_SATURATE_CAP} steps"
                     )
-                offer(r)
+                offer(r, (p, q, sibling))
         done.add(p)
     return front
 

@@ -9,19 +9,24 @@ import pytest
 
 from anrdf.domains import (
     Domain,
+    compound,
     evaluate,
     get_domain,
     normalise,
     quasihomomorphism_suite,
     saturate_fast,
 )
-from anrdf.domains.compound import generated_sublattice
+from anrdf.domains.compound import Pair, generated_sublattice
 from anrdf.errors import NotALatticeError, SaturationBoundError
 from oracles import NAIVE_SATURATE_BOUND, reduce_pairs, saturate_naive
 
 T = get_domain("temporal")
 FP = get_domain("fuzzy:product")
 PV = get_domain("provenance")
+SECOND_COMPONENTS = [
+    get_domain(name)
+    for name in ("boolean", "fuzzy:min", "fuzzy:product", "fuzzy:lukasiewicz", "temporal", "provenance")
+]
 
 
 def iv(lo, hi):
@@ -91,19 +96,20 @@ class TestSaturateReduce:
         assert reduce_pairs(T, FP, antichain) == antichain
         assert reduce_pairs(T, FP, {(iv(0, 1), Fraction(0))}) == set()
 
-    @pytest.mark.parametrize("d2", [FP, PV], ids=["fuzzy", "provenance"])
-    def test_fast_equals_naive_on_random_inputs(self, d2):
+    @pytest.mark.parametrize("d2", SECOND_COMPONENTS, ids=lambda d: d.name)
+    @pytest.mark.parametrize("d1", [T, PV], ids=lambda d: d.name)
+    def test_fast_equals_naive_on_random_inputs(self, d1, d2):
+        # The first `cut` raw pairs enter as a closed operand, their normal
+        # form; the oracle saturates all the raw pairs.
         rng = random.Random(17)
-        for _ in range(120):
-            pairs = [
-                (T.random_payload(rng), d2.random_payload(rng))
+        for _ in range(100):
+            raw = [
+                (d1.random_payload(rng), d2.random_payload(rng))
                 for _ in range(rng.randint(0, 3))
             ]
-            left = normalise(T, d2, pairs)
-            right = frozenset(reduce_pairs(T, d2, saturate_naive(T, d2, pairs)))
-            assert left == right, pairs
-            fast = saturate_fast(T, d2, pairs)
-            assert reduce_pairs(T, d2, fast) == fast, pairs
+            cut = rng.randint(0, len(raw))
+            fast = saturate_fast(d1, d2, raw[cut:], closed=normalise(d1, d2, raw[:cut]))
+            assert fast == reduce_pairs(d1, d2, saturate_naive(d1, d2, raw)), (raw, cut)
 
 
 class TestNormalFormProperties:
@@ -211,8 +217,16 @@ class _Recording(Domain):
         return self.inner.leq_payload(a, b)
 
 
+def _combinations(rec1: _Recording, rec2: _Recording) -> list[tuple[Pair, Pair]]:
+    """The popped pair and the member of `done` of every combination, in
+    order, from a D1 meet log and a D2 join log."""
+    assert len(rec1.calls) == len(rec2.calls)
+    return [((x, y), (u, v)) for (x, u), (y, v) in zip(rec1.calls, rec2.calls)]
+
+
 class TestSemiNaiveSaturation:
-    """`saturate_fast` combines each unordered pair of members once.
+    """`saturate_fast` combines each unordered pair of members at most
+    once, and never a derived pair with its parents or sibling.
 
     Each combination calls D1's meet on the two first components and then
     D2's join on the two second components, so the two logs, zipped,
@@ -230,10 +244,8 @@ class TestSemiNaiveSaturation:
             pairs, closed = raw(rng.randint(0, 4)), normalise(T, d2, raw(rng.randint(0, 2)))
             rec1, rec2 = _Recording(T, "meet_payload"), _Recording(d2, "join_payload")
             out = saturate_fast(rec1, rec2, pairs, closed=closed)
-            assert len(rec1.calls) == len(rec2.calls)
             seen = set()
-            for (x, u), (y, v) in zip(rec1.calls, rec2.calls):
-                p, q = (x, y), (u, v)
+            for p, q in _combinations(rec1, rec2):
                 assert p != q, f"{p} combined with itself"
                 key = frozenset((p, q))
                 assert key not in seen, f"{p} and {q} combined twice"
@@ -244,6 +256,51 @@ class TestSemiNaiveSaturation:
                 checked += 1
                 closed_checked += bool(closed)
         assert checked > 60 and closed_checked > 30, (checked, closed_checked)
+
+    @pytest.mark.parametrize("d2", [FP, PV], ids=["fuzzy", "provenance"])
+    def test_no_derived_pair_meets_its_parents_or_sibling(self, d2):
+        # A pair's first derivation is the one that queues it; a pair
+        # derived again, or given as input, gains no new tag.  Parents are
+        # always in `done` before the pair is popped, so the popped pair
+        # is the one whose tag decides (a sibling queued before it keeps
+        # its own tag; see the module docstring).
+        rng = random.Random(1700)
+        derived_popped = 0
+
+        def raw(n):
+            return [(T.random_payload(rng), d2.random_payload(rng)) for _ in range(n)]
+
+        for _ in range(100):
+            pairs, closed = raw(rng.randint(0, 4)), normalise(T, d2, raw(rng.randint(0, 2)))
+            rec1, rec2 = _Recording(T, "meet_payload"), _Recording(d2, "join_payload")
+            saturate_fast(rec1, rec2, pairs, closed=closed)
+            known, tags = {*pairs, *closed}, {}
+            for p, q in _combinations(rec1, rec2):
+                assert q not in tags.get(p, ()), (p, q)
+                derived_popped += p in tags
+                low = (T.meet_payload(p[0], q[0]), d2.join_payload(p[1], q[1]))
+                high = (T.join_payload(p[0], q[0]), d2.meet_payload(p[1], q[1]))
+                for r, sibling in ((low, high), (high, low)):
+                    if r not in known:
+                        known.add(r)
+                        tags[r] = (p, q, sibling)
+        assert derived_popped > 50, derived_popped
+
+    def test_two_pair_literal_forms_one_combination(self, monkeypatch):
+        # Its two derived pairs would meet each other and their parents
+        # in five more combinations, all decided by the lattice laws.
+        pairs = [(iv(1, 5), PV.parse_payload("s1")), (iv(3, 8), PV.parse_payload("s2"))]
+        rec1, rec2 = _Recording(T, "meet_payload"), _Recording(PV, "join_payload")
+        out = saturate_fast(rec1, rec2, pairs)
+        assert len(_combinations(rec1, rec2)) == 1
+        # A step is one formed result: the combination's two fit a cap of 2.
+        monkeypatch.setattr(compound, "_FAST_SATURATE_CAP", 2)
+        domain = get_domain("compound(temporal,provenance)")
+        value = domain.parse_payload("{<{[1,5]},s1>,<{[3,8]},s2>}")
+        assert value == out
+        assert domain.format_payload(value) == (
+            "{<{[1,5]},s1>,<{[1,8]},(s1 ^ s2)>,<{[3,5]},(s1 v s2)>,<{[3,8]},s2>}"
+        )
 
 
 class TestOrderKernel:
