@@ -25,7 +25,10 @@ new variable bound from the matched triple (a repeated one must meet the
 same term).  A label is a constant matched by `leq`, a new annotation
 variable bound to the stored value, or one an earlier pattern bound, met
 with the row's value; a bottom meet drops the row.  A variable that
-would hold both a term and an annotation gives no rows.
+would hold both a term and an annotation gives no rows.  A pattern that
+reads no slot from the row makes the same lookup for every row, so it is
+matched once for all of them, and a cross product does not sort the
+store once per row.
 
 The keyed rule: a node's `bindings`, computed once per node from its
 children's (`alg.bindings`), says from the tree alone what its rows can
@@ -253,11 +256,14 @@ def eval_bap(graph: AnnotatedGraph, bap: alg.Bap) -> list[Solution]:
         if label_var in terms or label_var in free or not labels.isdisjoint(free):
             return []  # one variable cannot hold both a term and an annotation
         shared = label_var in labels
+        # A pattern that reads nothing from the row makes one lookup for all
+        # the rows, and none for no rows; a `match` result is for one pass.
+        once = list(graph.match(*key)) if rows and not read else None
         extended: list[Solution] = []
         for row in rows:
             for i, name in read:
                 key[i] = row[name]
-            for t, stored in graph.match(*key):
+            for t, stored in graph.match(*key) if once is None else once:
                 if same and any(t[i] != t[j] for i, j in same):
                     continue
                 if label_var is None:

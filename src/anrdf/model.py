@@ -7,9 +7,13 @@ stored at all.
 
 A graph whose contents are known up front is built once, by
 `AnnotatedGraph.from_values`, from a dict of triple to joined value;
-any other graph grows by `insert`.  The `(p,s)` and `(p,o)` indexes are
-built by one scan on the first `match`, and `insert` keeps them up to
-date from then on, so a graph that is never matched never pays for them.
+any other graph grows by `insert`.  The store holds each statement
+once, in that dict; the `(p,s)` and `(p,o)` indexes hold only triples.
+They are built by one scan on the first `match` with a bound position,
+and `insert` keeps them up to date from then on, so a graph that is
+never matched that way never pays for them.  Nothing sorted is kept:
+`statements` and `match` sort what they return on each call, and
+`freeze` only refuses later writes.
 """
 
 from __future__ import annotations
@@ -108,12 +112,11 @@ class AnnotatedGraph:
         self.domain = domain
         self._statements: dict[Triple, AnnotationValue] = {}
         # Reduced Hexastore: p -> s -> triples and p -> o -> triples, built
-        # by the first `match` (`_index`).  The store never deletes, so
-        # append-only lists are enough.  One attribute holds both, so a
-        # reader sees neither or both.
+        # by the first `match` with a bound position (`_index`).  The store
+        # never deletes, so append-only lists are enough.  One attribute
+        # holds both, so a reader sees neither or both.
         self._indexes: tuple[_Index, _Index] | None = None
         self._frozen = False
-        self._sorted_cache: list[tuple[Triple, AnnotationValue]] | None = None
 
     @classmethod
     def from_values(cls, domain: Domain, values: dict[Triple, AnnotationValue]) -> "AnnotatedGraph":
@@ -158,6 +161,7 @@ class AnnotatedGraph:
         return True
 
     def freeze(self) -> "AnnotatedGraph":
+        """Refuse every later `insert` (the closure's result is frozen)."""
         self._frozen = True
         return self
 
@@ -177,14 +181,10 @@ class AnnotatedGraph:
         return self._statements.items()
 
     def statements(self) -> list[tuple[Triple, AnnotationValue]]:
-        """Statements in (s, p, o) order; cached once frozen."""
-        if self._sorted_cache is None:
-            # Triples are distinct, so the values are never compared.
-            ordered = sorted(self._statements.items())
-            if not self._frozen:
-                return ordered
-            self._sorted_cache = ordered
-        return self._sorted_cache
+        """A new list of the statements in (s, p, o) order, sorted on each
+        call; nothing is cached."""
+        # Triples are distinct, so the values are never compared.
+        return sorted(self._statements.items())
 
     def match(
         self, s: Term | None, p: Term | None, o: Term | None
@@ -192,26 +192,32 @@ class AnnotatedGraph:
         """A new list of the statements agreeing with the given fixed
         positions, in (s, p, o) order.  Callers iterate it once.
 
-        With `p` bound the candidates come from an index: the `(p,s)`
-        index when `s` is bound too, else the `(p,o)` index when `o` is
-        bound, else every triple with predicate `p`.  With `p` unbound
-        every statement is a candidate.  Only the candidates are sorted,
-        and an empty lookup returns before any sort.  The first lookup
-        with `p` bound builds the indexes.
+        Every lookup with a bound position takes its candidates from an
+        index.  With `p` bound they are the `(p,s)` bucket when `s` is
+        bound too, else the `(p,o)` bucket when `o` is bound, else every
+        triple with predicate `p`.  With `p` unbound they are the bound
+        subject's triples across the `(p,s)` index, else the bound
+        object's across the `(p,o)` index.  Only a fully unbound lookup
+        takes every triple.  Every case then sorts its candidates and
+        keeps those with the bound `o` in one pass, and an empty lookup
+        returns before any sort.  The first lookup with a bound position
+        builds the indexes.
         """
-        if p is None:
-            return [
-                (t, value)
-                for t, value in self.statements()
-                if (s is None or t.subject == s) and (o is None or t.object == o)
-            ]
-        by_ps, by_po = self._indexes or self._index()
-        if s is not None:
-            found = by_ps.get(p, {}).get(s)
-        elif o is not None:
-            found = by_po.get(p, {}).get(o)
+        if s is None and p is None and o is None:
+            found = self._statements
         else:
-            found = [t for ts in by_ps.get(p, {}).values() for t in ts]
+            by_ps, by_po = self._indexes or self._index()
+            if p is not None:
+                if s is not None:
+                    found = by_ps.get(p, {}).get(s)
+                elif o is not None:
+                    found = by_po.get(p, {}).get(o)
+                else:
+                    found = [t for ts in by_ps.get(p, {}).values() for t in ts]
+            elif s is not None:
+                found = [t for by_s in by_ps.values() for t in by_s.get(s, ())]
+            else:
+                found = [t for by_o in by_po.values() for t in by_o.get(o, ())]
         if not found:
             return []
         statements = self._statements

@@ -15,6 +15,7 @@ from anrdf import closure, evaluate_query, get_domain, iri, parse_graph, parse_q
 from anrdf.anql import algebra as alg
 from anrdf.anql import engine
 from anrdf.anql.rewrite import rewrite_defaults
+from anrdf.anql.builtins import FUNCTIONS, UNBOUND, BuiltinError
 from anrdf.anql.engine import (
     ERROR,
     FALSE,
@@ -172,6 +173,38 @@ class TestBap:
         assert evaluate_query(chain, q(f"SELECT ?y WHERE {{ {first} }}")) != []
         assert evaluate_query(chain, q(f"SELECT ?z WHERE {{ {second} }}")) != []
         assert evaluate_query(chain, q(f"SELECT ?y ?z WHERE {{ {first} {second} }}")) == []
+
+    def test_a_pattern_that_reads_no_row_is_matched_once(self, monkeypatch):
+        # `(?x type C7):?l . (?s ?p ?o):?m` is a cross product: the second
+        # pattern reads no variable from the row, so every row makes the
+        # same lookup, and one `match` serves them all.
+        doc = parse_graph(
+            "@domix temporal .\n"
+            "(a type C7) : {[1,5]} .\n(b type C7) : {[2,9]} .\n"
+            "(a p b) : {[3,4]} .\n(c q a) : {[1,1]} .\n"
+        )
+        closed = closure(doc.graph)
+        c7 = iri("C7")
+        x, s, p, o, l, m = (alg.Var(name) for name in "xspolm")
+        bap = alg.Bap((alg.TriplePattern(x, TYPE, c7, l), alg.TriplePattern(s, p, o, m)))
+        # The rows the per-row evaluation gave: each first-pattern row,
+        # in `match` order, extended by every statement in (s, p, o) order.
+        expected = [
+            {"x": t.subject, "l": lv, "s": u.subject, "p": u.predicate, "o": u.object, "m": mv}
+            for t, lv in closed.match(None, TYPE, c7)
+            for u, mv in closed.statements()
+        ]
+        assert len(expected) == 2 * len(closed) > 0
+        calls = []
+        original = AnnotatedGraph.match
+
+        def counting(graph, *key):
+            calls.append(key)
+            return original(graph, *key)
+
+        monkeypatch.setattr(AnnotatedGraph, "match", counting)
+        assert engine.eval_bap(closed, bap) == expected
+        assert calls == [(None, TYPE, c7), (None, None, None)]
 
     def test_shared_annotation_variable_with_a_bottom_meet_drops_the_row(self, chain):
         met = q("SELECT ?z ?l WHERE { (a p ?y):?l (b p ?z):?l }")
@@ -446,6 +479,33 @@ class TestAssign:
         rows = evaluate_query(closed, query)
         assert [r["z"] for r in rows] == [tv("{[1999,2004]}")]
 
+    def test_maxlength_of_an_unbounded_interval_drops_the_row(self):
+        doc = parse_graph(
+            "@domix temporal .\n(a p x) : {[2000,+inf]} .\n(b p x) : {[1,3],[7,20]} .\n"
+        )
+        with pytest.raises(BuiltinError, match="^maxlength undefined for unbounded interval$"):
+            FUNCTIONS["maxlength"](tv("{[2000,+inf]}"))
+        query = q("SELECT ?s ?m WHERE { (?s p x):?l ASSIGN maxlength(?l) AS ?m }")
+        assert evaluate_query(closure(doc.graph), query) == [{"s": iri("b"), "m": tv("{[7,20]}")}]
+
+    @pytest.mark.parametrize(
+        "call, args, message",
+        [
+            ("join(?u, ?v)", (UNBOUND, UNBOUND), "join needs at least one bound argument"),
+            ("meet(?u, ?v)", (UNBOUND, UNBOUND), "meet needs at least one bound argument"),
+            ("join(?s, ?l)", (iri("a"), tv("{[1,5]}")), "join expects annotation values"),
+            ("meet(?l, ?s)", (tv("{[1,5]}"), iri("a")), "meet expects annotation values"),
+        ],
+    )
+    def test_join_and_meet_errors_drop_the_row(self, call, args, message):
+        # Every argument unbound, or a term argument, is a built-in error,
+        # and ASSIGN drops a row whose call fails.
+        with pytest.raises(BuiltinError, match=f"^{message}$"):
+            FUNCTIONS[call.split("(")[0]](*args)
+        doc = parse_graph("@domix temporal .\n(a p b) : {[1,5]} .\n")
+        query = q(f"SELECT ?s ?j WHERE {{ (?s p ?o):?l ASSIGN {call} AS ?j }}")
+        assert evaluate_query(closure(doc.graph), query) == []
+
     @pytest.mark.parametrize("call", ["isTEMPORAL(?l)", "before(?l, [2005])"])
     def test_a_test_cannot_be_assigned(self, call):
         # A predicate yields a truth value, which no answer cell can hold;
@@ -666,6 +726,33 @@ class TestModifiers:
         rows = evaluate_query(closure(doc.graph), query)
         assert [(r["s"].lexical, r["l"].serialize()) for r in rows] == [
             ("c", "0.25"), ("a", "0.5"), ("d", "0.75"), ("b", "1"),
+        ]
+
+    def test_orderby_provenance_labels_by_clause_count_then_text(self):
+        doc = parse_graph(
+            "@domix provenance .\n(a p x) : (s1 v s2) .\n(b p x) : s2 .\n"
+            "(c p x) : (s1 ^ s3) .\n(d p x) : s1 .\n(e p x) : (s3 v (s1 ^ s2)) .\n"
+        )
+        query = q("SELECT ?s ?l WHERE { (?s p x):?l } ORDERBY ?l", doc.domain)
+        rows = evaluate_query(closure(doc.graph), query)
+        assert [(r["s"].lexical, r["l"].serialize()) for r in rows] == [
+            ("c", "(s1 ^ s3)"), ("d", "s1"), ("b", "s2"), ("a", "(s1 v s2)"),
+            ("e", "(s3 v (s1 ^ s2))"),
+        ]
+
+    def test_orderby_compound_labels_by_pair_count_then_text(self):
+        doc = parse_graph(
+            "@domix compound(temporal,provenance) .\n"
+            "(a p x) : {<{[1,5]},s1>,<{[3,8]},s2>} .\n(b p x) : {<{[2,4]},s2>} .\n"
+            "(c p x) : {<{[1,9]},s1>} .\n(d p x) : {<{[1,2]},s3>,<{[5,6]},s3>} .\n"
+        )
+        query = q("SELECT ?s ?l WHERE { (?s p x):?l } ORDERBY ?l", doc.domain)
+        rows = evaluate_query(closure(doc.graph), query)
+        assert [(r["s"].lexical, r["l"].serialize()) for r in rows] == [
+            ("d", "{<{[1,2],[5,6]},s3>}"),
+            ("c", "{<{[1,9]},s1>}"),
+            ("b", "{<{[2,4]},s2>}"),
+            ("a", "{<{[1,5]},s1>,<{[1,8]},(s1 ^ s2)>,<{[3,5]},(s1 v s2)>,<{[3,8]},s2>}"),
         ]
 
     def test_orderby_boolean_labels(self):

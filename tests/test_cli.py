@@ -421,6 +421,17 @@ class TestQuery:
         assert code == 0
         assert stdout == (data_dir / "answers" / f"{name}.tsv").read_text()
 
+    def test_a_query_diagnostic_is_a_warning_line(self, capsys, tmp_path):
+        # Every ?l is unbounded, so no group has a defined length.
+        data = tmp_path / "unbounded.anrdf"
+        data.write_text("@domix temporal .\n(a type C) : {[2000,+inf]} .\n(b type C) : {[-inf,5]} .\n")
+        query = tmp_path / "longest.anql"
+        query.write_text("SELECT ?x ?m WHERE { (?x type C):?l GROUPBY(?x) MAX(length(?l)) AS ?m }\n")
+        code, stdout, stderr = run(capsys, "query", "-i", str(data), str(query))
+        assert code == 0
+        assert stdout == "?x\t?m\n"
+        assert stderr == "warning: MAX: no defined values in group\n" * 2
+
     def test_a_tab_in_a_literal_keeps_one_tsv_field_per_variable(self, capsys, tmp_path):
         data = tmp_path / "tab.anrdf"
         data.write_text('@domix temporal .\n(a name "x\\ty") : {[1,2]} .\n(b name c) : {[1,2]} .\n')
@@ -564,6 +575,10 @@ class TestNormalizeAnnotation:
             "{<{[1998,2006]},wikipedia>,<{[1998,2011]},(wikipedia ^ wrong)>,"
             "<{[2001,2006]},(wikipedia v wrong)>,<{[2001,2011]},wrong>}"
         )
+
+    def test_a_degree_with_no_finite_decimal_prints_as_a_fraction(self, capsys):
+        code, stdout, _ = run(capsys, "normalize-annotation", "--domain", "fuzzy:min", "1/3")
+        assert (code, stdout) == (0, "1/3\n")
 
     def test_bad_literal_exit_2(self, capsys):
         code, _, _ = run(

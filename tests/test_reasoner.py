@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anrdf import apply_defaults, closure, get_domain, iri, literal, parse_graph
 from anrdf.domains.compound import CompoundDomain
@@ -97,6 +99,83 @@ class TestMatch:
         assert list(g.match(None, TYPE, iri("a"))) == [
             (t, v) for t, v in g.statements() if t.predicate == TYPE and t.object == iri("a")
         ]
+
+
+class TestLookupContract:
+    """The store's one lookup contract: for each of the 8 bound/unbound
+    combinations of (s, p, o), `match` equals a brute-force filter of
+    `sorted(graph.items())`, order included, whether the graph is frozen
+    or grew by `insert` after its first `match` (which updates the
+    indexes in place).  `statements()` keeps nothing between calls."""
+
+    SUBJECTS = [iri(x) for x in "abcd"] + [skolem("b")]
+    PREDICATES = [iri("p"), iri("q"), TYPE, SC]
+    OBJECTS = SUBJECTS + [literal("a")]
+    # Lookups also ask for terms the graph may not hold.
+    PROBES = SUBJECTS + PREDICATES + [literal("a"), iri("z")]
+
+    statement_lists = st.lists(
+        st.tuples(
+            st.sampled_from(SUBJECTS),
+            st.sampled_from(PREDICATES),
+            st.sampled_from(OBJECTS),
+            st.integers(0, 6),
+            st.integers(0, 3),
+        ),
+        max_size=40,
+    )
+
+    @staticmethod
+    def _values(statements) -> list[tuple[Triple, object]]:
+        return [
+            (Triple(s, p, o), tv(f"{{[{start},{start + width}]}}"))
+            for s, p, o, start, width in statements
+        ]
+
+    def _assert_contract(self, g: AnnotatedGraph) -> None:
+        ordered = sorted(g.items())
+        slots = [None, *self.PROBES]
+        for s, p, o in itertools.product(slots, repeat=3):
+            expected = [
+                (t, v)
+                for t, v in ordered
+                if (s is None or t.subject == s)
+                and (p is None or t.predicate == p)
+                and (o is None or t.object == o)
+            ]
+            assert g.match(s, p, o) == expected, (s, p, o)
+        first, second = g.statements(), g.statements()
+        assert first == second == ordered and first is not second
+
+    @settings(max_examples=40, deadline=None)
+    @given(statements=statement_lists)
+    def test_a_frozen_graph_matches_a_brute_force_filter(self, statements):
+        g = AnnotatedGraph.from_values(TEMPORAL, dict(self._values(statements))).freeze()
+        self._assert_contract(g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(statements=statement_lists, split=st.integers(0, 40), first=st.sampled_from(PROBES))
+    def test_a_graph_grown_after_its_first_match_matches_a_brute_force_filter(
+        self, statements, split, first
+    ):
+        values = self._values(statements)
+        g = AnnotatedGraph(TEMPORAL)
+        for t, value in values[:split]:
+            g.insert(t, value)
+        # The first lookup binds only `s`, so the indexes come from the
+        # unbound-predicate path; every later insert updates them.
+        g.match(first, None, None)
+        for t, value in values[split:]:
+            g.insert(t, value)
+        self._assert_contract(g)
+
+    def test_statements_is_a_new_list_on_every_call(self):
+        t = Triple(iri("a"), iri("p"), iri("b"))
+        g = AnnotatedGraph.from_values(TEMPORAL, {t: tv("{[1,2]}")}).freeze()
+        first = g.statements()
+        first.clear()
+        assert g.statements() == [(t, tv("{[1,2]}"))]
+        assert g.statements() is not g.statements()
 
 
 class TestTerms:

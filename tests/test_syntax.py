@@ -269,6 +269,10 @@ class TestDataRoundTrip:
         "(<c\td> p b) : 0.5 .": 4,
         "a p <x\x1fy> .": 7,
         "@prefix ex: <http://e/\x00x> .": 23,
+        "(<abc p b) : 0.5 .": 2,  # unterminated <iri>
+        "@prefix <http://e/> .": 9,  # @prefix needs 'name:'
+        "@prefix ex: <http://e/ .": 14,  # unterminated prefix IRI
+        "a p": 4,  # expected a term, at the end of the line
     }
 
     @pytest.mark.parametrize("bad", ERROR_COLUMNS)
@@ -285,23 +289,26 @@ class TestDataRoundTrip:
         with pytest.raises(ParseError):
             parse_graph("(a p b) : {[1,2]} .\n")
 
+    # (line, column, message); the last row is a malformed @domix line.
     LATE_DOMIX = {
         # A second @domix would re-read the statements before it.
         "@domix fuzzy:min .\n(a p b) : 1 .\n@domix temporal .\n(a p c) : 1 .\n": (
             3,
+            1,
             "at most one @domix",
         ),
-        "@domix temporal .\n@domix temporal .\n": (2, "at most one @domix"),
-        "(a p b) : 1 .\n@domix temporal .\n": (2, "before the first annotated"),
+        "@domix temporal .\n@domix temporal .\n": (2, 1, "at most one @domix"),
+        "(a p b) : 1 .\n@domix temporal .\n": (2, 1, "before the first annotated"),
+        "@domix fuzzy:min\n(a p b) : 1 .\n": (1, 8, "@domix line must end with '.'"),
     }
 
     @pytest.mark.parametrize("domain", [None, "temporal"])
     @pytest.mark.parametrize("text", LATE_DOMIX)
     def test_late_or_repeated_domix_rejected(self, text, domain):
-        line, message = self.LATE_DOMIX[text]
+        line, column, message = self.LATE_DOMIX[text]
         with pytest.raises(ParseError, match=message) as info:
             parse_graph(text, domain=domain)
-        assert (info.value.line, info.value.column) == (line, 1)
+        assert (info.value.line, info.value.column) == (line, column)
 
     def test_domix_after_plain_statements(self):
         doc = parse_graph("a p b .\n@domix temporal .\n(a p c) : 1 .\n")
@@ -859,6 +866,15 @@ class TestQueryParsing:
         # `(?x)` followed by `=` is an annotation literal, which the
         # domain rejects at its `(`.
         "SELECT ?x WHERE { (?x p ?y):?l FILTER((?x) = ?y) }": 39,
+        "SELECT ?x WHERE { ?x p ?y } ORDERBY x": 37,  # expected ?variable
+        "SELECT ?x WHERE { ?x p ?y } GROUP": 29,  # expected ORDERBY, LIMIT, or end of query
+        "SELECT ?x WHERE { ?x p ?y } LIMIT x": 35,  # expected an integer
+        "SELECT ?x WHERE ?x p ?y }": 17,  # expected '{'
+        "SELECT ?x WHERE { (?x p ?y):?l ASSIGN length(?l) ?n }": 50,  # ASSIGN needs 'AS ?var'
+        # aggregates need 'AS ?var'
+        "SELECT ?x ?m WHERE { (?x p ?y):?l GROUPBY(?x) MAX(length(?l)) ?m }": 63,
+        # A number operand the scalar parser rejects: zero denominator.
+        "SELECT ?x WHERE { (?x p ?y):?l FILTER(?x = 1/0) }": 44,
     }
 
     @pytest.mark.parametrize("bad", ERROR_COLUMNS)
