@@ -219,7 +219,10 @@ class SubSelect(Pattern):
     and cut to the first `limit`.  A query is one, with the query's
     ORDERBY and LIMIT, and so is a sub-SELECT, which has none; an
     ORDERBY or a LIMIT inside a group is one with no projection
-    (`select` None), over what precedes it in the group."""
+    (`select` None), over what precedes it in the group.  Its `bindings`
+    keep what `select` names of what the pattern's rows can bind (all of
+    it with no projection), and the engine projects only when that drops
+    a variable."""
 
     select: tuple[Var, ...] | None  # None: no projection
     pattern: Pattern
@@ -228,7 +231,11 @@ class SubSelect(Pattern):
 
 
 class Bindings(NamedTuple):
-    """What the rows of a pattern bind, by variable name (the engine's keyed rule)."""
+    """What the rows of a pattern bind, by variable name (the engine's keyed
+    rule).  The engine takes every row-shape decision from it: whether a
+    node prunes, what Join and OPTIONAL hash on, whether a SubSelect
+    projects, and whether a Bap binds one variable to a term and to an
+    annotation (then it gives no rows)."""
 
     can: frozenset[str]  # what some row may bind
     terms: frozenset[str]  # what every row binds to a non-annotation value
@@ -257,10 +264,11 @@ def bindings(p: Pattern) -> Bindings:
         if isinstance(p, Union):
             return Bindings(can, left.terms & right.terms, left.labels & right.labels, False)
         return Bindings(can, left.terms, left.labels, False)  # bare left rows pass through
-    if isinstance(p, Filter) or isinstance(p, SubSelect) and p.select is None:
+    if isinstance(p, Filter):
         return p.pattern.bindings
-    if isinstance(p, SubSelect):
-        inner, kept = p.pattern.bindings, frozenset(v.name for v in p.select)
+    if isinstance(p, SubSelect):  # no projection keeps what the rows can bind
+        inner = p.pattern.bindings
+        kept = inner.can if p.select is None else frozenset(v.name for v in p.select)
         keyed = inner.keyed and inner.terms <= kept
         return Bindings(inner.can & kept, inner.terms & kept, inner.labels & kept, keyed)
     if isinstance(p, Assign):  # the target may be overwritten by any kind of value

@@ -25,10 +25,14 @@ new variable bound from the matched triple (a repeated one must meet the
 same term).  A label is a constant matched by `leq`, a new annotation
 variable bound to the stored value, or one an earlier pattern bound, met
 with the row's value; a bottom meet drops the row.  A variable that
-would hold both a term and an annotation gives no rows.  A pattern that
-reads no slot from the row makes the same lookup for every row, so it is
-matched once for all of them, and a cross product does not sort the
-store once per row.
+would hold both a term and an annotation gives no rows: the Bap's
+`bindings` then name it in both `terms` and `labels`, so `eval_bap` reads
+the clash from them once, before any lookup.  With no clash, a variable
+an earlier pattern bound holds a term when it fills a slot and an
+annotation when it is a label, so one set of bound variables decides
+both.  A pattern that reads no slot from the row makes the same lookup
+for every row, so it is matched once for all of them, and a cross
+product does not sort the store once per row.
 
 The keyed rule: a node's `bindings`, computed once per node from its
 children's (`alg.bindings`), says from the tree alone what its rows can
@@ -50,15 +54,19 @@ prune.  A Bap is keyed: the store keeps one annotation per triple, so
 the term bindings of a row fix the triples it matched and hence the
 whole row.  So is a Join of two keyed inputs, whose rows' term bindings
 fix the two rows each merges; a Filter over a keyed input; and a
-SubSelect over a keyed input that keeps every `terms` variable or has no
-projection.  A SubSelect sorts and cuts rows, for a query, a sub-SELECT
-and a group's ORDERBY or LIMIT alike; the last is one with no
-projection (`select` None).  A Filter and a SubSelect with no projection
-skip the prune over any input, since a subset, an order or a prefix of
-maximal rows is maximal.  A SubSelect that projects sorts its input's
-rows, projects them, prunes them unless keyed, and only then keeps the
-first `limit`, so the cut keeps maximal rows and a dominated row cannot
-take a place.  Every other node can create a dominated row:
+SubSelect over a keyed input that keeps every `terms` variable.  A
+SubSelect sorts and cuts rows, for a query, a sub-SELECT and a group's
+ORDERBY or LIMIT alike; the last is one with no projection (`select`
+None).  A SubSelect projects only when it drops a variable, that is when
+its `bindings.can` is smaller than its pattern's; one that drops no
+variable passes its rows, whatever `select` lists (or with none), since
+no row binds a variable outside `select`.  A Filter and a SubSelect that
+drops no variable skip the prune over any input, since a subset, an
+order or a prefix of maximal rows is maximal.  A SubSelect that drops a
+variable sorts its input's rows, projects them, prunes them unless
+keyed, and only then keeps the first `limit`, so the cut keeps maximal
+rows and a dominated row cannot take a place.  Every other node can
+create a dominated row:
 
 - UNION puts rows from two inputs side by side;
 - OPTIONAL keeps a bare left row next to its extensions, and an
@@ -72,7 +80,8 @@ take a place.  Every other node can create a dominated row:
   their terms;
 - GROUPBY keyed on an annotation variable gives groups that differ
   only in that key (`test_groupby_prunes_dominated_groups`);
-- a projection (SubSelect) drops the variables two rows differed in.
+- a projection (a SubSelect that drops a variable) drops the variables
+  two rows differed in.
 
 OPTIONAL follows the three-case semantics: (1) merged rows whose filter
 holds; the bare left row passes through when either (2) every compatible
@@ -100,6 +109,7 @@ from typing import Any, Callable
 from ..domains import AnnotationValue
 from ..errors import DomainMismatchError, QueryTypeError
 from ..model import LITERAL, AnnotatedGraph, Term
+from ..rational import format_scalar
 from . import algebra as alg
 from .builtins import FUNCTIONS, REGISTRY, UNBOUND, BuiltinError
 
@@ -234,9 +244,10 @@ def eval_bap(graph: AnnotatedGraph, bap: alg.Bap) -> list[Solution]:
     """Match triple patterns left to right by the plan rule in the module
     docstring.  Rows keep input order, and the extensions of a row come
     in `match` order."""
+    if bap.bindings.terms & bap.bindings.labels:
+        return []  # one variable cannot hold both a term and an annotation
     rows: list[Solution] = [{}]
-    terms: set[str] = set()  # the variables every row binds to a term
-    labels: set[str] = set()  # ... and to an annotation value
+    seen: set[str] = set()  # the variables earlier patterns bound (the plan rule)
     for tp in bap.patterns:
         slots = (tp.subject, tp.predicate, tp.object)
         key: list[Term | None] = [None if isinstance(slot, alg.Var) else slot for slot in slots]
@@ -245,7 +256,7 @@ def eval_bap(graph: AnnotatedGraph, bap: alg.Bap) -> list[Solution]:
         same: list[tuple[int, int]] = []  # the slots a repeated new variable ties
         for i, slot in enumerate(slots):
             if isinstance(slot, alg.Var):
-                if slot.name in terms:
+                if slot.name in seen:
                     read.append((i, slot.name))
                 elif slot.name in free:
                     same.append((free[slot.name], i))
@@ -253,9 +264,7 @@ def eval_bap(graph: AnnotatedGraph, bap: alg.Bap) -> list[Solution]:
                     free[slot.name] = i
         label = graph.domain.top if tp.annotation is None else tp.annotation
         label_var = label.name if isinstance(label, alg.Var) else None
-        if label_var in terms or label_var in free or not labels.isdisjoint(free):
-            return []  # one variable cannot hold both a term and an annotation
-        shared = label_var in labels
+        shared = label_var in seen
         # A pattern that reads nothing from the row makes one lookup for all
         # the rows, and none for no rows; a `match` result is for one pass.
         once = list(graph.match(*key)) if rows and not read else None
@@ -280,9 +289,9 @@ def eval_bap(graph: AnnotatedGraph, bap: alg.Bap) -> list[Solution]:
                     new[label_var] = stored
                 extended.append(new)
         rows = extended
-        terms.update(free)
+        seen.update(free)
         if label_var is not None:
-            labels.add(label_var)
+            seen.add(label_var)
     return rows
 
 
@@ -358,12 +367,14 @@ def _apply_groupby(
     # parser rejects a target in the pattern's `bindings.can`.
     out: list[Solution] = []
     for members in groups.values():
-        projected: Solution = {}
-        for k in node.keys:
-            if k.name in members[0]:
-                projected[k.name] = members[0][k.name]
+        projected = {k.name: members[0][k.name] for k in node.keys if k.name in members[0]}
+        # A diagnostic names its group by the bound keys, as `?x=a`.
+        group = "".join(
+            f" ?{k}={format_scalar(v) if isinstance(v, Fraction) else repr(v)}"
+            for k, v in projected.items()
+        )
         for aggregate in node.aggregates:
-            value = _aggregate(aggregate, members, diagnostics)
+            value = _aggregate(aggregate, members, group, diagnostics)
             if value is None:
                 break  # an undefined aggregate drops the group
             projected[aggregate.target.name] = value
@@ -373,22 +384,19 @@ def _apply_groupby(
 
 
 def _aggregate(
-    aggregate: alg.Aggregate, members: list[Solution], diagnostics: list[str]
+    aggregate: alg.Aggregate, members: list[Solution], group: str, diagnostics: list[str]
 ) -> Value | None:
-    values = []
-    for row in members:
-        value = _call(aggregate.fn, aggregate.args, row, FUNCTIONS)
-        if value is not None:
-            values.append(value)
+    calls = (_call(aggregate.fn, aggregate.args, row, FUNCTIONS) for row in members)
+    values = [value for value in calls if value is not None]
     op = aggregate.op
     if op == "COUNT":
         return Fraction(len(values))
     if not values:
-        diagnostics.append(f"{op}: no defined values in group")
+        diagnostics.append(f"{op}: no defined values in group{group}")
         return None
     if op in ("SUM", "AVG"):
         if not all(isinstance(v, Fraction) for v in values):
-            diagnostics.append(f"{op}: non-numeric value in group; group dropped")
+            diagnostics.append(f"{op}: non-numeric value in group{group}; group dropped")
             return None
         total = sum(values, Fraction(0))
         return total if op == "SUM" else total / len(values)
@@ -398,16 +406,16 @@ def _aggregate(
             isinstance(v, Term) and v.kind == LITERAL for v in values
         ):
             return pick(values)
-        diagnostics.append(f"{op}: values are not totally ordered; group dropped")
+        diagnostics.append(f"{op}: values are not totally ordered in group{group}; group dropped")
         return None
     if op in ("JOIN", "MEET"):
         if not all(isinstance(v, AnnotationValue) for v in values):
-            diagnostics.append(f"{op}: non-annotation value in group; group dropped")
+            diagnostics.append(f"{op}: non-annotation value in group{group}; group dropped")
             return None
         acc = FUNCTIONS[op.lower()](*values)
         if acc.is_bottom:
             # As in ASSIGN, annotation variables never hold bottom.
-            diagnostics.append(f"{op}: bottom in group; group dropped")
+            diagnostics.append(f"{op}: bottom in group{group}; group dropped")
             return None
         return acc
     raise QueryTypeError(f"unknown aggregate {op!r}")
@@ -466,7 +474,7 @@ def eval_pattern(
     else:  # SubSelect: sort, project and prune, then keep the first `limit` rows
         if pattern.order_by is not None:
             rows = _apply_orderby(rows, pattern.order_by)
-        if pattern.select is not None:  # with none, the rows stay maximal
+        if pattern.bindings.can < pattern.pattern.bindings.can:  # it drops a variable
             names = [v.name for v in pattern.select]
             rows = [{name: row[name] for name in names if name in row} for row in rows]
             if not pattern.bindings.keyed:

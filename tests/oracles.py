@@ -3,7 +3,9 @@
 Everything here is deliberately written without reusing the production
 closure or query-evaluation code paths: closures are naive full-scan
 fixpoints and the SPARQL evaluator follows the classical three-valued
-definitions directly.
+definitions directly.  `assert_normal_form` runs the production
+`saturate_fast` and checks its result against conditions that need no
+reference result.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Iterable, Sequence
 
 from anrdf.anql import algebra as alg
 from anrdf.domains import AnnotationValue, Domain
-from anrdf.domains.compound import Pair
+from anrdf.domains.compound import Pair, saturate_fast
 from anrdf.errors import SaturationBoundError
 from anrdf.model import DOM, RANGE, SC, SP, TYPE, AnnotatedGraph, Term, Triple, iri
 from anrdf.syntax import format_term
@@ -225,6 +227,74 @@ def reduce_pairs(d1: Domain, d2: Domain, pairs: Iterable[Pair]) -> set[Pair]:
             for q in live
         )
     }
+
+
+class Recording(Domain):
+    """A component domain that logs the operands of one payload kernel."""
+
+    def __init__(self, inner: Domain, kernel: str):
+        self.inner, self.kernel, self.calls = inner, kernel, []
+        self.name, self.is_lattice = inner.name, inner.is_lattice
+        self.bottom_payload, self.top_payload = inner.bottom_payload, inner.top_payload
+
+    def _call(self, kernel, a, b):
+        if kernel == self.kernel:
+            self.calls.append((a, b))
+        return getattr(self.inner, kernel)(a, b)
+
+    def join_payload(self, a, b):
+        return self._call("join_payload", a, b)
+
+    def meet_payload(self, a, b):
+        return self._call("meet_payload", a, b)
+
+    def leq_payload(self, a, b):
+        return self.inner.leq_payload(a, b)
+
+
+def combinations(rec1: Recording, rec2: Recording) -> list[tuple[Pair, Pair]]:
+    """The popped pair and the member of `done` of every combination, in
+    order, from a D1 meet log and a D2 join log."""
+    assert len(rec1.calls) == len(rec2.calls)
+    return [((x, y), (u, v)) for (x, u), (y, v) in zip(rec1.calls, rec2.calls)]
+
+
+def assert_normal_form(d1: Domain, d2: Domain, raw, closed) -> int:
+    """Run `saturate_fast(d1, d2, raw, closed)` and assert conditions
+    (a)-(d) of `TestNormalFormWithoutOracle` (`test_compound.py`, which
+    proves that they make the result the normal form) on its result;
+    return the result's size."""
+    bot1, bot2 = d1.bottom_payload, d2.bottom_payload
+    rec1, rec2 = Recording(d1, "meet_payload"), Recording(d2, "join_payload")
+    result = saturate_fast(rec1, rec2, raw, closed=closed)
+
+    def low(e, f):
+        return d1.meet_payload(e[0], f[0]), d2.join_payload(e[1], f[1])
+
+    def high(e, f):
+        return d1.join_payload(e[0], f[0]), d2.meet_payload(e[1], f[1])
+
+    def below(d, r):
+        return d1.leq_payload(d[0], r[0]) and d2.leq_payload(d[1], r[1])
+
+    def covered(d):
+        return d[0] == bot1 or d[1] == bot2 or any(below(d, r) for r in result)
+
+    members = sorted(result, key=repr)
+    for r in members:  # (a)
+        assert r[0] != bot1 and r[1] != bot2, r
+        assert not any(below(r, s) for s in members if s != r), r
+    for d in [*raw, *closed]:  # (b)
+        assert covered(d), d
+    for i, r in enumerate(members):  # (c)
+        for s in members[i:]:
+            assert covered(low(r, s)) and covered(high(r, s)), (r, s)
+    known = {*raw, *closed}  # (d)
+    for p, q in combinations(rec1, rec2):
+        assert p in known and q in known, (p, q)
+        known.update((low(p, q), high(p, q)))
+    assert result <= known
+    return len(result)
 
 
 # -- provenance truth tables ---------------------------------------------------

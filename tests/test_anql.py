@@ -174,6 +174,22 @@ class TestBap:
         assert evaluate_query(chain, q(f"SELECT ?z WHERE {{ {second} }}")) != []
         assert evaluate_query(chain, q(f"SELECT ?y ?z WHERE {{ {first} {second} }}")) == []
 
+    def test_a_term_and_label_clash_makes_no_lookup(self, chain, monkeypatch):
+        # `bindings` records that ?l is both a label and a term, so the Bap
+        # gives no rows before it matches its first pattern.
+        calls = []
+        original = AnnotatedGraph.match
+        monkeypatch.setattr(
+            AnnotatedGraph, "match", lambda graph, *key: calls.append(key) or original(graph, *key)
+        )
+        x, y, z, label = (alg.Var(name) for name in "xyzl")
+        bap = alg.Bap(
+            (alg.TriplePattern(x, iri("p"), y, label), alg.TriplePattern(label, iri("q"), z))
+        )
+        assert bap.bindings.terms & bap.bindings.labels == {"l"}
+        assert eval_pattern(chain, bap) == []
+        assert calls == []
+
     def test_a_pattern_that_reads_no_row_is_matched_once(self, monkeypatch):
         # `(?x type C7):?l . (?s ?p ?o):?m` is a cross product: the second
         # pattern reads no variable from the row, so every row makes the
@@ -630,19 +646,19 @@ class TestGroupBy:
         query = q("SELECT ?s ?z WHERE { (?s p ?o):?l GROUPBY(?s) MEET(?l) AS ?z }")
         diagnostics: list[str] = []
         assert evaluate_query(closure(doc.graph), query, diagnostics) == []
-        assert diagnostics == ["MEET: bottom in group; group dropped"]
+        assert diagnostics == ["MEET: bottom in group ?s=a; group dropped"]
 
     @pytest.mark.parametrize(
         "aggregate, expected, diagnostics",
         [
-            ("MAX(?zz)", [], ["MAX: no defined values in group"]),
-            ("SUM(?o)", [], ["SUM: non-numeric value in group; group dropped"]),
-            ("AVG(?l)", [], ["AVG: non-numeric value in group; group dropped"]),
-            ("JOIN(?o)", [], ["JOIN: non-annotation value in group; group dropped"]),
+            ("MAX(?zz)", [], ["MAX: no defined values in group ?s=a"]),
+            ("SUM(?o)", [], ["SUM: non-numeric value in group ?s=a; group dropped"]),
+            ("AVG(?l)", [], ["AVG: non-numeric value in group ?s=a; group dropped"]),
+            ("JOIN(?o)", [], ["JOIN: non-annotation value in group ?s=a; group dropped"]),
             (
                 "MEET(length(?l))",
                 [],
-                ["MEET: non-annotation value in group; group dropped"],
+                ["MEET: non-annotation value in group ?s=a; group dropped"],
             ),
             ("COUNT(?zz)", [{"s": iri("a"), "z": Fraction(0)}], []),
         ],
@@ -653,6 +669,26 @@ class TestGroupBy:
         seen: list[str] = []
         assert evaluate_query(closure(doc.graph), query, seen) == expected
         assert seen == diagnostics
+
+    @pytest.mark.parametrize(
+        "keys, group",
+        [
+            ("?s", " ?s=a"),  # a term as a query spells it
+            ("?n", " ?n=1.5"),  # a number as an answer cell writes it
+            ("?l", " ?l=temporal:{[1,2]}"),  # an annotation with its domain
+            ("?s ?n", " ?s=a ?n=1.5"),
+            ("", ""),  # one group, with no key to name
+        ],
+    )
+    def test_a_diagnostic_names_its_group(self, keys, group):
+        doc = parse_graph("@domix temporal .\n(a p b) : {[1,2]} .\n")
+        query = q(
+            "SELECT ?z WHERE { (?s p ?o):?l ASSIGN 3/2 AS ?n"
+            f" GROUPBY({keys}) MAX(?zz) AS ?z }}"
+        )
+        seen: list[str] = []
+        assert evaluate_query(closure(doc.graph), query, seen) == []
+        assert seen == [f"MAX: no defined values in group{group}"]
 
     def test_saturation_cap_is_not_a_domain_mismatch(self, monkeypatch):
         doc = parse_graph(
@@ -827,6 +863,30 @@ class TestModifiers:
         calls.clear()
         eval_pattern(graph, alg.SubSelect((x, label), union))
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("keyed", [False, True], ids=["union", "bap"])
+    def test_a_subselect_that_drops_no_variable_passes_its_rows(self, monkeypatch, keyed):
+        # Its input's rows are maximal and bind nothing outside `select`,
+        # so they pass as they are, keyed input or not: the same row
+        # objects, in order, and no prune.
+        graph = parse_graph("@domix temporal .\n(a p b) : {[1,2]} .\n(a p c) : {[1,5]} .\n").graph
+        x, y, label = alg.Var("x"), alg.Var("y"), alg.Var("l")
+        bap = alg.Bap((alg.TriplePattern(x, iri("p"), y, label),))
+        inner = bap if keyed else alg.Union(bap, bap)
+        rows = eval_pattern(graph, inner)
+        assert len(rows) == (2 if keyed else 4)
+        real = engine.eval_pattern
+        monkeypatch.setattr(
+            engine, "eval_pattern", lambda g, p, d=None: rows if p is inner else real(g, p, d)
+        )
+        calls = []
+        monkeypatch.setattr(engine, "prune_maximal", lambda rows: calls.append(rows) or rows)
+        # `select` in another order, or naming a variable no row binds.
+        for select in ((label, y, x), (x, alg.Var("z"), y, label)):
+            node = alg.SubSelect(select, inner)
+            assert node.bindings == inner.bindings
+            assert [id(row) for row in real(graph, node)] == [id(row) for row in rows]
+        assert calls == []
 
     def test_subselect_projects(self, fig1_exx1_closure):
         query = q(
@@ -1228,7 +1288,12 @@ class TestDomainMaximality:
         query = alg.SubSelect((), random_pattern(rng, anchors=triples))
         pattern = rewrite_defaults(query, "fresh-vars", TEMPORAL).pattern
         a, b, *rest = (alg.Var(name) for name in rng.sample("xyzuv", 5))
-        projected = alg.SubSelect((a, b, *rest) if rng.random() < 0.5 else (a, b), pattern)
+        # A third of the seeds keep every variable the pattern can bind.
+        every = [alg.Var(name) for name in sorted(pattern.bindings.can - {a.name, b.name})]
+        projected = alg.SubSelect((a, b, *[(), rest, every][seed % 3]), pattern)
+        if seed % 3 == 2:
+            assert projected.bindings == pattern.bindings
+            assert eval_pattern(graph, projected) == eval_pattern(graph, pattern)
         assigned = alg.Assign(projected, "", (iri("a0"),), b)
         stack = [alg.GroupBy(assigned, (a,), (alg.Aggregate("COUNT", "", (b,), alg.Var("n")),))]
         while stack:

@@ -16,9 +16,16 @@ from anrdf.domains import (
     quasihomomorphism_suite,
     saturate_fast,
 )
-from anrdf.domains.compound import Pair, generated_sublattice
+from anrdf.domains.compound import generated_sublattice
 from anrdf.errors import NotALatticeError, SaturationBoundError
-from oracles import NAIVE_SATURATE_BOUND, reduce_pairs, saturate_naive
+from oracles import (
+    NAIVE_SATURATE_BOUND,
+    Recording,
+    assert_normal_form,
+    combinations,
+    reduce_pairs,
+    saturate_naive,
+)
 
 T = get_domain("temporal")
 FP = get_domain("fuzzy:product")
@@ -194,36 +201,6 @@ class TestClosedOperandJoin:
         assert naive > 100 and dominating > 30, (naive, dominating)
 
 
-class _Recording(Domain):
-    """A component domain that logs the operands of one payload kernel."""
-
-    def __init__(self, inner: Domain, kernel: str):
-        self.inner, self.kernel, self.calls = inner, kernel, []
-        self.name, self.is_lattice = inner.name, inner.is_lattice
-        self.bottom_payload, self.top_payload = inner.bottom_payload, inner.top_payload
-
-    def _call(self, kernel, a, b):
-        if kernel == self.kernel:
-            self.calls.append((a, b))
-        return getattr(self.inner, kernel)(a, b)
-
-    def join_payload(self, a, b):
-        return self._call("join_payload", a, b)
-
-    def meet_payload(self, a, b):
-        return self._call("meet_payload", a, b)
-
-    def leq_payload(self, a, b):
-        return self.inner.leq_payload(a, b)
-
-
-def _combinations(rec1: _Recording, rec2: _Recording) -> list[tuple[Pair, Pair]]:
-    """The popped pair and the member of `done` of every combination, in
-    order, from a D1 meet log and a D2 join log."""
-    assert len(rec1.calls) == len(rec2.calls)
-    return [((x, y), (u, v)) for (x, u), (y, v) in zip(rec1.calls, rec2.calls)]
-
-
 class TestSemiNaiveSaturation:
     """`saturate_fast` combines each unordered pair of members at most
     once, and never a derived pair with its parents or sibling.
@@ -242,10 +219,10 @@ class TestSemiNaiveSaturation:
 
         for _ in range(150):
             pairs, closed = raw(rng.randint(0, 4)), normalise(T, d2, raw(rng.randint(0, 2)))
-            rec1, rec2 = _Recording(T, "meet_payload"), _Recording(d2, "join_payload")
+            rec1, rec2 = Recording(T, "meet_payload"), Recording(d2, "join_payload")
             out = saturate_fast(rec1, rec2, pairs, closed=closed)
             seen = set()
-            for p, q in _combinations(rec1, rec2):
+            for p, q in combinations(rec1, rec2):
                 assert p != q, f"{p} combined with itself"
                 key = frozenset((p, q))
                 assert key not in seen, f"{p} and {q} combined twice"
@@ -272,10 +249,10 @@ class TestSemiNaiveSaturation:
 
         for _ in range(100):
             pairs, closed = raw(rng.randint(0, 4)), normalise(T, d2, raw(rng.randint(0, 2)))
-            rec1, rec2 = _Recording(T, "meet_payload"), _Recording(d2, "join_payload")
+            rec1, rec2 = Recording(T, "meet_payload"), Recording(d2, "join_payload")
             saturate_fast(rec1, rec2, pairs, closed=closed)
             known, tags = {*pairs, *closed}, {}
-            for p, q in _combinations(rec1, rec2):
+            for p, q in combinations(rec1, rec2):
                 assert q not in tags.get(p, ()), (p, q)
                 derived_popped += p in tags
                 low = (T.meet_payload(p[0], q[0]), d2.join_payload(p[1], q[1]))
@@ -290,9 +267,9 @@ class TestSemiNaiveSaturation:
         # Its two derived pairs would meet each other and their parents
         # in five more combinations, all decided by the lattice laws.
         pairs = [(iv(1, 5), PV.parse_payload("s1")), (iv(3, 8), PV.parse_payload("s2"))]
-        rec1, rec2 = _Recording(T, "meet_payload"), _Recording(PV, "join_payload")
+        rec1, rec2 = Recording(T, "meet_payload"), Recording(PV, "join_payload")
         out = saturate_fast(rec1, rec2, pairs)
-        assert len(_combinations(rec1, rec2)) == 1
+        assert len(combinations(rec1, rec2)) == 1
         # A step is one formed result: the combination's two fit a cap of 2.
         monkeypatch.setattr(compound, "_FAST_SATURATE_CAP", 2)
         domain = get_domain("compound(temporal,provenance)")
@@ -315,7 +292,8 @@ class TestNormalFormWithoutOracle:
     low(e, f) = <e1 meet1 f1, e2 join2 f2> and
     high(e, f) = <e1 join1 f1, e2 meet2 f2>, and D* its pairs with no
     bottom component.  The normal form is the set of maximal pairs of
-    D*.  The test checks, from R and the `_Recording` logs of the run:
+    D*.  `oracles.assert_normal_form` checks, from R and the `Recording`
+    logs of the run:
 
     (a) R is an antichain with no bottom component;
     (b) every pair of raw and closed with no bottom component lies under
@@ -350,41 +328,8 @@ class TestNormalFormWithoutOracle:
     meet2, so the check covers every D2.
 
     `saturate_naive` stays the cross-check at the sizes it can reach
-    (`test_fast_equals_naive_on_random_inputs`)."""
-
-    @staticmethod
-    def _assert_normal_form(d1, d2, raw, closed) -> int:
-        bot1, bot2 = d1.bottom_payload, d2.bottom_payload
-        rec1, rec2 = _Recording(d1, "meet_payload"), _Recording(d2, "join_payload")
-        result = saturate_fast(rec1, rec2, raw, closed=closed)
-
-        def low(e, f):
-            return d1.meet_payload(e[0], f[0]), d2.join_payload(e[1], f[1])
-
-        def high(e, f):
-            return d1.join_payload(e[0], f[0]), d2.meet_payload(e[1], f[1])
-
-        def below(d, r):
-            return d1.leq_payload(d[0], r[0]) and d2.leq_payload(d[1], r[1])
-
-        def covered(d):
-            return d[0] == bot1 or d[1] == bot2 or any(below(d, r) for r in result)
-
-        members = sorted(result, key=repr)
-        for r in members:  # (a)
-            assert r[0] != bot1 and r[1] != bot2, r
-            assert not any(below(r, s) for s in members if s != r), r
-        for d in [*raw, *closed]:  # (b)
-            assert covered(d), d
-        for i, r in enumerate(members):  # (c)
-            for s in members[i:]:
-                assert covered(low(r, s)) and covered(high(r, s)), (r, s)
-        known = {*raw, *closed}  # (d)
-        for p, q in _combinations(rec1, rec2):
-            assert p in known and q in known, (p, q)
-            known.update((low(p, q), high(p, q)))
-        assert result <= known
-        return len(result)
+    (`test_fast_equals_naive_on_random_inputs`), and
+    `tests/normal_form_check.py` runs the same check on more inputs."""
 
     @pytest.mark.parametrize("d2", SECOND_COMPONENTS, ids=lambda d: d.name)
     @pytest.mark.parametrize("d1", LATTICE_FIRST_COMPONENTS, ids=lambda d: d.name)
@@ -400,7 +345,7 @@ class TestNormalFormWithoutOracle:
         for _ in range(25):
             raw = pairs(rng.randint(1, 6))
             closed = normalise(d1, d2, pairs(rng.randint(0, 3))) if rng.random() < 0.7 else ()
-            largest = max(largest, self._assert_normal_form(d1, d2, raw, closed))
+            largest = max(largest, assert_normal_form(d1, d2, raw, closed))
         # With a boolean component one pair dominates every other.
         assert largest >= 2 or "boolean" in (d1.name, d2.name), largest
 

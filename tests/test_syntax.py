@@ -245,41 +245,46 @@ class TestDataRoundTrip:
         with pytest.raises(ParseError):
             parse_graph('@domix boolean .\n(a "p" b) : true .\n')
 
-    # Columns count the raw line; annotation literal errors point at the
-    # literal, triple errors at the statement.
+    # (column, message).  Columns count the raw line; annotation literal
+    # errors point at the literal, triple errors at the statement.
+    FUZZY_RANGE = "fuzzy degree must be a rational in [0,1], got Fraction(3, 2)"
+    DIRECTIVE = "unknown directive; expected @domix or @prefix"
     ERROR_COLUMNS = {
-        "(a p b) : {[1,2]}": 18,  # missing dot
-        "(a p b) : 0.5. .": 16,  # a word never ends in '.'
-        "(a p) : {[1,2]} .": 5,  # two terms
-        "a p .": 5,
-        "(a p b) : nonsense .": 11,
-        "(a p b) : 1.5 .": 11,
-        '(a "p" b) : true .': 1,
-        '      (a "p" b) : 0.5 .': 7,
-        "  (a p b) :   1.5 . # comment": 15,
-        "(?x p b) : 0.5 .": 2,  # variables are query-only
-        "@prefixex: <http://e/> .": 1,  # a directive is a whole word
-        "@domixfuzzy:min .": 1,
-        "(_:b. p c) : 0.5 .": 5,  # a blank-node label never ends in '.'
-        "a p _:b..c .": 9,
-        "a p _:.b .": 5,
+        "(a p b) : {[1,2]}": (18, "statement must end with '.'"),  # missing dot
+        "(a p b) : 0.5. .": (16, "statement must end with '.'"),  # a word never ends in '.'
+        "(a p) : {[1,2]} .": (5, "cannot read a term at ') : {[1,2]'"),  # two terms
+        "a p .": (5, "cannot read a term at '.'"),
+        "(a p b) : nonsense .": (11, "not a number: 'nonsense'"),
+        "(a p b) : 1.5 .": (11, FUZZY_RANGE),
+        '(a "p" b) : true .': (1, 'predicate must not be a literal: "p"'),
+        '      (a "p" b) : 0.5 .': (7, 'predicate must not be a literal: "p"'),
+        "  (a p b) :   1.5 . # comment": (15, FUZZY_RANGE),
+        # Variables are query-only.
+        "(?x p b) : 0.5 .": (2, "cannot read a term at '?x p b) : '"),
+        "@prefixex: <http://e/> .": (1, DIRECTIVE),  # a directive is a whole word
+        "@domixfuzzy:min .": (1, DIRECTIVE),
+        # A blank-node label never ends in '.'.
+        "(_:b. p c) : 0.5 .": (5, "cannot read a term at '. p c) : 0'"),
+        "a p _:b..c .": (9, "statement must end with '.'"),
+        "a p _:.b .": (5, "blank node needs a label"),
         # Unicode, vertical-tab and form-feed spaces are whitespace.
-        "(a\xa0p\u2003b)\x0b:\x0c1.5 .": 11,
+        "(a\xa0p\u2003b)\x0b:\x0c1.5 .": (11, FUZZY_RANGE),
         # ... but no control character may stand inside <...>.
-        "(<c\td> p b) : 0.5 .": 4,
-        "a p <x\x1fy> .": 7,
-        "@prefix ex: <http://e/\x00x> .": 23,
-        "(<abc p b) : 0.5 .": 2,  # unterminated <iri>
-        "@prefix <http://e/> .": 9,  # @prefix needs 'name:'
-        "@prefix ex: <http://e/ .": 14,  # unterminated prefix IRI
-        "a p": 4,  # expected a term, at the end of the line
+        "(<c\td> p b) : 0.5 .": (4, "control character U+0009 in an IRI"),
+        "a p <x\x1fy> .": (7, "control character U+001F in an IRI"),
+        "@prefix ex: <http://e/\x00x> .": (23, "control character U+0000 in an IRI"),
+        "(<abc p b) : 0.5 .": (2, "unterminated <iri>"),
+        "@prefix <http://e/> .": (9, "@prefix needs 'name:'"),
+        "@prefix ex: <http://e/ .": (14, "unterminated prefix IRI"),
+        "a p": (4, "expected a term"),  # at the end of the line
     }
 
     @pytest.mark.parametrize("bad", ERROR_COLUMNS)
     def test_errors_carry_positions(self, bad):
         with pytest.raises(ParseError) as info:
             parse_graph(f"@domix fuzzy:product .\n{bad}\n")
-        assert (info.value.line, info.value.column) == (2, self.ERROR_COLUMNS[bad])
+        column, message = self.ERROR_COLUMNS[bad]
+        assert str(info.value) == f"2:{column}: {message}"
 
     def test_fuzzy_range_check(self):
         with pytest.raises(ParseError):
@@ -838,50 +843,63 @@ class TestQueryParsing:
             parse_query("SELECT ?x WHERE { ?x p ?y FILTER(?x = ", TEMPORAL)
         assert str(info.value) == "1:39: expected an operand"
 
-    # Annotation-literal errors point at the literal's first character,
-    # as in the data format, also for filter and assignment operands.
+    # (column, message).  Annotation-literal errors point at the literal's
+    # first character, as in the data format, also for filter and
+    # assignment operands.
     ERROR_COLUMNS = {
-        "SELECT ?x WHERE { (?x p ?y):{[2,1]} }": 29,
-        "SELECT ?x WHERE { (?x p ?y):nonsense }": 29,
-        "SELECT ?x WHERE { (?x p ?y):{[1,2] ": 29,  # unbalanced
-        "SELECT ?x WHERE { (?x p ?y): }": 30,
-        "SELECT ?x WHERE { (?x p ?y):?l FILTER(?l <= {[2,1]}) }": 45,
-        "SELECT ?x WHERE { (?x p ?y):?l FILTER(before(?l, [5,1])) }": 50,
-        "SELECT ?x WHERE { (?x p ?y):?l ASSIGN length([3,2]) AS ?n }": 46,
+        "SELECT ?x WHERE { (?x p ?y):{[2,1]} }": (29, "empty interval [2,1]"),
+        "SELECT ?x WHERE { (?x p ?y):nonsense }": (29, "malformed temporal literal: 'nonsense'"),
+        "SELECT ?x WHERE { (?x p ?y):{[1,2] ": (29, "unbalanced {"),
+        "SELECT ?x WHERE { (?x p ?y): }": (30, "expected an annotation literal"),
+        "SELECT ?x WHERE { (?x p ?y):?l FILTER(?l <= {[2,1]}) }": (45, "empty interval [2,1]"),
+        "SELECT ?x WHERE { (?x p ?y):?l FILTER(before(?l, [5,1])) }": (50, "empty interval [5,1]"),
+        "SELECT ?x WHERE { (?x p ?y):?l ASSIGN length([3,2]) AS ?n }": (46, "empty interval [3,2]"),
         # Both sides of `<=` and every built-in argument are labels.
-        "SELECT ?x WHERE { (?x p ?y):?l FILTER(?l <= chad) }": 45,
-        'SELECT ?x WHERE { (?x p ?y):?l FILTER("a" <= ?l) }': 39,
-        "SELECT ?x WHERE { (?x p ?y):?l FILTER(isTEMPORAL(chad)) }": 50,
-        "SELECT\xa0?x\u2003WHERE\x0b{\x0c(?x p ?y):{[2,1]} }": 29,
+        "SELECT ?x WHERE { (?x p ?y):?l FILTER(?l <= chad) }": (45, "malformed temporal literal: 'chad'"),
+        'SELECT ?x WHERE { (?x p ?y):?l FILTER("a" <= ?l) }': (39, "expected an annotation literal"),
+        "SELECT ?x WHERE { (?x p ?y):?l FILTER(isTEMPORAL(chad)) }": (
+            50,
+            "malformed temporal literal: 'chad'",
+        ),
+        "SELECT\xa0?x\u2003WHERE\x0b{\x0c(?x p ?y):{[2,1]} }": (29, "empty interval [2,1]"),
         # An unterminated string literal fails at its opening quote.
-        'SELECT ?x WHERE { ?x p "abc\\': 24,
-        'SELECT ?x WHERE { ?x p "ab\\" }': 24,
+        'SELECT ?x WHERE { ?x p "abc\\': (24, "unterminated string literal"),
+        'SELECT ?x WHERE { ?x p "ab\\" }': (24, "unterminated string literal"),
         # A control character inside <...> fails at that character.
-        "SELECT ?s ?n WHERE { (<c\td> name ?n):?l }": 25,
-        "SELECT ?x WHERE { ?x p <a\nb> }": 26,
-        "@prefix ex: <http://e\x0b/> . SELECT ?x WHERE { (?x ex:p ?y):?l }": 22,
+        "SELECT ?s ?n WHERE { (<c\td> name ?n):?l }": (25, "control character U+0009 in an IRI"),
+        "SELECT ?x WHERE { ?x p <a\nb> }": (26, "control character U+000A in an IRI"),
+        "@prefix ex: <http://e\x0b/> . SELECT ?x WHERE { (?x ex:p ?y):?l }": (
+            22,
+            "control character U+000B in an IRI",
+        ),
         # A bad call in a parenthesised filter is reported at its name.
-        "SELECT ?x WHERE { (?x p ?y):?l FILTER((before(?l))) }": 40,
-        "SELECT ?x WHERE { (?x p ?y):?l FILTER((length(?l))) }": 40,
+        "SELECT ?x WHERE { (?x p ?y):?l FILTER((before(?l))) }": (40, "before takes 2 arguments, not 1"),
+        "SELECT ?x WHERE { (?x p ?y):?l FILTER((length(?l))) }": (
+            40,
+            "length is a function, not a test: FILTER cannot read it as a condition",
+        ),
         # `(?x)` followed by `=` is an annotation literal, which the
         # domain rejects at its `(`.
-        "SELECT ?x WHERE { (?x p ?y):?l FILTER((?x) = ?y) }": 39,
-        "SELECT ?x WHERE { ?x p ?y } ORDERBY x": 37,  # expected ?variable
-        "SELECT ?x WHERE { ?x p ?y } GROUP": 29,  # expected ORDERBY, LIMIT, or end of query
-        "SELECT ?x WHERE { ?x p ?y } LIMIT x": 35,  # expected an integer
-        "SELECT ?x WHERE ?x p ?y }": 17,  # expected '{'
-        "SELECT ?x WHERE { (?x p ?y):?l ASSIGN length(?l) ?n }": 50,  # ASSIGN needs 'AS ?var'
-        # aggregates need 'AS ?var'
-        "SELECT ?x ?m WHERE { (?x p ?y):?l GROUPBY(?x) MAX(length(?l)) ?m }": 63,
-        # A number operand the scalar parser rejects: zero denominator.
-        "SELECT ?x WHERE { (?x p ?y):?l FILTER(?x = 1/0) }": 44,
+        "SELECT ?x WHERE { (?x p ?y):?l FILTER((?x) = ?y) }": (39, "malformed temporal literal: '(?x)'"),
+        "SELECT ?x WHERE { ?x p ?y } ORDERBY x": (37, "expected ?variable"),
+        "SELECT ?x WHERE { ?x p ?y } GROUP": (29, "expected ORDERBY, LIMIT, or end of query"),
+        "SELECT ?x WHERE { ?x p ?y } LIMIT x": (35, "expected an integer"),
+        "SELECT ?x WHERE ?x p ?y }": (17, "expected '{'"),
+        "SELECT ?x WHERE { (?x p ?y):?l ASSIGN length(?l) ?n }": (50, "ASSIGN needs 'AS ?var'"),
+        "SELECT ?x ?m WHERE { (?x p ?y):?l GROUPBY(?x) MAX(length(?l)) ?m }": (
+            63,
+            "aggregates need 'AS ?var'",
+        ),
+        # A number operand the scalar parser rejects.
+        "SELECT ?x WHERE { (?x p ?y):?l FILTER(?x = 1/0) }": (44, "zero denominator: '1/0'"),
     }
 
     @pytest.mark.parametrize("bad", ERROR_COLUMNS)
     def test_errors_carry_positions(self, bad):
         with pytest.raises(ParseError) as info:
             parse_query(bad, TEMPORAL)
-        assert (info.value.line, info.value.column) == (1, self.ERROR_COLUMNS[bad])
+        column, message = self.ERROR_COLUMNS[bad]
+        assert str(info.value) == f"1:{column}: {message}"
 
     def test_name_never_ends_in_a_dot(self):
         query = parse_query("SELECT ?x WHERE { ?x p c. ?x q ?z }", TEMPORAL)
