@@ -110,6 +110,7 @@ from ..domains import AnnotationValue
 from ..errors import DomainMismatchError, QueryTypeError
 from ..model import LITERAL, AnnotatedGraph, Term
 from ..rational import format_scalar
+from ..syntax.lexer import format_term
 from . import algebra as alg
 from .builtins import FUNCTIONS, REGISTRY, UNBOUND, BuiltinError
 
@@ -367,37 +368,43 @@ def _apply_groupby(
     # parser rejects a target in the pattern's `bindings.can`.
     out: list[Solution] = []
     for members in groups.values():
-        projected = {k.name: members[0][k.name] for k in node.keys if k.name in members[0]}
-        # A diagnostic names its group by the bound keys, as `?x=a`.
-        group = "".join(
-            f" ?{k}={format_scalar(v) if isinstance(v, Fraction) else repr(v)}"
-            for k, v in projected.items()
-        )
+        first = members[0]
+        projected = {k.name: first[k.name] for k in node.keys if k.name in first}
         for aggregate in node.aggregates:
-            value = _aggregate(aggregate, members, group, diagnostics)
-            if value is None:
-                break  # an undefined aggregate drops the group
+            value = _aggregate(aggregate, members)
+            if isinstance(value, str):  # the reason it has no value drops the group
+                # Named by its bound keys, as `?x=a`, only once it is dropped.
+                keys = dict.fromkeys(k.name for k in node.keys if k.name in first)
+                name = "".join(f" ?{k}={_key_text(first[k])}" for k in keys)
+                diagnostics.append(f"{aggregate.op}: {value} in group{name}; group dropped")
+                break
             projected[aggregate.target.name] = value
         else:
             out.append(projected)
     return out
 
 
-def _aggregate(
-    aggregate: alg.Aggregate, members: list[Solution], group: str, diagnostics: list[str]
-) -> Value | None:
+def _key_text(value: Value) -> str:
+    """A grouping key as a diagnostic writes it: a term as a query spells
+    it, a number as an answer cell does, an annotation with its domain."""
+    if isinstance(value, Term):
+        return format_term(value)
+    return format_scalar(value) if isinstance(value, Fraction) else repr(value)
+
+
+def _aggregate(aggregate: alg.Aggregate, members: list[Solution]) -> Value | str:
+    """The value of `aggregate` over a group's `members`, or the reason it
+    has none, a `str`, which no value is."""
     calls = (_call(aggregate.fn, aggregate.args, row, FUNCTIONS) for row in members)
     values = [value for value in calls if value is not None]
     op = aggregate.op
     if op == "COUNT":
         return Fraction(len(values))
     if not values:
-        diagnostics.append(f"{op}: no defined values in group{group}")
-        return None
+        return "no defined values"
     if op in ("SUM", "AVG"):
         if not all(isinstance(v, Fraction) for v in values):
-            diagnostics.append(f"{op}: non-numeric value in group{group}; group dropped")
-            return None
+            return "non-numeric value"
         total = sum(values, Fraction(0))
         return total if op == "SUM" else total / len(values)
     if op in ("MAX", "MIN"):
@@ -406,18 +413,13 @@ def _aggregate(
             isinstance(v, Term) and v.kind == LITERAL for v in values
         ):
             return pick(values)
-        diagnostics.append(f"{op}: values are not totally ordered in group{group}; group dropped")
-        return None
+        return "values are not totally ordered"
     if op in ("JOIN", "MEET"):
         if not all(isinstance(v, AnnotationValue) for v in values):
-            diagnostics.append(f"{op}: non-annotation value in group{group}; group dropped")
-            return None
+            return "non-annotation value"
         acc = FUNCTIONS[op.lower()](*values)
-        if acc.is_bottom:
-            # As in ASSIGN, annotation variables never hold bottom.
-            diagnostics.append(f"{op}: bottom in group{group}; group dropped")
-            return None
-        return acc
+        # As in ASSIGN, annotation variables never hold bottom.
+        return "bottom" if acc.is_bottom else acc
     raise QueryTypeError(f"unknown aggregate {op!r}")
 
 

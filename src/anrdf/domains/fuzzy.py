@@ -12,11 +12,12 @@ import operator
 from fractions import Fraction
 
 from ..errors import AnnotationSyntaxError
-from ..rational import format_scalar, parse_scalar
+from ..rational import format_scalar, is_finite, parse_scalar
 from .base import Domain
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_OUT_OF_RANGE = "fuzzy degree must be a rational in [0,1]"
 
 
 def tnorm_lukasiewicz(a: Fraction, b: Fraction) -> Fraction:
@@ -47,19 +48,21 @@ class FuzzyDomain(Domain):
         return self._tnorm(a, b)
 
     def parse_payload(self, text: str) -> Fraction:
+        """The degree `text` writes; one out of range is named as written."""
         try:
             value = parse_scalar(text)
         except ValueError as exc:
             raise AnnotationSyntaxError(str(exc)) from None
-        return self.validate_payload(value)
+        if is_finite(value) and ZERO <= value <= ONE:
+            return Fraction(value)
+        raise AnnotationSyntaxError(f"{_OUT_OF_RANGE}, got {text.strip()}")
 
     def validate_payload(self, payload) -> Fraction:
         if isinstance(payload, int):
             payload = Fraction(payload)
         if not isinstance(payload, Fraction) or not ZERO <= payload <= ONE:
-            raise AnnotationSyntaxError(
-                f"fuzzy degree must be a rational in [0,1], got {payload!r}"
-            )
+            shown = format_scalar(payload) if isinstance(payload, Fraction) else repr(payload)
+            raise AnnotationSyntaxError(f"{_OUT_OF_RANGE}, got {shown}")
         return payload
 
     def random_payload(self, rng) -> Fraction:

@@ -40,9 +40,7 @@ from dataclasses import dataclass, field
 from ..domains import AnnotationValue, Domain, get_domain
 from ..errors import AnnotationSyntaxError, AnrdfError, ParseError, UnknownDomainError
 from ..model import AnnotatedGraph, Term, Triple, skolem
-from .lexer import CONTROL_RE, KEYWORDS, NAME_RE, Scanner, annotation_literal_end, name_term
-
-KEYWORD_FOR_TERM = {term: word for word, term in KEYWORDS.items()}
+from .lexer import NAME_RE, Scanner, annotation_literal_end, format_term, name_term
 
 # A blank-node label holds '.' only between two label characters, as
 # NAME_RE does, so a label glued to the final '.' ends before it.
@@ -212,35 +210,6 @@ def parse_graph(text: str, domain: Domain | str | None = None) -> Document:
 
 
 # -- serialisation ------------------------------------------------------------
-
-
-# A tab is escaped too, so that a literal stays one field of a TSV answer,
-# and so is every line break that `str.splitlines` knows, so that it stays
-# on one line: `\r` by name and the rest as `\uXXXX`.
-_LITERAL_ESCAPES = str.maketrans(
-    {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
-    | {c: f"\\u{ord(c):04X}" for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
-)
-
-
-def format_term(term: Term) -> str:
-    """The text of `term` as both formats read it.  An IRI that no bare
-    name spells is written `<...>`, which holds no control character, so
-    an IRI with one raises `AnrdfError`."""
-    if term.kind == "literal":
-        return f'"{term.lexical.translate(_LITERAL_ESCAPES)}"'
-    if term.kind == "skolem":
-        return f"_:{term.lexical}"
-    short = KEYWORD_FOR_TERM.get(term)
-    if short:
-        return short
-    if NAME_RE.fullmatch(term.lexical) and term.lexical not in KEYWORDS:
-        return term.lexical
-    bad = CONTROL_RE.search(term.lexical)
-    if bad:
-        code = f"U+{ord(bad[0]):04X}"
-        raise AnrdfError(f"cannot write IRI {term.lexical!r}: control character {code}")
-    return f"<{term.lexical}>"
 
 
 def serialize_graph(graph: AnnotatedGraph, plain: list[Triple] | None = None) -> str:

@@ -1,4 +1,5 @@
-"""The scanner shared by the AnRDF data format and AnQL queries.
+"""The scanner shared by the AnRDF data format and AnQL queries, and
+`format_term`, the one writer of a term.
 
 Both formats read the same ground terms: `<iri>`, which may hold a
 space but no control character (U+0000-U+001F), also in `@prefix`;
@@ -16,16 +17,23 @@ before a raw line break stands for the line break).  `Scanner.take`
 takes a token of any length.  Blank nodes `_:label` exist only in data
 and `?var` only in queries; each parser checks its own before asking
 for a ground term.
+
+`format_term` writes a term as `ground_term` reads it back: a keyword or
+bare name where one spells the IRI, `<iri>` otherwise, `"literal"` with
+`\\`, `"`, a tab and every line break escaped, and `_:label`.  The data
+serialiser, both answer writers and the engine's GROUPBY warnings write
+terms through it.
 """
 
 from __future__ import annotations
 
 import re
 
-from ..errors import ParseError
+from ..errors import AnrdfError, ParseError
 from ..model import DOM, RANGE, SC, SP, TYPE, Term, iri, literal
 
 KEYWORDS = {"type": TYPE, "sp": SP, "sc": SC, "dom": DOM, "range": RANGE}
+KEYWORD_FOR_TERM = {term: word for word, term in KEYWORDS.items()}
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_\-]*(?:\.[A-Za-z0-9_\-]+)*")
 PNAME_RE = re.compile(
@@ -68,6 +76,35 @@ def _unescape(escape: re.Match) -> str:
 def name_term(name: str) -> Term:
     """The term a bare name stands for: a rho-df keyword, else an IRI."""
     return KEYWORDS.get(name) or iri(name)
+
+
+# A tab is escaped too, so that a literal stays one field of a TSV answer,
+# and so is every line break that `str.splitlines` knows, so that it stays
+# on one line: `\r` by name and the rest as `\uXXXX`.
+_LITERAL_ESCAPES = str.maketrans(
+    {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+    | {c: f"\\u{ord(c):04X}" for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+)
+
+
+def format_term(term: Term) -> str:
+    """The text of `term` as both formats read it.  An IRI that no bare
+    name spells is written `<...>`, which holds no control character, so
+    an IRI with one raises `AnrdfError`."""
+    if term.kind == "literal":
+        return f'"{term.lexical.translate(_LITERAL_ESCAPES)}"'
+    if term.kind == "skolem":
+        return f"_:{term.lexical}"
+    short = KEYWORD_FOR_TERM.get(term)
+    if short:
+        return short
+    if NAME_RE.fullmatch(term.lexical) and term.lexical not in KEYWORDS:
+        return term.lexical
+    bad = CONTROL_RE.search(term.lexical)
+    if bad:
+        code = f"U+{ord(bad[0]):04X}"
+        raise AnrdfError(f"cannot write IRI {term.lexical!r}: control character {code}")
+    return f"<{term.lexical}>"
 
 
 class Scanner:

@@ -7,11 +7,10 @@ from fractions import Fraction
 from typing import Iterable
 
 from ..anql.algebra import Var
-from ..anql.engine import Solution
 from ..domains import AnnotationValue
 from ..model import Term
 from ..rational import format_scalar
-from .data import format_term
+from .lexer import format_term
 
 
 def _cell(value) -> str:
@@ -24,7 +23,7 @@ def _cell(value) -> str:
     raise TypeError(f"cannot serialise binding {value!r}")
 
 
-def serialize_answers_tsv(variables: Iterable[Var], rows: list[Solution]) -> str:
+def serialize_answers_tsv(variables: Iterable[Var], rows: list[dict]) -> str:
     names = [v.name for v in variables]
     lines = ["\t".join(f"?{n}" for n in names)]
     for row in rows:
@@ -35,14 +34,11 @@ def serialize_answers_tsv(variables: Iterable[Var], rows: list[Solution]) -> str
 def _binding(value) -> dict:
     if isinstance(value, Term):
         return {"type": value.kind, "value": value.lexical}
-    if isinstance(value, AnnotationValue):
-        return {"type": f"annotation:{value.domain.name}", "value": value.serialize()}
-    if isinstance(value, Fraction):
-        return {"type": "literal", "value": format_scalar(value)}
-    raise TypeError(f"cannot serialise binding {value!r}")
+    kind = f"annotation:{value.domain.name}" if isinstance(value, AnnotationValue) else "literal"
+    return {"type": kind, "value": _cell(value)}
 
 
-def serialize_answers_json(variables: Iterable[Var], rows: list[Solution]) -> str:
+def serialize_answers_json(variables: Iterable[Var], rows: list[dict]) -> str:
     names = [v.name for v in variables]
     doc = {
         "vars": names,

@@ -651,7 +651,7 @@ class TestGroupBy:
     @pytest.mark.parametrize(
         "aggregate, expected, diagnostics",
         [
-            ("MAX(?zz)", [], ["MAX: no defined values in group ?s=a"]),
+            ("MAX(?zz)", [], ["MAX: no defined values in group ?s=a; group dropped"]),
             ("SUM(?o)", [], ["SUM: non-numeric value in group ?s=a; group dropped"]),
             ("AVG(?l)", [], ["AVG: non-numeric value in group ?s=a; group dropped"]),
             ("JOIN(?o)", [], ["JOIN: non-annotation value in group ?s=a; group dropped"]),
@@ -677,18 +677,41 @@ class TestGroupBy:
             ("?n", " ?n=1.5"),  # a number as an answer cell writes it
             ("?l", " ?l=temporal:{[1,2]}"),  # an annotation with its domain
             ("?s ?n", " ?s=a ?n=1.5"),
+            ("?i", " ?i=<http://ex.org/a>"),  # an IRI no bare name spells
+            ("?t", ' ?t="x\\ty"'),  # a literal's tab escaped, as a query reads it
+            ("?s ?s", " ?s=a"),  # a repeated key named once
             ("", ""),  # one group, with no key to name
         ],
     )
     def test_a_diagnostic_names_its_group(self, keys, group):
         doc = parse_graph("@domix temporal .\n(a p b) : {[1,2]} .\n")
         query = q(
-            "SELECT ?z WHERE { (?s p ?o):?l ASSIGN 3/2 AS ?n"
-            f" GROUPBY({keys}) MAX(?zz) AS ?z }}"
+            "SELECT ?z WHERE { (?s p ?o):?l ASSIGN 3/2 AS ?n ASSIGN <http://ex.org/a> AS ?i"
+            f' ASSIGN "x\\ty" AS ?t GROUPBY({keys}) MAX(?zz) AS ?z }}'
         )
         seen: list[str] = []
         assert evaluate_query(closure(doc.graph), query, seen) == []
-        assert seen == [f"MAX: no defined values in group{group}"]
+        assert seen == [f"MAX: no defined values in group{group}; group dropped"]
+
+    def test_a_target_already_computed_does_not_name_the_group(self):
+        # ?k is a key no row binds, so COUNT may target it.
+        doc = parse_graph("@domix temporal .\n(a p b) : {[1,2]} .\n")
+        query = q("SELECT ?s WHERE { (?s p ?o):?l GROUPBY(?s ?k) COUNT(?o) AS ?k MAX(?zz) AS ?z }")
+        seen: list[str] = []
+        assert evaluate_query(closure(doc.graph), query, seen) == []
+        assert seen == ["MAX: no defined values in group ?s=a; group dropped"]
+
+    @pytest.mark.parametrize(
+        "aggregate, kept, written",
+        [("COUNT(?o)", 2, 0), ("MAX(length(?l))", 1, 1)],  # b's interval is unbounded
+    )
+    def test_only_a_dropped_group_writes_its_keys(self, monkeypatch, aggregate, kept, written):
+        doc = parse_graph("@domix temporal .\n(a p c) : {[1,2]} .\n(b p c) : {[3,+inf]} .\n")
+        query = q(f"SELECT ?s ?z WHERE {{ (?s p ?o):?l GROUPBY(?s) {aggregate} AS ?z }}")
+        calls = []
+        monkeypatch.setattr(engine, "format_term", lambda t: calls.append(t) or repr(t))
+        assert len(evaluate_query(closure(doc.graph), query, [])) == kept
+        assert len(calls) == written
 
     def test_saturation_cap_is_not_a_domain_mismatch(self, monkeypatch):
         doc = parse_graph(

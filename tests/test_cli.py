@@ -421,6 +421,15 @@ class TestQuery:
         assert code == 0
         assert stdout == (data_dir / "answers" / f"{name}.tsv").read_text()
 
+    @pytest.mark.parametrize("name", SAMPLE_QUERIES)
+    def test_sample_answers_match_the_checked_in_json(self, capsys, data_dir, name):
+        code, stdout, _ = run(
+            capsys, "query", "-i", str(data_dir / "fig1_exx1.anrdf"),
+            str(data_dir / "queries" / f"{name}.anql"), "--format", "json",
+        )
+        assert code == 0
+        assert stdout == (data_dir / "answers" / f"{name}.json").read_text()
+
     def test_a_query_diagnostic_is_a_warning_line(self, capsys, tmp_path):
         # Every ?l is unbounded, so no group has a defined length.
         data = tmp_path / "unbounded.anrdf"
@@ -432,8 +441,8 @@ class TestQuery:
         assert stdout == "?x\t?m\n"
         # Each warning names its group, so the two dropped groups differ.
         assert stderr == (
-            "warning: MAX: no defined values in group ?x=a\n"
-            "warning: MAX: no defined values in group ?x=b\n"
+            "warning: MAX: no defined values in group ?x=a; group dropped\n"
+            "warning: MAX: no defined values in group ?x=b; group dropped\n"
         )
 
     def test_a_tab_in_a_literal_keeps_one_tsv_field_per_variable(self, capsys, tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -17,7 +18,12 @@ from anrdf.domains import (
 )
 from anrdf.domains.compound import quasihomomorphism_suite
 from anrdf.domains.fuzzy import FuzzyDomain
-from anrdf.errors import DomainMismatchError, NotALatticeError, UnknownDomainError
+from anrdf.errors import (
+    AnnotationSyntaxError,
+    DomainMismatchError,
+    NotALatticeError,
+    UnknownDomainError,
+)
 
 ALL_DOMAIN_IDS = primitive_domain_ids() + [
     "compound(temporal,fuzzy:product)",
@@ -221,6 +227,17 @@ def test_leq_examples():
 def test_domain_mismatch_raises():
     with pytest.raises(DomainMismatchError):
         get_domain("temporal").parse("{[1,2]}").join(get_domain("fuzzy:min").parse("0.5"))
+
+
+@pytest.mark.parametrize(
+    "payload, shown",
+    [(Fraction(3, 2), "1.5"), (Fraction(-7, 3), "-7/3"), (2, "2"), (0.5, "0.5")],
+)
+def test_an_out_of_range_fuzzy_payload_is_named_as_a_scalar(payload, shown):
+    # API input: a rational is written as an answer cell writes it.
+    message = f"fuzzy degree must be a rational in [0,1], got {shown}"
+    with pytest.raises(AnnotationSyntaxError, match=f"^{re.escape(message)}$"):
+        get_domain("fuzzy:min").value(payload)
 
 
 def test_registry():

@@ -247,7 +247,7 @@ class TestDataRoundTrip:
 
     # (column, message).  Columns count the raw line; annotation literal
     # errors point at the literal, triple errors at the statement.
-    FUZZY_RANGE = "fuzzy degree must be a rational in [0,1], got Fraction(3, 2)"
+    FUZZY_RANGE = "fuzzy degree must be a rational in [0,1], got 1.5"
     DIRECTIVE = "unknown directive; expected @domix or @prefix"
     ERROR_COLUMNS = {
         "(a p b) : {[1,2]}": (18, "statement must end with '.'"),  # missing dot
@@ -259,6 +259,7 @@ class TestDataRoundTrip:
         '(a "p" b) : true .': (1, 'predicate must not be a literal: "p"'),
         '      (a "p" b) : 0.5 .': (7, 'predicate must not be a literal: "p"'),
         "  (a p b) :   1.5 . # comment": (15, FUZZY_RANGE),
+        "(a p b) : +inf .": (11, "fuzzy degree must be a rational in [0,1], got +inf"),
         # Variables are query-only.
         "(?x p b) : 0.5 .": (2, "cannot read a term at '?x p b) : '"),
         "@prefixex: <http://e/> .": (1, DIRECTIVE),  # a directive is a whole word
