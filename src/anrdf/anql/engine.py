@@ -83,16 +83,7 @@ create a dominated row:
 - a projection (a SubSelect that drops a variable) drops the variables
   two rows differed in.
 
-OPTIONAL follows the three-case semantics: (1) merged rows whose filter
-holds; the bare left row passes through when either (2) every compatible
-right row passes the filter while strictly shrinking every shared
-annotation binding (there must be at least one shared annotation
-variable, and "shrinking" compares the merged value against the left
-one; with no compatible right rows this degenerates to the classical
-left join), or (3) every compatible right row fails the filter.  The
-merged value is `left.meet(right)`, and a meet never exceeds its
-operand (the law "meet bounded", which `axiom_suite` checks for every
-domain), so it shrinks exactly when it differs from the left value.
+OPTIONAL keeps the paper's three cases; `_eval_optional` states them.
 
 Filters are three-valued; errors never abort evaluation.  `&&` and `||`
 follow SPARQL 1.1's logical-and and logical-or (section 17.2): `&&` is
@@ -299,32 +290,34 @@ def eval_bap(graph: AnnotatedGraph, bap: alg.Bap) -> list[Solution]:
 def _eval_optional(
     node: alg.Optional, left_rows: list[Solution], candidates: Candidates
 ) -> list[Solution]:
+    """The paper's three cases, for each left row: (1) every compatible
+    merged row whose filter holds; the bare left row too when either
+    (2) every compatible right row passes the filter while strictly
+    shrinking every shared annotation binding, of which there must be at
+    least one, or (3) every compatible right row fails the filter.  An
+    error verdict passes neither.  With no compatible right row both hold,
+    and this is the classical left join.  Each compatible right row leaves
+    one record, its verdict and whether it shrinks, so (2) and (3) each
+    say which records may occur.  A shared annotation binding shrinks when
+    its merged value `left.meet(right)` differs from the left one, since a
+    meet never exceeds its operand (the law "meet bounded", which
+    `axiom_suite` checks for every domain)."""
     out: list[Solution] = []
+    case_2, case_3 = {(TRUE, True)}, {(FALSE, True), (FALSE, False)}  # records that keep `left`
     for left in left_rows:
-        merged_true = []
-        all_filter_true = True
-        all_filter_false = True
-        all_shrink = True
+        records = set()  # (verdict, shrinks) of each compatible right row
         for right in candidates(left):
             merged = meet_compatible(left, right)
             if merged is None:
                 continue
             verdict = TRUE if node.filter is None else filter_eval(node.filter, merged)
             if verdict == TRUE:
-                merged_true.append(merged)
-                all_filter_false = False
-            elif verdict == FALSE:
-                all_filter_true = False
-            else:  # an error verdict satisfies neither pass-through case
-                all_filter_true = False
-                all_filter_false = False
+                out.append(merged)
             # A compatible pair binds a shared key to two annotations or
             # to two equal non-annotation values.
             shared = [k for k in left.keys() & right if isinstance(left[k], AnnotationValue)]
-            if not shared or not all(merged[key] != left[key] for key in shared):
-                all_shrink = False
-        out.extend(merged_true)
-        if (all_filter_true and all_shrink) or all_filter_false:
+            records.add((verdict, bool(shared) and all(merged[k] != left[k] for k in shared)))
+        if records <= case_2 or records <= case_3:
             out.append(left)
     return out
 

@@ -19,7 +19,8 @@ and `?var` only in queries; each parser checks its own before asking
 for a ground term.
 
 `format_term` writes a term as `ground_term` reads it back: a keyword or
-bare name where one spells the IRI, `<iri>` otherwise, `"literal"` with
+bare name where one spells the IRI, `<iri>` otherwise (it refuses an IRI
+holding `>` or a control character), `"literal"` with
 `\\`, `"`, a tab and every line break escaped, and `_:label`.  The data
 serialiser, both answer writers and the engine's GROUPBY warnings write
 terms through it.
@@ -42,7 +43,8 @@ PNAME_RE = re.compile(
 _PREFIX_NAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9_.\-]*)?:")
 _DIRECTIVE_RE = re.compile(r"@([A-Za-z][A-Za-z0-9_.\-]*)")
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}
-CONTROL_RE = re.compile(r"[\x00-\x1f]")
+# What `<...>` cannot hold; the reader searches only up to the first `>`.
+_NOT_IN_IRI_RE = re.compile(r"[\x00-\x1f>]")
 _WS_RE = re.compile(r"(?:\s|#[^\n]*)*")
 _STRING_RE = re.compile(r'"((?:[^"\\]|\\.)*)"', re.DOTALL)
 _ESCAPE_RE = re.compile(r"\\(u(?![dD][89a-fA-F])[0-9a-fA-F]{4}|.)", re.DOTALL)
@@ -89,8 +91,8 @@ _LITERAL_ESCAPES = str.maketrans(
 
 def format_term(term: Term) -> str:
     """The text of `term` as both formats read it.  An IRI that no bare
-    name spells is written `<...>`, which holds no control character, so
-    an IRI with one raises `AnrdfError`."""
+    name spells is written `<...>`, which ends at its first `>` and holds
+    no control character, so an IRI with either raises `AnrdfError`."""
     if term.kind == "literal":
         return f'"{term.lexical.translate(_LITERAL_ESCAPES)}"'
     if term.kind == "skolem":
@@ -100,10 +102,10 @@ def format_term(term: Term) -> str:
         return short
     if NAME_RE.fullmatch(term.lexical) and term.lexical not in KEYWORDS:
         return term.lexical
-    bad = CONTROL_RE.search(term.lexical)
+    bad = _NOT_IN_IRI_RE.search(term.lexical)
     if bad:
-        code = f"U+{ord(bad[0]):04X}"
-        raise AnrdfError(f"cannot write IRI {term.lexical!r}: control character {code}")
+        what = "'>'" if bad[0] == ">" else f"control character U+{ord(bad[0]):04X}"
+        raise AnrdfError(f"cannot write IRI {term.lexical!r}: {what}")
     return f"<{term.lexical}>"
 
 
@@ -213,7 +215,7 @@ class Scanner:
     def _iri_text(self, start: int, end: int) -> str:
         """The IRI `text[start:end]` inside `<...>`, leaving `pos` after
         its `>`; a control character in it is an error at that character."""
-        bad = CONTROL_RE.search(self.text, start, end)
+        bad = _NOT_IN_IRI_RE.search(self.text, start, end)
         if bad:
             self.pos = bad.start()
             raise self.error(f"control character U+{ord(bad[0]):04X} in an IRI")

@@ -355,6 +355,26 @@ class TestOptionalExamples:
             (("c", Term("iri", "c1")), ("l", "{[2005,2006]}"), ("p", Term("iri", "p1"))),
         }
 
+    def test_bare_row_needs_every_shared_annotation_to_shrink(self):
+        # The car shrinks ?l but leaves ?m as it was, so case (2) fails
+        # and only the merged row remains.
+        doc = parse_graph(
+            "@domix temporal .\n(p type emp) : {[2000,2010]} .\n(p worksAt o) : {[2000,2010]} .\n"
+            "(p hasCar c) : {[2005,2006]} .\n(c madeIn y) : {[1990,2020]} .\n"
+        )
+        query = q(
+            "SELECT ?p ?c ?l ?m WHERE { (?p type emp):?l (?p worksAt ?o):?m"
+            " OPTIONAL { (?p hasCar ?c):?l (?c madeIn ?y):?m } }"
+        )
+        assert rows_as_set(evaluate_query(closure(doc.graph), query)) == {
+            (
+                ("c", Term("iri", "c")),
+                ("l", "{[2005,2006]}"),
+                ("m", "{[2000,2010]}"),
+                ("p", Term("iri", "p")),
+            ),
+        }
+
     @pytest.mark.parametrize(
         "guard, count",
         [("?c = ?nope", 10), ("!(?c = ?c)", 12), ("!!(?c = ?nope)", 10), ("!!!(?c = ?c)", 12)],

@@ -490,6 +490,11 @@ class TestBadNumbers:
         [
             ("fuzzy:min", "(a p b) : 1/0 .", "zero denominator: '1/0'"),
             ("temporal", "(a p b) : [1/0,2] .", "malformed interval: '[1/0,2]'"),
+            (
+                "compound(temporal,provenance)",
+                "(a p b) : <{[1,2]},a> .",
+                "compound literal must be {...}: '<{[1,2]},a>'",
+            ),
         ],
     )
     def test_data_literal_exit_2(self, capsys, tmp_path, domain, statement, message):
@@ -509,12 +514,39 @@ class TestBadNumbers:
         assert (code, stdout) == (2, "")
         assert stderr == f"error: 1:48: malformed temporal literal: {operand!r}\n"
 
-    def test_normalize_annotation_exit_2(self, capsys):
+    @pytest.mark.parametrize(
+        "domain, text, message",
+        [
+            ("fuzzy:min", "1/0", "zero denominator: '1/0'"),
+            (
+                "compound(temporal,provenance)",
+                "<{[1,2]},a>",
+                "compound literal must be {...}: '<{[1,2]},a>'",
+            ),
+            (
+                "compound(temporal,provenance)",
+                "{{[1,2]},a}",
+                "compound pair must be <...>: '{[1,2]}'",
+            ),
+            (
+                "compound(temporal,provenance)",
+                "{<{[1,2]}>}",
+                "compound pair needs two components: <{[1,2]}>",
+            ),
+            ("boolean", "maybe", "boolean literal must be true/false, got 'maybe'"),
+            (
+                "compound(temporal,nope)",
+                "{}",
+                "unknown primitive domain 'nope' (compound components must be primitive)",
+            ),
+        ],
+    )
+    def test_normalize_annotation_exit_2(self, capsys, domain, text, message):
         # The literal is an argument, not a line of a document, so the
         # message carries no position.
-        code, stdout, stderr = run(capsys, "normalize-annotation", "--domain", "fuzzy:min", "1/0")
+        code, stdout, stderr = run(capsys, "normalize-annotation", "--domain", domain, text)
         assert (code, stdout) == (2, "")
-        assert stderr == "error: zero denominator: '1/0'\n"
+        assert stderr == f"error: {message}\n"
 
 
 class TestCheckDomain:

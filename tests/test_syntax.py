@@ -369,14 +369,25 @@ class TestDataRoundTrip:
         assert format_term(iri("type")) == "<type>"  # avoids the keyword
         assert format_term(literal('say "hi"')) == '"say \\"hi\\""'
 
-    def test_an_iri_with_a_control_character_is_not_written(self):
-        # The reader rejects `<c\td>`, so neither writer emits it.
+    @pytest.mark.parametrize(
+        "lexical, message",
+        [
+            ("c\td", "cannot write IRI 'c\\td': control character U+0009"),
+            ("a>b", "cannot write IRI 'a>b': '>'"),
+        ],
+        ids=["tab", "angle-bracket"],
+    )
+    def test_an_iri_with_a_control_character_is_not_written(self, lexical, message):
+        # The reader rejects `<c\td>` and ends `<a>b>` at its first `>`,
+        # so neither writer emits them.
         graph = AnnotatedGraph(TEMPORAL)
-        graph.insert(Triple(iri("c\td"), iri("name"), literal("n")), TEMPORAL.parse("[1,2]"))
-        with pytest.raises(AnrdfError, match=r"control character U\+0009"):
+        graph.insert(Triple(iri(lexical), iri("name"), literal("n")), TEMPORAL.parse("[1,2]"))
+        with pytest.raises(AnrdfError) as info:
             serialize_graph(graph)
-        with pytest.raises(AnrdfError, match=r"control character U\+0009"):
-            serialize_answers_tsv([alg.Var("s")], [{"s": iri("c\td")}])
+        assert str(info.value) == message
+        with pytest.raises(AnrdfError) as info:
+            serialize_answers_tsv([alg.Var("s")], [{"s": iri(lexical)}])
+        assert str(info.value) == message
 
 
 _STRING_OR_SPACE = re.compile(r'"(?:[^"\\]|\\.)*"| ')
