@@ -100,8 +100,7 @@ from typing import Any, Callable
 from ..domains import AnnotationValue
 from ..errors import DomainMismatchError, QueryTypeError
 from ..model import LITERAL, AnnotatedGraph, Term
-from ..rational import format_scalar
-from ..syntax.lexer import format_term
+from ..syntax.results import format_value
 from . import algebra as alg
 from .builtins import FUNCTIONS, REGISTRY, UNBOUND, BuiltinError
 
@@ -368,21 +367,13 @@ def _apply_groupby(
             if isinstance(value, str):  # the reason it has no value drops the group
                 # Named by its bound keys, as `?x=a`, only once it is dropped.
                 keys = dict.fromkeys(k.name for k in node.keys if k.name in first)
-                name = "".join(f" ?{k}={_key_text(first[k])}" for k in keys)
+                name = "".join(f" ?{k}={format_value(first[k])}" for k in keys)
                 diagnostics.append(f"{aggregate.op}: {value} in group{name}; group dropped")
                 break
             projected[aggregate.target.name] = value
         else:
             out.append(projected)
     return out
-
-
-def _key_text(value: Value) -> str:
-    """A grouping key as a diagnostic writes it: a term as a query spells
-    it, a number as an answer cell does, an annotation with its domain."""
-    if isinstance(value, Term):
-        return format_term(value)
-    return format_scalar(value) if isinstance(value, Fraction) else repr(value)
 
 
 def _aggregate(aggregate: alg.Aggregate, members: list[Solution]) -> Value | str:

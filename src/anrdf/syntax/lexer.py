@@ -22,8 +22,9 @@ for a ground term.
 bare name where one spells the IRI, `<iri>` otherwise (it refuses an IRI
 holding `>` or a control character), `"literal"` with
 `\\`, `"`, a tab and every line break escaped, and `_:label`.  The data
-serialiser, both answer writers and the engine's GROUPBY warnings write
-terms through it.
+serialiser writes terms through it, and so does `results.format_value`,
+the one writer of an answer value, which both answer writers and the
+engine's GROUPBY warnings call.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import re
 
 from ..errors import AnrdfError, ParseError
-from ..model import DOM, RANGE, SC, SP, TYPE, Term, iri, literal
+from ..model import DOM, LITERAL, RANGE, SC, SKOLEM, SP, TYPE, Term, iri, literal
 
 KEYWORDS = {"type": TYPE, "sp": SP, "sc": SC, "dom": DOM, "range": RANGE}
 KEYWORD_FOR_TERM = {term: word for word, term in KEYWORDS.items()}
@@ -93,9 +94,9 @@ def format_term(term: Term) -> str:
     """The text of `term` as both formats read it.  An IRI that no bare
     name spells is written `<...>`, which ends at its first `>` and holds
     no control character, so an IRI with either raises `AnrdfError`."""
-    if term.kind == "literal":
+    if term.kind == LITERAL:
         return f'"{term.lexical.translate(_LITERAL_ESCAPES)}"'
-    if term.kind == "skolem":
+    if term.kind == SKOLEM:
         return f"_:{term.lexical}"
     short = KEYWORD_FOR_TERM.get(term)
     if short:

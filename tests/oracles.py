@@ -441,6 +441,38 @@ def sparql_eval(triples: Iterable[Triple], pattern: alg.Pattern) -> list[Mapping
     raise TypeError(f"oracle cannot evaluate {pattern!r}")
 
 
+# -- the exx2 OPTIONAL query ---------------------------------------------------
+
+
+def exx2_oracle(closed: AnnotatedGraph) -> list[dict]:
+    """The answers of `data/queries/exx2.anql` on `closed`, by a literal
+    transcription of the three OPTIONAL cases, independent of the
+    engine's operator code.  The right side shares no annotation
+    variable with the left, so case (2) never keeps a bare row."""
+    left = [
+        {"p": t.subject, "l": v}
+        for t, v in closed.statements()
+        if t.predicate == TYPE and t.object == iri("ebayEmp")
+    ]
+    right = [
+        {"p": t.subject, "c": t.object, "l2": v}
+        for t, v in closed.statements()
+        if t.predicate == iri("hasCar")
+    ]
+    out = []
+    for l_row in left:
+        compat = [r for r in right if r["p"] == l_row["p"]]
+        verdicts = []
+        for r_row in compat:
+            merged = {**l_row, **r_row}
+            verdicts.append(merged["l2"].leq(merged["l"]))
+            if verdicts[-1]:
+                out.append({k: merged[k] for k in ("p", "l", "c")})
+        if not compat or not any(verdicts):
+            out.append(dict(l_row))
+    return out
+
+
 # -- maximal answers -----------------------------------------------------------
 
 

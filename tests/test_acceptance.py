@@ -44,6 +44,7 @@ from anrdf.model import TYPE, Term, Triple
 from anrdf.syntax import parse_graph as reparse, serialize_graph
 from oracles import (
     crisp_closure,
+    exx2_oracle,
     random_crisp_graph,
     random_pattern,
     reduce_pairs,
@@ -298,35 +299,10 @@ def test_criterion_07_anql_regressions(capsys):
     extended = closure(parse_graph((DATA / "fig1_exx1.anrdf").read_text()).graph)
     exx2 = parse_query((DATA / "queries" / "exx2.anql").read_text(), TEMPORAL)
     ok = ok and freeze_rows(evaluate_query(extended, exx2)) == freeze_rows(
-        _exx2_oracle(extended)
+        exx2_oracle(extended)
     )
     report(7, "anql-regressions", ok)
     assert ok
-
-
-def _exx2_oracle(closed):
-    left = [
-        {"p": t.subject, "l": v}
-        for t, v in closed.statements()
-        if t.predicate == TYPE and t.object == iri("ebayEmp")
-    ]
-    right = [
-        {"p": t.subject, "c": t.object, "l2": v}
-        for t, v in closed.statements()
-        if t.predicate == iri("hasCar")
-    ]
-    out = []
-    for l_row in left:
-        compat = [r for r in right if r["p"] == l_row["p"]]
-        verdicts = []
-        for r_row in compat:
-            merged = {**l_row, **r_row}
-            verdicts.append(merged["l2"].leq(merged["l"]))
-            if verdicts[-1]:
-                out.append({k: merged[k] for k in ("p", "l", "c")})
-        if not compat or not any(verdicts):
-            out.append(dict(l_row))
-    return out
 
 
 def test_criterion_08_sparql_conservativity():

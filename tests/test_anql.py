@@ -34,6 +34,7 @@ from anrdf.errors import (
 from anrdf.model import IRI, LITERAL, SKOLEM, TYPE, AnnotatedGraph, Term, Triple
 from oracles import (
     _filter_value,
+    exx2_oracle,
     prune_maximal_pairwise,
     random_crisp_graph,
     random_pattern,
@@ -262,7 +263,7 @@ class TestOptionalExamples:
     ):
         query = q((data_dir / "queries" / "exx2.anql").read_text())
         rows = evaluate_query(fig1_exx1_closure, query)
-        oracle = self._exx2_oracle(fig1_exx1_closure)
+        oracle = exx2_oracle(fig1_exx1_closure)
         assert rows_as_set(rows) == rows_as_set(oracle)
         # The filter admits no car row on this data, so each employee
         # keeps only the bare row; the paper's printed second answer
@@ -272,33 +273,6 @@ class TestOptionalExamples:
             (("l", "{[2002,2005]}"), ("p", Term("iri", "jawedKarim"))),
             (("l", "{[2002,2005]}"), ("p", Term("iri", "chadHurley"))),
         }
-
-    @staticmethod
-    def _exx2_oracle(closed):
-        """Literal transcription of the three OPTIONAL cases for the
-        exx2 query, independent of the engine's operator code."""
-        left = [
-            {"p": t.subject, "l": v}
-            for t, v in closed.statements()
-            if t.predicate == TYPE and t.object == iri("ebayEmp")
-        ]
-        right = [
-            {"p": t.subject, "c": t.object, "l2": v}
-            for t, v in closed.statements()
-            if t.predicate == iri("hasCar")
-        ]
-        out = []
-        for l_row in left:
-            compat = [r for r in right if r["p"] == l_row["p"]]
-            verdicts = []
-            for r_row in compat:
-                merged = {**l_row, **r_row}
-                verdicts.append(merged["l2"].leq(merged["l"]))
-                if verdicts[-1]:
-                    out.append(merged)
-            if not compat or (verdicts and not any(verdicts)):
-                out.append(dict(l_row))
-        return out
 
     def test_optional_without_match_passes_left_row(self, fig1_closure):
         query = q("SELECT ?p ?c WHERE { (?p worksFor google):?l OPTIONAL{(?p hasCar ?c):?l} }")
@@ -693,9 +667,10 @@ class TestGroupBy:
     @pytest.mark.parametrize(
         "keys, group",
         [
+            # Each key is written as its answer cell writes it.
             ("?s", " ?s=a"),  # a term as a query spells it
-            ("?n", " ?n=1.5"),  # a number as an answer cell writes it
-            ("?l", " ?l=temporal:{[1,2]}"),  # an annotation with its domain
+            ("?n", " ?n=1.5"),  # a number as `format_scalar` writes it
+            ("?l", " ?l={[1,2]}"),  # an annotation as its domain's literal
             ("?s ?n", " ?s=a ?n=1.5"),
             ("?i", " ?i=<http://ex.org/a>"),  # an IRI no bare name spells
             ("?t", ' ?t="x\\ty"'),  # a literal's tab escaped, as a query reads it
@@ -713,6 +688,15 @@ class TestGroupBy:
         assert evaluate_query(closure(doc.graph), query, seen) == []
         assert seen == [f"MAX: no defined values in group{group}; group dropped"]
 
+    def test_an_unknown_aggregate_is_refused(self, lengths_graph):
+        # Only an API-built query can name one; the parser reads none.
+        s, y, z = alg.Var("s"), alg.Var("y"), alg.Var("z")
+        bap = alg.Bap((alg.TriplePattern(s, iri("worksFor"), y, alg.Var("l")),))
+        group = alg.GroupBy(bap, (s,), (alg.Aggregate("FOO", "", (y,), z),))
+        with pytest.raises(QueryTypeError) as err:
+            evaluate_query(lengths_graph, alg.SubSelect((s, z), group))
+        assert str(err.value) == "unknown aggregate 'FOO'"
+
     def test_a_target_already_computed_does_not_name_the_group(self):
         # ?k is a key no row binds, so COUNT may target it.
         doc = parse_graph("@domix temporal .\n(a p b) : {[1,2]} .\n")
@@ -729,7 +713,7 @@ class TestGroupBy:
         doc = parse_graph("@domix temporal .\n(a p c) : {[1,2]} .\n(b p c) : {[3,+inf]} .\n")
         query = q(f"SELECT ?s ?z WHERE {{ (?s p ?o):?l GROUPBY(?s) {aggregate} AS ?z }}")
         calls = []
-        monkeypatch.setattr(engine, "format_term", lambda t: calls.append(t) or repr(t))
+        monkeypatch.setattr(engine, "format_value", lambda v: calls.append(v) or repr(v))
         assert len(evaluate_query(closure(doc.graph), query, [])) == kept
         assert len(calls) == written
 
@@ -1033,7 +1017,7 @@ class TestIntegerEndpoints:
         assert doc["bindings"][0]["l"] == {
             "type": "annotation:temporal", "value": "{[1999,2001]}",
         }
-        assert doc["bindings"][1]["z"] == {"type": "literal", "value": "5"}
+        assert doc["bindings"][1]["z"] == {"type": "number", "value": "5"}
 
 
 class TestFilterSemantics:
@@ -1251,6 +1235,12 @@ class TestDefaultRewrites:
         assert rewritten == alg.SubSelect((x[0],), tree(lambda i: bap(i, alg.Var(f"_a{i}"))), x[0], 3)
         with pytest.raises(TypeError):
             rewrite_defaults(alg.SubSelect((), alg.Pattern()), "top", TEMPORAL)
+
+    def test_an_unknown_mode_is_refused(self):
+        query = q("SELECT ?x WHERE { ?x p ?y }")
+        with pytest.raises(ValueError) as err:
+            rewrite_defaults(query, "nope", TEMPORAL)
+        assert str(err.value) == "unknown rewrite mode 'nope'"
 
     @pytest.mark.parametrize(
         "text",

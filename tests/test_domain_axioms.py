@@ -240,6 +240,20 @@ def test_an_out_of_range_fuzzy_payload_is_named_as_a_scalar(payload, shown):
         get_domain("fuzzy:min").value(payload)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: get_domain("boolean").value("maybe"), "boolean payload expected, got 'maybe'"),
+        (lambda: get_domain("provenance").value(5), "bad provenance payload 5"),
+        (lambda: FuzzyDomain("nope"), "unknown t-norm 'nope'"),
+    ],
+)
+def test_a_bad_api_payload_or_t_norm_is_named(make, message):
+    with pytest.raises(AnnotationSyntaxError) as err:
+        make()
+    assert str(err.value) == message
+
+
 def test_registry():
     assert get_domain("fuzzy:min").is_lattice
     assert not get_domain("fuzzy:product").is_lattice

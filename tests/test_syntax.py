@@ -34,7 +34,9 @@ from anrdf.syntax import (
 )
 from anrdf.domains.base import split_top_level
 from anrdf.syntax import data as data_syntax
-from anrdf.syntax.data import _STATEMENT_RE, format_term
+from anrdf.syntax.data import _STATEMENT_RE
+from anrdf.syntax.lexer import format_term
+from anrdf.syntax.results import format_value
 from oracles import format_statement
 
 TEMPORAL = get_domain("temporal")
@@ -1104,5 +1106,21 @@ class TestAnswerSerialisation:
             "type": "annotation:temporal",
             "value": "{[2002,2009]}",
         }
-        assert doc["bindings"][0]["n"] == {"type": "literal", "value": "7"}
+        assert doc["bindings"][0]["n"] == {"type": "number", "value": "7"}
         assert doc["bindings"][1] == {"x": {"type": "literal", "value": "free text"}}
+
+    def test_a_number_and_a_literal_with_its_digits_differ(self):
+        import json
+
+        rows = [{"x": literal("13")}, {"x": Fraction(13)}]
+        assert serialize_answers_tsv(self.VARS[:1], rows).splitlines() == ["?x", '"13"', "13"]
+        doc = json.loads(serialize_answers_json(self.VARS[:1], rows))
+        assert [b["x"] for b in doc["bindings"]] == [
+            {"type": "literal", "value": "13"},
+            {"type": "number", "value": "13"},
+        ]
+
+    def test_a_value_of_no_answer_type_is_refused(self):
+        with pytest.raises(TypeError) as err:
+            format_value(True)
+        assert str(err.value) == "cannot serialise binding True"
