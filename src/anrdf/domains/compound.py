@@ -35,20 +35,25 @@ every combination it dominated, because dominance is transitive, and
 that pair is queued.  Meets, parsing and validation cross or read raw
 pairs and go through `normalise`.
 
-The saturation loop is semi-naive.  It keeps a set `done`, which starts
-as the closed operand and gains each pair as the pair leaves the queue.
-A popped pair is combined only with the members of `done` that are
-still in the antichain, never with itself (both combinators applied to
-<x, y> and <x, y> give pairs under <x, y>) nor with a member that is
-still queued: that member meets the popped pair when its own turn comes.
-So each unordered pair of surviving members is combined at most once,
-and never a derived pair with its parents or sibling (the one exception
-is named below).  The pruning argument carries over: a dropped member's dominator is either already in
-`done` or still queued, and in both cases it meets every member the
-dropped one would have met.
+The saturation loop is semi-naive (Bancilhon and Ramakrishnan, SIGMOD
+1986): each pair of members is combined once, by whichever of the two
+is processed later.  The front is one insertion-ordered dict that the
+closed operand enters first; every pair that enters it later is queued,
+and the queue is first in, first out.  So the members that entered the
+front before a popped pair are the closed operand and the pairs already
+popped, and the popped pair is combined only with those still in the
+front: never with itself (both combinators applied to <x, y> and
+<x, y> give pairs under <x, y>) nor with a member that entered after
+it, which meets the popped pair when its own turn comes.  So each
+unordered pair of surviving members is combined at most once, and
+never a derived pair with its parents or sibling.  The work follows
+the order in which `pairs` and `closed` are iterated and nothing else.
+The pruning argument carries over: a dropped member's dominator entered
+the front after it, so it meets every member the dropped one met or
+would have met, by whichever of the two is popped later.
 
 The lattice laws decide the combinations a derived pair skips.  Combining
-a popped p = <a, b> with a member q = <c, d> of `done` derives the
+a popped p = <a, b> with an earlier member q = <c, d> derives the
 siblings low = <a meet1 c, b join2 d> and high = <a join1 c, b meet2 d>,
 and each is queued tagged with p, q and its sibling, with which it is not
 combined when it is popped.  Each such combination gives a pair equal to
@@ -73,10 +78,10 @@ dominates it, a member leaves only for a pair that dominates it, and
 dominance is transitive.  p, q and both siblings are such pairs, so
 `offer` would drop both results of a skipped combination and change
 nothing: the loop ends with the same front as one that forms every
-combination, having formed fewer.  The exception: a sibling that was
-already queued before the combination derived it keeps its own tag, so
-when it is popped it may still meet the derived pair; that combination
-is decided as well, but formed.
+combination, having formed fewer.  A sibling that was in the front
+before the combination derived it keeps its own tag, but it entered
+earlier, so only the derived pair could combine the two, and its tag
+skips that.
 
 The order needs no join.  For normal forms a and b, a <= b (that is,
 a join b == b) iff every pair of a lies componentwise under some pair of
@@ -121,6 +126,7 @@ holds.
 from __future__ import annotations
 
 import random
+from itertools import takewhile
 from typing import Any, Iterable
 
 from ..errors import AnnotationSyntaxError, NotALatticeError, SaturationBoundError
@@ -160,7 +166,7 @@ def evaluate(d1: Domain, d2: Domain, pairs: Iterable[Pair], z: Any) -> Any:
 
 def saturate_fast(
     d1: Domain, d2: Domain, pairs: Iterable[Pair], closed: Iterable[Pair] = ()
-) -> set[Pair]:
+) -> frozenset[Pair]:
     """Fixpoint closure under the two pairwise combinators, pruned to a
     dominance antichain at every step.
 
@@ -169,23 +175,25 @@ def saturate_fast(
     elements of the full closure.  `closed` must be a bottom-free
     antichain closed under the combinators (a normal form): it seeds the
     antichain, and only `pairs` are queued (see the module docstring).
-    The loop is semi-naive: a popped pair meets only the members of
-    `done` still in the front, so each unordered pair of surviving
-    members is combined at most once and no pair with itself.  A queued
-    pair carries the pairs it is never combined with: for a pair that a
-    combination derived, its two parents and its sibling, whose
-    combinations with it the lattice laws decide (module docstring).
-    A step is one combination result that is formed; combinations
-    skipped that way form none and count no step.
+    The loop is semi-naive over the front in the order its members
+    entered: pairs leave the queue in the order they joined it, and a
+    popped pair meets only the members that entered the front before
+    it, so each unordered pair of surviving members is combined at most
+    once and no pair with itself.  Each member carries the pairs it is
+    never combined with: for a pair that a combination derived, its two
+    parents and its sibling, whose combinations with it the lattice
+    laws decide (module docstring).  A step is one combination result
+    that is formed; combinations skipped that way form none and count
+    no step.
     """
     bot1, bot2 = d1.bottom_payload, d2.bottom_payload
     meet1, join1, leq1 = d1.meet_payload, d1.join_payload, d1.leq_payload
     meet2, join2, leq2 = d2.meet_payload, d2.join_payload, d2.leq_payload
 
-    front: set[Pair] = set(closed)
-    done: set[Pair] = set(front)
-    # Entries are (pair, the pairs it is not combined with).
-    queue: list[tuple[Pair, tuple[Pair, ...]]] = []
+    # The antichain in the order its members entered, each mapped to the
+    # pairs it is not combined with.
+    front: dict[Pair, tuple[Pair, ...]] = dict.fromkeys(closed, ())
+    queue: list[Pair] = []
 
     def offer(r: Pair, skip: tuple[Pair, ...]) -> None:
         # Keep `r` unless it has a bottom component or a member of the
@@ -196,19 +204,20 @@ def saturate_fast(
         for u, v in front:
             if leq1(x, u) and leq2(y, v):
                 return
-        front.difference_update([q for q in front if leq1(q[0], x) and leq2(q[1], y)])
-        front.add(r)
-        queue.append((r, skip))
+        for q in [q for q in front if leq1(q[0], x) and leq2(q[1], y)]:
+            del front[q]
+        front[r] = skip
+        queue.append(r)
 
     for p in pairs:
         offer(p, ())
     steps = 0
-    while queue:
-        p, skip = queue.pop()
-        if p not in front:
+    for p in queue:  # first in, first out: it also reads the pairs offered below
+        skip = front.get(p)
+        if skip is None:
             continue  # pruned while waiting
         x, y = p
-        for q in [q for q in done if q in front and q not in skip]:
+        for q in [q for q in takewhile(lambda m: m is not p, front) if q not in skip]:
             u, v = q
             low = (meet1(x, u), join2(y, v))
             high = (join1(x, u), meet2(y, v))
@@ -219,15 +228,14 @@ def saturate_fast(
                         f"compound saturation exceeded its cap of {_FAST_SATURATE_CAP} steps"
                     )
                 offer(r, (p, q, sibling))
-        done.add(p)
-    return front
+    return frozenset(front)
 
 
 def normalise(d1: Domain, d2: Domain, pairs: Iterable[Pair]) -> frozenset[Pair]:
     """Canonical representative of the pair set, preserving its function."""
     if not d1.is_lattice:
         raise NotALatticeError(f"{d1.name} is not a lattice")
-    return frozenset(saturate_fast(d1, d2, pairs))
+    return saturate_fast(d1, d2, pairs)
 
 
 def generated_sublattice(d1: Domain, xs: Iterable[Any]) -> set[Any]:
@@ -272,7 +280,7 @@ class CompoundDomain(Domain):
 
     def join_payload(self, a, b):
         small, large = (a, b) if len(a) <= len(b) else (b, a)
-        return frozenset(saturate_fast(self.d1, self.d2, small, closed=large))
+        return saturate_fast(self.d1, self.d2, small, closed=large)
 
     def leq_payload(self, a, b):
         # Componentwise cover; the module docstring proves it is the

@@ -253,8 +253,8 @@ class Recording(Domain):
 
 
 def combinations(rec1: Recording, rec2: Recording) -> list[tuple[Pair, Pair]]:
-    """The popped pair and the member of `done` of every combination, in
-    order, from a D1 meet log and a D2 join log."""
+    """The popped pair and the earlier member of the front of every
+    combination, in order, from a D1 meet log and a D2 join log."""
     assert len(rec1.calls) == len(rec2.calls)
     return [((x, y), (u, v)) for (x, u), (y, v) in zip(rec1.calls, rec2.calls)]
 

@@ -1,5 +1,5 @@
-"""Digest `saturate_fast` over every compound construction, to compare two
-source trees.
+"""Digest `saturate_fast` over every compound construction, to check that
+its normal forms have not changed.
 
 For each of the 24 constructions (4 lattice first components x 6 second
 components) it saturates seeded random inputs, each of up to 6 raw pairs
@@ -10,8 +10,15 @@ input; a saturation that hits its step cap digests as "cap".
 
     python tests/saturation_digests.py SRC_DIR [INPUTS_PER_CONSTRUCTION]
 
-Run it once with the `src` directory of each tree and diff the outputs.
-`normal_form_check.py` draws its inputs with `inputs` below.
+`saturation_digests.txt` beside this script holds the lines for the
+default 300 inputs per construction, and CI diffs against it:
+
+    PYTHONPATH=src python tests/saturation_digests.py src | diff - tests/saturation_digests.txt
+
+A change that means to alter a normal form must say so and rewrite that
+file.  To compare two trees, run the script with the `src` directory of
+each and diff the outputs.  `normal_form_check.py` draws its inputs
+with `inputs` below.
 """
 
 from __future__ import annotations

@@ -658,7 +658,8 @@ class TestConvert:
 
 class TestHashSeedIndependence:
     """Provenance and compound values are sets, which iterate in hash
-    order; no command may let that order reach its output."""
+    order; no command may let that order reach its output, and
+    saturating raw compound pairs may not let it change the work done."""
 
     COMPOUND = (
         "@domix compound(temporal,provenance) .\n"
@@ -668,13 +669,47 @@ class TestHashSeedIndependence:
         "(bob type worker) : {<{[4,8]},(ax v bx)>,<{[0,3]},(cx ^ dx)>} .\n"
     )
 
+    # Raw compound(temporal,provenance) pairs, not normalised.
+    RAW_PAIRS = [
+        [["{[1,9]}", "(a ^ b)"], ["{[3,12]}", "(c v d)"], ["{[0,4],[8,15]}", "e"],
+         ["{[5,20]}", "(a v (b ^ e))"], ["{[2,6]}", "(d ^ e)"], ["{[7,11],[14,18]}", "(b v c)"]],
+        [["{[-4,2]}", "(a v c)"], ["{[0,10]}", "((a ^ d) v (b ^ e))"], ["{[3,5],[9,16]}", "b"],
+         ["{[6,14]}", "(c ^ d ^ e)"], ["{[-inf,3]}", "(d v e)"], ["{[12,+inf]}", "(a ^ b ^ c)"]],
+        [["{[2,8],[10,13]}", "(b ^ d)"], ["{[4,16]}", "(a v e)"], ["{[0,3],[6,9]}", "(c v (a ^ d))"],
+         ["{[1,11]}", "(e ^ (b v c))"], ["{[7,20]}", "a"], ["{[-2,5],[15,17]}", "(b v d v e)"]],
+        [["{[0,6]}", "((a ^ b) v (c ^ d))"], ["{[3,9],[12,14]}", "(a ^ e)"], ["{[5,18]}", "(b v d)"],
+         ["{[-3,1],[8,10]}", "c"], ["{[2,13]}", "(d ^ e)"], ["{[9,16]}", "(a v (b ^ c ^ e))"]],
+    ]
+
+    # Saturates each list of RAW_PAIRS (JSON in argv[1]) and prints the
+    # combinations it formed, then the result.
+    SATURATE = (
+        "import json, sys\n"
+        "from anrdf.domains import get_domain\n"
+        "from anrdf.domains.compound import saturate_fast\n"
+        "from oracles import Recording, combinations\n"
+        "T, PV = get_domain('temporal'), get_domain('provenance')\n"
+        "CP = get_domain('compound(temporal,provenance)')\n"
+        "for literals in json.loads(sys.argv[1]):\n"
+        "    pairs = [(T.parse_payload(x), PV.parse_payload(y)) for x, y in literals]\n"
+        "    rec1, rec2 = Recording(T, 'meet_payload'), Recording(PV, 'join_payload')\n"
+        "    out = saturate_fast(rec1, rec2, pairs)\n"
+        "    print(len(combinations(rec1, rec2)), CP.format_payload(out))\n"
+    )
+
     def outputs(self, argv: list[str], seed: str) -> str:
+        """The output of `python argv` under the hash seed `seed`, with
+        `src` and `tests` on the path."""
         env = dict(os.environ, PYTHONHASHSEED=seed)
         env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(anrdf.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+            [
+                str(Path(anrdf.__file__).resolve().parents[1]),
+                str(Path(__file__).resolve().parent),
+                env.get("PYTHONPATH", ""),
+            ]
         )
         proc = subprocess.run(
-            [sys.executable, "-m", "anrdf.cli", *argv],
+            [sys.executable, *argv],
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert (proc.returncode, proc.stderr) == (0, "")
@@ -689,4 +724,12 @@ class TestHashSeedIndependence:
             ["check-domain", "--domain", "compound(temporal,provenance)", "--samples", "50"],
         ]
         for argv in commands:
+            argv = ["-m", "anrdf.cli", *argv]
             assert self.outputs(argv, "0") == self.outputs(argv, "1"), argv
+
+    def test_saturation_does_the_same_work_under_three_hash_seeds(self):
+        # The step cap counts formed combinations, so their number, not
+        # only the result, decides whether a literal normalises.
+        argv = ["-c", self.SATURATE, json.dumps(self.RAW_PAIRS)]
+        runs = [self.outputs(argv, seed) for seed in ("0", "1", "2")]
+        assert runs[0] == runs[1] == runs[2]

@@ -203,7 +203,9 @@ class TestClosedOperandJoin:
 
 class TestSemiNaiveSaturation:
     """`saturate_fast` combines each unordered pair of members at most
-    once, and never a derived pair with its parents or sibling.
+    once, and never a derived pair with its parents or sibling.  Pairs
+    leave the queue in the order they entered it, so a popped pair
+    meets only members that have already left it (or never joined it).
 
     Each combination calls D1's meet on the two first components and then
     D2's join on the two second components, so the two logs, zipped,
@@ -221,9 +223,11 @@ class TestSemiNaiveSaturation:
             pairs, closed = raw(rng.randint(0, 4)), normalise(T, d2, raw(rng.randint(0, 2)))
             rec1, rec2 = Recording(T, "meet_payload"), Recording(d2, "join_payload")
             out = saturate_fast(rec1, rec2, pairs, closed=closed)
-            seen = set()
+            seen, met = set(), set()
             for p, q in combinations(rec1, rec2):
                 assert p != q, f"{p} combined with itself"
+                assert p not in met, f"{p} popped after it was met"
+                met.add(q)
                 key = frozenset((p, q))
                 assert key not in seen, f"{p} and {q} combined twice"
                 seen.add(key)
@@ -237,10 +241,11 @@ class TestSemiNaiveSaturation:
     @pytest.mark.parametrize("d2", [FP, PV], ids=["fuzzy", "provenance"])
     def test_no_derived_pair_meets_its_parents_or_sibling(self, d2):
         # A pair's first derivation is the one that queues it; a pair
-        # derived again, or given as input, gains no new tag.  Parents are
-        # always in `done` before the pair is popped, so the popped pair
-        # is the one whose tag decides (a sibling queued before it keeps
-        # its own tag; see the module docstring).
+        # derived again, or given as input, gains no new tag.  Of two
+        # combined pairs the popped one entered the front later: its tag
+        # skips its parents and a sibling that entered earlier, and a
+        # later sibling is not combined with it, so neither side's tag
+        # names the other.
         rng = random.Random(1700)
         derived_popped = 0
 
@@ -253,7 +258,7 @@ class TestSemiNaiveSaturation:
             saturate_fast(rec1, rec2, pairs, closed=closed)
             known, tags = {*pairs, *closed}, {}
             for p, q in combinations(rec1, rec2):
-                assert q not in tags.get(p, ()), (p, q)
+                assert q not in tags.get(p, ()) and p not in tags.get(q, ()), (p, q)
                 derived_popped += p in tags
                 low = (T.meet_payload(p[0], q[0]), d2.join_payload(p[1], q[1]))
                 high = (T.join_payload(p[0], q[0]), d2.meet_payload(p[1], q[1]))
