@@ -9,21 +9,31 @@ walks through the main operators over the employment dataset.
 
 from pathlib import Path
 
-from anrdf import closure, evaluate_query, parse_graph, parse_query, rewrite_defaults
+from anrdf import (
+    apply_defaults, closure, evaluate_query, parse_graph, parse_query, rewrite_defaults
+)
 from anrdf.syntax import serialize_answers_tsv
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
-doc = parse_graph((DATA / "fig1_exx1.anrdf").read_text())
-closed = closure(doc.graph)
+
+def load(name: str):
+    """The closure of a data file, its plain (non-annotated) triples
+    folded in with the domain's top."""
+    doc = parse_graph((DATA / name).read_text())
+    graph, _ = apply_defaults(doc.graph, doc.plain, "top")
+    return closure(graph)
+
+
+closed = load("fig1_exx1.anrdf")
 
 
 def run(title: str, text: str, graph=closed, mode=None):
     print(f"== {title}")
     print("\n".join("  | " + line for line in text.strip().splitlines()))
-    query = parse_query(text, doc.domain)
+    query = parse_query(text, graph.domain)
     if mode:
-        query = rewrite_defaults(query, mode, doc.domain)
+        query = rewrite_defaults(query, mode, graph.domain)
     print("\n".join("  " + line for line in
                     serialize_answers_tsv(query.select, evaluate_query(graph, query)).splitlines()))
     print()
@@ -81,7 +91,7 @@ run(
         FILTER(beforeAny(?l1,?l2))
     }
     """,
-    graph=closure(parse_graph((DATA / "fig1_interval_sets.anrdf").read_text()).graph),
+    graph=load("fig1_interval_sets.anrdf"),
 )
 
 print("== plain (non-annotated) query patterns under the three default rewrites")
@@ -91,7 +101,8 @@ plain = """
         OPTIONAL{?p hasCar ?c}
     }
 """
+minimal = load("exx1_minimal.anrdf")
 for mode in ("shared-var", "fresh-vars", "top"):
-    query = rewrite_defaults(parse_query(plain, doc.domain), mode, doc.domain)
-    rows = evaluate_query(closure(parse_graph((DATA / "exx1_minimal.anrdf").read_text()).graph), query)
+    query = rewrite_defaults(parse_query(plain, minimal.domain), mode, minimal.domain)
+    rows = evaluate_query(minimal, query)
     print(f"  {mode:11} -> {len(rows)} answers")

@@ -9,7 +9,7 @@ each function, so structurally equal means semantically equal.
 
 from fractions import Fraction
 
-from anrdf import closure, get_domain, parse_graph
+from anrdf import apply_defaults, closure, get_domain, parse_graph
 from anrdf.domains import evaluate
 
 time_fuzzy = get_domain("compound(temporal,fuzzy:product)")
@@ -51,7 +51,8 @@ text = """@domix compound(temporal,fuzzy:product) .
 (SkypeCollab sc EbayCollab) : {<{[2005,2009]},1>,<{[2009,2011]},0.3>} .
 (toivo type SkypeCollab) : {<{[2004,2010]},0.8>} .
 """
-closed = closure(parse_graph(text).graph)
+doc = parse_graph(text)
+closed = closure(apply_defaults(doc.graph, doc.plain, "top")[0])
 for t, value in closed.statements():
     if t.subject.lexical == "toivo" and t.object.lexical == "EbayCollab":
         print(f"  (toivo type EbayCollab) : {value.serialize()}")

@@ -3,10 +3,11 @@ annotated rho-df closure, and the AnQL query algebra.
 
 Quick tour::
 
-    from anrdf import parse_graph, closure, parse_query, evaluate_query
+    from anrdf import apply_defaults, closure, evaluate_query, parse_graph, parse_query
 
     doc = parse_graph(open("data.anrdf").read(), domain="temporal")
-    closed = closure(doc.graph)
+    graph, _ = apply_defaults(doc.graph, doc.plain, "top")  # plain triples as top
+    closed = closure(graph)
     query = parse_query(open("query.anql").read(), domain="temporal")
     rows = evaluate_query(closed, query)
 """

@@ -2,10 +2,11 @@
 annotation label.
 
 Three choices: one shared fresh annotation variable for every bare
-pattern, a distinct fresh variable per pattern, or the top constant.
-The engine's own default for a bare pattern is the top constant, so the
-`top` rewrite is the identity in effect; the variable rewrites change
-OPTIONAL/join behaviour by making annotations visible to the algebra.
+pattern, a distinct fresh variable per pattern, or the top.  The engine
+reads a bare pattern as the graph domain's top (`eval_bap`), so the
+`top` rewrite is the identity and returns the query it is given; the
+variable rewrites change OPTIONAL/join behaviour by making annotations
+visible to the algebra.
 """
 
 from __future__ import annotations
@@ -20,11 +21,15 @@ MODES = ("shared-var", "fresh-vars", "top")
 
 
 def rewrite_defaults(query: alg.SubSelect, mode: str, domain: Domain) -> alg.SubSelect:
-    """`query` with a label on every bare triple pattern.  The walk
-    recurses a level at a time, which `algebra`'s depth rule bounds
-    where `query` was built, so it checks no depth itself."""
+    """`query` with a label on every bare triple pattern; under `top`,
+    `query` itself.  No mode reads `domain`: a bare pattern is read in
+    the domain of the graph it is evaluated on.  The walk recurses a
+    level at a time, which `algebra`'s depth rule bounds where `query`
+    was built, so it checks no depth itself."""
     if mode not in MODES:
         raise ValueError(f"unknown rewrite mode {mode!r}")
+    if mode == "top":
+        return query
     used = {var.name for var in alg.occurrences(query, alg.Var)}
     counter = count()
 
@@ -37,19 +42,12 @@ def rewrite_defaults(query: alg.SubSelect, mode: str, domain: Domain) -> alg.Sub
 
     shared = fresh() if mode == "shared-var" else None
 
-    def label() -> alg.AnnotationLabel:
-        if mode == "top":
-            return domain.top
-        if mode == "shared-var":
-            return shared
-        return fresh()
-
     def walk(p: alg.Pattern) -> alg.Pattern:
         if isinstance(p, alg.Bap):
             return alg.Bap(
                 tuple(
                     tp if tp.annotation is not None else alg.TriplePattern(
-                        tp.subject, tp.predicate, tp.object, label()
+                        tp.subject, tp.predicate, tp.object, shared or fresh()
                     )
                     for tp in p.patterns
                 )

@@ -148,7 +148,7 @@ def _cmd_infer(args) -> int:
     plain = None
     if side is not None:
         side_closed = closure(side, max_firings=args.max_iterations)
-        plain = [t for t, _ in side_closed.statements()]
+        plain = [t for t, _ in side_closed.items()]
     _emit(serialize_graph(closed, plain), args.output)
     return EXIT_OK
 

@@ -35,6 +35,28 @@ every combination it dominated, because dominance is transitive, and
 that pair is queued.  Meets, parsing and validation cross or read raw
 pairs and go through `normalise`.
 
+A value is a frozenset, which iterates in hash order, so a join and
+validation hand the kernel each operand's pairs sorted by their
+components' `sort_key`s, and parsing hands it a literal's pairs in the
+order they are written.  A component's `sort_key` tells its canonical
+values apart (it is the number itself, or ends in the literal text), so
+the order, and with it the work and whether the step cap is reached,
+follows the values alone.  A meet needs no order, because the crossing
+of two normal forms a and b is closed.  Take crossed pairs
+<x1 meet1 x2, y1 meet2 y2> and <x1' meet1 x2', y1' meet2 y2'> with
+<x1, y1>, <x1', y1'> in a and <x2, y2>, <x2', y2'> in b.  Their first
+combination is under the crossing of <x1 meet1 x1', y1 join2 y1'> with
+<x2 meet1 x2', y2 join2 y2'>: meet2 is monotone, so
+(y1 meet2 y2) join2 (y1' meet2 y2') <= (y1 join2 y1') meet2 (y2 join2 y2').
+Their second is under the crossing of <x1 join1 x1', y1 meet2 y1'> with
+<x2 join1 x2', y2 meet2 y2'>: in any lattice
+(x1 meet1 x2) join1 (x1' meet1 x2') <= (x1 join1 x1') meet1 (x2 join1 x2'),
+and meet2 is associative and commutative.  a and b are closed, so those
+two pairs lie under members of a and of b, and by monotonicity each
+combination lies under a crossed pair.  So the saturation keeps no
+derived pair: it combines each two members of the result once, and its
+work, cap included, does not depend on the order of the crossing.
+
 The saturation loop is semi-naive (Bancilhon and Ramakrishnan, SIGMOD
 1986): each pair of members is combined once, by whichever of the two
 is processed later.  The front is one insertion-ordered dict that the
@@ -278,9 +300,14 @@ class CompoundDomain(Domain):
         self.meet_distributes = d2.is_lattice
         self.top_payload = frozenset({(d1.top_payload, d2.top_payload)})
 
+    def _in_order(self, pairs: Iterable[Pair]) -> list[Pair]:
+        # Canonical pairs, in an order that does not follow the hash seed.
+        key1, key2 = self.d1.sort_key, self.d2.sort_key
+        return sorted(pairs, key=lambda p: (key1(p[0]), key2(p[1])))
+
     def join_payload(self, a, b):
         small, large = (a, b) if len(a) <= len(b) else (b, a)
-        return saturate_fast(self.d1, self.d2, small, closed=large)
+        return saturate_fast(self.d1, self.d2, self._in_order(small), self._in_order(large))
 
     def leq_payload(self, a, b):
         # Componentwise cover; the module docstring proves it is the
@@ -289,6 +316,8 @@ class CompoundDomain(Domain):
         return all(any(leq1(x, u) and leq2(y, v) for u, v in b) for x, y in a)
 
     def meet_payload(self, a, b):
+        # The crossing is closed (module docstring), so its work does
+        # not follow the order of `a` and `b`.
         crossed = [
             (self.d1.meet_payload(x1, x2), self.d2.meet_payload(y1, y2))
             for (x1, y1) in a
@@ -320,10 +349,10 @@ class CompoundDomain(Domain):
         return "{" + ",".join(f"<{x},{y}>" for x, y in rendered) + "}"
 
     def validate_payload(self, payload):
-        pairs = [
+        pairs = self._in_order(
             (self.d1.validate_payload(x), self.d2.validate_payload(y))
             for x, y in payload
-        ]
+        )
         return normalise(self.d1, self.d2, pairs)
 
     def random_payload(self, rng):

@@ -251,6 +251,15 @@ class Recording(Domain):
     def leq_payload(self, a, b):
         return self.inner.leq_payload(a, b)
 
+    def format_payload(self, payload):
+        return self.inner.format_payload(payload)
+
+    def validate_payload(self, payload):
+        return self.inner.validate_payload(payload)
+
+    def sort_key(self, payload):
+        return self.inner.sort_key(payload)
+
 
 def combinations(rec1: Recording, rec2: Recording) -> list[tuple[Pair, Pair]]:
     """The popped pair and the earlier member of the front of every

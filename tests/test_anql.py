@@ -1236,6 +1236,23 @@ class TestDefaultRewrites:
         with pytest.raises(TypeError):
             rewrite_defaults(alg.SubSelect((), alg.Pattern()), "top", TEMPORAL)
 
+    def test_top_returns_the_query_it_is_given(self, data_dir, workloads):
+        texts = [path.read_text() for path in sorted((data_dir / "queries").glob("*.anql"))]
+        texts += workloads.QUERY_SHAPES.values()
+        for text in texts:
+            query = q(text)
+            assert rewrite_defaults(query, "top", TEMPORAL) is query, text
+
+    def test_a_bare_pattern_reads_the_top_of_the_graphs_domain(self):
+        # `top` inserts no constant, so a rewrite made in another domain
+        # meets no domain check, and `eval_bap` reads the graph's top.
+        graph = closure(
+            parse_graph("@domix temporal .\n(a p b) : {[-inf,+inf]} .\n(a p c) : {[1,2]} .\n").graph
+        )
+        fuzzy = get_domain("fuzzy:min")
+        query = rewrite_defaults(q("SELECT ?o WHERE { a p ?o }", fuzzy), "top", fuzzy)
+        assert evaluate_query(graph, query) == [{"o": iri("b")}]
+
     def test_an_unknown_mode_is_refused(self):
         query = q("SELECT ?x WHERE { ?x p ?y }")
         with pytest.raises(ValueError) as err:

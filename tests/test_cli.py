@@ -131,6 +131,14 @@ class TestInfer:
         assert code == 0
         assert "alice type person .\n" in stdout  # crisp closure of the side graph
         assert "(alice type person)" not in stdout
+        # Plain lines and annotated lines are ordered together, by triple.
+        assert stdout == (
+            "@domix temporal .\n"
+            "alice type person .\n"
+            "alice type worker .\n"
+            "(worker sc person) : {[1,9]} .\n"
+            "worker sc person .\n"
+        )
 
     def test_top_default_folds_plain_triples(self, capsys, tmp_path):
         src = tmp_path / "mixed.anrdf"
@@ -218,6 +226,17 @@ class TestQuery:
         )
         assert code == 0
         assert len(stdout.splitlines()) - 1 == expected_rows
+
+    @pytest.mark.parametrize("mode", ["shared-var", "fresh-vars"])
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    def test_rewrite_mode_answers_match_the_checked_in_files(self, capsys, data_dir, mode, fmt):
+        code, stdout, _ = run(
+            capsys, "query", "-i", str(data_dir / "exx1_minimal.anrdf"),
+            str(data_dir / "queries" / "non_annotated.anql"),
+            "--rewrite-defaults", mode, "--format", fmt,
+        )
+        assert code == 0
+        assert stdout == (data_dir / "answers" / f"non_annotated.{mode}.{fmt}").read_text()
 
     def test_limit_zero_yields_header_only(self, capsys, data_dir, tmp_path):
         query = tmp_path / "limited.anql"
@@ -658,8 +677,8 @@ class TestConvert:
 
 class TestHashSeedIndependence:
     """Provenance and compound values are sets, which iterate in hash
-    order; no command may let that order reach its output, and
-    saturating raw compound pairs may not let it change the work done."""
+    order; no command may let that order reach its output, and no
+    saturation, join, meet or closure may let it change the work done."""
 
     COMPOUND = (
         "@domix compound(temporal,provenance) .\n"
@@ -697,6 +716,46 @@ class TestHashSeedIndependence:
         "    print(len(combinations(rec1, rec2)), CP.format_payload(out))\n"
     )
 
+    # Normalises each list of RAW_PAIRS (JSON in argv[1]), given as a
+    # set, then joins and meets every ordered pair of the results; after
+    # each it prints the D1 meet and D2 join calls made, and the value.
+    JOIN_MEET = (
+        "import json, sys\n"
+        "from anrdf.domains import get_domain\n"
+        "from anrdf.domains.compound import CompoundDomain\n"
+        "from oracles import Recording\n"
+        "T, PV = get_domain('temporal'), get_domain('provenance')\n"
+        "rec1, rec2 = Recording(T, 'meet_payload'), Recording(PV, 'join_payload')\n"
+        "CP = CompoundDomain(rec1, rec2)\n"
+        "def report(payload):\n"
+        "    print(len(rec1.calls), len(rec2.calls), CP.format_payload(payload))\n"
+        "    rec1.calls.clear(), rec2.calls.clear()\n"
+        "    return payload\n"
+        "values = [\n"
+        "    report(CP.validate_payload(frozenset(\n"
+        "        (T.parse_payload(x), PV.parse_payload(y)) for x, y in literals\n"
+        "    )))\n"
+        "    for literals in json.loads(sys.argv[1])\n"
+        "]\n"
+        "for a in values:\n"
+        "    for b in values:\n"
+        "        report(CP.join_payload(a, b)), report(CP.meet_payload(a, b))\n"
+    )
+
+    # Closes each document of argv[1:] and prints its `ClosureStats`
+    # and the closed graph.
+    CLOSE = (
+        "import sys\n"
+        "from anrdf import apply_defaults, closure, parse_graph, serialize_graph\n"
+        "from anrdf.reasoner import ClosureStats\n"
+        "for text in sys.argv[1:]:\n"
+        "    doc = parse_graph(text)\n"
+        "    stats = ClosureStats()\n"
+        "    closed = closure(apply_defaults(doc.graph, doc.plain, 'top')[0], stats=stats)\n"
+        "    print(stats)\n"
+        "    print(serialize_graph(closed), end='')\n"
+    )
+
     def outputs(self, argv: list[str], seed: str) -> str:
         """The output of `python argv` under the hash seed `seed`, with
         `src` and `tests` on the path."""
@@ -732,4 +791,19 @@ class TestHashSeedIndependence:
         # only the result, decides whether a literal normalises.
         argv = ["-c", self.SATURATE, json.dumps(self.RAW_PAIRS)]
         runs = [self.outputs(argv, seed) for seed in ("0", "1", "2")]
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_joins_and_meets_do_the_same_work_under_three_hash_seeds(self):
+        # A join's or meet's operands are sets; the step cap counts the
+        # combinations, so the work, not only the result, must repeat.
+        # Three pairs of each list keep the three runs near 2.5 s.
+        argv = ["-c", self.JOIN_MEET, json.dumps([pairs[:3] for pairs in self.RAW_PAIRS])]
+        runs = [self.outputs(argv, seed) for seed in ("0", "1", "2")]
+        assert len(runs[0].splitlines()) == 4 + 2 * 4 * 4
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_closures_do_the_same_work_under_three_hash_seeds(self, workloads):
+        argv = ["-c", self.CLOSE, self.COMPOUND, workloads.temporal_document(1, 40)]
+        runs = [self.outputs(argv, seed) for seed in ("0", "1", "2")]
+        assert runs[0].count("ClosureStats(") == 2
         assert runs[0] == runs[1] == runs[2]

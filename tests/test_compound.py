@@ -268,6 +268,31 @@ class TestSemiNaiveSaturation:
                         tags[r] = (p, q, sibling)
         assert derived_popped > 50, derived_popped
 
+    # A boolean second component gives one-pair values, which combine nothing.
+    @pytest.mark.parametrize("d2", SECOND_COMPONENTS[1:], ids=lambda d: d.name)
+    def test_a_meet_combines_each_two_members_of_its_result_once(self, d2):
+        # The crossing of two normal forms is closed (module docstring),
+        # so a meet keeps no derived pair, and its work follows its
+        # result alone, not the order in which it crosses its operands.
+        rng = random.Random(1800)
+        domain = compound.CompoundDomain(T, d2)
+        rec2 = Recording(d2, "join_payload")
+        recorded = compound.CompoundDomain(Recording(T, "meet_payload"), rec2)
+        combined = 0
+
+        def value(n):
+            return domain.validate_payload(
+                [(T.random_payload(rng), d2.random_payload(rng)) for _ in range(n)]
+            )
+
+        for _ in range(100):
+            a, b = value(rng.randint(2, 5)), value(rng.randint(2, 5))
+            rec2.calls.clear()
+            out = recorded.meet_payload(a, b)
+            assert len(rec2.calls) == len(out) * (len(out) - 1) // 2, (a, b)
+            combined += len(rec2.calls)
+        assert combined > 50, combined
+
     def test_two_pair_literal_forms_one_combination(self, monkeypatch):
         # Its two derived pairs would meet each other and their parents
         # in five more combinations, all decided by the lattice laws.
