@@ -1,6 +1,13 @@
 """The thirteen Allen relations on closed intervals, lifted to interval
 sets under five quantifier schemes.
 
+Seven relations are tested on the endpoints: before, meets, overlaps,
+starts, during, finishes and equals.  Each of the other six is the
+inverse of one of them, and holds of (i1, i2) exactly when that relation
+holds of (i2, i1).  On proper intervals exactly one relation holds of two
+intervals, but a point interval can satisfy two: [2,2] both meets and
+starts [2,5].
+
 On sets of disjoint intervals a relation r can be read in several ways;
 we provide the existential/universal combinations (exists-exists,
 exists-all, all-exists, their conjunction, and all-all).  Both operands
@@ -46,36 +53,43 @@ class QuantifierMode(Enum):
     ALL = "All"  # for all t1, for all t2
 
 
+# The endpoint test of each relation, on i1 = [a1, b1] and i2 = [a2, b2].
+_HOLDS = {
+    AllenRelation.BEFORE: lambda a1, b1, a2, b2: b1 < a2,
+    AllenRelation.MEETS: lambda a1, b1, a2, b2: b1 == a2,
+    AllenRelation.OVERLAPS: lambda a1, b1, a2, b2: a1 < a2 < b1 < b2,
+    AllenRelation.STARTS: lambda a1, b1, a2, b2: a1 == a2 and b1 < b2,
+    AllenRelation.DURING: lambda a1, b1, a2, b2: a2 < a1 and b1 < b2,
+    AllenRelation.FINISHES: lambda a1, b1, a2, b2: b1 == b2 and a2 < a1,
+    AllenRelation.EQUALS: lambda a1, b1, a2, b2: a1 == a2 and b1 == b2,
+}
+
+
+def _inverse(test):
+    """The endpoint test of the inverse of `test`'s relation, which holds
+    of (i1, i2) exactly when that relation holds of (i2, i1)."""
+    return lambda a1, b1, a2, b2: test(a2, b2, a1, b1)
+
+
+_HOLDS[AllenRelation.AFTER] = _inverse(_HOLDS[AllenRelation.BEFORE])
+_HOLDS[AllenRelation.MET_BY] = _inverse(_HOLDS[AllenRelation.MEETS])
+_HOLDS[AllenRelation.OVERLAPPED_BY] = _inverse(_HOLDS[AllenRelation.OVERLAPS])
+_HOLDS[AllenRelation.STARTED_BY] = _inverse(_HOLDS[AllenRelation.STARTS])
+_HOLDS[AllenRelation.CONTAINS] = _inverse(_HOLDS[AllenRelation.DURING])
+_HOLDS[AllenRelation.FINISHED_BY] = _inverse(_HOLDS[AllenRelation.FINISHES])
+
+# The (outer, inner) quantifiers of each scheme but BOTH: the outer one
+# ranges over the first operand, the inner one over the second.
+_QUANTIFIERS = {
+    QuantifierMode.ANY: (any, any),
+    QuantifierMode.ANY_ALL: (any, all),
+    QuantifierMode.ALL_ANY: (all, any),
+    QuantifierMode.ALL: (all, all),
+}
+
+
 def allen_holds(rel: AllenRelation, i1: Interval, i2: Interval) -> bool:
-    (a1, b1), (a2, b2) = i1, i2
-    R = AllenRelation
-    if rel is R.BEFORE:
-        return b1 < a2
-    if rel is R.AFTER:
-        return a1 > b2
-    if rel is R.MEETS:
-        return b1 == a2
-    if rel is R.MET_BY:
-        return a1 == b2
-    if rel is R.OVERLAPS:
-        return a1 < a2 and a2 < b1 and b1 < b2
-    if rel is R.OVERLAPPED_BY:
-        return a2 < a1 and a1 < b2 and b2 < b1
-    if rel is R.STARTS:
-        return a1 == a2 and b1 < b2
-    if rel is R.STARTED_BY:
-        return a1 == a2 and b1 > b2
-    if rel is R.DURING:
-        return a1 > a2 and b1 < b2
-    if rel is R.CONTAINS:
-        return a1 < a2 and b1 > b2
-    if rel is R.FINISHES:
-        return b1 == b2 and a1 > a2
-    if rel is R.FINISHED_BY:
-        return b1 == b2 and a1 < a2
-    if rel is R.EQUALS:
-        return i1 == i2
-    raise AssertionError(rel)
+    return _HOLDS[rel](*i1, *i2)
 
 
 def allen_lifted(
@@ -84,16 +98,12 @@ def allen_lifted(
     if not t1 or not t2:
         raise TemporalValueError("lifted Allen relations require non-empty operands")
     Q = QuantifierMode
-    if mode is Q.ANY:
-        return any(allen_holds(rel, i, k) for i in t1 for k in t2)
-    if mode is Q.ANY_ALL:
-        return any(all(allen_holds(rel, i, k) for k in t2) for i in t1)
-    if mode is Q.ALL_ANY:
-        return all(any(allen_holds(rel, i, k) for k in t2) for i in t1)
     if mode is Q.BOTH:
-        return allen_lifted(rel, Q.ANY_ALL, t1, t2) and allen_lifted(
-            rel, Q.ALL_ANY, t1, t2
-        )
-    if mode is Q.ALL:
-        return all(allen_holds(rel, i, k) for i in t1 for k in t2)
-    raise AssertionError(mode)
+        return allen_lifted(rel, Q.ANY_ALL, t1, t2) and allen_lifted(rel, Q.ALL_ANY, t1, t2)
+    holds = _HOLDS[rel]
+    outer, inner = _QUANTIFIERS[mode]
+    # Any of any is any over the pairs, and all of all is all over them;
+    # one generator over the pairs costs less than one per interval.
+    if outer is inner:
+        return outer(holds(a1, b1, a2, b2) for a1, b1 in t1 for a2, b2 in t2)
+    return outer(inner(holds(a1, b1, a2, b2) for a2, b2 in t2) for a1, b1 in t1)

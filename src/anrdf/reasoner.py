@@ -93,7 +93,8 @@ class ClosureStats:
     one there already; or a `bottom` value, dropped.  `seeds` counts the
     triples taken off the agenda.  On the table path each table
     conclusion of a data triple is one firing, and each data triple is
-    one seed."""
+    one seed.  Each count is added where the loops decide it, so the
+    four outcomes sum to the firings."""
 
     firings: int = 0
     new: int = 0
@@ -101,11 +102,6 @@ class ClosureStats:
     subsumed: int = 0
     bottom: int = 0
     seeds: int = 0
-
-
-def _counts(firings: int, new: int, subsumed: int, bottom: int, seeds: int) -> ClosureStats:
-    """The `ClosureStats` of these counts; every other firing raised a value."""
-    return ClosureStats(firings, new, firings - new - subsumed - bottom, subsumed, bottom, seeds)
 
 
 def _typing(
@@ -162,42 +158,41 @@ def _agenda_loop(
     out: AnnotatedGraph, seeds: Statements, max_firings: int, stats: ClosureStats
 ) -> None:
     """Close `seeds` into the empty store `out` by the agenda loop of the
-    module docstring, and put the counts in `stats`.  `pending` maps each
+    module docstring, and add its counts to `stats`.  `pending` maps each
     triple on the agenda to the value still to store, None once stored."""
     pending: dict[Triple, AnnotationValue | None] = dict(seeds)
     agenda = deque(pending)
-    firings = new = subsumed = bottom = taken = 0
     while agenda:
         seed = agenda.popleft()
         unstored = pending.pop(seed)
-        taken += 1
+        stats.seeds += 1
         if unstored is not None:
             out.insert(seed, unstored)
         for conclusion, value in _consequences(out, seed, out.get(seed)):
-            if firings == max_firings:
-                stopped = _counts(firings, new, subsumed, bottom, taken)
-                raise ClosureIterationError(max_firings, stopped)
-            firings += 1
+            if stats.firings == max_firings:
+                raise ClosureIterationError(max_firings, stats)
+            stats.firings += 1
             if value.is_bottom:
-                bottom += 1
+                stats.bottom += 1
                 continue
-            queued = conclusion in pending
             if conclusion in out:
                 grew, value = out.insert(conclusion, value), None
-            elif queued:
+            elif conclusion in pending:
                 waiting = pending[conclusion]
                 value = waiting.join(value)
                 grew = value != waiting
             else:
-                new += 1
-                grew = True
-            if not grew:
-                subsumed += 1
+                stats.new += 1
+                agenda.append(conclusion)
+                pending[conclusion] = value
                 continue
-            if not queued:
+            if not grew:
+                stats.subsumed += 1
+                continue
+            stats.raised += 1
+            if conclusion not in pending:
                 agenda.append(conclusion)
             pending[conclusion] = value
-    vars(stats).update(vars(_counts(firings, new, subsumed, bottom, taken)))
 
 
 def _tables_apply(graph: AnnotatedGraph) -> tuple[Statements, Statements] | None:
@@ -223,7 +218,8 @@ def _table_closure(
 ) -> AnnotatedGraph:
     """The closure of `graph` by the table rule: close the schema with the
     agenda loop, then join each data triple's table conclusions into one
-    dict of triple to value, and build the graph from it once."""
+    dict of triple to value, and build the graph from it once.  Both
+    phases add their counts to `stats`."""
     schema = AnnotatedGraph(graph.domain)
     _agenda_loop(schema, schema_seeds, max_firings, stats)
     # A closed schema value is at least the input's, so it replaces it.
@@ -249,11 +245,8 @@ def _table_closure(
     # Every predicate below is `type` or a stored superproperty that is
     # not a literal, so the conclusions skip `Triple`'s check.
     make = tuple.__new__
-    firings, new, subsumed, bottom, seeds = (
-        stats.firings, stats.new, stats.subsumed, stats.bottom, stats.seeds
-    )
     for (s, p, o), v in data:
-        seeds += 1
+        stats.seeds += 1
         if p == TYPE:
             found = by_class.get(o)
             if found is None:
@@ -263,27 +256,26 @@ def _table_closure(
             if found is None:
                 found = by_predicate[p] = table(Triple(_X, p, _Y))
         for (a, q, b), w in found:
-            if firings == max_firings:
-                stopped = _counts(firings, new, subsumed, bottom, seeds)
-                raise ClosureIterationError(max_firings, stopped)
-            firings += 1
+            if stats.firings == max_firings:
+                raise ClosureIterationError(max_firings, stats)
+            stats.firings += 1
             # A conclusion's subject is always a placeholder.
             conclusion = make(Triple, (s if a is _X else o, q, o if b is _Y else b))
             value = v.meet(w)
             if value.is_bottom:
-                bottom += 1
+                stats.bottom += 1
                 continue
             old = get(conclusion)
             if old is None:
-                new += 1
+                stats.new += 1
                 values[conclusion] = value
                 continue
             value = old.join(value)
             if value == old:
-                subsumed += 1
+                stats.subsumed += 1
             else:
+                stats.raised += 1
                 values[conclusion] = value
-    vars(stats).update(vars(_counts(firings, new, subsumed, bottom, seeds)))
     return AnnotatedGraph.from_values(graph.domain, values)
 
 
@@ -295,8 +287,10 @@ def closure(
     """Least fixpoint of the rho-df rules over `graph`, as a frozen new graph.
 
     By the table rule when it holds, else by the agenda loop (see the
-    module docstring).  `stats`, if given, receives the counts.  A
-    negative `max_firings` is a `ValueError`: it would be no cap.
+    module docstring).  `stats`, if given, is overwritten with the counts
+    once the closure finishes; past the cap it is left as it was, and
+    the `ClosureIterationError` holds the counts.  A negative
+    `max_firings` is a `ValueError`: it would be no cap.
     """
     if max_firings < 0:
         raise ValueError(f"max_firings must be at least 0, got {max_firings}")

@@ -1233,8 +1233,10 @@ class TestDefaultRewrites:
         query = alg.SubSelect((x[0],), tree(bap), x[0], 3)
         rewritten = rewrite_defaults(query, "fresh-vars", TEMPORAL)
         assert rewritten == alg.SubSelect((x[0],), tree(lambda i: bap(i, alg.Var(f"_a{i}"))), x[0], 3)
-        with pytest.raises(TypeError):
-            rewrite_defaults(alg.SubSelect((), alg.Pattern()), "top", TEMPORAL)
+        # A node that is not a dataclass reaches the walk's `fields`.
+        for mode in ("fresh-vars", "shared-var"):
+            with pytest.raises(TypeError, match="must be called with a dataclass"):
+                rewrite_defaults(alg.Pattern(), mode, TEMPORAL)
 
     def test_top_returns_the_query_it_is_given(self, data_dir, workloads):
         texts = [path.read_text() for path in sorted((data_dir / "queries").glob("*.anql"))]

@@ -12,6 +12,7 @@ import pytest
 
 import anrdf
 from anrdf.cli import main
+from anrdf.reasoner import _tables_apply
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 SAMPLE_QUERIES = sorted(query.stem for query in (DATA / "queries").glob("*.anql"))
@@ -688,6 +689,16 @@ class TestHashSeedIndependence:
         "(bob type worker) : {<{[4,8]},(ax v bx)>,<{[0,3]},(cx ^ dx)>} .\n"
     )
 
+    # Its meet does not distribute over its join, so it closes by the
+    # agenda loop.
+    NOT_DISTRIBUTIVE = (
+        "@domix compound(temporal,fuzzy:product) .\n"
+        "(worker sc person) : {<{[1,9]},0.9>,<{[3,12]},0.5>} .\n"
+        "(person sc agent) : {<{[0,20]},0.8>} .\n"
+        "(alice type worker) : {<{[2,6]},0.7>,<{[5,11]},0.6>} .\n"
+        "(bob type worker) : {<{[4,8]},0.5>} .\n"
+    )
+
     # Raw compound(temporal,provenance) pairs, not normalised.
     RAW_PAIRS = [
         [["{[1,9]}", "(a ^ b)"], ["{[3,12]}", "(c v d)"], ["{[0,4],[8,15]}", "e"],
@@ -802,8 +813,17 @@ class TestHashSeedIndependence:
         assert len(runs[0].splitlines()) == 4 + 2 * 4 * 4
         assert runs[0] == runs[1] == runs[2]
 
-    def test_closures_do_the_same_work_under_three_hash_seeds(self, workloads):
-        argv = ["-c", self.CLOSE, self.COMPOUND, workloads.temporal_document(1, 40)]
+    def test_closures_do_the_same_work_under_three_hash_seeds(self, workloads, data_dir):
+        documents = [
+            self.COMPOUND,
+            workloads.temporal_document(1, 40),
+            (data_dir / "fallback_sample.anrdf").read_text(),
+            self.NOT_DISTRIBUTIVE,
+        ]
+        assert [_tables_apply(anrdf.parse_graph(text).graph) is None for text in documents] == [
+            False, False, True, True
+        ]
+        argv = ["-c", self.CLOSE, *documents]
         runs = [self.outputs(argv, seed) for seed in ("0", "1", "2")]
-        assert runs[0].count("ClosureStats(") == 2
+        assert runs[0].count("ClosureStats(") == 4
         assert runs[0] == runs[1] == runs[2]

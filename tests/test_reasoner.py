@@ -692,6 +692,49 @@ class TestClosureProperties:
         assert closure(doc.graph, stats=stats).get(derived) == tv("{[0,0],[1,2],[5,6]}")
         assert stats == ClosureStats(firings=4, new=0, raised=2, subsumed=1, bottom=1, seeds=9)
 
+    @pytest.mark.parametrize(
+        "document, by_closure, by_loop",
+        [
+            ("temporal", "2110/1458/561/91/0/907", "3247/1458/523/1266/0/2321"),
+            ("compound", "529/381/0/148/0/253", "764/381/0/383/0/608"),
+            ("fallback", "3/2/1/0/0/7", "3/2/1/0/0/7"),
+        ],
+    )
+    def test_stats_of_the_sample_documents(self, workloads, data_dir, document, by_closure, by_loop):
+        # firings/new/raised/subsumed/bottom/seeds through `closure` and
+        # through the agenda loop alone, for the benchmark's seed-1
+        # documents and the sample that takes the loop.  A change to the
+        # firings or to where an outcome is counted shows here.
+        text = {
+            "temporal": lambda: workloads.temporal_document(1),
+            "compound": lambda: workloads.compound_document(1),
+            "fallback": lambda: (data_dir / "fallback_sample.anrdf").read_text(),
+        }[document]()
+        doc = parse_graph(text)
+        graph, _ = apply_defaults(doc.graph, doc.plain)
+        for close, expected in ((closure, by_closure), (_loop_closure, by_loop)):
+            stats = ClosureStats()
+            close(graph, stats=stats)
+            got = (stats.firings, stats.new, stats.raised, stats.subsumed, stats.bottom, stats.seeds)
+            assert "/".join(map(str, got)) == expected, close.__name__
+        assert (_tables_apply(graph) is None) == (document == "fallback")
+
+    @pytest.mark.parametrize("name", ["fig1.anrdf", "fallback_sample.anrdf"])
+    def test_stats_hold_one_finished_closure(self, data_dir, name):
+        # A `stats` given to two closures holds the counts of one, not
+        # their sum, and a closure stopped by its cap leaves it as it was.
+        graph = parse_graph((data_dir / name).read_text()).graph
+        once = ClosureStats()
+        closure(graph, stats=once)
+        stats = ClosureStats()
+        closure(graph, stats=stats)
+        closure(graph, stats=stats)
+        assert stats == once
+        with pytest.raises(ClosureIterationError) as caught:
+            closure(graph, max_firings=once.firings - 1, stats=stats)
+        assert caught.value.stats.firings == once.firings - 1
+        assert stats == once
+
     def test_plain_schema_meets_skip_the_compound_kernel(self, monkeypatch):
         # A plain schema gets top from `apply_defaults`, so every rule
         # meets a data annotation with top, or top with top: the value

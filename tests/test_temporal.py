@@ -209,8 +209,62 @@ class TestAllen:
         with pytest.raises(TemporalValueError):
             allen_lifted(AllenRelation.BEFORE, QuantifierMode.ANY, (), ts("{[1,2]}"))
 
+    # Allen's thirteen relations of i1 = [a1, b1] to i2 = [a2, b2], each
+    # written out on the endpoints.
+    DEFINITIONS = {
+        AllenRelation.BEFORE: lambda a1, b1, a2, b2: b1 < a2,
+        AllenRelation.AFTER: lambda a1, b1, a2, b2: b2 < a1,
+        AllenRelation.MEETS: lambda a1, b1, a2, b2: b1 == a2,
+        AllenRelation.MET_BY: lambda a1, b1, a2, b2: b2 == a1,
+        AllenRelation.OVERLAPS: lambda a1, b1, a2, b2: a1 < a2 and a2 < b1 and b1 < b2,
+        AllenRelation.OVERLAPPED_BY: lambda a1, b1, a2, b2: a2 < a1 and a1 < b2 and b2 < b1,
+        AllenRelation.STARTS: lambda a1, b1, a2, b2: a1 == a2 and b1 < b2,
+        AllenRelation.STARTED_BY: lambda a1, b1, a2, b2: a1 == a2 and b2 < b1,
+        AllenRelation.DURING: lambda a1, b1, a2, b2: a2 < a1 and b1 < b2,
+        AllenRelation.CONTAINS: lambda a1, b1, a2, b2: a1 < a2 and b2 < b1,
+        AllenRelation.FINISHES: lambda a1, b1, a2, b2: b1 == b2 and a2 < a1,
+        AllenRelation.FINISHED_BY: lambda a1, b1, a2, b2: b1 == b2 and a1 < a2,
+        AllenRelation.EQUALS: lambda a1, b1, a2, b2: a1 == a2 and b1 == b2,
+    }
+
+    def test_every_relation_is_its_endpoint_definition(self):
+        # Every pair of intervals over these endpoints, point and
+        # unbounded intervals included.
+        points = [NEG_INF, *map(Fraction, range(5)), POS_INF]
+        intervals = [(a, b) for a in points for b in points if a <= b]
+        assert len(self.DEFINITIONS) == len(AllenRelation)
+        for rel, definition in self.DEFINITIONS.items():
+            for i1 in intervals:
+                for i2 in intervals:
+                    assert allen_holds(rel, i1, i2) == definition(*i1, *i2), (rel, i1, i2)
+
+    def test_every_scheme_is_its_quantifiers(self):
+        rng = random.Random(43)
+        Q = QuantifierMode
+        checked = 0
+        while checked < 300:
+            t1, t2 = TEMPORAL.random_payload(rng), TEMPORAL.random_payload(rng)
+            if not t1 or not t2:
+                continue
+            checked += 1
+            for rel, definition in self.DEFINITIONS.items():
+                holds = [[definition(*i, *k) for k in t2] for i in t1]
+                exists_all = any(all(row) for row in holds)
+                all_exists = all(any(row) for row in holds)
+                expected = {
+                    Q.ANY: any(any(row) for row in holds),
+                    Q.ANY_ALL: exists_all,
+                    Q.ALL_ANY: all_exists,
+                    Q.BOTH: exists_all and all_exists,
+                    Q.ALL: all(all(row) for row in holds),
+                }
+                for mode in QuantifierMode:
+                    assert allen_lifted(rel, mode, t1, t2) == expected[mode], (rel, mode, t1, t2)
+
     def test_single_interval_relations_partition(self):
-        # On any two intervals exactly one of the 13 relations holds.
+        # On any two proper intervals exactly one of the 13 relations
+        # holds; a point interval can satisfy two ([2,2] meets and starts
+        # [2,5]).
         rng = random.Random(11)
         for _ in range(300):
             a = sorted(rng.sample(range(12), 2))
@@ -219,6 +273,9 @@ class TestAllen:
             i2 = (Fraction(b[0]), Fraction(b[1]))
             holding = [r for r in AllenRelation if allen_holds(r, i1, i2)]
             assert len(holding) == 1, (i1, i2, holding)
+        point, proper = (Fraction(2), Fraction(2)), (Fraction(2), Fraction(5))
+        holding = {r for r in AllenRelation if allen_holds(r, point, proper)}
+        assert holding == {AllenRelation.MEETS, AllenRelation.STARTS}
 
     def test_quantifier_hierarchy(self):
         rng = random.Random(5)
