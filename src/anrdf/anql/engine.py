@@ -174,11 +174,10 @@ def _right_partitions(keys: list[str], right_rows: list[Solution]) -> Candidates
 
     The right rows are hashed on `keys`, variables that every row on both
     sides binds to a non-annotation value (the keyed rule); rows that
-    differ there never meet.  With no keys every left row sees the whole
-    right list.  Each partition keeps right-row order.
+    differ there never meet.  With no keys every row hashes on `()`, so
+    every left row sees the whole right list.  Each partition keeps
+    right-row order.
     """
-    if not keys:
-        return lambda left: right_rows
     partitions: dict[tuple, list[Solution]] = {}
     for row in right_rows:
         partitions.setdefault(tuple(row[key] for key in keys), []).append(row)

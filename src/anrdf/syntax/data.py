@@ -118,11 +118,9 @@ def _directive(cur: Scanner, declared: Domain | None, after_annotated: bool) -> 
         # The domain fixes how every annotation literal reads, so it
         # is named once, ahead of them all.
         if declared is not None:
-            raise ParseError("a document has at most one @domix line", cur.line_no, start + 1)
+            raise cur.error("a document has at most one @domix line", start)
         if after_annotated:
-            raise ParseError(
-                "@domix must come before the first annotated statement", cur.line_no, start + 1
-            )
+            raise cur.error("@domix must come before the first annotated statement", start)
         name = _up_to_final_dot(cur, "@domix line must end with '.'")
         try:
             return get_domain(name)
@@ -179,7 +177,7 @@ def parse_graph(text: str, domain: Domain | str | None = None) -> Document:
         try:
             triple = Triple(s, p, o)
         except AnrdfError as exc:
-            raise ParseError(str(exc), line_no, start + 1) from None
+            raise cur.error(str(exc), start) from None
         if annotation is None:
             plain.append(triple)
         else:

@@ -13,10 +13,16 @@ an annotation literal, which both formats read as one token
 (`annotation_literal`) that only the domain's `parse` validates.  Whitespace and `#` comments (to the end of the
 line) are skipped between tokens, never inside one; both are one
 compiled pattern, and so is a string literal (in a query, a backslash
-before a raw line break stands for the line break).  `Scanner.take`
-takes a token of any length.  Blank nodes `_:label` exist only in data
-and `?var` only in queries; each parser checks its own before asking
-for a ground term.
+before a raw line break stands for the line break).  Blank nodes
+`_:label` exist only in data and `?var` only in queries; each parser
+checks its own before asking for a ground term.
+
+The scanner's protocol: after any whitespace, `Scanner.take` takes a
+fixed token of any length and `Scanner.read` the token a compiled
+pattern matches.  An error names its position with
+`Scanner.error(message, at)`, which reads the line and column off `at`
+and never moves the scanner; only a lookahead (the query parser's
+`_comparison_ahead`) puts `pos` back.
 
 `format_term` writes a term as `ground_term` reads it back: a keyword or
 bare name where one spells the IRI, `<iri>` otherwise (it refuses an IRI
@@ -121,9 +127,11 @@ class Scanner:
         self.line_no = line_no
         self.prefixes = {} if prefixes is None else prefixes
 
-    def error(self, message: str) -> ParseError:
-        line = self.line_no + self.text.count("\n", 0, self.pos)
-        column = self.pos - (self.text.rfind("\n", 0, self.pos) + 1) + 1
+    def error(self, message: str, at: int | None = None) -> ParseError:
+        """A `ParseError` at position `at` of `text` (default `pos`)."""
+        at = self.pos if at is None else at
+        line = self.line_no + self.text.count("\n", 0, at)
+        column = at - (self.text.rfind("\n", 0, at) + 1) + 1
         return ParseError(message, line, column)
 
     def skip_ws(self) -> None:
@@ -148,6 +156,18 @@ class Scanner:
         if not self.take(token):
             raise self.error(f"expected {token!r}")
 
+    def read(self, pattern: re.Pattern, expected: str | None = None) -> re.Match | None:
+        """Take the token `pattern` matches after any whitespace.  When it
+        matches nothing, `pos` stays after the whitespace and the result
+        is None, or with `expected` an error `expected <expected>`."""
+        self.skip_ws()
+        m = pattern.match(self.text, self.pos)
+        if m:
+            self.pos = m.end()
+        elif expected:
+            raise self.error(f"expected {expected}")
+        return m
+
     def ground_term(self) -> Term | None:
         """Read an IRI or literal term; None when none starts here, so
         the caller can name what it expected."""
@@ -158,23 +178,18 @@ class Scanner:
                 raise self.error("unterminated <iri>")
             return iri(self._iri_text(self.pos + 1, end))
         if ch == '"':
-            m = _STRING_RE.match(self.text, self.pos)
+            m = self.read(_STRING_RE)
             if m is None:
                 raise self.error("unterminated string literal")
-            self.pos = m.end()
             return literal(_ESCAPE_RE.sub(_unescape, m[1]))
-        m = PNAME_RE.match(self.text, self.pos)
+        m = self.read(PNAME_RE)
         if m:
             prefix = m.group(1) or ""
             if prefix not in self.prefixes:
-                raise self.error(f"undeclared prefix {prefix!r}")
-            self.pos = m.end()
+                raise self.error(f"undeclared prefix {prefix!r}", m.start())
             return iri(self.prefixes[prefix] + m.group(2))
-        m = NAME_RE.match(self.text, self.pos)
-        if m:
-            self.pos = m.end()
-            return name_term(m.group(0))
-        return None
+        m = self.read(NAME_RE)
+        return None if m is None else name_term(m.group(0))
 
     def annotation_literal(self) -> str:
         """Read the annotation literal that `annotation_literal_end`
@@ -202,11 +217,9 @@ class Scanner:
     def prefix_directive(self) -> None:
         """Read the `name: <iri>` after `@prefix` and declare the prefix;
         the caller checks the closing '.'."""
-        self.skip_ws()
-        m = _PREFIX_NAME_RE.match(self.text, self.pos)
+        m = self.read(_PREFIX_NAME_RE)
         if not m:
             raise self.error("@prefix needs 'name:'")
-        self.pos = m.end()
         self.expect("<")
         end = self.text.find(">", self.pos)
         if end < 0:
@@ -218,7 +231,6 @@ class Scanner:
         its `>`; a control character in it is an error at that character."""
         bad = _NOT_IN_IRI_RE.search(self.text, start, end)
         if bad:
-            self.pos = bad.start()
-            raise self.error(f"control character U+{ord(bad[0]):04X} in an IRI")
+            raise self.error(f"control character U+{ord(bad[0]):04X} in an IRI", bad.start())
         self.pos = end + 1
         return self.text[start:end]

@@ -75,6 +75,7 @@ _WRAPPERS = ("optional", "filter", "assign", "groupby", "orderby", "limit")
 _VAR_RE = re.compile(r"\?([A-Za-z_][A-Za-z0-9_]*)")
 _INT_RE = re.compile(r"\d+")
 _NUMBER_RE = re.compile(r"[+-]?\d+(\.\d+)?(/\d+)?")
+_CALL_RE = re.compile(NAME_RE.pattern + r"(?=\()")  # a name, where `(` follows it
 
 
 class _Scanner(Scanner):
@@ -89,8 +90,8 @@ class _Scanner(Scanner):
         if not self.take(token):
             return False
         if self.depth == alg.MAX_DEPTH:
-            self.pos -= len(token)
-            raise self.error(f"query nested deeper than {alg.MAX_DEPTH} levels")
+            at = self.pos - len(token)
+            raise self.error(f"query nested deeper than {alg.MAX_DEPTH} levels", at)
         self.depth += 1
         return True
 
@@ -109,12 +110,7 @@ class _Scanner(Scanner):
         return False
 
     def var(self) -> alg.Var:
-        self.skip_ws()
-        m = _VAR_RE.match(self.text, self.pos)
-        if not m:
-            raise self.error("expected ?variable")
-        self.pos = m.end()
-        return alg.Var(m.group(1))
+        return alg.Var(self.read(_VAR_RE, "?variable")[1])
 
     # -- terms and annotation labels ----------------------------------------
 
@@ -135,8 +131,7 @@ class _Scanner(Scanner):
         try:
             return self.domain.parse(text)
         except AnnotationSyntaxError as exc:
-            self.pos = start
-            raise self.error(str(exc)) from None
+            raise self.error(str(exc), start) from None
 
     def label(self) -> alg.AnnotationLabel:
         """A `?var` or an annotation literal of the query's domain."""
@@ -152,14 +147,12 @@ class _Scanner(Scanner):
             return self.var()
         if ch in "{[(":
             return self.annotation()
-        m = _NUMBER_RE.match(self.text, self.pos)
+        m = self.read(_NUMBER_RE)
         if m:
             try:
-                number = parse_scalar(m.group(0))
+                return Fraction(parse_scalar(m[0]))
             except ValueError as exc:
-                raise self.error(str(exc)) from None
-            self.pos = m.end()
-            return Fraction(number)
+                raise self.error(str(exc), m.start()) from None
         word = self.keyword()
         if word in ("true", "false"):
             # A boolean annotation literal where the domain has one,
@@ -212,12 +205,7 @@ def _parse_select(sc: _Scanner) -> tuple[tuple[alg.Var, ...], alg.Pattern]:
 
 
 def _parse_int(sc: _Scanner) -> int:
-    sc.skip_ws()
-    m = _INT_RE.match(sc.text, sc.pos)
-    if not m:
-        raise sc.error("expected an integer")
-    sc.pos = m.end()
-    return int(m.group(0))
+    return int(sc.read(_INT_RE, "an integer")[0])
 
 
 def _parse_group(sc: _Scanner) -> alg.Pattern:
@@ -284,8 +272,7 @@ def _build(sc: _Scanner, start: int, make, *args):
     except ParseError:
         raise
     except AnrdfError as exc:
-        sc.pos = start
-        raise sc.error(str(exc)) from None
+        raise sc.error(str(exc), start) from None
     return built
 
 
@@ -304,9 +291,7 @@ def _parse_wrapper(sc: _Scanner, word: str, acc: alg.Pattern) -> alg.Pattern:
         sc.expect(")")
         return _build(sc, start, alg.Filter, acc, expr)
     if word == "assign":
-        sc.skip_ws()
-        call = sc.pos
-        fn, args = _parse_call_or_operand(sc)
+        fn, args, call = _parse_call_or_operand(sc)
         if not sc.take_keyword("as"):
             raise sc.error("ASSIGN needs 'AS ?var'")
         target = sc.var()
@@ -356,9 +341,7 @@ def _parse_aggregate(
     op = sc.keyword()
     sc.take_keyword(op)
     sc.expect("(")
-    sc.skip_ws()
-    start = sc.pos
-    fn, args = _parse_call_or_operand(sc)
+    fn, args, start = _parse_call_or_operand(sc)
     sc.expect(")")
     if not sc.take_keyword("as"):
         raise sc.error("aggregates need 'AS ?var'")
@@ -368,11 +351,9 @@ def _parse_aggregate(
     _reject_test(sc, fn, start, f"{op.upper()} cannot aggregate it into ?{target.name}")
     for arg in args:
         if arg in keys:
-            sc.pos = start
-            raise sc.error(f"aggregate argument ?{arg.name} is a grouping key")
+            raise sc.error(f"aggregate argument ?{arg.name} is a grouping key", start)
     if target.name in bound:
-        sc.pos = at
-        raise sc.error(f"aggregate target ?{target.name} already occurs in the pattern")
+        raise sc.error(f"aggregate target ?{target.name} already occurs in the pattern", at)
     return alg.Aggregate(op=op.upper(), fn=fn, args=args, target=target)
 
 
@@ -381,27 +362,20 @@ def _reject_test(sc: _Scanner, fn: str, start: int, use: str) -> None:
     ASSIGN or of an aggregate: a test yields a truth value, which no
     answer cell holds and no aggregate reads as data."""
     if fn in TESTS:
-        sc.pos = start
-        raise sc.error(f"{fn} is a test, not a function: {use}")
+        raise sc.error(f"{fn} is a test, not a function: {use}", start)
 
 
-def _call_name(sc: _Scanner) -> str | None:
-    """The name of a call `name(...)` starting here, if one does."""
-    sc.skip_ws()
-    m = NAME_RE.match(sc.text, sc.pos)
-    if m and sc.text.startswith("(", m.end()):
-        return m.group(0)
-    return None
-
-
-def _parse_call_args(sc: _Scanner, name: str) -> tuple[alg.Operand, ...]:
-    """Read the call whose name `_call_name` just returned.  The name must
-    be a registered built-in and the number of arguments must fit its
-    parameters (`ARITY`); either error is reported at the name."""
-    start = sc.pos
+def _parse_call(sc: _Scanner) -> tuple[str, tuple[alg.Operand, ...], int] | None:
+    """The name, arguments and position of the call `name(arg, ...)` that
+    starts here, or None when none does.  The name must be a registered
+    built-in and the number of arguments must fit its parameters
+    (`ARITY`); either error is reported at the name."""
+    m = sc.read(_CALL_RE)
+    if m is None:
+        return None
+    name, start = m[0], m.start()
     if name not in ARITY:
-        raise sc.error(f"unknown built-in {name!r}")
-    sc.pos += len(name)
+        raise sc.error(f"unknown built-in {name!r}", start)
     sc.expect("(")
     args = []
     if sc.peek() != ")":
@@ -411,20 +385,20 @@ def _parse_call_args(sc: _Scanner, name: str) -> tuple[alg.Operand, ...]:
     sc.expect(")")
     fewest, most = ARITY[name]
     if not fewest <= len(args) <= most:
-        sc.pos = start
         wanted = f"at least {fewest}" if most > fewest else f"{fewest}"
         noun = "argument" if fewest == 1 else "arguments"
-        raise sc.error(f"{name} takes {wanted} {noun}, not {len(args)}")
-    return tuple(args)
+        raise sc.error(f"{name} takes {wanted} {noun}, not {len(args)}", start)
+    return name, tuple(args), start
 
 
-def _parse_call_or_operand(sc: _Scanner) -> tuple[str, tuple[alg.Operand, ...]]:
+def _parse_call_or_operand(sc: _Scanner) -> tuple[str, tuple[alg.Operand, ...], int]:
     """Either `name(arg, ...)` for a registered built-in, or a single
-    operand (identity function)."""
-    name = _call_name(sc)
-    if name is None:
-        return "", (sc.operand(),)
-    return name, _parse_call_args(sc, name)
+    operand (identity function), and the position where it starts."""
+    call = _parse_call(sc)
+    if call is None:
+        start = sc.pos  # `read` skipped the whitespace before the operand
+        call = "", (sc.operand(),), start
+    return call
 
 
 def _parse_filter_expr(sc: _Scanner) -> alg.FilterExpr:
@@ -474,16 +448,14 @@ def _parse_filter_primary(sc: _Scanner) -> alg.FilterExpr:
         operand = sc.operand()
         sc.expect(")")
         return alg.IsKind(_KINDS[word], operand)
-    name = _call_name(sc)
-    if name is not None:
-        start = sc.pos
-        call = alg.BuiltinCall(name, _parse_call_args(sc, name))
+    call = _parse_call(sc)
+    if call is not None:
+        name, args, start = call
         if name in FUNCTIONS:
-            sc.pos = start
             raise sc.error(
-                f"{name} is a function, not a test: FILTER cannot read it as a condition"
+                f"{name} is a function, not a test: FILTER cannot read it as a condition", start
             )
-        return call
+        return alg.BuiltinCall(name, args)
     ahead = _comparison_ahead(sc)
     if ahead is None and sc.open("("):
         inner = _parse_filter_expr(sc)
@@ -504,8 +476,7 @@ def _parse_comparison(sc: _Scanner, ahead: str | None) -> alg.FilterExpr:
     operand = sc.operand()
     sc.skip_ws()
     if sc.text.startswith("<=", sc.pos):
-        sc.pos = start
-        raise sc.error("expected an annotation literal")
+        raise sc.error("expected an annotation literal", start)
     if sc.take("!="):
         return alg.Not(alg.Eq(operand, sc.operand()))
     if sc.take("="):

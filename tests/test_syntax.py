@@ -307,6 +307,9 @@ class TestDataRoundTrip:
         ),
         "@domix temporal .\n@domix temporal .\n": (2, 1, "at most one @domix"),
         "(a p b) : 1 .\n@domix temporal .\n": (2, 1, "before the first annotated"),
+        # An indented directive is reported at its '@'.
+        "  @domix temporal .\n   @domix temporal .\n": (2, 4, "at most one @domix"),
+        "(a p b) : 1 .\n  @domix temporal .\n": (2, 3, "before the first annotated"),
         "@domix fuzzy:min\n(a p b) : 1 .\n": (1, 8, "@domix line must end with '.'"),
     }
 
@@ -857,63 +860,90 @@ class TestQueryParsing:
             parse_query("SELECT ?x WHERE { ?x p ?y FILTER(?x = ", TEMPORAL)
         assert str(info.value) == "1:39: expected an operand"
 
-    # (column, message).  Annotation-literal errors point at the literal's
-    # first character, as in the data format, also for filter and
-    # assignment operands.
+    # (line, column, message).  Annotation-literal errors point at the
+    # literal's first character, as in the data format, also for filter
+    # and assignment operands.
     ERROR_COLUMNS = {
-        "SELECT ?x WHERE { (?x p ?y):{[2,1]} }": (29, "empty interval [2,1]"),
-        "SELECT ?x WHERE { (?x p ?y):nonsense }": (29, "malformed temporal literal: 'nonsense'"),
-        "SELECT ?x WHERE { (?x p ?y):{[1,2] ": (29, "unbalanced {"),
-        "SELECT ?x WHERE { (?x p ?y): }": (30, "expected an annotation literal"),
-        "SELECT ?x WHERE { (?x p ?y):?l FILTER(?l <= {[2,1]}) }": (45, "empty interval [2,1]"),
-        "SELECT ?x WHERE { (?x p ?y):?l FILTER(before(?l, [5,1])) }": (50, "empty interval [5,1]"),
-        "SELECT ?x WHERE { (?x p ?y):?l ASSIGN length([3,2]) AS ?n }": (46, "empty interval [3,2]"),
+        "SELECT ?x WHERE { (?x p ?y):{[2,1]} }": (1, 29, "empty interval [2,1]"),
+        "SELECT ?x WHERE { (?x p ?y):nonsense }": (1, 29, "malformed temporal literal: 'nonsense'"),
+        "SELECT ?x WHERE { (?x p ?y):{[1,2] ": (1, 29, "unbalanced {"),
+        "SELECT ?x WHERE { (?x p ?y): }": (1, 30, "expected an annotation literal"),
+        "SELECT ?x WHERE { (?x p ?y):?l FILTER(?l <= {[2,1]}) }": (1, 45, "empty interval [2,1]"),
+        "SELECT ?x WHERE { (?x p ?y):?l FILTER(before(?l, [5,1])) }": (1, 50, "empty interval [5,1]"),
+        "SELECT ?x WHERE { (?x p ?y):?l ASSIGN length([3,2]) AS ?n }": (1, 46, "empty interval [3,2]"),
         # Both sides of `<=` and every built-in argument are labels.
-        "SELECT ?x WHERE { (?x p ?y):?l FILTER(?l <= chad) }": (45, "malformed temporal literal: 'chad'"),
-        'SELECT ?x WHERE { (?x p ?y):?l FILTER("a" <= ?l) }': (39, "expected an annotation literal"),
+        "SELECT ?x WHERE { (?x p ?y):?l FILTER(?l <= chad) }": (1, 45, "malformed temporal literal: 'chad'"),
+        'SELECT ?x WHERE { (?x p ?y):?l FILTER("a" <= ?l) }': (1, 39, "expected an annotation literal"),
         "SELECT ?x WHERE { (?x p ?y):?l FILTER(isTEMPORAL(chad)) }": (
+            1,
             50,
             "malformed temporal literal: 'chad'",
         ),
-        "SELECT\xa0?x\u2003WHERE\x0b{\x0c(?x p ?y):{[2,1]} }": (29, "empty interval [2,1]"),
+        "SELECT\xa0?x\u2003WHERE\x0b{\x0c(?x p ?y):{[2,1]} }": (1, 29, "empty interval [2,1]"),
         # An unterminated string literal fails at its opening quote.
-        'SELECT ?x WHERE { ?x p "abc\\': (24, "unterminated string literal"),
-        'SELECT ?x WHERE { ?x p "ab\\" }': (24, "unterminated string literal"),
+        'SELECT ?x WHERE { ?x p "abc\\': (1, 24, "unterminated string literal"),
+        'SELECT ?x WHERE { ?x p "ab\\" }': (1, 24, "unterminated string literal"),
         # A control character inside <...> fails at that character.
-        "SELECT ?s ?n WHERE { (<c\td> name ?n):?l }": (25, "control character U+0009 in an IRI"),
-        "SELECT ?x WHERE { ?x p <a\nb> }": (26, "control character U+000A in an IRI"),
+        "SELECT ?s ?n WHERE { (<c\td> name ?n):?l }": (1, 25, "control character U+0009 in an IRI"),
+        "SELECT ?x WHERE { ?x p <a\nb> }": (1, 26, "control character U+000A in an IRI"),
         "@prefix ex: <http://e\x0b/> . SELECT ?x WHERE { (?x ex:p ?y):?l }": (
+            1,
             22,
             "control character U+000B in an IRI",
         ),
         # A bad call in a parenthesised filter is reported at its name.
-        "SELECT ?x WHERE { (?x p ?y):?l FILTER((before(?l))) }": (40, "before takes 2 arguments, not 1"),
+        "SELECT ?x WHERE { (?x p ?y):?l FILTER((before(?l))) }": (1, 40, "before takes 2 arguments, not 1"),
         "SELECT ?x WHERE { (?x p ?y):?l FILTER((length(?l))) }": (
+            1,
             40,
             "length is a function, not a test: FILTER cannot read it as a condition",
         ),
         # `(?x)` followed by `=` is an annotation literal, which the
         # domain rejects at its `(`.
-        "SELECT ?x WHERE { (?x p ?y):?l FILTER((?x) = ?y) }": (39, "malformed temporal literal: '(?x)'"),
-        "SELECT ?x WHERE { ?x p ?y } ORDERBY x": (37, "expected ?variable"),
-        "SELECT ?x WHERE { ?x p ?y } GROUP": (29, "expected ORDERBY, LIMIT, or end of query"),
-        "SELECT ?x WHERE { ?x p ?y } LIMIT x": (35, "expected an integer"),
-        "SELECT ?x WHERE ?x p ?y }": (17, "expected '{'"),
-        "SELECT ?x WHERE { (?x p ?y):?l ASSIGN length(?l) ?n }": (50, "ASSIGN needs 'AS ?var'"),
+        "SELECT ?x WHERE { (?x p ?y):?l FILTER((?x) = ?y) }": (1, 39, "malformed temporal literal: '(?x)'"),
+        "SELECT ?x WHERE { ?x p ?y } ORDERBY x": (1, 37, "expected ?variable"),
+        "SELECT ?x WHERE { ?x p ?y } GROUP": (1, 29, "expected ORDERBY, LIMIT, or end of query"),
+        "SELECT ?x WHERE { ?x p ?y } LIMIT x": (1, 35, "expected an integer"),
+        "SELECT ?x WHERE ?x p ?y }": (1, 17, "expected '{'"),
+        "SELECT ?x WHERE { (?x p ?y):?l ASSIGN length(?l) ?n }": (1, 50, "ASSIGN needs 'AS ?var'"),
         "SELECT ?x ?m WHERE { (?x p ?y):?l GROUPBY(?x) MAX(length(?l)) ?m }": (
+            1,
             63,
             "aggregates need 'AS ?var'",
         ),
         # A number operand the scalar parser rejects.
-        "SELECT ?x WHERE { (?x p ?y):?l FILTER(?x = 1/0) }": (44, "zero denominator: '1/0'"),
+        "SELECT ?x WHERE { (?x p ?y):?l FILTER(?x = 1/0) }": (1, 44, "zero denominator: '1/0'"),
+        # An error that points at a line before the one the scanner has
+        # reached takes its line from the position it names.
+        "SELECT ?x WHERE { (?x p ?y):?l\n FILTER(before(?l\n)) }": (
+            2,
+            9,
+            "before takes 2 arguments, not 1",
+        ),
+        "SELECT ?x WHERE { (?x p ?y):?l FILTER(length(\n?l)) }": (
+            1,
+            39,
+            "length is a function, not a test: FILTER cannot read it as a condition",
+        ),
+        "SELECT ?x ?n WHERE { (?x p ?y):?l\n GROUPBY(?x) COUNT(?x\n) AS ?n }": (
+            2,
+            20,
+            "aggregate argument ?x is a grouping key",
+        ),
+        "SELECT ?x WHERE { (?x p ?y):?l\n ASSIGN isTEMPORAL(?l) AS\n ?t }": (
+            2,
+            9,
+            "isTEMPORAL is a test, not a function: ASSIGN cannot bind it to ?t",
+        ),
+        "SELECT ?x WHERE { (?x p ?y):?l FILTER(?l\n <= {[2,\n1]}) }": (2, 5, "empty interval [2,1]"),
     }
 
     @pytest.mark.parametrize("bad", ERROR_COLUMNS)
     def test_errors_carry_positions(self, bad):
         with pytest.raises(ParseError) as info:
             parse_query(bad, TEMPORAL)
-        column, message = self.ERROR_COLUMNS[bad]
-        assert str(info.value) == f"1:{column}: {message}"
+        line, column, message = self.ERROR_COLUMNS[bad]
+        assert str(info.value) == f"{line}:{column}: {message}"
 
     def test_name_never_ends_in_a_dot(self):
         query = parse_query("SELECT ?x WHERE { ?x p c. ?x q ?z }", TEMPORAL)
