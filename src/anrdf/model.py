@@ -85,7 +85,9 @@ class Triple(_Spo):
 
     def __new__(cls, subject: Term, predicate: Term, object: Term) -> "Triple":
         if predicate.kind == LITERAL:
-            raise AnrdfError(f"predicate must not be a literal: {predicate!r}")
+            from .syntax.lexer import format_term  # `lexer` imports this module
+
+            raise AnrdfError(f"predicate must not be a literal: {format_term(predicate)}")
         return super().__new__(cls, subject, predicate, object)
 
     @classmethod

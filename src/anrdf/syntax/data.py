@@ -42,9 +42,15 @@ from ..errors import AnnotationSyntaxError, AnrdfError, ParseError, UnknownDomai
 from ..model import AnnotatedGraph, Term, Triple, skolem
 from .lexer import NAME_RE, Scanner, annotation_literal_end, format_term, name_term
 
-# A blank-node label holds '.' only between two label characters, as
-# NAME_RE does, so a label glued to the final '.' ends before it.
-_LABEL_RE = re.compile(r"[A-Za-z0-9_\-]+(?:\.[A-Za-z0-9_\-]+)*")
+# A blank node is `_:` and its label, which holds '.' only between two
+# label characters, as NAME_RE does, so a label glued to the final '.'
+# ends before it; group 1, the label, is None when none follows.
+_BLANK_RE = re.compile(r"_:([A-Za-z0-9_\-]+(?:\.[A-Za-z0-9_\-]+)*)?")
+# The rest of an `@domix` line: the whitespace before the name (group 1)
+# and, when a final '.' ends the line before any comment, the name
+# (group 2).  It is matched in place, not through `read`, which would
+# skip a comment that stands where the name should (`@domix #x .`).
+_DOMIX_NAME_RE = re.compile(r"(\s*)(?:([^#]*?)\s*\.\s*(?:#.*)?\Z)?")
 
 # A whole canonical line: `(s p o) : literal .` or `s p o .`, bare names
 # apart by single spaces.  Group 1 is the `(` that selects the annotated
@@ -75,34 +81,18 @@ class _Memo(dict):
 
 
 def _term(cur: Scanner) -> Term:
-    cur.skip_ws()
-    if cur.text.startswith("_:", cur.pos):
-        m = _LABEL_RE.match(cur.text, cur.pos + 2)
-        if not m:
-            raise cur.error("blank node needs a label")
-        cur.pos = m.end()
-        return skolem(m.group(0))
+    m = cur.read(_BLANK_RE)
+    if m:
+        if m[1] is None:
+            raise cur.error("blank node needs a label", m.start())
+        return skolem(m[1])
     term = cur.ground_term()
     if term is not None:
         return term
     if cur.at_end():
         raise cur.error("expected a term")
-    raise cur.error(f"cannot read a term at {_rest_of_line(cur).rstrip()[:10]!r}")
-
-
-def _rest_of_line(cur: Scanner) -> str:
-    return cur.text[cur.pos :].partition("#")[0]
-
-
-def _up_to_final_dot(cur: Scanner, message: str) -> str:
-    """The rest of the line, minus any comment, up to its final '.';
-    leaves `cur` at the first character of that text."""
-    rest = _rest_of_line(cur)
-    cur.pos += len(rest) - len(rest.lstrip())
-    rest = rest.strip()
-    if not rest.endswith("."):
-        raise cur.error(message)
-    return rest[:-1].strip()
+    rest = cur.text[cur.pos :].partition("#")[0]
+    raise cur.error(f"cannot read a term at {rest.rstrip()[:10]!r}")
 
 
 def _expect_final_dot(cur: Scanner, message: str) -> None:
@@ -121,11 +111,13 @@ def _directive(cur: Scanner, declared: Domain | None, after_annotated: bool) -> 
             raise cur.error("a document has at most one @domix line", start)
         if after_annotated:
             raise cur.error("@domix must come before the first annotated statement", start)
-        name = _up_to_final_dot(cur, "@domix line must end with '.'")
+        m = _DOMIX_NAME_RE.match(cur.text, cur.pos)
+        if m[2] is None:
+            raise cur.error("@domix line must end with '.'", m.end(1))
         try:
-            return get_domain(name)
+            return get_domain(m[2])
         except UnknownDomainError as exc:
-            raise cur.error(str(exc)) from None
+            raise cur.error(str(exc), m.end(1)) from None
     if not cur.directive("prefix"):
         raise cur.error("unknown directive; expected @domix or @prefix")
     cur.prefix_directive()

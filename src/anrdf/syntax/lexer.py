@@ -10,19 +10,25 @@ any other escaped character stands for itself); `prefix:name` after an
 verbatim except for the rho-df keywords `type`, `sp`, `sc`, `dom`,
 `range`.  A name never ends in `.`, so `a b c.` ends after `c`; nor does
 an annotation literal, which both formats read as one token
-(`annotation_literal`) that only the domain's `parse` validates.  Whitespace and `#` comments (to the end of the
-line) are skipped between tokens, never inside one; both are one
-compiled pattern, and so is a string literal (in a query, a backslash
-before a raw line break stands for the line break).  Blank nodes
-`_:label` exist only in data and `?var` only in queries; each parser
-checks its own before asking for a ground term.
+(`annotation_literal`) that only the domain's `parse` validates.
+Whitespace and `#` comments (to the end of the line) are skipped
+between tokens, never inside one; both are one compiled pattern
+(`WS_RE`), and so is a string literal (in a query, a backslash before a
+raw line break stands for the line break).  Blank nodes `_:label` exist
+only in data and `?var` only in queries; each parser checks its own
+before asking for a ground term.
 
 The scanner's protocol: after any whitespace, `Scanner.take` takes a
 fixed token of any length and `Scanner.read` the token a compiled
-pattern matches.  An error names its position with
-`Scanner.error(message, at)`, which reads the line and column off `at`
-and never moves the scanner; only a lookahead (the query parser's
-`_comparison_ahead`) puts `pos` back.
+pattern matches; every token of both formats is taken one of these two
+ways, directives, `<iri>`s, blank nodes and keywords included, except
+the annotation literal, whose brackets must balance
+(`annotation_literal_end`), so `annotation_literal` reads it by hand.
+Only `skip_ws`, `take`, `read` and `annotation_literal` move `pos`, and
+only forward: a lookahead (the query parser's `_comparison_ahead`)
+reads the text past `pos` and leaves the scanner where it was.  An
+error names its position with `Scanner.error(message, at)`, which reads
+the line and column off `at` and never moves the scanner.
 
 `format_term` writes a term as `ground_term` reads it back: a keyword or
 bare name where one spells the IRI, `<iri>` otherwise (it refuses an IRI
@@ -48,11 +54,13 @@ PNAME_RE = re.compile(
     r"([A-Za-z][A-Za-z0-9_.\-]*)?:([A-Za-z_][A-Za-z0-9_\-]*(?:\.[A-Za-z0-9_\-]+)*)"
 )
 _PREFIX_NAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9_.\-]*)?:")
-_DIRECTIVE_RE = re.compile(r"@([A-Za-z][A-Za-z0-9_.\-]*)")
+# `@name` as a whole word: a name character after it makes another word.
+_DIRECTIVE_RES = {n: re.compile(rf"@{n}(?![A-Za-z0-9_.\-])") for n in ("domix", "prefix")}
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}
-# What `<...>` cannot hold; the reader searches only up to the first `>`.
+# `<...>` ends at its first `>`, and holds no control character.
+_IRI_RE = re.compile(r"<([^>]*)>")
 _NOT_IN_IRI_RE = re.compile(r"[\x00-\x1f>]")
-_WS_RE = re.compile(r"(?:\s|#[^\n]*)*")
+WS_RE = re.compile(r"(?:\s|#[^\n]*)*")
 _STRING_RE = re.compile(r'"((?:[^"\\]|\\.)*)"', re.DOTALL)
 _ESCAPE_RE = re.compile(r"\\(u(?![dD][89a-fA-F])[0-9a-fA-F]{4}|.)", re.DOTALL)
 _OPENING = ("<", "{", "[", "(")
@@ -135,7 +143,7 @@ class Scanner:
         return ParseError(message, line, column)
 
     def skip_ws(self) -> None:
-        self.pos = _WS_RE.match(self.text, self.pos).end()
+        self.pos = WS_RE.match(self.text, self.pos).end()
 
     def peek(self) -> str:
         self.skip_ws()
@@ -173,10 +181,7 @@ class Scanner:
         the caller can name what it expected."""
         ch = self.peek()
         if ch == "<":
-            end = self.text.find(">", self.pos + 1)
-            if end < 0:
-                raise self.error("unterminated <iri>")
-            return iri(self._iri_text(self.pos + 1, end))
+            return iri(self._iri("unterminated <iri>", self.pos))
         if ch == '"':
             m = self.read(_STRING_RE)
             if m is None:
@@ -207,12 +212,7 @@ class Scanner:
     def directive(self, name: str) -> bool:
         """Take `@name` when it starts here as a whole word: a name
         character right after it (`@prefixex:`) makes it another word."""
-        self.skip_ws()
-        m = _DIRECTIVE_RE.match(self.text, self.pos)
-        if m is None or m.group(1) != name:
-            return False
-        self.pos = m.end()
-        return True
+        return self.read(_DIRECTIVE_RES[name]) is not None
 
     def prefix_directive(self) -> None:
         """Read the `name: <iri>` after `@prefix` and declare the prefix;
@@ -220,17 +220,18 @@ class Scanner:
         m = self.read(_PREFIX_NAME_RE)
         if not m:
             raise self.error("@prefix needs 'name:'")
-        self.expect("<")
-        end = self.text.find(">", self.pos)
-        if end < 0:
-            raise self.error("unterminated prefix IRI")
-        self.prefixes[m.group(1) or ""] = self._iri_text(self.pos, end)
+        if self.peek() != "<":
+            raise self.error("expected '<'")
+        self.prefixes[m.group(1) or ""] = self._iri("unterminated prefix IRI", self.pos + 1)
 
-    def _iri_text(self, start: int, end: int) -> str:
-        """The IRI `text[start:end]` inside `<...>`, leaving `pos` after
-        its `>`; a control character in it is an error at that character."""
-        bad = _NOT_IN_IRI_RE.search(self.text, start, end)
+    def _iri(self, unterminated: str, at: int) -> str:
+        """Read the `<...>` that starts here and return the IRI inside it;
+        with no `>` to end it the error is `unterminated` at `at`, and a
+        control character in it is an error at that character."""
+        m = self.read(_IRI_RE)
+        if m is None:
+            raise self.error(unterminated, at)
+        bad = _NOT_IN_IRI_RE.search(self.text, m.start(1), m.end(1))
         if bad:
             raise self.error(f"control character U+{ord(bad[0]):04X} in an IRI", bad.start())
-        self.pos = end + 1
-        return self.text[start:end]
+        return m[1]

@@ -64,7 +64,7 @@ from ..model import IRI, LITERAL, SKOLEM
 from ..rational import parse_scalar
 from ..anql import algebra as alg
 from ..anql.builtins import ARITY, FUNCTIONS, TESTS
-from .lexer import NAME_RE, Scanner
+from .lexer import NAME_RE, WS_RE, Scanner, annotation_literal_end
 
 _AGGREGATES = {"sum", "avg", "max", "min", "count", "join", "meet"}
 # The term-kind tests and the kind of term each accepts.
@@ -104,10 +104,7 @@ class _Scanner(Scanner):
         return None
 
     def take_keyword(self, word: str) -> bool:
-        if self.keyword() == word:
-            self.pos += len(word)  # `NAME_RE` is ASCII: lowercasing keeps the length
-            return True
-        return False
+        return self.keyword() == word and self.read(NAME_RE) is not None
 
     def var(self) -> alg.Var:
         return alg.Var(self.read(_VAR_RE, "?variable")[1])
@@ -486,17 +483,12 @@ def _parse_comparison(sc: _Scanner, ahead: str | None) -> alg.FilterExpr:
 
 def _comparison_ahead(sc: _Scanner) -> str | None:
     """The comparison operator (`<=`, `!=` or `=`) after the `?var` or
-    annotation literal that starts here, or None; reads the operand's
-    extent without parsing it in the domain and without moving `sc`."""
-    start = sc.pos
-    try:
-        if sc.peek() == "?":
-            sc.var()
-        else:
-            sc.annotation_literal()
-        sc.skip_ws()
-        return next((op for op in ("<=", "!=", "=") if sc.text.startswith(op, sc.pos)), None)
-    except ParseError:
+    annotation literal that starts here, or None; finds the operand's
+    end on the text, without parsing it in the domain or moving `sc`."""
+    sc.skip_ws()
+    m = _VAR_RE.match(sc.text, sc.pos)  # no annotation literal starts with '?'
+    end = m.end() if m else annotation_literal_end(sc.text, sc.pos)
+    if end < 0:
         return None
-    finally:
-        sc.pos = start
+    end = WS_RE.match(sc.text, end).end()
+    return next((op for op in ("<=", "!=", "=") if sc.text.startswith(op, end)), None)

@@ -675,6 +675,22 @@ class TestConvert:
         assert code == 0
         assert "(a p b) : {[-inf,+inf]} ." in stdout
 
+    def test_scanner_sample(self, capsys, data_dir):
+        # The sample holds every token the line scanner reads: a comment
+        # after `@domix`, prefixes, `<iri>`s, blank nodes, literals, tabs.
+        code, stdout, _ = run(capsys, "convert", "-i", str(data_dir / "scanner_sample.anrdf"))
+        assert code == 0
+        assert stdout == (
+            "@domix temporal .\n"
+            "alice type Person .\n"
+            "(alice worksFor acme) : {[1999,2010]} .\n"
+            "(<http://example.org/alice> <http://example.org/knows> _:b1) : {[2000,2005]} .\n"
+            '(<http://example.org/bob> <http://example.org/default#name> "Bob") : {[2001,2003]} .\n'
+            '(_:b.2 <http://example.org/age> "42") : {[2004,2004]} .\n'
+            '_:b.2 <http://example.org/note> "a\\tb" .\n'
+            "_:b1 <http://example.org/knows> <http://example.org/bob> .\n"
+        )
+
 
 class TestHashSeedIndependence:
     """Provenance and compound values are sets, which iterate in hash

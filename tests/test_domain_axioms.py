@@ -16,7 +16,7 @@ from anrdf.domains import (
     get_domain,
     primitive_domain_ids,
 )
-from anrdf.domains.compound import quasihomomorphism_suite
+from anrdf.domains.compound import CompoundDomain, quasihomomorphism_suite
 from anrdf.domains.fuzzy import FuzzyDomain
 from anrdf.errors import (
     AnnotationSyntaxError,
@@ -163,6 +163,45 @@ def test_order_must_be_the_one_join_induces():
     report = axiom_suite(_ReversedOrderDomain(), samples=100, seed=7)
     failed = {c.name for c in report.checks if not c.passed}
     assert "order induced by join" in failed
+
+
+class _MaxMeetDomain(FuzzyDomain):
+    """Negative control: `fuzzy:min`, except that meet is `max`."""
+
+    def __init__(self):
+        super().__init__("min")
+
+    meet_payload = staticmethod(max)
+
+
+@pytest.mark.parametrize(
+    "second, failures",
+    [
+        (
+            _ReversedOrderDomain,
+            {
+                "quasihomomorphism bounds": "meet bound fails on [",
+                "antitone": "antitone fails on [",
+                "normalisation preserves the function": "normalise changes the function of [",
+            },
+        ),
+        (
+            _MaxMeetDomain,
+            {
+                "quasihomomorphism bounds": "join bound fails on [",
+                "normalisation preserves the function": "normalise changes the function of [",
+            },
+        ),
+    ],
+)
+def test_quasihomomorphism_suite_names_each_failure(second, failures):
+    # Each failing check keeps the counterexample its message names.
+    domain = CompoundDomain(get_domain("temporal"), second())
+    report = quasihomomorphism_suite(domain, trials=50, seed=3)
+    failed = {c.name: c.counterexample for c in report.checks if not c.passed}
+    assert failed.keys() == failures.keys(), report.format()
+    for name, start in failures.items():
+        assert failed[name].startswith(start), failed[name]
 
 
 @pytest.mark.parametrize("domain_id", ALL_DOMAIN_IDS)  # criterion 09's eight

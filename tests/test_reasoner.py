@@ -183,6 +183,11 @@ class TestTerms:
         with pytest.raises(AnrdfError, match=r'^predicate must not be a literal: "p"$'):
             Triple(iri("a"), literal("p"), iri("b"))
 
+    def test_literal_predicate_is_written_as_a_term(self):
+        with pytest.raises(AnrdfError) as info:
+            Triple(iri("a"), literal('q"x\ty'), iri("b"))
+        assert str(info.value) == 'predicate must not be a literal: "q\\"x\\ty"'
+
     def test_make_and_replace_check_the_predicate(self):
         with pytest.raises(AnrdfError, match="predicate must not be a literal"):
             Triple._make((iri("a"), literal("p"), iri("b")))

@@ -260,6 +260,8 @@ class TestDataRoundTrip:
         "(a p b) : 1.5 .": (11, FUZZY_RANGE),
         '(a "p" b) : true .': (1, 'predicate must not be a literal: "p"'),
         '      (a "p" b) : 0.5 .': (7, 'predicate must not be a literal: "p"'),
+        # The literal is written as a term is, so its line break stays escaped.
+        '(a "x\\ny" b) : 0.5 .': (1, 'predicate must not be a literal: "x\\ny"'),
         "  (a p b) :   1.5 . # comment": (15, FUZZY_RANGE),
         "(a p b) : +inf .": (11, "fuzzy degree must be a rational in [0,1], got +inf"),
         # Variables are query-only.
@@ -278,6 +280,7 @@ class TestDataRoundTrip:
         "@prefix ex: <http://e/\x00x> .": (23, "control character U+0000 in an IRI"),
         "(<abc p b) : 0.5 .": (2, "unterminated <iri>"),
         "@prefix <http://e/> .": (9, "@prefix needs 'name:'"),
+        "@prefix ex: http://e/> .": (13, "expected '<'"),
         "@prefix ex: <http://e/ .": (14, "unterminated prefix IRI"),
         "a p": (4, "expected a term"),  # at the end of the line
     }
