@@ -9,7 +9,7 @@ lattice domain.
 from __future__ import annotations
 
 from ..errors import UnknownDomainError
-from .allen import AllenRelation, QuantifierMode, allen_holds, allen_lifted
+from .allen import AllenRelation, QuantifierMode, allen_lifted
 from .axioms import AxiomCheck, AxiomReport, axiom_suite
 from .base import AnnotationValue, Domain
 from .boolean import BooleanDomain
@@ -24,16 +24,11 @@ from .fuzzy import FuzzyDomain
 from .provenance import ProvenanceDomain
 from .temporal import TemporalDomain
 
-_PRIMITIVES: dict[str, Domain] = {}
-for _d in (
-    BooleanDomain(),
-    TemporalDomain(),
-    ProvenanceDomain(),
-    FuzzyDomain("min"),
-    FuzzyDomain("product"),
-    FuzzyDomain("lukasiewicz"),
-):
-    _PRIMITIVES[_d.name] = _d
+_PRIMITIVES: dict[str, Domain] = {
+    d.name: d
+    for d in (BooleanDomain(), TemporalDomain(), ProvenanceDomain())
+    + tuple(map(FuzzyDomain, ("min", "product", "lukasiewicz")))
+}
 
 _COMPOUND_CACHE: dict[str, CompoundDomain] = {}
 
@@ -81,7 +76,6 @@ __all__ = [
     "ProvenanceDomain",
     "QuantifierMode",
     "TemporalDomain",
-    "allen_holds",
     "allen_lifted",
     "axiom_suite",
     "evaluate",

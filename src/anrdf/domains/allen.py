@@ -19,7 +19,7 @@ from __future__ import annotations
 from enum import Enum
 
 from ..errors import TemporalValueError
-from .temporal import Interval, IntervalSet
+from .temporal import IntervalSet
 
 
 class AllenRelation(Enum):
@@ -86,10 +86,6 @@ _QUANTIFIERS = {
     QuantifierMode.ALL_ANY: (all, any),
     QuantifierMode.ALL: (all, all),
 }
-
-
-def allen_holds(rel: AllenRelation, i1: Interval, i2: Interval) -> bool:
-    return _HOLDS[rel](*i1, *i2)
 
 
 def allen_lifted(

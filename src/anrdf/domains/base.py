@@ -44,9 +44,14 @@ from ..errors import DomainMismatchError
 class Domain:
     """Base class for annotation domains.
 
-    Subclasses implement the payload-level semiring operations plus the
-    codec hooks (parse/format) and a seeded value generator used by the
-    axiom-checking harness and the document generators.
+    A concrete domain defines seven hooks: its `name`; the payload
+    kernels `join_payload` and `meet_payload`; the codec hooks
+    `parse_payload`, `format_payload` and `validate_payload`, which
+    returns the canonical form of a payload and raises on junk; and
+    `random_payload`, the seeded generator used by the axiom-checking
+    harness and the document generators.  It may keep two defaults:
+    `leq_payload`, the order the join induces, and `sort_key`, the
+    formatted payload.
     """
 
     name: str = "abstract"
@@ -62,34 +67,11 @@ class Domain:
     #: Every payload of a finite domain (enables exhaustive checking).
     finite_payloads: Sequence[Any] | None = None
 
-    # -- semiring operations on payloads ------------------------------------
-
-    def join_payload(self, a: Any, b: Any) -> Any:
-        raise NotImplementedError
-
-    def meet_payload(self, a: Any, b: Any) -> Any:
-        raise NotImplementedError
+    # -- defaults a subclass may keep -----------------------------------------
 
     def leq_payload(self, a: Any, b: Any) -> bool:
         # Induced order; domains may override with a direct test.
         return self.join_payload(a, b) == b
-
-    # -- codec hooks ---------------------------------------------------------
-
-    def parse_payload(self, text: str) -> Any:
-        raise NotImplementedError
-
-    def format_payload(self, payload: Any) -> str:
-        raise NotImplementedError
-
-    def validate_payload(self, payload: Any) -> Any:
-        """Return the canonical form of `payload`, raising on junk."""
-        raise NotImplementedError
-
-    # -- support for sampling and ordering ------------------------------------
-
-    def random_payload(self, rng) -> Any:
-        raise NotImplementedError
 
     def sort_key(self, payload: Any) -> tuple:
         """Linearization key used by ORDERBY on annotation values."""
@@ -113,9 +95,6 @@ class Domain:
 
     def random_value(self, rng) -> "AnnotationValue":
         return AnnotationValue(self, self.random_payload(rng))
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<domain {self.name}>"
 
 
 @dataclass(frozen=True)
@@ -188,8 +167,13 @@ class AnnotationValue:
         return f"{self.domain.name}:{self.serialize()}"
 
 
+# The bracket pairs of an annotation literal, opening and closing in the
+# same order.  `split_top_level` and `lexer.annotation_literal_end` both
+# count depth over them, so the two depth rules agree.
+OPENING, CLOSING = "<{[(", ">}])"
+
 # The characters `split_top_level` acts on; it skips every other one.
-_SPLIT_RE = re.compile(r"[<{\[(>}\]),]")
+_SPLIT_RE = re.compile(f"[{re.escape(OPENING + CLOSING)},]")
 
 
 def split_top_level(body: str) -> list[str]:
@@ -202,7 +186,7 @@ def split_top_level(body: str) -> list[str]:
     start = 0
     for m in _SPLIT_RE.finditer(body):
         ch = m.group()
-        if ch in "<{[(":
+        if ch in OPENING:
             depth += 1
         elif ch != ",":
             depth -= 1

@@ -95,9 +95,6 @@ class Triple(_Spo):
         # `NamedTuple._make` would skip `__new__`; `_replace` calls this.
         return cls(*iterable)
 
-    def __repr__(self) -> str:
-        return f"({self.subject!r} {self.predicate!r} {self.object!r})"
-
 
 # predicate -> subject (or object) -> triples
 _Index = dict[Term, dict[Term, list[Triple]]]

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import re
 
+from ..domains.base import CLOSING, OPENING
 from ..errors import AnrdfError, ParseError
 from ..model import DOM, LITERAL, RANGE, SC, SKOLEM, SP, TYPE, Term, iri, literal
 
@@ -63,21 +64,21 @@ _NOT_IN_IRI_RE = re.compile(r"[\x00-\x1f>]")
 WS_RE = re.compile(r"(?:\s|#[^\n]*)*")
 _STRING_RE = re.compile(r'"((?:[^"\\]|\\.)*)"', re.DOTALL)
 _ESCAPE_RE = re.compile(r"\\(u(?![dD][89a-fA-F])[0-9a-fA-F]{4}|.)", re.DOTALL)
-_OPENING = ("<", "{", "[", "(")
-_BRACKET_RE = re.compile(r"[<{\[(>}\])]")
+_OPENING = tuple(OPENING)  # the prefixes `str.startswith` tests
+_BRACKET_RE = re.compile(f"[{re.escape(OPENING + CLOSING)}]")
 _WORD_RE = re.compile(r"[A-Za-z0-9_:+\-/]+(?:\.[A-Za-z0-9_:+\-/]+)*")
 
 
 def annotation_literal_end(text: str, start: int) -> int:
     """Where the annotation literal at `text[start]` ends, or -1 when none
-    does.  It is one bracket group, ending where the depth over `<{[(`
-    and `>}])` returns to 0 as in `split_top_level`, or one word of
-    letters, digits and `_:+-/.` in which a `.` stands only between two
-    other word characters."""
+    does.  It is one bracket group, ending where the depth over the
+    pairs `domains.base.OPENING` and `CLOSING` returns to 0 as in
+    `split_top_level`, or one word of letters, digits and `_:+-/.` in
+    which a `.` stands only between two other word characters."""
     if text.startswith(_OPENING, start):
         depth = 0
         for m in _BRACKET_RE.finditer(text, start):
-            depth += 1 if m.group() in "<{[(" else -1
+            depth += 1 if m.group() in OPENING else -1
             if depth == 0:
                 return m.end()
         return -1

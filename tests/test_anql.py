@@ -1482,6 +1482,13 @@ class TestDomainMaximality:
         with pytest.raises(TypeError, match="not a filter expression: FilterExpr"):
             filter_eval(alg.FilterExpr(), {})
 
+    def test_bindings_names_a_node_it_has_no_rule_for(self):
+        with pytest.raises(TypeError, match="^not a pattern: Pattern$"):
+            alg.bindings(alg.Pattern())
+
+    def test_a_node_never_equals_a_non_node(self):
+        assert (alg.Bap(()) == 1) is False
+
     def test_no_answer_binds_bottom(self, fig1_exx1_closure):
         query = q("SELECT ?p ?l WHERE { (?p type ebayEmp):?l (?p hasCar ?c):?l }")
         for row in evaluate_query(fig1_exx1_closure, query):

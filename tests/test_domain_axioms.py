@@ -13,6 +13,7 @@ from anrdf.domains import (
     AnnotationValue,
     Domain,
     axiom_suite,
+    compound,
     get_domain,
     primitive_domain_ids,
 )
@@ -202,6 +203,20 @@ def test_quasihomomorphism_suite_names_each_failure(second, failures):
     assert failed.keys() == failures.keys(), report.format()
     for name, start in failures.items():
         assert failed[name].startswith(start), failed[name]
+
+
+def test_quasihomomorphism_suite_fails_a_normalise_that_is_not_idempotent(monkeypatch):
+    # A negative control: a `normalise` that drops a pair on every call
+    # changes its own output when applied to it again.
+    real = compound.normalise
+
+    def dropping(d1, d2, pairs):
+        return frozenset(sorted(real(d1, d2, pairs), key=repr)[1:])
+
+    monkeypatch.setattr(compound, "normalise", dropping)
+    report = quasihomomorphism_suite(get_domain("compound(temporal,fuzzy:min)"), trials=50, seed=3)
+    failed = {c.name: c.counterexample for c in report.checks if not c.passed}
+    assert failed["normalisation idempotent"].startswith("normalise not idempotent on ["), report.format()
 
 
 @pytest.mark.parametrize("domain_id", ALL_DOMAIN_IDS)  # criterion 09's eight

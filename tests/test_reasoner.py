@@ -188,6 +188,9 @@ class TestTerms:
             Triple(iri("a"), literal('q"x\ty'), iri("b"))
         assert str(info.value) == 'predicate must not be a literal: "q\\"x\\ty"'
 
+    def test_repr_of_a_skolem_term_is_its_blank_node(self):
+        assert repr(skolem("b1")) == "_:b1"
+
     def test_make_and_replace_check_the_predicate(self):
         with pytest.raises(AnrdfError, match="predicate must not be a literal"):
             Triple._make((iri("a"), literal("p"), iri("b")))

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from anrdf.domains import AllenRelation, QuantifierMode, allen_holds, allen_lifted, get_domain
+from anrdf.domains import AllenRelation, QuantifierMode, allen_lifted, get_domain
 from anrdf.domains.temporal import (
     canonical_intervals,
     length,
@@ -236,7 +236,7 @@ class TestAllen:
         for rel, definition in self.DEFINITIONS.items():
             for i1 in intervals:
                 for i2 in intervals:
-                    assert allen_holds(rel, i1, i2) == definition(*i1, *i2), (rel, i1, i2)
+                    assert allen_lifted(rel, QuantifierMode.ANY, (i1,), (i2,)) == definition(*i1, *i2), (rel, i1, i2)
 
     def test_every_scheme_is_its_quantifiers(self):
         rng = random.Random(43)
@@ -271,10 +271,10 @@ class TestAllen:
             b = sorted(rng.sample(range(12), 2))
             i1 = (Fraction(a[0]), Fraction(a[1]))
             i2 = (Fraction(b[0]), Fraction(b[1]))
-            holding = [r for r in AllenRelation if allen_holds(r, i1, i2)]
+            holding = [r for r in AllenRelation if allen_lifted(r, QuantifierMode.ANY, (i1,), (i2,))]
             assert len(holding) == 1, (i1, i2, holding)
         point, proper = (Fraction(2), Fraction(2)), (Fraction(2), Fraction(5))
-        holding = {r for r in AllenRelation if allen_holds(r, point, proper)}
+        holding = {r for r in AllenRelation if allen_lifted(r, QuantifierMode.ANY, (point,), (proper,))}
         assert holding == {AllenRelation.MEETS, AllenRelation.STARTS}
 
     def test_quantifier_hierarchy(self):
